@@ -19,7 +19,7 @@ from .config import RunConfig, load_run_config
 from .corpus import SplitSpec, load_corpus, save_corpus, split_corpus, synth_corpus
 from .errors import ConfigError, EnsembleError, LlmdetectError, ModelError
 from .metrics import evaluation_report
-from .models import MODEL_KINDS, load_model
+from .models import MODEL_KINDS, bundle_from_dict, load_model
 from .pipeline import (TOKEN_SOURCE_BPE, check_vocab_ref, score_texts,
                        train_bundle)
 from .tokenizer import load_vocab, save_vocab, train_bpe
@@ -49,6 +49,13 @@ def _read_bytes(path) -> bytes:
         return Path(path).read_bytes()
     except FileNotFoundError:
         raise LlmdetectError(f"no such file: {path}")
+
+
+def _read_json(path, error):
+    try:
+        return json.loads(_read_bytes(path).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}")
 
 
 def _config_for(args) -> RunConfig:
@@ -109,13 +116,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_ensemble_spec(path) -> ens.EnsembleSpec:
-    data = _read_bytes(path)
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise EnsembleError(f"{path}: not valid JSON: {exc}")
-    if not isinstance(payload, dict) or "voters" not in payload:
+def _ensemble_spec(payload, path) -> ens.EnsembleSpec:
+    """Build a spec from the parsed spec file at path."""
+    if not isinstance(payload, dict) or \
+            not isinstance(payload.get("voters"), list):
         raise EnsembleError(f"{path}: ensemble spec needs a voters array")
     if payload.get("format_version") != ENSEMBLE_SPEC_VERSION:
         raise EnsembleError(f"{path}: field format_version: expected "
@@ -126,7 +130,7 @@ def _load_ensemble_spec(path) -> ens.EnsembleSpec:
     for i, entry in enumerate(payload["voters"]):
         if not isinstance(entry, dict) or "weight" not in entry:
             raise EnsembleError(f"{path}: voters[{i}] needs a weight")
-        weight = float(entry["weight"])
+        weight = ens.parse_weight(entry["weight"], f"{path}: voters[{i}]")
         if "model" in entry:
             bundle = load_model(_read_bytes(base / entry["model"]))
             voters.append(ens.Voter(weight=weight, bundle=bundle,
@@ -149,7 +153,8 @@ def _spec_from_config(config) -> ens.EnsembleSpec:
     paths = [p.strip() for p in raw_voters.split(",") if p.strip()]
     raw_weights = config.get("ensemble", "weights").strip()
     if raw_weights:
-        weights = [float(w) for w in raw_weights.split(",")]
+        weights = [ens.parse_weight(w, "ensemble.weights", ConfigError)
+                   for w in raw_weights.split(",")]
         if len(weights) != len(paths):
             raise ConfigError(f"{len(paths)} ensemble.voters but "
                               f"{len(weights)} ensemble.weights")
@@ -167,38 +172,38 @@ def _spec_from_config(config) -> ens.EnsembleSpec:
                             combine=config.get("ensemble", "combine"))
 
 
-def _vocab_for_spec(spec: ens.EnsembleSpec, vocab_path):
-    """Load and hash-check the tokenizer file against the spec's bundles."""
-    if not vocab_path:
+def _vocab_for(bundles, vocab_path):
+    """Load the tokenizer file and hash-check it against the BPE bundles.
+
+    Returns None when every bundle carries its own whitespace vocabulary.
+    """
+    bpe_bundles = [b for b in bundles if b.tfidf.word_vocab is None]
+    if not bpe_bundles:
         return None
+    if not vocab_path:
+        raise ModelError("bundle was trained on BPE tokens; pass the "
+                         "tokenizer file with --vocab")
     bpe_vocab, vocab_bytes = _load_bpe_vocab(vocab_path)
-    for voter in spec.voters:
-        if voter.bundle is not None and voter.bundle.tfidf.word_vocab is None:
-            check_vocab_ref(voter.bundle, vocab_bytes)
+    for bundle in bpe_bundles:
+        check_vocab_ref(bundle, vocab_bytes)
     return bpe_vocab
 
 
+def _spec_bundles(spec: ens.EnsembleSpec):
+    return [v.bundle for v in spec.voters if v.bundle is not None]
+
+
 def cmd_predict(args) -> int:
-    data = _read_bytes(args.model)
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelError(f"{args.model}: not valid JSON: {exc}")
+    payload = _read_json(args.model, ModelError)
     corpus = _load_corpus_arg(args.corpus, args.format)
 
     if isinstance(payload, dict) and "voters" in payload:
-        spec = _load_ensemble_spec(args.model)
-        bpe_vocab = _vocab_for_spec(spec, args.vocab)
+        spec = _ensemble_spec(payload, args.model)
+        bpe_vocab = _vocab_for(_spec_bundles(spec), args.vocab)
         scores = ens.run_ensemble(spec, corpus, bpe_vocab)
     else:
-        bundle = load_model(data)
-        bpe_vocab = None
-        if bundle.tfidf.word_vocab is None:
-            if not args.vocab:
-                raise ModelError("bundle was trained on BPE tokens; pass the "
-                                 "tokenizer file with --vocab")
-            bpe_vocab, vocab_bytes = _load_bpe_vocab(args.vocab)
-            check_vocab_ref(bundle, vocab_bytes)
+        bundle = bundle_from_dict(payload)
+        bpe_vocab = _vocab_for([bundle], args.vocab)
         scores, _ = score_texts(bundle, corpus.texts, bpe_vocab)
 
     Path(args.out).write_bytes(
@@ -233,11 +238,11 @@ def cmd_evaluate(args) -> int:
 def cmd_ensemble(args) -> int:
     config = _config_for(args)
     if args.spec:
-        spec = _load_ensemble_spec(args.spec)
+        spec = _ensemble_spec(_read_json(args.spec, EnsembleError), args.spec)
     else:
         spec = _spec_from_config(config)
     corpus = _load_corpus_arg(args.corpus, args.format)
-    bpe_vocab = _vocab_for_spec(spec, args.vocab)
+    bpe_vocab = _vocab_for(_spec_bundles(spec), args.vocab)
 
     if args.tune_weights:
         per_voter = ens.collect_voter_scores(spec, corpus, bpe_vocab)
@@ -247,9 +252,7 @@ def cmd_ensemble(args) -> int:
         _log(f"tuned weights {list(weights)} (validation auc {auc!r})")
         for voter, w in zip(spec.voters, weights):
             voter.weight = w
-        combiner = (ens.soft_vote if spec.combine == ens.COMBINE_PROBABILITY_MEAN
-                    else ens.rank_average)
-        scores = combiner(per_voter, list(weights))
+        scores = ens._combiner(spec.combine)(per_voter, list(weights))
     else:
         scores = ens.run_ensemble(spec, corpus, bpe_vocab)
 
@@ -273,9 +276,6 @@ def _add_common(parser, with_config=True):
     if with_config:
         parser.add_argument("--config", help="run config (INI) path")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (results are identical for any "
-                             "value; 0 = machine parallelism)")
     parser.add_argument("--format", choices=["csv", "jsonl"],
                         help="corpus format (default: inferred from suffix)")
 

@@ -10,17 +10,30 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
 from .features import TfidfConfig
 from .models import GbdtConfig, SgdConfig
+from .models.naive_bayes import DEFAULT_ALPHA
+
+
+def _field_defaults(cls, *exclude: str) -> dict:
+    """A config dataclass's defaults, keyed by field name."""
+    return {f.name: f.default for f in fields(cls) if f.name not in exclude}
+
+
+def _from_section(cls, section: dict, **extra):
+    """Build a config dataclass from the section keys that name its fields."""
+    return cls(**{f.name: section[f.name] for f in fields(cls)
+                  if f.name in section}, **extra)
+
 
 DEFAULTS: dict[str, dict] = {
     "run": {
         "seed": 42,
-        "threads": 0,          # 0 = machine parallelism
     },
     "tokenizer": {
         "vocab_size": 5000,
@@ -28,30 +41,13 @@ DEFAULTS: dict[str, dict] = {
     },
     "features": {
         "token_source": "bpe",  # or "whitespace"
-        "ngram_min": 1,
-        "ngram_max": 3,
-        "min_df": 2,
-        "sublinear_tf": False,
-        "l2_normalize": True,
+        **_field_defaults(TfidfConfig),
     },
     "naive_bayes": {
-        "alpha": 1.0,
+        "alpha": DEFAULT_ALPHA,
     },
-    "sgd": {
-        "eta0": 0.5,
-        "l2": 1e-4,
-        "epochs": 10,
-    },
-    "gbdt": {
-        "variant": "leaf_wise",
-        "n_trees": 200,
-        "learning_rate": 0.1,
-        "max_leaves": 31,
-        "depth": 6,
-        "n_bins": 255,
-        "min_data_in_leaf": 20,
-        "lambda_l2": 1.0,
-    },
+    "sgd": _field_defaults(SgdConfig, "seed"),  # the seed comes from [run]
+    "gbdt": _field_defaults(GbdtConfig),
     "ensemble": {
         "combine": "probability_mean",
         "voters": "",          # comma-separated bundle/score-file paths
@@ -78,9 +74,12 @@ def _coerce(section: str, key: str, raw: str, default):
             raise ConfigError(f"{path}: expected an integer, got {raw!r}")
     if isinstance(default, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{path}: expected a number, got {raw!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -101,24 +100,13 @@ class RunConfig:
         return RunConfig(sections=sections)
 
     def tfidf_config(self) -> TfidfConfig:
-        f = self.sections["features"]
-        return TfidfConfig(ngram_min=f["ngram_min"], ngram_max=f["ngram_max"],
-                           min_df=f["min_df"], sublinear_tf=f["sublinear_tf"],
-                           l2_normalize=f["l2_normalize"])
+        return _from_section(TfidfConfig, self.sections["features"])
 
     def sgd_config(self) -> SgdConfig:
-        s = self.sections["sgd"]
-        return SgdConfig(eta0=s["eta0"], l2=s["l2"], epochs=s["epochs"],
-                         seed=self.seed)
+        return _from_section(SgdConfig, self.sections["sgd"], seed=self.seed)
 
     def gbdt_config(self) -> GbdtConfig:
-        g = self.sections["gbdt"]
-        return GbdtConfig(variant=g["variant"], n_trees=g["n_trees"],
-                          learning_rate=g["learning_rate"],
-                          max_leaves=g["max_leaves"], depth=g["depth"],
-                          n_bins=g["n_bins"],
-                          min_data_in_leaf=g["min_data_in_leaf"],
-                          lambda_l2=g["lambda_l2"])
+        return _from_section(GbdtConfig, self.sections["gbdt"])
 
     def canonical(self) -> str:
         lines = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -44,6 +45,18 @@ class ExternalScores:
             raise EnsembleError(f"external scores missing {len(missing)} "
                                 f"document ids: {shown}{suffix}")
         return np.array([self.scores[i] for i in ids])
+
+
+def parse_weight(raw, where: str, error=EnsembleError) -> float:
+    """A voter weight read from outside: a finite number >= 0."""
+    try:
+        weight = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        weight = math.nan
+    if not (math.isfinite(weight) and weight >= 0.0):
+        raise error(f"{where}: weight must be a finite number >= 0, "
+                    f"got {raw!r}")
+    return weight
 
 
 @dataclass
@@ -109,6 +122,16 @@ def soft_vote(per_voter_scores, weights) -> np.ndarray:
                 acc += w * Fraction(float(scores[d]))
         out[d] = float(acc / total)
     return out
+
+
+def _combiner(name: str):
+    """The combine function for a COMBINERS name.
+
+    Resolved through the module globals on every call, so a caller that
+    rebinds ``soft_vote`` or ``rank_average`` (to trace them, say) is
+    honoured.
+    """
+    return soft_vote if name == COMBINE_PROBABILITY_MEAN else rank_average
 
 
 def _fractional_ranks(scores) -> list[Fraction]:
@@ -236,9 +259,7 @@ def run_ensemble(spec: EnsembleSpec, documents, bpe_vocab=None) -> np.ndarray:
     ``texts``; labels are not consulted.
     """
     per_voter = collect_voter_scores(spec, documents, bpe_vocab)
-    weights = [v.weight for v in spec.voters]
-    combiner = soft_vote if spec.combine == COMBINE_PROBABILITY_MEAN else rank_average
-    return combiner(per_voter, weights)
+    return _combiner(spec.combine)(per_voter, [v.weight for v in spec.voters])
 
 
 def weight_grid(n_voters: int, step: float = 0.1) -> list[tuple[float, ...]]:
@@ -262,7 +283,7 @@ def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_ME
     Returns (weights, auc); ties keep the first grid point, so results are
     deterministic.
     """
-    combiner = soft_vote if combine == COMBINE_PROBABILITY_MEAN else rank_average
+    combiner = _combiner(combine)
     best_weights = None
     best_auc = -1.0
     for weights in weight_grid(len(per_voter_scores), step):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -172,13 +172,7 @@ def encode_words(word_vocab: list[str], text: str,
 
 def tfidf_to_dict(model: TfidfModel) -> dict:
     return {
-        "config": {
-            "ngram_min": model.config.ngram_min,
-            "ngram_max": model.config.ngram_max,
-            "min_df": model.config.min_df,
-            "sublinear_tf": model.config.sublinear_tf,
-            "l2_normalize": model.config.l2_normalize,
-        },
+        "config": asdict(model.config),
         "document_count": model.vocabulary.document_count,
         "ngrams": [list(t) for t in model.vocabulary.columns()],
         "df": model.vocabulary.df.tolist(),

@@ -18,46 +18,30 @@ from ..errors import ModelError
 from ..features import TfidfModel, tfidf_from_dict, tfidf_to_dict
 from .common import sigmoid
 from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
-                   build_histograms, compute_bin_edges, find_best_split,
-                   train_gbdt)
+                   compute_bin_edges, find_best_split, train_gbdt)
 from .naive_bayes import NaiveBayesModel, train_nb
 from .sgd import (SgdConfig, SgdLinearModel, objective, sample_gradient,
                   sample_loss, sgd_step, train_sgd)
 
 BUNDLE_FORMAT_VERSION = 1
 
-KIND_NAIVE_BAYES = "naive_bayes"
-KIND_SGD_LINEAR = "sgd_linear"
-KIND_GBDT = "gbdt"
-MODEL_KINDS = (KIND_NAIVE_BAYES, KIND_SGD_LINEAR, KIND_GBDT)
+# Bundle "kind" -> model class; each class owns its parameter schema.
+MODEL_CLASSES = {cls.KIND: cls
+                 for cls in (NaiveBayesModel, SgdLinearModel, GbdtModel)}
+MODEL_KINDS = tuple(MODEL_CLASSES)
+KIND_NAIVE_BAYES, KIND_SGD_LINEAR, KIND_GBDT = MODEL_KINDS
 
 __all__ = [
     "NaiveBayesModel", "train_nb",
     "SgdConfig", "SgdLinearModel", "train_sgd", "sgd_step",
     "sample_loss", "sample_gradient", "objective",
     "GbdtConfig", "GbdtModel", "train_gbdt",
-    "build_histograms", "find_best_split", "compute_bin_edges",
+    "find_best_split", "compute_bin_edges",
     "LeafwiseTree", "SymmetricTree",
-    "sigmoid", "ModelBundle", "save_model", "load_model",
-    "model_kind", "predict_proba", "vocab_hash",
-    "MODEL_KINDS", "KIND_NAIVE_BAYES", "KIND_SGD_LINEAR", "KIND_GBDT",
+    "sigmoid", "ModelBundle", "save_model", "load_model", "bundle_from_dict",
+    "vocab_hash", "MODEL_CLASSES", "MODEL_KINDS",
+    "KIND_NAIVE_BAYES", "KIND_SGD_LINEAR", "KIND_GBDT",
 ]
-
-
-def model_kind(model) -> str:
-    if isinstance(model, NaiveBayesModel):
-        return KIND_NAIVE_BAYES
-    if isinstance(model, SgdLinearModel):
-        return KIND_SGD_LINEAR
-    if isinstance(model, GbdtModel):
-        return KIND_GBDT
-    raise ModelError(f"unknown model type {type(model).__name__}")
-
-
-def predict_proba(model, X) -> np.ndarray:
-    """P(class 1) per row, for any trained classifier."""
-    model_kind(model)  # reject foreign objects with a clear error
-    return model.predict_proba(X)
 
 
 def vocab_hash(vocab_bytes: bytes) -> str:
@@ -80,94 +64,18 @@ class ModelBundle:
         return self.model.predict_proba(X)
 
 
-def _params_to_dict(model) -> dict:
-    if isinstance(model, NaiveBayesModel):
-        return {
-            "alpha": model.alpha,
-            "log_prior": model.log_prior.tolist(),
-            "log_likelihood": model.log_likelihood.tolist(),
-        }
-    if isinstance(model, SgdLinearModel):
-        cfg = model.config
-        return {
-            "theta": model.theta.tolist(),
-            "config": {"eta0": cfg.eta0, "l2": cfg.l2,
-                       "epochs": cfg.epochs, "seed": cfg.seed},
-        }
-    if isinstance(model, GbdtModel):
-        cfg = model.config
-        trees = []
-        for tree in model.trees:
-            if isinstance(tree, LeafwiseTree):
-                trees.append({
-                    "columns": tree.columns, "bins": tree.bins,
-                    "thresholds": tree.thresholds, "left": tree.left,
-                    "right": tree.right, "values": tree.values,
-                })
-            else:
-                trees.append({
-                    "columns": tree.columns, "bins": tree.bins,
-                    "thresholds": tree.thresholds,
-                    "leaf_values": tree.leaf_values,
-                })
-        return {
-            "base_score": model.base_score,
-            "n_features": model.n_features,
-            "config": {
-                "variant": cfg.variant, "n_trees": cfg.n_trees,
-                "learning_rate": cfg.learning_rate,
-                "max_leaves": cfg.max_leaves, "depth": cfg.depth,
-                "n_bins": cfg.n_bins, "min_data_in_leaf": cfg.min_data_in_leaf,
-                "lambda_l2": cfg.lambda_l2,
-            },
-            "trees": trees,
-        }
-    raise ModelError(f"unknown model type {type(model).__name__}")
-
-
-def _params_from_dict(kind: str, params: dict):
-    try:
-        if kind == KIND_NAIVE_BAYES:
-            return NaiveBayesModel(
-                log_prior=np.array(params["log_prior"], dtype=np.float64),
-                log_likelihood=np.array(params["log_likelihood"], dtype=np.float64),
-                alpha=float(params["alpha"]))
-        if kind == KIND_SGD_LINEAR:
-            return SgdLinearModel(
-                theta=np.array(params["theta"], dtype=np.float64),
-                config=SgdConfig(**params["config"]))
-        if kind == KIND_GBDT:
-            config = GbdtConfig(**params["config"])
-            trees = []
-            for entry in params["trees"]:
-                if "leaf_values" in entry:
-                    trees.append(SymmetricTree(
-                        columns=entry["columns"], bins=entry["bins"],
-                        thresholds=entry["thresholds"],
-                        leaf_values=entry["leaf_values"]))
-                else:
-                    trees.append(LeafwiseTree(
-                        columns=entry["columns"], bins=entry["bins"],
-                        thresholds=entry["thresholds"], left=entry["left"],
-                        right=entry["right"], values=entry["values"]))
-            return GbdtModel(base_score=float(params["base_score"]),
-                             config=config,
-                             n_features=int(params["n_features"]),
-                             trees=trees)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"malformed {kind} parameters: {exc}")
-    raise ModelError(f"unknown model kind {kind!r}")
-
-
 def save_model(model, tfidf: TfidfModel, vocab_ref: str,
                seed: int | None = None, config_hash: str | None = None) -> bytes:
     """Canonical bundle bytes; identical inputs give identical bytes."""
+    kind = getattr(model, "KIND", None)
+    if MODEL_CLASSES.get(kind) is not type(model):
+        raise ModelError(f"unknown model type {type(model).__name__}")
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
-        "kind": model_kind(model),
+        "kind": kind,
         "tfidf": tfidf_to_dict(tfidf),
         "vocab_ref": vocab_ref,
-        "parameters": _params_to_dict(model),
+        "parameters": model.to_dict(),
         "training": {"seed": seed, "config_hash": config_hash},
     }
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) +
@@ -179,6 +87,11 @@ def load_model(data: bytes, expected_kind: str | None = None) -> ModelBundle:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelError(f"model bundle is not valid JSON: {exc}")
+    return bundle_from_dict(payload, expected_kind)
+
+
+def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
+    """Validate a parsed bundle document and rebuild its model."""
     if not isinstance(payload, dict):
         raise ModelError("model bundle: top level must be an object")
     version = payload.get("format_version")
@@ -194,11 +107,16 @@ def load_model(data: bytes, expected_kind: str | None = None) -> ModelBundle:
     for required in ("tfidf", "vocab_ref", "parameters"):
         if required not in payload:
             raise ModelError(f"field {required}: missing from bundle")
+    try:
+        model = MODEL_CLASSES[kind].from_dict(payload["parameters"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"malformed {kind} parameters: {exc}")
+    tfidf = tfidf_from_dict(payload["tfidf"])
+    if model.n_features != tfidf.n_features:
+        raise ModelError(f"{kind} model has {model.n_features} features but "
+                         f"its TF-IDF model has {tfidf.n_features}")
     training = payload.get("training") or {}
-    return ModelBundle(
-        kind=kind,
-        model=_params_from_dict(kind, payload["parameters"]),
-        tfidf=tfidf_from_dict(payload["tfidf"]),
-        vocab_ref=payload["vocab_ref"],
-        seed=training.get("seed"),
-        config_hash=training.get("config_hash"))
+    return ModelBundle(kind=kind, model=model, tfidf=tfidf,
+                       vocab_ref=payload["vocab_ref"],
+                       seed=training.get("seed"),
+                       config_hash=training.get("config_hash"))

@@ -22,7 +22,7 @@ Ties anywhere go to the lowest column, then the lowest bin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,6 +84,22 @@ class LeafwiseTree:
     def n_leaves(self) -> int:
         return sum(1 for c in self.columns if c < 0)
 
+    def check(self, n_features: int) -> None:
+        """Reject node arrays that predict could not walk to a leaf."""
+        n = len(self.columns)
+        if n == 0 or any(len(a) != n for a in (self.bins, self.thresholds,
+                                               self.left, self.right,
+                                               self.values)):
+            raise ModelError("leaf-wise tree: node arrays differ in length")
+        _check_reals(self.thresholds, "threshold")
+        _check_reals(self.values, "leaf value")
+        for node, col in enumerate(self.columns):
+            if col != -1:
+                # children after their parent: every walk ends at a leaf
+                _check_index(col, 0, n_features, "column")
+                _check_index(self.left[node], node + 1, n, "left child")
+                _check_index(self.right[node], node + 1, n, "right child")
+
     def predict(self, X: SparseMatrix, rows: np.ndarray | None = None) -> np.ndarray:
         if rows is None:
             rows = np.arange(X.n_rows)
@@ -119,6 +135,20 @@ class SymmetricTree:
     def depth(self) -> int:
         return len(self.columns)
 
+    def check(self, n_features: int) -> None:
+        """Reject level arrays that predict could not apply."""
+        if len(self.bins) != self.depth or len(self.thresholds) != self.depth:
+            raise ModelError("symmetric tree: level arrays differ in length")
+        if len(self.leaf_values) != 2 ** self.depth:
+            raise ModelError(f"symmetric tree of depth {self.depth} needs "
+                             f"{2 ** self.depth} leaf values, got "
+                             f"{len(self.leaf_values)}")
+        _check_reals(self.leaf_values, "leaf value")
+        for col, thr in zip(self.columns, self.thresholds):
+            if thr is not None:  # a no-op level never reads its column
+                _check_reals([thr], "threshold")
+                _check_index(col, 0, n_features, "column")
+
     def predict(self, X: SparseMatrix, rows: np.ndarray | None = None) -> np.ndarray:
         if rows is None:
             rows = np.arange(X.n_rows)
@@ -134,6 +164,8 @@ class SymmetricTree:
 
 @dataclass
 class GbdtModel:
+    KIND = "gbdt"
+
     base_score: float
     config: GbdtConfig
     n_features: int
@@ -148,6 +180,33 @@ class GbdtModel:
 
     def predict_proba(self, X: SparseMatrix) -> np.ndarray:
         return sigmoid(self.decision_scores(X))
+
+    def to_dict(self) -> dict:
+        return {"base_score": self.base_score, "n_features": self.n_features,
+                "config": asdict(self.config),
+                "trees": [asdict(tree) for tree in self.trees]}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "GbdtModel":
+        config = GbdtConfig(**d["config"])
+        tree_cls = SymmetricTree if config.variant == SYMMETRIC else LeafwiseTree
+        model = cls(base_score=float(d["base_score"]), config=config,
+                    n_features=int(d["n_features"]),
+                    trees=[tree_cls(**entry) for entry in d["trees"]])
+        for tree in model.trees:
+            tree.check(model.n_features)
+        return model
+
+
+def _check_index(value, lo: int, hi: int, what: str) -> None:
+    if not isinstance(value, int) or not lo <= value < hi:
+        raise ModelError(f"{what} {value!r} outside [{lo}, {hi})")
+
+
+def _check_reals(values, what: str) -> None:
+    for v in values:
+        if not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ModelError(f"{what} {v!r} is not a finite number")
 
 
 # -- binning ---------------------------------------------------------------
@@ -196,44 +255,18 @@ def split_threshold(cuts: list[np.ndarray], col: int, bin_threshold: int) -> flo
 
 # -- histograms and split search -------------------------------------------
 
-def build_histograms(bins_column: np.ndarray, gradients: np.ndarray,
-                     hessians: np.ndarray,
-                     n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-bin (grad_sum, hess_sum, count) for one column.
-
-    ``bins_column`` holds one bin index per row of the node, with 0 for the
-    column's exact-zero entries.
-    """
-    grad_hist = np.bincount(bins_column, weights=gradients, minlength=n_bins)
-    hess_hist = np.bincount(bins_column, weights=hessians, minlength=n_bins)
-    count_hist = np.bincount(bins_column, minlength=n_bins).astype(np.int64)
-    return grad_hist, hess_hist, count_hist
-
-
 def find_best_split(grad_hist: np.ndarray, hess_hist: np.ndarray,
                     count_hist: np.ndarray, lambda_l2: float,
-                    min_data_in_leaf: int,
-                    totals: tuple[float, float, int] | None = None,
+                    min_data_in_leaf: int, totals: tuple[float, float, int],
                     ) -> tuple[int, int, float] | None:
-    """Best (column, bin, gain) over stacked per-column histograms.
+    """Best (column, bin, gain) over (n_cols, n_bins) histograms.
 
-    Accepts (n_bins,) vectors for a single column or (n_cols, n_bins)
-    matrices.  Returns None when no split has positive gain while leaving
-    min_data_in_leaf rows on both sides.  Ties go to the lowest column,
-    then the lowest bin.
+    ``totals`` is the node's (grad_sum, hess_sum, row_count).  Returns None
+    when no split has positive gain while leaving min_data_in_leaf rows on
+    both sides.  Ties go to the lowest column, then the lowest bin.
     """
-    grad_hist = np.atleast_2d(grad_hist)
-    hess_hist = np.atleast_2d(hess_hist)
-    count_hist = np.atleast_2d(count_hist)
-    if totals is None:
-        g_tot = float(grad_hist[0].sum())
-        h_tot = float(hess_hist[0].sum())
-        c_tot = int(count_hist[0].sum())
-    else:
-        g_tot, h_tot, c_tot = totals
-
     gains, valid = _split_gains(grad_hist, hess_hist, count_hist,
-                                lambda_l2, min_data_in_leaf, g_tot, h_tot, c_tot)
+                                lambda_l2, min_data_in_leaf, *totals)
     if not valid.any():
         return None
     flat = np.where(valid, gains, -np.inf).ravel()
@@ -263,7 +296,7 @@ def _split_gains(grad_hist, hess_hist, count_hist, lambda_l2, min_data_in_leaf,
 
 
 class _BinnedMatrix:
-    """Training matrix pre-binned for histogram work, with a CSC view."""
+    """Training matrix pre-binned for histogram work."""
 
     def __init__(self, X: SparseMatrix, n_bins: int):
         if X.nnz and X.vals.min() < 0.0:
@@ -273,10 +306,6 @@ class _BinnedMatrix:
         self.n_bins = n_bins
         self.cuts = compute_bin_edges(X, n_bins)
         self.bins = bin_matrix(X, self.cuts)
-        col_indptr, row_idx, _, csr_pos = X.to_csc()
-        self.col_indptr = col_indptr
-        self.col_rows = row_idx
-        self.col_bins = self.bins[csr_pos]
 
     def node_histograms(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
                         g_tot: float, h_tot: float):
@@ -309,18 +338,6 @@ class _BinnedMatrix:
         hess_hist[:, 0] = h_tot - hess_hist[:, 1:].sum(axis=1)
         count_hist[:, 0] = len(rows) - count_hist[:, 1:].sum(axis=1)
         return occupied, grad_hist, hess_hist, count_hist
-
-    def column_bins_at(self, col: int, rows: np.ndarray) -> np.ndarray:
-        """Bin index of one column at the given rows (0 where zero)."""
-        lo, hi = self.col_indptr[col], self.col_indptr[col + 1]
-        rseg = self.col_rows[lo:hi]
-        bseg = self.col_bins[lo:hi]
-        if hi == lo:
-            return np.zeros(len(rows), dtype=np.int64)
-        pos = np.searchsorted(rseg, rows)
-        safe = np.minimum(pos, len(rseg) - 1)
-        found = rseg[safe] == rows
-        return np.where(found, bseg[safe], 0)
 
 
 def _leaf_value(g_sum: float, h_sum: float, config: GbdtConfig) -> float:
@@ -369,8 +386,7 @@ def _grow_leafwise(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
             break
         _, col, bin_threshold, threshold = best[chosen]
         rows, g_sum, h_sum = stats[chosen]
-        row_bins = binned.column_bins_at(col, rows)
-        goes_left = row_bins <= bin_threshold
+        goes_left = binned.X.column_values(col, rows) <= threshold
         left_rows, right_rows = rows[goes_left], rows[~goes_left]
 
         left_id, right_id = len(tree.columns), len(tree.columns) + 1
@@ -440,16 +456,16 @@ def _grow_symmetric(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
             groups = padded
             continue
         col, bin_threshold = divmod(best, n_bins - 1)
+        threshold = split_threshold(binned.cuts, col, bin_threshold)
         tree.columns.append(col)
         tree.bins.append(bin_threshold)
-        tree.thresholds.append(split_threshold(binned.cuts, col, bin_threshold))
+        tree.thresholds.append(threshold)
         next_groups: list[np.ndarray] = []
         for rows in groups:
             if len(rows) == 0:
                 next_groups.extend([rows, rows])
                 continue
-            row_bins = binned.column_bins_at(col, rows)
-            goes_left = row_bins <= bin_threshold
+            goes_left = binned.X.column_values(col, rows) <= threshold
             next_groups.extend([rows[goes_left], rows[~goes_left]])
         groups = next_groups
 

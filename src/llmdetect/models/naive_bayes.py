@@ -21,6 +21,8 @@ DEFAULT_ALPHA = 1.0
 
 @dataclass
 class NaiveBayesModel:
+    KIND = "naive_bayes"
+
     log_prior: np.ndarray       # shape (2,)
     log_likelihood: np.ndarray  # shape (2, n_features)
     alpha: float
@@ -38,6 +40,23 @@ class NaiveBayesModel:
         e0 = np.exp(score0 - high)
         e1 = np.exp(score1 - high)
         return e1 / (e0 + e1)
+
+    def to_dict(self) -> dict:
+        return {"alpha": self.alpha, "log_prior": self.log_prior.tolist(),
+                "log_likelihood": self.log_likelihood.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NaiveBayesModel":
+        log_prior = np.array(d["log_prior"], dtype=np.float64)
+        log_likelihood = np.array(d["log_likelihood"], dtype=np.float64)
+        if (log_prior.shape != (2,) or log_likelihood.ndim != 2
+                or len(log_likelihood) != 2
+                or not np.isfinite(log_prior).all()
+                or not np.isfinite(log_likelihood).all()):
+            raise ModelError("naive Bayes needs 2 finite priors and 2 finite "
+                             "likelihood rows")
+        return cls(log_prior=log_prior, log_likelihood=log_likelihood,
+                   alpha=float(d["alpha"]))
 
 
 def train_nb(X: SparseMatrix, y, alpha: float = DEFAULT_ALPHA) -> NaiveBayesModel:

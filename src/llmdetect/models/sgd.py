@@ -11,7 +11,7 @@ decays as eta0 / (1 + eta0 * l2 * t) over global step count t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class SgdConfig:
 
 @dataclass
 class SgdLinearModel:
+    KIND = "sgd_linear"
+
     theta: np.ndarray  # weights followed by the bias, length n_features + 1
     config: SgdConfig
 
@@ -50,6 +52,16 @@ class SgdLinearModel:
         check_feature_count(self.n_features, X)
         margin = X.dot(self.theta[:-1]) + self.theta[-1]
         return sigmoid(margin)
+
+    def to_dict(self) -> dict:
+        return {"theta": self.theta.tolist(), "config": asdict(self.config)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SgdLinearModel":
+        theta = np.array(d["theta"], dtype=np.float64)
+        if theta.ndim != 1 or len(theta) == 0 or not np.isfinite(theta).all():
+            raise ModelError("theta must be a non-empty list of finite numbers")
+        return cls(theta=theta, config=SgdConfig(**d["config"]))
 
 
 def sgd_step(theta: np.ndarray, gradient: np.ndarray, alpha: float) -> np.ndarray:

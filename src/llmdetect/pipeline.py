@@ -18,6 +18,7 @@ from .features import (TfidfConfig, TfidfModel, encode_words, fit_tfidf,
                        fit_word_vocab, transform_corpus)
 from .models import (KIND_GBDT, KIND_NAIVE_BAYES, KIND_SGD_LINEAR, ModelBundle,
                      save_model, train_gbdt, train_nb, train_sgd, vocab_hash)
+from .models.naive_bayes import DEFAULT_ALPHA
 from .tokenizer import BpeVocab, TokenSequence, encode
 
 TOKEN_SOURCE_BPE = "bpe"
@@ -53,7 +54,8 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
                  token_source: str = TOKEN_SOURCE_BPE,
                  bpe_vocab: BpeVocab | None = None,
                  vocab_bytes: bytes | None = None,
-                 nb_alpha: float = 1.0, sgd_config=None, gbdt_config=None,
+                 nb_alpha: float = DEFAULT_ALPHA, sgd_config=None,
+                 gbdt_config=None,
                  seed: int | None = None,
                  config_hash: str | None = None) -> bytes:
     """Tokenize, fit TF-IDF, train one classifier, and emit its bundle."""

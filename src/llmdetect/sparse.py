@@ -1,7 +1,7 @@
 """Minimal compressed-sparse-row containers for document-term matrices.
 
 Only what the pipeline needs: construction from per-document vectors, row
-iteration, matrix-vector products against dense weight vectors, and a CSC
+access, matrix-vector products against dense weight vectors, and a CSC
 view for column-oriented work (histogram binning, per-column quantiles).
 Column indices within a row are strictly increasing and explicit zeros are
 never stored.
@@ -83,10 +83,6 @@ class SparseMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return SparseVector(cols=self.cols[lo:hi], vals=self.vals[lo:hi],
                             n_cols=self.n_cols)
-
-    def iter_rows(self):
-        for i in range(self.n_rows):
-            yield self.row(i)
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)

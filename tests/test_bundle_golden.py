@@ -1,0 +1,59 @@
+"""Golden bundle bytes: ``save_model`` output is pinned by SHA-256.
+
+A small fixed corpus is tokenized, featurized and used to train each model
+kind; the canonical bundle bytes must hash to the recorded values, so any
+change to a serializer, a default, or a training path that moves a single
+output bit shows up here.  The hashes were recorded on x86-64 with
+numpy 2.x; they pin float results, so a platform whose libm or numpy
+reductions round differently may need its own recording.
+"""
+
+import hashlib
+
+import pytest
+
+from llmdetect.corpus import synth_corpus
+from llmdetect.features import TfidfConfig, fit_tfidf, transform_corpus
+from llmdetect.models import (GbdtConfig, SgdConfig, save_model, train_gbdt,
+                              train_nb, train_sgd, vocab_hash)
+from llmdetect.tokenizer import encode, save_vocab, train_bpe
+
+GOLDEN_SHA256 = {
+    "naive_bayes":
+        "4b26256fb628f950dcf173656d8f9c2fec4b3f3d59c6843e1ef5af729dfe5639",
+    "sgd_linear":
+        "fadab39ce4ff2153781ecdb8b1c5a25376bf4b9a7b628eb6065f6513b3f0d705",
+    "gbdt.leaf_wise":
+        "a84db3ae284c4be0d5bcf61c29a92768fb426221e70ff8363fc782d89707c6b6",
+    "gbdt.symmetric":
+        "267fe12c7718d7b890ab1be71317521a3a8c1eddd4de6f8fa0aecce5217140d9",
+}
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    corpus = synth_corpus(30, seed=8, divergence=0.0005)
+    vocab = train_bpe(corpus.texts, vocab_size=150)
+    sequences = [encode(vocab, t) for t in corpus.texts]
+    tfidf = fit_tfidf(sequences, TfidfConfig(1, 2, min_df=2))
+    X = transform_corpus(tfidf, sequences)
+    return corpus.labels, X, tfidf, vocab_hash(save_vocab(vocab))
+
+
+def _train(name, X, y):
+    if name == "naive_bayes":
+        return train_nb(X, y, alpha=0.5)
+    if name == "sgd_linear":
+        return train_sgd(X, y, SgdConfig(epochs=3, seed=5))
+    variant = name.split(".")[1]
+    return train_gbdt(X, y, GbdtConfig(variant=variant, n_trees=3,
+                                       max_leaves=6, depth=3, n_bins=32,
+                                       min_data_in_leaf=3,
+                                       learning_rate=0.3))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_save_model_bytes_pinned(fitted, name):
+    y, X, tfidf, ref = fitted
+    data = save_model(_train(name, X, y), tfidf, ref, seed=7)
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name]

@@ -354,3 +354,70 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out.jsonl").exists()
+
+
+def single_error(capsys, code: str) -> str:
+    """The one stderr line of a failed command, checked for its code."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"llmdetect: error[{code}]: "), lines[0]
+    return lines[0]
+
+
+class TestBadInputs:
+    @pytest.fixture
+    def scored(self, workdir):
+        corpus = synth_corpus(20, seed=5, divergence=0.9)
+        (workdir / "ext.csv").write_text(
+            "id,score\n" + "".join(f"{i},0.5\n" for i in corpus.ids))
+        return workdir
+
+    @pytest.mark.parametrize("weight", ["abc", "nan", "inf", "-inf", "-1",
+                                        None, [1]])
+    def test_bad_spec_weight(self, scored, capsys, weight):
+        spec = {"format_version": 1,
+                "voters": [{"scores": "ext.csv", "weight": weight},
+                           {"scores": "ext.csv", "weight": 1.0}]}
+        (scored / "spec.json").write_text(json.dumps(spec))
+        assert run(["ensemble", scored / "spec.json", scored / "corpus.jsonl",
+                    "--out", scored / "x.csv"]) == 1
+        assert "voters[0]" in single_error(capsys, "ensemble")
+
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "abc,1", "-2,1"])
+    def test_bad_config_weight(self, scored, capsys, weights):
+        ext = scored / "ext.csv"
+        (scored / "ens.ini").write_text(
+            f"[ensemble]\nvoters = {ext},{ext}\nweights = {weights}\n")
+        assert run(["ensemble", scored / "corpus.jsonl",
+                    "--config", scored / "ens.ini",
+                    "--out", scored / "x.csv"]) == 1
+        assert "ensemble.weights" in single_error(capsys, "config")
+
+    def test_non_finite_config_float(self, workdir, capsys):
+        # eta0 = nan once trained and wrote NaN scores
+        (workdir / "bad.ini").write_text("[sgd]\neta0 = nan\n")
+        code = run(["train", workdir / "corpus.jsonl", "--kind", "sgd_linear",
+                    "--out", workdir / "m.json", "--config", workdir / "bad.ini"])
+        assert code == 1
+        assert "sgd.eta0" in single_error(capsys, "config")
+
+    def test_threads_key_removed(self, workdir, capsys):
+        (workdir / "old.ini").write_text("[run]\nthreads = 0\n")
+        assert run(["synth", "--n-per-class", "2", "--divergence", "0.5",
+                    "--out", workdir / "s.jsonl",
+                    "--config", workdir / "old.ini"]) == 1
+        assert "run.threads" in single_error(capsys, "config")
+
+    def test_spec_and_bundle_agree_on_missing_vocab(self, workdir, capsys):
+        bundle, _ = trained_bundle(workdir)
+        spec = {"format_version": 1,
+                "voters": [{"model": "naive_bayes.json", "weight": 1.0}]}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert run(["predict", bundle, workdir / "corpus.jsonl",
+                    "--out", workdir / "a.csv"]) == 1
+        from_bundle = single_error(capsys, "model")
+        assert run(["predict", workdir / "spec.json", workdir / "corpus.jsonl",
+                    "--out", workdir / "b.csv"]) == 1
+        assert single_error(capsys, "model") == from_bundle
+        assert "--vocab" in from_bundle

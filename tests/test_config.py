@@ -44,6 +44,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="sgd.epochs"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_float_rejected(self, tmp_path, raw):
+        path = write(tmp_path, f"[gbdt]\nlearning_rate = {raw}\n")
+        with pytest.raises(ConfigError, match="gbdt.learning_rate"):
+            load_run_config(path)
+
     def test_bool_values(self, tmp_path):
         path = write(tmp_path, "[features]\nsublinear_tf = yes\n"
                                "l2_normalize = false\n")
@@ -80,3 +86,11 @@ class TestHashAndSeed:
         assert config.tfidf_config().ngram_max == 3
         assert config.sgd_config().seed == config.seed
         assert config.gbdt_config().n_trees == 200
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        from llmdetect.features import TfidfConfig
+        from llmdetect.models import GbdtConfig, SgdConfig
+        config = default_config()
+        assert config.tfidf_config() == TfidfConfig()
+        assert config.sgd_config() == SgdConfig(seed=config.seed)
+        assert config.gbdt_config() == GbdtConfig()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from llmdetect.errors import ModelError
-from llmdetect.models import (GbdtConfig, build_histograms,
-                              compute_bin_edges, find_best_split, train_gbdt)
+from llmdetect.models import GbdtConfig, find_best_split, train_gbdt
 from llmdetect.models.common import sigmoid
-from llmdetect.models.gbdt import LEAF_WISE, SYMMETRIC, bin_matrix
+from llmdetect.models.gbdt import LEAF_WISE, SYMMETRIC, _BinnedMatrix
 from llmdetect.sparse import SparseMatrix
 from llmdetect.metrics import roc_auc
 from conftest import random_sparse
@@ -15,27 +14,49 @@ from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
 
 
+def node_histograms(X, rows, g, h, n_bins):
+    """The training path's histograms at the node holding ``rows``."""
+    binned = _BinnedMatrix(X, n_bins)
+    return binned.node_histograms(rows, g, h, float(g[rows].sum()),
+                                  float(h[rows].sum()))
+
+
 class TestHistograms:
     def test_single_bin_totals(self):
+        # one distinct nonzero value, present in every row: all of the
+        # node's mass lands in bin 1 and none in the zero bin
         g = np.array([0.5, -0.25, 1.0])
         h = np.array([0.2, 0.3, 0.1])
-        bins = np.zeros(3, dtype=np.int64)
-        grad, hess, count = build_histograms(bins, g, h, n_bins=1)
-        assert grad[0] == g.sum() and hess[0] == h.sum() and count[0] == 3
+        X = SparseMatrix.from_dense([[0.7], [0.7], [0.7]])
+        occupied, grad, hess, count = node_histograms(X, np.arange(3), g, h, 4)
+        assert occupied.tolist() == [0]
+        assert grad[0, 1] == pytest.approx(g.sum(), abs=1e-12)
+        assert hess[0, 1] == pytest.approx(h.sum(), abs=1e-12)
+        assert count[0].tolist() == [0, 3, 0, 0]
 
     def test_all_zero_column_mass_in_zero_bin(self):
-        bins = np.zeros(5, dtype=np.int64)  # all-zero column: every row bin 0
-        grad, hess, count = build_histograms(bins, np.ones(5), np.ones(5), 8)
-        assert count[0] == 5 and count[1:].sum() == 0
+        X = SparseMatrix.from_dense([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0],
+                                     [0.0, 3.0], [0.0, 0.0]])
+        ones = np.ones(5)
+        occupied, _, _, count = node_histograms(X, np.arange(5), ones, ones, 8)
+        assert occupied.tolist() == [0, 1]
+        assert count[:, 0].tolist() == [3, 4]  # zero rows per column
+        # column 1 is all zero at this node: it cannot split and is omitted
+        occupied, grad, _, count = node_histograms(X, np.array([0, 1, 2]),
+                                                   ones, ones, 8)
+        assert occupied.tolist() == [0]
+        assert count[0, 0] == 1 and grad[0, 0] == 1.0
 
     def test_bin_statistics_sum_to_column_totals(self, rng):
+        X, _ = random_sparse(rng, 40, 6, max_distinct=10)
         g = rng.normal(size=40)
         h = rng.random(40)
-        bins = rng.integers(0, 6, size=40)
-        grad, hess, count = build_histograms(bins, g, h, n_bins=6)
-        assert grad.sum() == pytest.approx(g.sum(), abs=1e-12)
-        assert hess.sum() == pytest.approx(h.sum(), abs=1e-12)
-        assert count.sum() == 40
+        rows = np.sort(rng.choice(40, size=25, replace=False))
+        occupied, grad, hess, count = node_histograms(X, rows, g, h, 6)
+        assert len(occupied) > 0
+        np.testing.assert_allclose(grad.sum(axis=1), g[rows].sum(), atol=1e-12)
+        np.testing.assert_allclose(hess.sum(axis=1), h[rows].sum(), atol=1e-12)
+        assert (count.sum(axis=1) == len(rows)).all()
 
     def test_histogram_gain_matches_exhaustive(self, rng):
         # with one bin per distinct value, the best histogram split must
@@ -44,58 +65,53 @@ class TestHistograms:
         X, dense = random_sparse(rng, 50, 3, max_distinct=8)
         g = rng.normal(size=50)
         h = rng.random(50) + 0.1
-        cuts = compute_bin_edges(X, n_bins=32)
-        bins = bin_matrix(X, cuts)
         rows = np.arange(50)
-        grids = []
-        for col in range(3):
-            col_bins = np.zeros(50, dtype=np.int64)
-            for i in range(50):
-                lo, hi = X.indptr[i], X.indptr[i + 1]
-                hit = np.flatnonzero(X.cols[lo:hi] == col)
-                if len(hit):
-                    col_bins[i] = bins[lo + hit[0]]
-            grids.append(build_histograms(col_bins, g, h, 32))
-        grad = np.stack([grid[0] for grid in grids])
-        hess = np.stack([grid[1] for grid in grids])
-        count = np.stack([grid[2] for grid in grids])
+        occupied, grad, hess, count = node_histograms(X, rows, g, h, 32)
         found = find_best_split(grad, hess, count, lambda_l2=1.0,
                                 min_data_in_leaf=2,
                                 totals=(float(g.sum()), float(h.sum()), 50))
         expected = _oracle_best_split(dense, _column_thresholds(dense), rows,
                                       g, h, 1.0, 2)
         assert found is not None and expected is not None
-        assert found[0] == expected[1]  # same column
+        assert occupied[found[0]] == expected[1]  # same column
         assert found[2] == pytest.approx(expected[0], rel=1e-9)
 
 
 class TestFindBestSplit:
+    @staticmethod
+    def totals(grad, hess, count):
+        return float(grad[0].sum()), float(hess[0].sum()), int(count[0].sum())
+
     def test_pure_leaf_returns_none(self):
-        grad = np.full(4, 0.5) * np.array([3, 2, 4, 1])  # per-bin sums
-        hess = np.full(4, 0.25) * np.array([3, 2, 4, 1])
-        count = np.array([3, 2, 4, 1])
-        assert find_best_split(grad, hess, count, 1.0, 1) is None
+        count = np.array([[3, 2, 4, 1]])
+        grad = 0.5 * count  # per-bin sums
+        hess = 0.25 * count
+        assert find_best_split(grad, hess, count, 1.0, 1,
+                               self.totals(grad, hess, count)) is None
 
     def test_two_group_boundary(self):
         # bin 0: strongly negative gradients; bin 1: strongly positive
         grad = np.array([[-5.0, 5.0]])
         hess = np.array([[2.0, 2.0]])
         count = np.array([[10, 10]])
-        col, bin_threshold, gain = find_best_split(grad, hess, count, 1.0, 1)
+        col, bin_threshold, gain = find_best_split(
+            grad, hess, count, 1.0, 1, self.totals(grad, hess, count))
         assert (col, bin_threshold) == (0, 0) and gain > 0
 
     def test_tie_prefers_lowest_column(self):
         grad = np.array([[-5.0, 5.0], [-5.0, 5.0]])
         hess = np.array([[2.0, 2.0], [2.0, 2.0]])
         count = np.array([[10, 10], [10, 10]])
-        col, _, _ = find_best_split(grad, hess, count, 1.0, 1)
+        col, _, _ = find_best_split(grad, hess, count, 1.0, 1,
+                                    self.totals(grad, hess, count))
         assert col == 0
 
     def test_min_data_blocks_split(self):
         grad = np.array([[-5.0, 5.0]])
         hess = np.array([[2.0, 2.0]])
         count = np.array([[1, 19]])
-        assert find_best_split(grad, hess, count, 1.0, 2) is None
+        assert find_best_split(grad, hess, count, 1.0, 2,
+                               self.totals(grad, hess, count)) is None
 
 
 class TestTraining:

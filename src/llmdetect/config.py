@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
 from .errors import ConfigError
 from .features import TfidfConfig
 from .models import GbdtConfig, SgdConfig
 from .models.naive_bayes import DEFAULT_ALPHA
+from .tokenizer import DEFAULT_VOCAB_SIZE
 
 
 def _field_defaults(cls, *exclude: str) -> dict:
@@ -36,7 +38,7 @@ DEFAULTS: dict[str, dict] = {
         "seed": 42,
     },
     "tokenizer": {
-        "vocab_size": 5000,
+        "vocab_size": DEFAULT_VOCAB_SIZE,
         "vocab_path": "",      # trained vocabulary consumed by train/predict
     },
     "features": {
@@ -49,10 +51,10 @@ DEFAULTS: dict[str, dict] = {
     "sgd": _field_defaults(SgdConfig, "seed"),  # the seed comes from [run]
     "gbdt": _field_defaults(GbdtConfig),
     "ensemble": {
-        "combine": "probability_mean",
+        "combine": COMBINE_PROBABILITY_MEAN,
         "voters": "",          # comma-separated bundle/score-file paths
         "weights": "",         # comma-separated reals, parallel to voters
-        "grid_step": 0.1,      # step for --tune-weights
+        "grid_step": DEFAULT_GRID_STEP,  # step for --tune-weights
     },
 }
 

@@ -121,10 +121,21 @@ def load_corpus(path, format: str) -> LabeledCorpus:
     raise CorpusError(f"unknown corpus format {format!r} (expected csv or jsonl)")
 
 
-def _load_csv(raw: str, path) -> LabeledCorpus:
-    reader = csv.reader(io.StringIO(raw))
+def csv_rows(text: str, source, error):
+    """(line number, fields) per CSV record; a csv.Error, such as a field
+    over ``csv.field_size_limit()``, is raised as ``error``."""
+    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise error(f"{source}: {exc} at line {reader.line_num}")
+
+
+def _load_csv(raw: str, path) -> LabeledCorpus:
+    rows = csv_rows(raw, path, CorpusError)
+    try:
+        _, header = next(rows)
     except StopIteration:
         raise CorpusError(f"{path}: missing header row")
     if header != CSV_HEADER:
@@ -133,8 +144,7 @@ def _load_csv(raw: str, path) -> LabeledCorpus:
     docs: list[Document] = []
     labels: list[int] = []
     seen: set[str] = set()
-    for row in reader:
-        line_num = reader.line_num
+    for line_num, row in rows:
         if len(row) != 3:
             raise CorpusError(
                 f"{path}: expected 3 fields, got {len(row)} at line {line_num}")

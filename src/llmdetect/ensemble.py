@@ -1,12 +1,12 @@
 """Weighted soft voting over internal classifiers plus blending of
 externally produced per-document scores.
 
-Combination happens in exact rational arithmetic (weights and scores are
-binary floats, hence exact rationals), so rescaling every weight by the
-same representable factor provably changes no output bit, and the weighted
-mean can never escape [min voter score, max voter score].  The rank_mean
-combiner replaces each voter's scores with tie-averaged fractional ranks
-first, making it invariant to any strictly monotone miscalibration.
+Weights and scores are binary floats, hence exact rationals over powers of
+two, so each weighted mean is computed exactly in integers and rounded once:
+rescaling every weight by a representable factor changes no output bit, and
+the mean never escapes [min voter score, max voter score].  The rank_mean
+combiner first replaces each voter's scores with tie-averaged ranks, making
+it invariant to any strictly monotone miscalibration.
 """
 
 from __future__ import annotations
@@ -15,18 +15,19 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import csv_rows
 from .errors import EnsembleError
-from .metrics import roc_auc
+from .metrics import roc_auc, tie_groups
 
 COMBINE_PROBABILITY_MEAN = "probability_mean"
 COMBINE_RANK_MEAN = "rank_mean"
 COMBINERS = (COMBINE_PROBABILITY_MEAN, COMBINE_RANK_MEAN)
+DEFAULT_GRID_STEP = 0.1  # weight step of tune_weights
 
 SCORE_HEADER = ["id", "score"]
 
@@ -91,7 +92,8 @@ class EnsembleSpec:
             raise EnsembleError("at least one voter weight must be positive")
 
 
-def _check_vote_inputs(per_voter_scores, weights) -> int:
+def _check_vote_inputs(per_voter_scores, weights) -> np.ndarray:
+    """The scores as a (voters, documents) float array, checked."""
     if len(per_voter_scores) != len(weights):
         raise EnsembleError(f"{len(per_voter_scores)} score lists but "
                             f"{len(weights)} weights")
@@ -102,26 +104,41 @@ def _check_vote_inputs(per_voter_scores, weights) -> int:
         raise EnsembleError(f"voters scored different document counts: "
                             f"{sorted(lengths)}")
     for w in weights:
-        if w < 0:
-            raise EnsembleError(f"weights must be >= 0, got {w}")
+        if not (math.isfinite(w) and w >= 0):
+            raise EnsembleError(f"weights must be finite and >= 0, got {w}")
     if not any(w > 0 for w in weights):
         raise EnsembleError("all voter weights are zero")
-    return lengths.pop()
+    scores = np.array(per_voter_scores, dtype=np.float64)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        v, d = np.argwhere(~finite)[0]
+        raise EnsembleError(f"voter {v} scored document {d} as "
+                            f"{scores[v, d]}; scores must be finite")
+    return scores
+
+
+def _weighted_mean(numerators, denominator: int, weights) -> np.ndarray:
+    """Per document, sum_v w_v * numerators[v] / (denominator * sum_v w_v),
+    as one correctly rounded int / int division, as ``float(Fraction)``."""
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    scale = max(q for _, q in ratios)  # a power of two, as every q is
+    int_weights = [p * (scale // q) for p, q in ratios]
+    total = denominator * sum(int_weights)
+    acc = sum(w * np.asarray(n, dtype=object)
+              for w, n in zip(int_weights, numerators))
+    return np.array([a / total for a in acc.tolist()], dtype=np.float64)
 
 
 def soft_vote(per_voter_scores, weights) -> np.ndarray:
     """Weighted mean of per-voter probabilities, document by document."""
-    n_docs = _check_vote_inputs(per_voter_scores, weights)
-    frac_weights = [Fraction(float(w)) for w in weights]
-    total = sum(frac_weights)
-    out = np.empty(n_docs)
-    for d in range(n_docs):
-        acc = Fraction(0)
-        for scores, w in zip(per_voter_scores, frac_weights):
-            if w:
-                acc += w * Fraction(float(scores[d]))
-        out[d] = float(acc / total)
-    return out
+    scores = _check_vote_inputs(per_voter_scores, weights)
+    # score = mantissa * 2**exponent with an integer mantissa of 53 bits
+    mantissas, exponents = np.frexp(scores)
+    exponents = exponents.astype(np.int64) - 53
+    low = int(exponents.min(initial=0))
+    numerators = ((mantissas * 2.0 ** 53).astype(np.int64).astype(object)
+                  << (exponents - low).astype(object))
+    return _weighted_mean(numerators, 1 << -low, weights)
 
 
 def _combiner(name: str):
@@ -134,54 +151,35 @@ def _combiner(name: str):
     return soft_vote if name == COMBINE_PROBABILITY_MEAN else rank_average
 
 
-def _fractional_ranks(scores) -> list[Fraction]:
-    """Tie-averaged ranks scaled into [0, 1] (exact rationals)."""
-    n = len(scores)
-    if n < 2:
-        raise EnsembleError("rank averaging needs at least 2 documents")
-    order = sorted(range(n), key=lambda i: scores[i])
-    ranks: list[Fraction] = [Fraction(0)] * n
-    i = 0
-    while i < n:
-        j = i
-        while j < n and scores[order[j]] == scores[order[i]]:
-            j += 1
-        mid_rank = Fraction(i + j - 1, 2)  # average of ranks i .. j-1
-        for k in range(i, j):
-            ranks[order[k]] = mid_rank / (n - 1)
-        i = j
-    return ranks
-
-
 def rank_average(per_voter_scores, weights) -> np.ndarray:
-    """Weighted mean of per-voter fractional ranks."""
-    n_docs = _check_vote_inputs(per_voter_scores, weights)
-    frac_weights = [Fraction(float(w)) for w in weights]
-    total = sum(frac_weights)
-    voter_ranks = [_fractional_ranks([float(s) for s in scores])
-                   for scores in per_voter_scores]
-    out = np.empty(n_docs)
-    for d in range(n_docs):
-        acc = Fraction(0)
-        for ranks, w in zip(voter_ranks, frac_weights):
-            if w:
-                acc += w * ranks[d]
-        out[d] = float(acc / total)
-    return out
+    """Weighted mean of per-voter tie-averaged ranks scaled into [0, 1].
+
+    A tie group covering sorted positions i .. j-1 shares the mean rank
+    (i + j - 1) / 2, scaled by 1 / (n - 1).
+    """
+    scores = _check_vote_inputs(per_voter_scores, weights)
+    n_docs = scores.shape[1]
+    if n_docs < 2:
+        raise EnsembleError("rank averaging needs at least 2 documents")
+    numerators = []
+    for row in scores:
+        _, group, sizes = tie_groups(row)
+        ends = np.cumsum(sizes)
+        numerators.append((2 * ends - sizes - 1)[group])
+    return _weighted_mean(numerators, 2 * (n_docs - 1), weights)
 
 
 def parse_external_scores(text: str, source: str = "<scores>") -> ExternalScores:
-    reader = csv.reader(io.StringIO(text))
+    rows = csv_rows(text, source, EnsembleError)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise EnsembleError(f"{source}: missing header row")
     if header != SCORE_HEADER:
         raise EnsembleError(f"{source}: header must be {','.join(SCORE_HEADER)}, "
                             f"got {','.join(header)}")
     scores: dict[str, float] = {}
-    for row in reader:
-        line_num = reader.line_num
+    for line_num, row in rows:
         if len(row) != 2:
             raise EnsembleError(f"{source}: expected 2 fields, got {len(row)} "
                                 f"at line {line_num}")
@@ -262,12 +260,15 @@ def run_ensemble(spec: EnsembleSpec, documents, bpe_vocab=None) -> np.ndarray:
     return _combiner(spec.combine)(per_voter, [v.weight for v in spec.voters])
 
 
-def weight_grid(n_voters: int, step: float = 0.1) -> list[tuple[float, ...]]:
+def weight_grid(n_voters: int,
+                step: float = DEFAULT_GRID_STEP) -> list[tuple[float, ...]]:
     """All weight vectors on the step-grid simplex (sum 1, not all zero)."""
     if n_voters > 4:
         raise EnsembleError("weight grid search supports at most 4 voters")
+    if not 0.0 < step <= 1.0:
+        raise EnsembleError(f"grid step must be in (0, 1], got {step}")
     units = round(1.0 / step)
-    if abs(units * step - 1.0) > 1e-9 or units < 1:
+    if abs(units * step - 1.0) > 1e-9:
         raise EnsembleError(f"grid step {step} must evenly divide 1.0")
     grid = []
     for combo in product(range(units + 1), repeat=n_voters):
@@ -277,19 +278,16 @@ def weight_grid(n_voters: int, step: float = 0.1) -> list[tuple[float, ...]]:
 
 
 def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_MEAN,
-                 step: float = 0.1) -> tuple[tuple[float, ...], float]:
+                 step: float = DEFAULT_GRID_STEP) -> tuple[tuple[float, ...], float]:
     """Grid-search voter weights maximizing validation AUC.
 
     Returns (weights, auc); ties keep the first grid point, so results are
     deterministic.
     """
-    combiner = _combiner(combine)
     best_weights = None
     best_auc = -1.0
     for weights in weight_grid(len(per_voter_scores), step):
-        if not any(w > 0 for w in weights):
-            continue
-        auc = roc_auc(combiner(per_voter_scores, weights), labels)
+        auc = roc_auc(_combiner(combine)(per_voter_scores, weights), labels)
         if auc > best_auc:
             best_weights, best_auc = weights, auc
     return best_weights, best_auc

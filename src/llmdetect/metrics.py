@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import MetricsError
 
 REPORT_THRESHOLDS = [x / 10.0 for x in range(1, 10)]
@@ -58,94 +60,86 @@ class RocCurve:
     n_neg: int
 
 
-def _check_inputs(scores, labels) -> tuple[list[float], list[int]]:
-    scores = [float(s) for s in scores]
+def _check_inputs(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    scores = np.asarray(scores, dtype=np.float64)
     labels = [int(y) for y in labels]
     if len(scores) != len(labels):
         raise MetricsError(f"{len(scores)} scores but {len(labels)} labels")
     for y in labels:
         if y not in (0, 1):
             raise MetricsError(f"label {y!r} outside {{0, 1}}")
-    return scores, labels
+    nan = np.flatnonzero(np.isnan(scores))
+    if len(nan):
+        raise MetricsError(f"score {nan[0]} is NaN; scores must be ordered")
+    return scores, np.array(labels, dtype=np.int64)
 
 
-def _check_both_classes(labels: list[int]) -> tuple[int, int]:
-    n_pos = sum(labels)
-    n_neg = len(labels) - n_pos
+def tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal scores grouped in ascending order: each group's first position,
+    each score's group number and each group's size.  Reject NaN first, as
+    ``np.unique`` puts every NaN in one group."""
+    _, first, group, sizes = np.unique(scores, return_index=True,
+                                       return_inverse=True, return_counts=True)
+    return first, group, sizes
+
+
+def _class_groups(scores, labels):
+    """Checked inputs as (distinct scores ascending, positives, negatives)."""
+    scores, labels = _check_inputs(scores, labels)
+    first, group, sizes = tie_groups(scores)
+    pos = np.bincount(group[labels == 1], minlength=len(sizes))
+    return scores[first], pos, sizes - pos
+
+
+def _check_both_classes(pos, neg) -> tuple[int, int]:
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricsError("both classes must be present")
     return n_pos, n_neg
 
 
+def _confusion(groups, threshold: float) -> ConfusionCounts:
+    values, pos, neg = groups
+    k = int(np.searchsorted(values, threshold))  # groups k.. score >= threshold
+    tp, fp = int(pos[k:].sum()), int(neg[k:].sum())
+    return ConfusionCounts(tp=tp, fp=fp, tn=int(neg.sum()) - fp,
+                           fn=int(pos.sum()) - tp)
+
+
 def confusion_at(scores, labels, threshold: float) -> ConfusionCounts:
     """Confusion counts with the inclusive >= decision rule."""
-    scores, labels = _check_inputs(scores, labels)
-    tp = fp = tn = fn = 0
-    for s, y in zip(scores, labels):
-        predicted = s >= threshold
-        if y == 1:
-            tp, fn = (tp + 1, fn) if predicted else (tp, fn + 1)
-        else:
-            fp, tn = (fp + 1, tn) if predicted else (fp, tn + 1)
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return _confusion(_class_groups(scores, labels), threshold)
 
 
-def _tie_groups(scores: list[float], labels: list[int]):
-    """Yield (score, n_pos, n_neg) per distinct score, descending."""
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    i = 0
-    while i < len(order):
-        j = i
-        pos = neg = 0
-        current = scores[order[i]]
-        while j < len(order) and scores[order[j]] == current:
-            pos += labels[order[j]]
-            neg += 1 - labels[order[j]]
-            j += 1
-        yield current, pos, neg
-        i = j
+def _curve(groups) -> RocCurve:
+    values, pos, neg = groups
+    n_pos, n_neg = _check_both_classes(pos, neg)
+    tp_counts = [0] + np.cumsum(pos[::-1]).tolist()
+    fp_counts = [0] + np.cumsum(neg[::-1]).tolist()
+    return RocCurve(
+        points=tuple((fp / n_neg, tp / n_pos)
+                     for tp, fp in zip(tp_counts, fp_counts)),
+        thresholds=(math.inf, *values[::-1].tolist()),
+        tp_counts=tuple(tp_counts), fp_counts=tuple(fp_counts),
+        n_pos=n_pos, n_neg=n_neg)
 
 
 def roc_curve(scores, labels) -> RocCurve:
     """One point per distinct score threshold, descending, from (0,0)."""
-    scores, labels = _check_inputs(scores, labels)
-    n_pos, n_neg = _check_both_classes(labels)
-    points = [(0.0, 0.0)]
-    thresholds = [math.inf]
-    tp_counts = [0]
-    fp_counts = [0]
-    tp = fp = 0
-    for score, pos, neg in _tie_groups(scores, labels):
-        tp += pos
-        fp += neg
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(score)
-        tp_counts.append(tp)
-        fp_counts.append(fp)
-    return RocCurve(points=tuple(points), thresholds=tuple(thresholds),
-                    tp_counts=tuple(tp_counts), fp_counts=tuple(fp_counts),
-                    n_pos=n_pos, n_neg=n_neg)
+    return _curve(_class_groups(scores, labels))
 
 
-def _pair_counts(scores: list[float], labels: list[int]) -> tuple[int, int, int, int]:
-    """(wins, ties, P, N): positive-over-negative pairs won / tied, exact."""
-    n_pos = sum(labels)
-    n_neg = len(labels) - n_pos
-    wins = ties = 0
-    neg_seen = 0
-    for _, pos, neg in _tie_groups(scores, labels):
-        ties += pos * neg
-        wins += pos * (n_neg - neg_seen - neg)
-        neg_seen += neg
-    return wins, ties, n_pos, n_neg
+def _auc(groups) -> Fraction:
+    _, pos, neg = groups
+    n_pos, n_neg = _check_both_classes(pos, neg)
+    below = np.cumsum(neg) - neg  # negatives scored strictly lower
+    wins, ties = int(pos @ below), int(pos @ neg)
+    return Fraction(2 * wins + ties, 2 * n_pos * n_neg)
 
 
 def roc_auc_exact(scores, labels) -> Fraction:
     """AUC as an exact rational: (wins + ties/2) / (P*N)."""
-    scores, labels = _check_inputs(scores, labels)
-    _check_both_classes(labels)
-    wins, ties, n_pos, n_neg = _pair_counts(scores, labels)
-    return Fraction(2 * wins + ties, 2 * n_pos * n_neg)
+    return _auc(_class_groups(scores, labels))
 
 
 def roc_auc(scores, labels) -> float:
@@ -165,19 +159,19 @@ def trapezoid_auc_exact(curve: RocCurve) -> Fraction:
 
 def evaluation_report(scores, labels) -> dict:
     """AUC, curve points, and confusion tables at thresholds 0.1 .. 0.9."""
-    scores, labels = _check_inputs(scores, labels)
-    curve = roc_curve(scores, labels)
+    groups = _class_groups(scores, labels)
+    curve = _curve(groups)
     confusion = []
     for threshold in REPORT_THRESHOLDS:
-        c = confusion_at(scores, labels, threshold)
+        c = _confusion(groups, threshold)
         confusion.append({"threshold": threshold, "tp": c.tp, "fp": c.fp,
                           "tn": c.tn, "fn": c.fn})
     curve_points = [
         {"threshold": thr if math.isfinite(thr) else None, "fpr": fpr, "tpr": tpr}
         for (fpr, tpr), thr in zip(curve.points, curve.thresholds)]
     return {
-        "auc": roc_auc(scores, labels),
-        "n_documents": len(scores),
+        "auc": float(_auc(groups)),
+        "n_documents": curve.n_pos + curve.n_neg,
         "n_positive": curve.n_pos,
         "n_negative": curve.n_neg,
         "curve": curve_points,

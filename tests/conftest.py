@@ -1,10 +1,18 @@
+import os
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# subprocesses (python -m llmdetect, the demos) import the package from
+# this checkout, as the test process does through pyproject's pythonpath
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 from llmdetect.sparse import SparseMatrix
 
@@ -30,3 +38,20 @@ def random_sparse(rng, n_rows, n_cols, density=0.4, max_distinct=0):
     if max_distinct:
         dense = np.round(dense * max_distinct) / max_distinct
     return SparseMatrix.from_dense(dense), dense
+
+
+@pytest.fixture
+def time_bound():
+    """Context manager: raise TimeoutError if the block outlives seconds."""
+    @contextmanager
+    def bound(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    return bound

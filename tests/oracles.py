@@ -111,6 +111,57 @@ def pairwise_auc_oracle(scores, labels) -> Fraction:
     return Fraction(2 * wins + ties, 2 * len(pos) * len(neg))
 
 
+# -- Voting: per-document Fraction accumulation -----------------------------
+
+def soft_vote_oracle(per_voter_scores, weights) -> np.ndarray:
+    """Weighted mean of per-voter probabilities, document by document."""
+    n_docs = len(per_voter_scores[0])
+    frac_weights = [Fraction(float(w)) for w in weights]
+    total = sum(frac_weights)
+    out = np.empty(n_docs)
+    for d in range(n_docs):
+        acc = Fraction(0)
+        for scores, w in zip(per_voter_scores, frac_weights):
+            if w:
+                acc += w * Fraction(float(scores[d]))
+        out[d] = float(acc / total)
+    return out
+
+
+def _fractional_ranks(scores) -> list[Fraction]:
+    """Tie-averaged ranks scaled into [0, 1] (exact rationals)."""
+    n = len(scores)
+    order = sorted(range(n), key=lambda i: scores[i])
+    ranks: list[Fraction] = [Fraction(0)] * n
+    i = 0
+    while i < n:
+        j = i
+        while j < n and scores[order[j]] == scores[order[i]]:
+            j += 1
+        mid_rank = Fraction(i + j - 1, 2)  # average of ranks i .. j-1
+        for k in range(i, j):
+            ranks[order[k]] = mid_rank / (n - 1)
+        i = j
+    return ranks
+
+
+def rank_average_oracle(per_voter_scores, weights) -> np.ndarray:
+    """Weighted mean of per-voter fractional ranks."""
+    n_docs = len(per_voter_scores[0])
+    frac_weights = [Fraction(float(w)) for w in weights]
+    total = sum(frac_weights)
+    voter_ranks = [_fractional_ranks([float(s) for s in scores])
+                   for scores in per_voter_scores]
+    out = np.empty(n_docs)
+    for d in range(n_docs):
+        acc = Fraction(0)
+        for ranks, w in zip(voter_ranks, frac_weights):
+            if w:
+                acc += w * ranks[d]
+        out[d] = float(acc / total)
+    return out
+
+
 # -- GBDT: exhaustive-threshold boosting ------------------------------------
 
 def _oracle_gain(g_left, h_left, g_right, h_right, lam):

@@ -408,6 +408,26 @@ class TestBadInputs:
                     "--config", workdir / "old.ini"]) == 1
         assert "run.threads" in single_error(capsys, "config")
 
+    @pytest.mark.parametrize("command, code", [("tokenize-train", "corpus"),
+                                               ("evaluate", "ensemble")])
+    def test_field_over_csv_limit(self, tmp_path, command, code):
+        # once a raw _csv.Error traceback: field larger than field limit
+        long_field = "a" * 200_000
+        (tmp_path / "big.csv").write_text(f'id,text,label\nd1,"{long_field}",1\n')
+        (tmp_path / "scores.csv").write_text(f"id,score\nd1,{long_field}\n")
+        (tmp_path / "c.csv").write_text("id,text,label\nd1,hello,1\n")
+        args = (["tokenize-train", "big.csv", "--out", "v.json"]
+                if command == "tokenize-train" else
+                ["evaluate", "scores.csv", "c.csv"])
+        proc = subprocess.run([sys.executable, "-m", "llmdetect", *args],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(f"llmdetect: error[{code}]: "), lines[0]
+        assert "field limit" in lines[0] and "at line 2" in lines[0]
+
     def test_spec_and_bundle_agree_on_missing_vocab(self, workdir, capsys):
         bundle, _ = trained_bundle(workdir)
         spec = {"format_version": 1,

@@ -94,3 +94,23 @@ class TestHashAndSeed:
         assert config.tfidf_config() == TfidfConfig()
         assert config.sgd_config() == SgdConfig(seed=config.seed)
         assert config.gbdt_config() == GbdtConfig()
+
+    def test_defaults_are_the_library_constants(self):
+        import inspect
+
+        from llmdetect import ensemble, tokenizer
+        config = default_config()
+        assert config.get("tokenizer", "vocab_size") == \
+            tokenizer.DEFAULT_VOCAB_SIZE
+        assert config.get("ensemble", "combine") == \
+            ensemble.COMBINE_PROBABILITY_MEAN
+        assert config.get("ensemble", "grid_step") == ensemble.DEFAULT_GRID_STEP
+        for tuner in (ensemble.weight_grid, ensemble.tune_weights):
+            step = inspect.signature(tuner).parameters["step"].default
+            assert step == ensemble.DEFAULT_GRID_STEP
+
+    def test_canonical_rendering_unchanged(self):
+        # config_hash is logged into every bundle; deriving the defaults
+        # from the library constants must not move it
+        assert default_config().hash() == (
+            "9949a772ff2b6f592dd12c6191305e0ff057634a9ab1fbab2969bed27849e1c3")

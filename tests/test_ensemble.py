@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from llmdetect.ensemble import (EnsembleSpec, ExternalScores, Voter,
                                 rank_average, soft_vote, tune_weights,
                                 weight_grid)
 from llmdetect.errors import EnsembleError
+from oracles import rank_average_oracle, soft_vote_oracle
 
 
 class TestSoftVote:
@@ -113,6 +116,66 @@ class TestRankAverage:
             rank_average([[0.5]], [1.0])
 
 
+# scores drawn often from a small pool, so ties are frequent; the pool holds
+# signed zeros and subnormals, the general draw covers every finite float
+_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.1, 1 / 3, 5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e-300]),
+    st.floats(0, 1),
+    st.floats(allow_nan=False, allow_infinity=False))
+_WEIGHTS = st.one_of(st.just(0.0), st.sampled_from([1.0, 0.1, 0.3, 2.5]),
+                     st.floats(1e-300, 1e200))
+
+
+@st.composite
+def _vote_inputs(draw):
+    n_voters = draw(st.integers(1, 4))
+    n_docs = draw(st.integers(2, 12))
+    scores = [draw(st.lists(_SCORES, min_size=n_docs, max_size=n_docs))
+              for _ in range(n_voters)]
+    weights = draw(st.lists(_WEIGHTS, min_size=n_voters, max_size=n_voters))
+    if not any(weights):
+        weights[0] = draw(st.floats(1e-300, 1e200))
+    return scores, weights
+
+
+def _bit_identical(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestFractionOracles:
+    @given(_vote_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_soft_vote_matches_oracle_bit_for_bit(self, inputs):
+        scores, weights = inputs
+        assert _bit_identical(soft_vote(scores, weights),
+                              soft_vote_oracle(scores, weights))
+
+    @given(_vote_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_average_matches_oracle_bit_for_bit(self, inputs):
+        scores, weights = inputs
+        assert _bit_identical(rank_average(scores, weights),
+                              rank_average_oracle(scores, weights))
+
+
+class TestNonFiniteInputs:
+    # a NaN score once made rank_average loop forever; soft_vote raised a
+    # raw ValueError (NaN) or OverflowError (inf)
+    @pytest.mark.parametrize("combine", [soft_vote, rank_average])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, time_bound, combine, bad):
+        with time_bound(10), pytest.raises(EnsembleError, match="finite"):
+            combine([[0.2, bad, 0.7], [0.1, 0.5, 0.9]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("combine", [soft_vote, rank_average])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, time_bound, combine, bad):
+        with time_bound(10), pytest.raises(EnsembleError, match="finite"):
+            combine([[0.2, 0.7], [0.1, 0.9]], [1.0, bad])
+
+
 class TestExternalScores:
     def test_parse_and_align(self):
         ext = parse_external_scores("id,score\nd1,0.9\nd2,0.1\n")
@@ -131,6 +194,11 @@ class TestExternalScores:
         ext = parse_external_scores("id,score\nd1,0.5\n")
         with pytest.raises(EnsembleError, match="d2"):
             ext.aligned(["d1", "d2"])
+
+    def test_field_over_csv_limit_rejected(self):
+        text = "id,score\nd1,0.5\nd2," + "0" * 200_000 + "\n"
+        with pytest.raises(EnsembleError, match="big.csv: .* at line 3"):
+            parse_external_scores(text, source="big.csv")
 
     def test_dump_round_trips(self):
         ids = ["a", "b,with comma", "c"]
@@ -185,6 +253,12 @@ class TestWeightTuning:
         grid = weight_grid(3, step=0.5)
         assert all(abs(sum(w) - 1.0) < 1e-9 for w in grid)
         assert (1.0, 0.0, 0.0) in grid
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_step_outside_unit_interval_rejected(self, step):
+        # step 0 once raised ZeroDivisionError
+        with pytest.raises(EnsembleError, match="grid step"):
+            weight_grid(2, step=step)
 
     def test_too_many_voters_rejected(self):
         with pytest.raises(EnsembleError):

@@ -140,6 +140,25 @@ class TestAuc:
         assert 0.0 <= value <= 1.0
 
 
+class TestNanScores:
+    # a NaN score once made every entry point but confusion_at loop forever
+    @pytest.mark.parametrize("entry", [
+        roc_auc, roc_auc_exact, roc_curve, evaluation_report,
+        lambda scores, labels: confusion_at(scores, labels, 0.5)],
+        ids=["roc_auc", "roc_auc_exact", "roc_curve", "evaluation_report",
+             "confusion_at"])
+    def test_nan_rejected(self, time_bound, entry):
+        with time_bound(10), pytest.raises(MetricsError, match="score 1 is NaN"):
+            entry([0.2, math.nan, 0.7, 0.4], [1, 0, 1, 0])
+
+    def test_infinities_are_ordered_scores(self):
+        scores = [math.inf, 0.9, -math.inf, 0.1]
+        assert roc_auc(scores, [1, 1, 0, 0]) == 1.0
+        assert roc_curve(scores, [1, 1, 0, 0]).thresholds[1] == math.inf
+        c = confusion_at(scores, [1, 0, 0, 1], math.inf)
+        assert (c.tp, c.fp, c.tn, c.fn) == (1, 0, 2, 1)
+
+
 class TestReport:
     def test_schema(self):
         report = evaluation_report([0.9, 0.2, 0.6, 0.4], [1, 0, 1, 0])

@@ -48,13 +48,18 @@ class ExternalScores:
         return np.array([self.scores[i] for i in ids])
 
 
+def _is_weight(weight: float) -> bool:
+    """Whether a voter weight is valid: a finite number >= 0."""
+    return math.isfinite(weight) and weight >= 0.0
+
+
 def parse_weight(raw, where: str, error=EnsembleError) -> float:
     """A voter weight read from outside: a finite number >= 0."""
     try:
         weight = float(raw)
     except (TypeError, ValueError, OverflowError):
         weight = math.nan
-    if not (math.isfinite(weight) and weight >= 0.0):
+    if not _is_weight(weight):
         raise error(f"{where}: weight must be a finite number >= 0, "
                     f"got {raw!r}")
     return weight
@@ -70,8 +75,9 @@ class Voter:
     name: str = ""
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise EnsembleError(f"voter weight must be >= 0, got {self.weight}")
+        if not _is_weight(self.weight):
+            raise EnsembleError(f"voter weight must be a finite number >= 0, "
+                                f"got {self.weight!r}")
         if (self.bundle is None) == (self.external is None):
             raise EnsembleError("voter must hold exactly one of a model "
                                 "bundle or external scores")
@@ -104,7 +110,7 @@ def _check_vote_inputs(per_voter_scores, weights) -> np.ndarray:
         raise EnsembleError(f"voters scored different document counts: "
                             f"{sorted(lengths)}")
     for w in weights:
-        if not (math.isfinite(w) and w >= 0):
+        if not _is_weight(w):
             raise EnsembleError(f"weights must be finite and >= 0, got {w}")
     if not any(w > 0 for w in weights):
         raise EnsembleError("all voter weights are zero")

@@ -5,6 +5,12 @@ frequency idf(t) = ln((1 + N) / (1 + df(t))) + 1, which is bounded below
 by 1 and defined for unseen terms.  tf is the raw in-document count, or
 1 + ln(count) when sublinear_tf is set.  Columns are assigned to n-grams
 in lexicographic token-id order, so fits are deterministic.
+
+Fit and transform work on one flat array of token ids per corpus (or per
+block of documents): n-grams are numbered one length at a time by sorted
+integer keys, and the document-term matrix is built in CSR form from the
+sorted (row, column) cells.  The result is bit-for-bit that of counting
+each document's n-grams in a dictionary (``extract_ngrams``).
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +80,8 @@ class TfidfModel:
     config: TfidfConfig
     word_vocab: list[str] | None = None
     _word_ids: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    _ngram_table: _NgramTable | None = field(default=None, repr=False,
+                                             compare=False)
 
     @property
     def n_features(self) -> int:
@@ -95,57 +104,236 @@ def extract_ngrams(seq: TokenSequence, ngram_min: int, ngram_max: int) -> Counte
     return counts
 
 
+# Documents are featurized in blocks of about this many token positions,
+# so the transient arrays of a transform stay the same size however long
+# the corpus is.
+_BLOCK_TOKENS = 8_192
+
+
+@dataclass(frozen=True)
+class _NgramTable:
+    """A vocabulary's n-grams as sorted integer keys, one level per length.
+
+    ``tokens`` holds the distinct token ids in ascending order; a token's
+    position there is its rank and the number of its length-1 prefix.  The
+    length-k prefixes (k >= 2) are numbered by their position in the sorted
+    ``keys[k]``: a prefix's key is the number of its own length-(k-1)
+    prefix times ``len(tokens)`` plus the rank of its last token, so keys
+    are exact for every n-gram length.  ``cols[k][i]`` is the column of
+    length-k prefix i, or -1 where it is only a prefix of longer n-grams.
+    """
+
+    tokens: np.ndarray
+    keys: dict[int, np.ndarray]
+    cols: dict[int, np.ndarray]
+
+
+def _flat_ids(sequences: list[Ngram]) -> tuple[np.ndarray, np.ndarray]:
+    """Every sequence's ids in one int64 array, and each sequence's length."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64,
+                          count=len(sequences))
+    try:
+        ids = np.fromiter(chain.from_iterable(sequences), dtype=np.int64,
+                          count=int(lengths.sum()))
+    except OverflowError:
+        raise FeatureError("token ids must fit in a signed 64-bit integer")
+    return ids, lengths
+
+
+def _find(sorted_keys: np.ndarray,
+          keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the ``keys`` that occur in ``sorted_keys``, and where
+    they occur there."""
+    if not len(sorted_keys):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # searchsorted is several times faster on sorted queries.
+    order = np.argsort(keys)
+    query = keys[order]
+    pos = np.searchsorted(sorted_keys, query)
+    hit = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == query
+    return order[hit], pos[hit]
+
+
+def _gapped(ranks: np.ndarray,
+            lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The token ranks (-1 for unknown tokens) with a -1 gap after every
+    sequence, so that no n-gram spans two of them, and the sequence each
+    position belongs to."""
+    doc = np.repeat(np.arange(len(lengths)), lengths + 1)
+    is_token = np.ones(len(doc), dtype=bool)
+    is_token[np.cumsum(lengths + 1) - 1] = False
+    gapped = np.full(len(doc), -1, dtype=np.int64)
+    gapped[is_token] = ranks
+    return gapped, doc
+
+
+def _extend(ranks: np.ndarray, start: np.ndarray, number: np.ndarray, k: int,
+            n_tokens: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of length-(k-1) n-grams (numbered ``number``) that extend
+    to length k, and the keys of those length-k n-grams."""
+    last = ranks[start + k - 1]
+    ok = last >= 0
+    return start[ok], number[ok] * n_tokens + last[ok]
+
+
 def fit_tfidf(corpus_tokens: list[TokenSequence],
               config: TfidfConfig = TfidfConfig()) -> TfidfModel:
     """Build the n-gram vocabulary (df >= min_df) and idf weights."""
     if not corpus_tokens:
         raise FeatureError("cannot fit TF-IDF on an empty corpus")
     n_docs = len(corpus_tokens)
-    df_counts: Counter = Counter()
-    any_ngrams = False
-    for seq in corpus_tokens:
-        doc_ngrams = extract_ngrams(seq, config.ngram_min, config.ngram_max)
-        if doc_ngrams:
-            any_ngrams = True
-        df_counts.update(doc_ngrams.keys())
-    if not any_ngrams:
+    ids, lengths = _flat_ids([seq.ids for seq in corpus_tokens])
+    if lengths.max() < config.ngram_min:
         raise FeatureError("all documents are empty; nothing to fit")
 
-    retained = sorted(t for t, c in df_counts.items() if c >= config.min_df)
-    ngram_to_col = {t: i for i, t in enumerate(retained)}
-    df = np.array([df_counts[t] for t in retained], dtype=np.int64)
+    # Number every distinct n-gram of the corpus level by level, as in
+    # _NgramTable, and count the documents holding each retained one.
+    tokens, ranks = np.unique(ids, return_inverse=True)
+    n_tokens = len(tokens)
+    ranks, doc = _gapped(ranks, lengths)
+    start = np.flatnonzero(ranks >= 0)
+    number, keys = ranks[start], {}
+    kept_ranks, kept_df = [], []
+    for k in range(1, config.ngram_max + 1):
+        if k > 1:
+            start, key = _extend(ranks, start, number, k, n_tokens)
+            keys[k], number = np.unique(key, return_inverse=True)
+        if k < config.ngram_min:
+            continue
+        n_nodes = len(keys[k]) if k > 1 else n_tokens
+        doc_nodes = np.sort(doc[start] * n_nodes + number)
+        first = np.diff(doc_nodes, prepend=-1) != 0
+        df = np.bincount(doc_nodes[first] % n_nodes, minlength=n_nodes)
+        node = np.flatnonzero(df >= config.min_df)
+        kept_df.append(df[node])
+        # Walk each kept n-gram back to its token ranks; -1 pads the tail.
+        mat = np.full((len(node), config.ngram_max), -1, dtype=np.int64)
+        for level in range(k, 1, -1):
+            node, mat[:, level - 1] = np.divmod(keys[level][node], n_tokens)
+        mat[:, 0] = node
+        kept_ranks.append(mat)
+
+    # Ranks order like token ids and the -1 padding puts a prefix first,
+    # so this is the lexicographic order of the id tuples.
+    mat = np.concatenate(kept_ranks)
+    order = np.lexsort(mat.T[::-1])
+    mat, df = mat[order], np.concatenate(kept_df)[order]
+    widths = (mat >= 0).sum(axis=1).tolist()
+    rows = tokens[np.maximum(mat, 0)].tolist()
+    ngram_to_col = {tuple(row[:width]): col for col, (row, width)
+                    in enumerate(zip(rows, widths))}
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
     vocabulary = NgramVocabulary(ngram_to_col=ngram_to_col,
                                  document_count=n_docs, df=df)
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 
-def transform(model: TfidfModel, seq: TokenSequence) -> SparseVector:
-    """Weight one document; out-of-vocabulary n-grams are dropped."""
-    cfg = model.config
-    counts = extract_ngrams(seq, cfg.ngram_min, cfg.ngram_max)
-    vocab = model.vocabulary.ngram_to_col
-    pairs: list[tuple[int, float]] = []
-    for ngram, count in counts.items():
-        col = vocab.get(ngram)
-        if col is None:
-            continue
-        tf = 1.0 + math.log(count) if cfg.sublinear_tf else float(count)
-        pairs.append((col, tf * model.idf[col]))
-    pairs.sort()
-    cols = np.array([c for c, _ in pairs], dtype=np.int64)
-    vals = np.array([v for _, v in pairs], dtype=np.float64)
-    if cfg.l2_normalize and len(vals):
-        norm = math.sqrt(float(np.dot(vals, vals)))
-        if norm > 0.0:
-            vals = vals / norm
-    return SparseVector(cols=cols, vals=vals, n_cols=model.n_features)
+def _ngram_table(model: TfidfModel) -> _NgramTable:
+    """The model's lookup table, built on first use and then cached."""
+    if model._ngram_table is not None:
+        return model._ngram_table
+    cfg, vocab = model.config, model.vocabulary.ngram_to_col
+    ids, lengths = _flat_ids(list(vocab))
+    cols = np.fromiter(vocab.values(), dtype=np.int64, count=len(vocab))
+    starts = np.cumsum(lengths) - lengths
+    # A loaded vocabulary may hold lengths that no transform can produce.
+    fits = (lengths >= cfg.ngram_min) & (lengths <= cfg.ngram_max)
+    cols, lengths, starts = cols[fits], lengths[fits], starts[fits]
+    tokens, ranks = np.unique(ids, return_inverse=True)
+    prefix = ranks[starts]
+    keys, level_cols = {}, {}
+    for k in range(1, cfg.ngram_max + 1):
+        n_prefixes = len(tokens)
+        if k > 1:
+            longer = np.flatnonzero(lengths >= k)
+            key = prefix[longer] * len(tokens) + ranks[starts[longer] + k - 1]
+            keys[k], prefix[longer] = np.unique(key, return_inverse=True)
+            n_prefixes = len(keys[k])
+        level_cols[k] = np.full(n_prefixes, -1, dtype=np.int64)
+        exact = lengths == k
+        level_cols[k][prefix[exact]] = cols[exact]
+    model._ngram_table = _NgramTable(tokens=tokens, keys=keys, cols=level_cols)
+    return model._ngram_table
+
+
+def _blocks(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Runs [lo, hi) of consecutive sequences starting within the same
+    _BLOCK_TOKENS positions (each sequence takes its length plus one)."""
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    edges = np.flatnonzero(np.diff(starts // _BLOCK_TOKENS)) + 1
+    bounds = [0, *edges.tolist(), len(lengths)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _transform_block(model: TfidfModel, table: _NgramTable,
+                     corpus_tokens: list[TokenSequence]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nnz per row, cols, vals) of one block of documents, in CSR order."""
+    cfg, n_cols = model.config, model.n_features
+    ids, lengths = _flat_ids([seq.ids for seq in corpus_tokens])
+    found, rank = _find(table.tokens, ids)
+    ranks = np.full(len(ids), -1, dtype=np.int64)
+    ranks[found] = rank
+    ranks, doc = _gapped(ranks, lengths)
+    start = np.flatnonzero(ranks >= 0)
+    number, cells = ranks[start], []
+    for k in range(1, cfg.ngram_max + 1):
+        if k > 1:
+            start, key = _extend(ranks, start, number, k, len(table.tokens))
+            found, number = _find(table.keys[k], key)
+            start = start[found]
+        if k >= cfg.ngram_min:
+            col = table.cols[k][number]
+            known = col >= 0
+            cells.append(doc[start[known]] * n_cols + col[known])
+    # Sorted (row, col) cells are CSR order; their multiplicities are tf.
+    cell, counts = np.unique(np.concatenate(cells), return_counts=True)
+    rows, cols = np.divmod(cell, max(n_cols, 1))
+    if cfg.sublinear_tf:
+        distinct, which = np.unique(counts, return_inverse=True)
+        tf = np.array([1.0 + math.log(c) for c in distinct.tolist()])[which]
+    else:
+        tf = counts.astype(np.float64)
+    vals = tf * model.idf[cols]
+    nnz = np.bincount(rows, minlength=len(corpus_tokens))
+    if cfg.l2_normalize:
+        # One np.dot per row, as a per-document vector would be normalized:
+        # a segmented sum rounds differently.
+        norms = np.ones(len(nnz))
+        bounds = np.cumsum(nnz).tolist()
+        for i, (lo, hi) in enumerate(zip([0, *bounds], bounds)):
+            if hi > lo:
+                row = vals[lo:hi]
+                norm = math.sqrt(float(np.dot(row, row)))
+                if norm > 0.0:
+                    norms[i] = norm
+        vals /= np.repeat(norms, nnz)
+    return nnz, cols, vals
 
 
 def transform_corpus(model: TfidfModel,
                      corpus_tokens: list[TokenSequence]) -> SparseMatrix:
-    rows = [transform(model, seq) for seq in corpus_tokens]
-    return SparseMatrix.from_rows(rows, n_cols=model.n_features)
+    """Weight every document; out-of-vocabulary n-grams are dropped."""
+    table = _ngram_table(model)
+    lengths = np.fromiter((len(seq.ids) for seq in corpus_tokens),
+                          dtype=np.int64, count=len(corpus_tokens))
+    nnz, cols, vals = [np.zeros(1, dtype=np.int64)], [], []
+    for lo, hi in _blocks(lengths):
+        block_nnz, block_cols, block_vals = _transform_block(
+            model, table, corpus_tokens[lo:hi])
+        nnz.append(block_nnz)
+        cols.append(block_cols)
+        vals.append(block_vals)
+    indptr = np.cumsum(np.concatenate(nnz))
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return SparseMatrix(indptr=indptr, cols=cols, vals=vals,
+                        n_rows=len(corpus_tokens), n_cols=model.n_features)
+
+
+def transform(model: TfidfModel, seq: TokenSequence) -> SparseVector:
+    """Weight one document; out-of-vocabulary n-grams are dropped."""
+    return transform_corpus(model, [seq]).row(0)
 
 
 # -- whitespace-token fallback -------------------------------------------
@@ -195,6 +383,9 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         raise FeatureError(f"malformed tfidf payload: {exc}")
     if len(vocabulary.ngram_to_col) != len(ngrams):
         raise FeatureError("malformed tfidf payload: duplicate ngrams")
+    if not all(isinstance(i, int) for ngram in ngrams for i in ngram):
+        raise FeatureError("malformed tfidf payload: ngram entries must be "
+                           "integer token ids")
     if len(idf) != len(ngrams) or len(vocabulary.df) != len(ngrams):
         raise FeatureError("malformed tfidf payload: df/idf length mismatch")
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config,

@@ -62,12 +62,12 @@ class RocCurve:
 
 def _check_inputs(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = [int(y) for y in labels]
+    labels = list(labels)
     if len(scores) != len(labels):
         raise MetricsError(f"{len(scores)} scores but {len(labels)} labels")
     for y in labels:
-        if y not in (0, 1):
-            raise MetricsError(f"label {y!r} outside {{0, 1}}")
+        if y not in (0, 1):  # exactly; int() would truncate 0.7 to 0
+            raise MetricsError(f"label {y!r} is not 0 or 1")
     nan = np.flatnonzero(np.isnan(scores))
     if len(nan):
         raise MetricsError(f"score {nan[0]} is NaN; scores must be ordered")

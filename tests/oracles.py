@@ -3,7 +3,9 @@
 Everything here recomputes results from first principles by the most
 literal method available (full recounts, exhaustive enumeration, central
 finite differences, all-pairs comparison) and deliberately shares no code
-with the implementations under test.
+with the implementations under test beyond data containers.  The Counter
+featurizer uses the library's ``extract_ngrams``, which the array
+featurizer it checks does not call.
 """
 
 from __future__ import annotations
@@ -13,6 +15,12 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from llmdetect.errors import FeatureError
+from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
+                                extract_ngrams)
+from llmdetect.sparse import SparseMatrix, SparseVector
+from llmdetect.tokenizer import TokenSequence
 
 
 # -- BPE: recount every pair from scratch each iteration -------------------
@@ -82,6 +90,64 @@ def tfidf_oracle(docs: list[tuple], ngram_min: int, ngram_max: int,
                 weights = {t: w / norm for t, w in weights.items()}
         weighted.append(weights)
     return weighted
+
+
+# -- TF-IDF: the per-document Counter featurizer ---------------------------
+# The library's fit and transform before they moved to flat arrays, kept
+# verbatim; the array featurizer must reproduce their bytes.
+
+def fit_tfidf_oracle(corpus_tokens: list[TokenSequence],
+                     config: TfidfConfig = TfidfConfig()) -> TfidfModel:
+    """Build the n-gram vocabulary (df >= min_df) and idf weights."""
+    if not corpus_tokens:
+        raise FeatureError("cannot fit TF-IDF on an empty corpus")
+    n_docs = len(corpus_tokens)
+    df_counts: Counter = Counter()
+    any_ngrams = False
+    for seq in corpus_tokens:
+        doc_ngrams = extract_ngrams(seq, config.ngram_min, config.ngram_max)
+        if doc_ngrams:
+            any_ngrams = True
+        df_counts.update(doc_ngrams.keys())
+    if not any_ngrams:
+        raise FeatureError("all documents are empty; nothing to fit")
+
+    retained = sorted(t for t, c in df_counts.items() if c >= config.min_df)
+    ngram_to_col = {t: i for i, t in enumerate(retained)}
+    df = np.array([df_counts[t] for t in retained], dtype=np.int64)
+    idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    vocabulary = NgramVocabulary(ngram_to_col=ngram_to_col,
+                                 document_count=n_docs, df=df)
+    return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
+
+
+def transform_oracle(model: TfidfModel, seq: TokenSequence) -> SparseVector:
+    """Weight one document; out-of-vocabulary n-grams are dropped."""
+    cfg = model.config
+    counts = extract_ngrams(seq, cfg.ngram_min, cfg.ngram_max)
+    vocab = model.vocabulary.ngram_to_col
+    pairs: list[tuple[int, float]] = []
+    for ngram, count in counts.items():
+        col = vocab.get(ngram)
+        if col is None:
+            continue
+        tf = 1.0 + math.log(count) if cfg.sublinear_tf else float(count)
+        pairs.append((col, tf * model.idf[col]))
+    pairs.sort()
+    cols = np.array([c for c, _ in pairs], dtype=np.int64)
+    vals = np.array([v for _, v in pairs], dtype=np.float64)
+    if cfg.l2_normalize and len(vals):
+        norm = math.sqrt(float(np.dot(vals, vals)))
+        if norm > 0.0:
+            vals = vals / norm
+    return SparseVector(cols=cols, vals=vals, n_cols=model.n_features)
+
+
+def transform_corpus_oracle(model: TfidfModel,
+                            corpus_tokens: list[TokenSequence]
+                            ) -> SparseMatrix:
+    rows = [transform_oracle(model, seq) for seq in corpus_tokens]
+    return SparseMatrix.from_rows(rows, n_cols=model.n_features)
 
 
 # -- SGD: central finite differences of the per-sample objective -----------

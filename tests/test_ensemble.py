@@ -220,6 +220,12 @@ class TestSpecValidation:
         with pytest.raises(EnsembleError):
             Voter(weight=-1.0, external=ExternalScores(scores={}))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected_at_construction(self, weight):
+        # used to pass and fail only at vote time, after all voters scored
+        with pytest.raises(EnsembleError, match="finite number >= 0"):
+            Voter(weight=weight, external=ExternalScores(scores={}))
+
     def test_spec_needs_positive_weight(self):
         voter = Voter(weight=0.0, external=ExternalScores(scores={}))
         with pytest.raises(EnsembleError):

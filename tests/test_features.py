@@ -1,12 +1,21 @@
+import hashlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from llmdetect import features
+from llmdetect.corpus import synth_corpus
 from llmdetect.errors import FeatureError
-from llmdetect.features import (TfidfConfig, extract_ngrams, fit_tfidf,
-                                tfidf_from_dict, tfidf_to_dict, transform,
-                                transform_corpus)
-from llmdetect.tokenizer import TokenSequence
-from oracles import tfidf_oracle
+from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
+                                fit_tfidf, fit_word_vocab, tfidf_from_dict,
+                                tfidf_to_dict, transform, transform_corpus)
+from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenSequence, encode,
+                                 train_bpe)
+from oracles import fit_tfidf_oracle, tfidf_oracle, transform_corpus_oracle
 
 
 def seqs(*id_lists):
@@ -152,9 +161,156 @@ class TestSerialization:
             np.testing.assert_array_equal(transform(loaded, doc).vals,
                                           transform(model, doc).vals)
 
+    @pytest.mark.parametrize("entry", [1.5, "3", None, [1]])
+    def test_non_integer_ngram_entry_rejected(self, entry):
+        # the array lookup would read 1.5 as 1 and "3" as 3
+        model = fit_tfidf(seqs([1, 3], [3, 1]), TfidfConfig(1, 1, min_df=1))
+        payload = tfidf_to_dict(model)
+        payload["ngrams"][0] = [entry]
+        with pytest.raises(FeatureError, match="malformed tfidf payload"):
+            tfidf_from_dict(payload)
+
     def test_malformed_payload_rejected(self):
         model = fit_tfidf(seqs([1, 2], [2, 1]), TfidfConfig(1, 1, min_df=1))
         payload = tfidf_to_dict(model)
         del payload["idf"]
         with pytest.raises(FeatureError):
             tfidf_from_dict(payload)
+
+
+def _csr_bytes(X):
+    return [(a.dtype.str, a.tobytes()) for a in (X.indptr, X.cols, X.vals)]
+
+
+@st.composite
+def _featurizer_inputs(draw):
+    """A config, a fitting corpus, a corpus to transform (with unseen ids)
+    and a block size small enough to split it."""
+    ngram_min = draw(st.integers(1, 4))
+    config = TfidfConfig(ngram_min=ngram_min,
+                         ngram_max=draw(st.integers(ngram_min, 6)),
+                         min_df=draw(st.integers(1, 3)),
+                         sublinear_tf=draw(st.booleans()),
+                         l2_normalize=draw(st.booleans()))
+    # A few distinct ids, so that n-grams recur; up to 2**20 so that a
+    # packed (id + 2) ** ngram_max key would overflow int64.
+    alphabet = draw(st.lists(st.integers(0, 2**20), min_size=1, max_size=5,
+                             unique=True))
+    doc = st.lists(st.sampled_from(alphabet), max_size=14).map(tuple)
+    fit_docs = draw(st.lists(doc, min_size=1, max_size=8))
+    unseen = st.lists(st.sampled_from(alphabet) | st.integers(0, 2**20),
+                      max_size=14).map(tuple)
+    docs = draw(st.lists(doc | unseen, max_size=8))
+    return config, fit_docs, fit_docs + docs, draw(st.integers(1, 40))
+
+
+class TestMatchesCounterOracle:
+    """The array featurizer reproduces the Counter featurizer's bytes."""
+
+    @given(_featurizer_inputs())
+    @settings(max_examples=400, deadline=None)
+    @example((TfidfConfig(4, 6, min_df=1, sublinear_tf=True),
+              [(2**20, 0, 2**20 - 1, 2**20, 0, 2**20 - 1, 0), ()],
+              [(2**20, 0, 2**20 - 1, 2**20, 0, 2**20 - 1, 0), (), (0,),
+               (7, 2**20, 0, 2**20 - 1, 2**20)], 3))
+    def test_fit_and_transform_bit_identical(self, inputs):
+        config, fit_docs, docs, block = inputs
+        fit_seqs, all_seqs = seqs(*fit_docs), seqs(*docs)
+        try:
+            expected = fit_tfidf_oracle(fit_seqs, config)
+        except FeatureError as exc:
+            with pytest.raises(FeatureError, match=str(exc)):
+                fit_tfidf(fit_seqs, config)
+            return
+        with mock.patch.object(features, "_BLOCK_TOKENS", block):
+            model = fit_tfidf(fit_seqs, config)
+            X = transform_corpus(model, all_seqs)
+        assert (list(model.vocabulary.ngram_to_col.items())
+                == list(expected.vocabulary.ngram_to_col.items()))
+        for got, want in ((model.vocabulary.df, expected.vocabulary.df),
+                          (model.idf, expected.idf)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert (X.n_rows, X.n_cols) == (len(docs), expected.n_features)
+        assert _csr_bytes(X) == _csr_bytes(
+            transform_corpus_oracle(expected, all_seqs))
+
+    def test_corpus_spanning_several_blocks(self):
+        corpus = synth_corpus(150, seed=3, divergence=0.0004)
+        vocab = fit_word_vocab(corpus.texts[::2])
+        sequences = [encode_words(vocab, t) for t in corpus.texts]
+        assert sum(map(len, sequences)) > 2 * features._BLOCK_TOKENS
+        for config in (TfidfConfig(), TfidfConfig(2, 4, min_df=3,
+                                                  sublinear_tf=True,
+                                                  l2_normalize=False)):
+            expected = fit_tfidf_oracle(sequences[::2], config)
+            X = transform_corpus(fit_tfidf(sequences[::2], config), sequences)
+            assert _csr_bytes(X) == _csr_bytes(
+                transform_corpus_oracle(expected, sequences))
+
+    def test_loaded_model_matches(self):
+        docs = seqs([1, 2, 3, 1, 2], [2, 3, 1], [0, 0, 1, 2])
+        model = fit_tfidf(docs, TfidfConfig(1, 3, min_df=1))
+        loaded = tfidf_from_dict(tfidf_to_dict(model))
+        assert _csr_bytes(transform_corpus(loaded, docs)) == _csr_bytes(
+            transform_corpus_oracle(model, docs))
+
+    def test_empty_vocabulary(self):
+        model = fit_tfidf(seqs([1, 2], [3, 4]), TfidfConfig(1, 2, min_df=2))
+        X = transform_corpus(model, seqs([1, 2], [], [3]))
+        assert model.n_features == 0 and X.n_rows == 3 and X.nnz == 0
+        assert _csr_bytes(X) == _csr_bytes(
+            transform_corpus_oracle(model, seqs([1, 2], [], [3])))
+
+    def test_transform_wraps_transform_corpus(self):
+        docs = seqs([5, 6, 5, 6], [6, 5])
+        model = fit_tfidf(docs, TfidfConfig(1, 2, min_df=1))
+        vec = transform(model, docs[0])
+        row = transform_corpus(model, docs[:1]).row(0)
+        assert vec.cols.tobytes() == row.cols.tobytes()
+        assert vec.vals.tobytes() == row.vals.tobytes()
+
+    def test_id_beyond_int64_rejected(self):
+        model = fit_tfidf(seqs([1, 2], [2, 1]), TfidfConfig(1, 1, min_df=1))
+        with pytest.raises(FeatureError, match="64-bit"):
+            transform_corpus(model, seqs([1, 2**63]))
+
+
+# SHA-256 of indptr, cols and vals of a CLI-default fit (BPE vocab 5000,
+# 1-3-grams, min_df 2, l2) on synth_corpus(150, 1, 0.0004), recorded with
+# the Counter featurizer on x86-64 with numpy 2.x.
+CLI_DEFAULT_CSR_SHA256 = (
+    "6f5bdbfd5ae3af637ffd12de745f35ef814840c30dd7c5a15200bd96499aac92")
+
+
+def test_cli_default_fit_csr_bytes_pinned():
+    corpus = synth_corpus(150, 1, 0.0004)
+    vocab = train_bpe(corpus.texts, vocab_size=DEFAULT_VOCAB_SIZE)
+    sequences = [encode(vocab, t) for t in corpus.texts]
+    X = transform_corpus(fit_tfidf(sequences, TfidfConfig()), sequences)
+    digest = hashlib.sha256()
+    for array in (X.indptr, X.cols, X.vals):
+        digest.update(array.tobytes())
+    assert (X.n_rows, X.n_cols, X.nnz) == (300, 7040, 46347)
+    assert digest.hexdigest() == CLI_DEFAULT_CSR_SHA256
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_peak_memory_no_higher_than_counter_path():
+    corpus = synth_corpus(600, seed=5, divergence=0.0004)
+    vocab = fit_word_vocab(corpus.texts[:300])
+    sequences = [encode_words(vocab, t) for t in corpus.texts]
+    assert sum(map(len, sequences)) >= 150_000
+    model = fit_tfidf(sequences[:300], TfidfConfig())
+    oracle_peak = _traced_peak(
+        lambda: transform_corpus_oracle(model, sequences))
+    array_peak = _traced_peak(lambda: transform_corpus(model, sequences))
+    assert array_peak <= oracle_peak

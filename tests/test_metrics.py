@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,21 @@ class TestAuc:
             labels[0] = 1 - labels[0]
         value = roc_auc(scores, labels)
         assert 0.0 <= value <= 1.0
+
+
+class TestLabels:
+    def test_fractional_label_rejected_not_truncated(self):
+        # int() used to turn 0.7 into 0, which made this AUC 1.0
+        with pytest.raises(MetricsError, match="label 0.7 is not 0 or 1"):
+            roc_auc([0.1, 0.9, 0.5], [0.7, 1, 0])
+
+    @pytest.mark.parametrize("label", [2, -1, 1.5, math.nan, "1", None])
+    def test_other_labels_rejected(self, label):
+        with pytest.raises(MetricsError, match="is not 0 or 1"):
+            confusion_at([0.2, 0.4, 0.6], [label, 1, 0], 0.5)
+
+    def test_exact_zero_one_of_any_numeric_type_accepted(self):
+        assert roc_auc([0.2, 0.8, 0.4], [0.0, True, np.int64(0)]) == 1.0
 
 
 class TestNanScores:

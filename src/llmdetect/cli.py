@@ -82,6 +82,9 @@ def cmd_tokenize_train(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_for(args)
+    # typed configs check their ranges before any corpus is read
+    tfidf_config, sgd_config, gbdt_config = (
+        config.tfidf_config(), config.sgd_config(), config.gbdt_config())
     corpus = _load_corpus_arg(args.corpus, args.format)
 
     if args.holdout_fraction:
@@ -104,12 +107,12 @@ def cmd_train(args) -> int:
 
     bundle_bytes = train_bundle(
         args.kind, corpus,
-        tfidf_config=config.tfidf_config(),
+        tfidf_config=tfidf_config,
         token_source=token_source,
         bpe_vocab=bpe_vocab, vocab_bytes=vocab_bytes,
         nb_alpha=config.get("naive_bayes", "alpha"),
-        sgd_config=config.sgd_config(),
-        gbdt_config=config.gbdt_config(),
+        sgd_config=sgd_config,
+        gbdt_config=gbdt_config,
         seed=config.seed, config_hash=config.hash())
     Path(args.out).write_bytes(bundle_bytes)
     _log(f"trained {args.kind} on {len(corpus)} documents -> {args.out}")

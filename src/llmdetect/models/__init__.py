@@ -18,7 +18,7 @@ from ..errors import ModelError
 from ..features import TfidfModel, tfidf_from_dict, tfidf_to_dict
 from .common import sigmoid
 from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
-                   compute_bin_edges, find_best_split, train_gbdt)
+                   train_gbdt)
 from .naive_bayes import NaiveBayesModel, train_nb
 from .sgd import (SgdConfig, SgdLinearModel, objective, sample_gradient,
                   sample_loss, sgd_step, train_sgd)
@@ -36,7 +36,6 @@ __all__ = [
     "SgdConfig", "SgdLinearModel", "train_sgd", "sgd_step",
     "sample_loss", "sample_gradient", "objective",
     "GbdtConfig", "GbdtModel", "train_gbdt",
-    "find_best_split", "compute_bin_edges",
     "LeafwiseTree", "SymmetricTree",
     "sigmoid", "ModelBundle", "save_model", "load_model", "bundle_from_dict",
     "vocab_hash", "MODEL_CLASSES", "MODEL_KINDS",
@@ -70,12 +69,15 @@ def save_model(model, tfidf: TfidfModel, vocab_ref: str,
     kind = getattr(model, "KIND", None)
     if MODEL_CLASSES.get(kind) is not type(model):
         raise ModelError(f"unknown model type {type(model).__name__}")
+    parameters = model.to_dict()
+    # never write a bundle that load_model would reject
+    _model_from_parameters(kind, parameters, tfidf.n_features)
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "kind": kind,
         "tfidf": tfidf_to_dict(tfidf),
         "vocab_ref": vocab_ref,
-        "parameters": model.to_dict(),
+        "parameters": parameters,
         "training": {"seed": seed, "config_hash": config_hash},
     }
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) +
@@ -107,16 +109,23 @@ def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
     for required in ("tfidf", "vocab_ref", "parameters"):
         if required not in payload:
             raise ModelError(f"field {required}: missing from bundle")
-    try:
-        model = MODEL_CLASSES[kind].from_dict(payload["parameters"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelError(f"malformed {kind} parameters: {exc}")
     tfidf = tfidf_from_dict(payload["tfidf"])
-    if model.n_features != tfidf.n_features:
-        raise ModelError(f"{kind} model has {model.n_features} features but "
-                         f"its TF-IDF model has {tfidf.n_features}")
+    model = _model_from_parameters(kind, payload["parameters"],
+                                   tfidf.n_features)
     training = payload.get("training") or {}
     return ModelBundle(kind=kind, model=model, tfidf=tfidf,
                        vocab_ref=payload["vocab_ref"],
                        seed=training.get("seed"),
                        config_hash=training.get("config_hash"))
+
+
+def _model_from_parameters(kind: str, parameters, n_features: int):
+    """Rebuild a bundle's model, checked as load_model checks it."""
+    try:
+        model = MODEL_CLASSES[kind].from_dict(parameters)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelError(f"malformed {kind} parameters: {exc}")
+    if model.n_features != n_features:
+        raise ModelError(f"{kind} model has {model.n_features} features but "
+                         f"its TF-IDF model has {n_features}")
+    return model

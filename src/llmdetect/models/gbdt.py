@@ -11,12 +11,14 @@ searched over per-column histograms whose bin edges come from quantiles of
 the nonzero training values; bin 0 is reserved for the exact zeros of
 sparse columns, which requires nonnegative features (TF-IDF weights are).
 
-Two growth strategies share the machinery: leaf_wise repeatedly splits the
-leaf with the globally best gain until max_leaves; symmetric picks one
-(column, bin) per depth level, applied to every node of that level, and
-always produces a perfect tree of the configured depth (levels with no
-positive-gain split become no-op splits and missing leaves get value 0).
-Ties anywhere go to the lowest column, then the lowest bin.
+Two growth strategies share one split search, ``_BinnedMatrix.split_gains``,
+which scores every (column, bin) split of one node: leaf_wise repeatedly
+splits the leaf with the globally best gain until max_leaves; symmetric
+sums each split's positive gains over the nodes of a depth level, applies
+the best (column, bin) to every node of that level, and always produces a
+perfect tree of the configured depth (levels with no positive-gain split
+become no-op splits and missing leaves get value 0).  Ties anywhere go to
+the lowest column, then the lowest bin.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .common import check_binary_labels, check_feature_count, sigmoid
 
 LEAF_WISE = "leaf_wise"
 SYMMETRIC = "symmetric"
+# CatBoost's own limit; the symmetric grower keeps 2**depth row groups
+MAX_DEPTH = 16
 
 
 @dataclass(frozen=True)
@@ -51,19 +55,21 @@ class GbdtConfig:
                              f"got {self.variant!r}")
         if self.n_trees < 0:
             raise ModelError(f"n_trees must be >= 0, got {self.n_trees}")
-        if self.learning_rate < 0.0:
-            raise ModelError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ModelError(f"learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
         if self.max_leaves < 2:
             raise ModelError(f"max_leaves must be >= 2, got {self.max_leaves}")
-        if self.depth < 1:
-            raise ModelError(f"depth must be >= 1, got {self.depth}")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ModelError(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
         if self.n_bins < 2:
             raise ModelError(f"n_bins must be >= 2, got {self.n_bins}")
         if self.min_data_in_leaf < 1:
             raise ModelError(f"min_data_in_leaf must be >= 1, "
                              f"got {self.min_data_in_leaf}")
-        if self.lambda_l2 < 0.0:
-            raise ModelError(f"lambda_l2 must be >= 0, got {self.lambda_l2}")
+        if not 0.0 <= self.lambda_l2 < math.inf:
+            raise ModelError(f"lambda_l2 must be finite and >= 0, "
+                             f"got {self.lambda_l2}")
 
 
 @dataclass
@@ -190,6 +196,7 @@ class GbdtModel:
     def from_dict(cls, d: dict) -> "GbdtModel":
         config = GbdtConfig(**d["config"])
         tree_cls = SymmetricTree if config.variant == SYMMETRIC else LeafwiseTree
+        _check_reals([d["base_score"]], "base score")
         model = cls(base_score=float(d["base_score"]), config=config,
                     n_features=int(d["n_features"]),
                     trees=[tree_cls(**entry) for entry in d["trees"]])
@@ -199,7 +206,7 @@ class GbdtModel:
 
 
 def _check_index(value, lo: int, hi: int, what: str) -> None:
-    if not isinstance(value, int) or not lo <= value < hi:
+    if type(value) is not int or not lo <= value < hi:
         raise ModelError(f"{what} {value!r} outside [{lo}, {hi})")
 
 
@@ -209,42 +216,7 @@ def _check_reals(values, what: str) -> None:
             raise ModelError(f"{what} {v!r} is not a finite number")
 
 
-# -- binning ---------------------------------------------------------------
-
-def compute_bin_edges(X: SparseMatrix, n_bins: int) -> list[np.ndarray]:
-    """Per-column cut values for the nonzero entries.
-
-    If a column has at most n_bins - 1 distinct nonzero values, every
-    distinct value gets its own bin (cuts are the values themselves), which
-    makes histogram splits coincide with exhaustive value splits.
-    """
-    col_indptr, _, vals, _ = X.to_csc()
-    cuts: list[np.ndarray] = []
-    for col in range(X.n_cols):
-        v = vals[col_indptr[col]:col_indptr[col + 1]]
-        if len(v) == 0:
-            cuts.append(np.empty(0))
-            continue
-        unique = np.unique(v)
-        if len(unique) <= n_bins - 1:
-            cuts.append(unique)
-        else:
-            quantiles = np.quantile(v, np.linspace(0.0, 1.0, n_bins - 1))
-            cuts.append(np.unique(quantiles))
-    return cuts
-
-
-def bin_matrix(X: SparseMatrix, cuts: list[np.ndarray]) -> np.ndarray:
-    """Bin index per stored nonzero, parallel to X.vals (always >= 1)."""
-    col_indptr, _, vals, csr_pos = X.to_csc()
-    bins = np.zeros(X.nnz, dtype=np.int64)
-    for col in range(X.n_cols):
-        lo, hi = col_indptr[col], col_indptr[col + 1]
-        if hi > lo:
-            bins[csr_pos[lo:hi]] = 1 + np.searchsorted(
-                cuts[col], vals[lo:hi], side="left")
-    return bins
-
+# -- binning and split search ----------------------------------------------
 
 def split_threshold(cuts: list[np.ndarray], col: int, bin_threshold: int) -> float:
     """Raw-value threshold equivalent to ``bin <= bin_threshold``."""
@@ -253,50 +225,17 @@ def split_threshold(cuts: list[np.ndarray], col: int, bin_threshold: int) -> flo
     return float(cuts[col][bin_threshold - 1])
 
 
-# -- histograms and split search -------------------------------------------
-
-def find_best_split(grad_hist: np.ndarray, hess_hist: np.ndarray,
-                    count_hist: np.ndarray, lambda_l2: float,
-                    min_data_in_leaf: int, totals: tuple[float, float, int],
-                    ) -> tuple[int, int, float] | None:
-    """Best (column, bin, gain) over (n_cols, n_bins) histograms.
-
-    ``totals`` is the node's (grad_sum, hess_sum, row_count).  Returns None
-    when no split has positive gain while leaving min_data_in_leaf rows on
-    both sides.  Ties go to the lowest column, then the lowest bin.
-    """
-    gains, valid = _split_gains(grad_hist, hess_hist, count_hist,
-                                lambda_l2, min_data_in_leaf, *totals)
-    if not valid.any():
-        return None
-    flat = np.where(valid, gains, -np.inf).ravel()
-    best = int(np.argmax(flat))
-    if flat[best] <= 0.0:
-        return None
-    col, bin_threshold = divmod(best, gains.shape[1])
-    return col, bin_threshold, float(flat[best])
-
-
-def _split_gains(grad_hist, hess_hist, count_hist, lambda_l2, min_data_in_leaf,
-                 g_tot, h_tot, c_tot):
-    """Gain and validity per (column, threshold bin); thresholds 0..B-2."""
-    g_left = np.cumsum(grad_hist, axis=1)[:, :-1]
-    h_left = np.cumsum(hess_hist, axis=1)[:, :-1]
-    c_left = np.cumsum(count_hist, axis=1)[:, :-1]
-    g_right = g_tot - g_left
-    h_right = h_tot - h_left
-    c_right = c_tot - c_left
-    valid = (c_left >= min_data_in_leaf) & (c_right >= min_data_in_leaf)
-    parent = g_tot * g_tot / (h_tot + lambda_l2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (g_left * g_left / (h_left + lambda_l2)
-                       + g_right * g_right / (h_right + lambda_l2)
-                       - parent)
-    return gains, valid
-
-
 class _BinnedMatrix:
-    """Training matrix pre-binned for histogram work."""
+    """Training matrix pre-binned for histogram work.
+
+    ``cuts[col]`` holds the column's cut values and ``bins`` a bin index per
+    stored nonzero, parallel to X.vals (always >= 1).  A column with at most
+    n_bins - 1 distinct nonzero values gives every distinct value its own
+    bin (the cuts are the values themselves), which makes histogram splits
+    coincide with exhaustive value splits; a column with more is cut at
+    n_bins - 1 evenly spaced quantiles of its nonzero values (at its
+    maximum alone when n_bins is 2), duplicates dropped.
+    """
 
     def __init__(self, X: SparseMatrix, n_bins: int):
         if X.nnz and X.vals.min() < 0.0:
@@ -304,179 +243,176 @@ class _BinnedMatrix:
                              "is reserved for zeros, which must sort lowest")
         self.X = X
         self.n_bins = n_bins
-        self.cuts = compute_bin_edges(X, n_bins)
-        self.bins = bin_matrix(X, self.cuts)
+        self.cuts: list[np.ndarray] = []
+        self.bins = np.zeros(X.nnz, dtype=np.int64)
+        col_indptr, _, vals, csr_pos = X.to_csc()
+        for lo, hi in zip(col_indptr[:-1].tolist(), col_indptr[1:].tolist()):
+            v = vals[lo:hi]
+            cuts = np.unique(v)
+            if len(cuts) > n_bins - 1:
+                # the top cut is the maximum, so that every value lands in
+                # one of the n_bins - 1 nonzero bins
+                q = np.linspace(0.0, 1.0, n_bins - 1) if n_bins > 2 else 1.0
+                cuts = np.unique(np.quantile(v, q))
+            self.cuts.append(cuts)
+            self.bins[csr_pos[lo:hi]] = 1 + np.searchsorted(cuts, v, side="left")
 
-    def node_histograms(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
-                        g_tot: float, h_tot: float):
-        """Histograms over the columns occupied at this node.
+    def split_gains(self, node: tuple, g: np.ndarray, h: np.ndarray,
+                    config: GbdtConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Gain of every split of ``node``, a (rows, g_sum, h_sum) record.
 
-        Returns (occupied_cols, grad_hist, hess_hist, count_hist); the
-        zero bin holds node totals minus the column's nonzero sums.
-        Columns with no nonzero entry at the node cannot split and are
-        omitted.
+        Returns (occupied, gains).  ``occupied`` lists the columns with a
+        nonzero entry at the node; no other column can split it.
+        ``gains[k, b]`` is the gain of sending bins 0..b of column
+        occupied[k] left, for b in 0..n_bins-2, and -inf where a side would
+        hold fewer than min_data_in_leaf rows.  The zero bin holds the node
+        totals minus the column's nonzero sums.
         """
+        rows, g_sum, h_sum = node
+        n, min_data, n_bins = len(rows), config.min_data_in_leaf, self.n_bins
+        no_split = np.empty(0, dtype=np.int64), np.empty((0, n_bins - 1))
+        if n < 2 * min_data:
+            return no_split
         pos, lengths = self.X.gather_positions(rows)
-        cols_k = self.X.cols[pos]
-        bins_k = self.bins[pos]
-        if len(cols_k) == 0:
-            return (np.empty(0, dtype=np.int64), np.empty((0, self.n_bins)),
-                    np.empty((0, self.n_bins)), np.empty((0, self.n_bins),
-                                                         dtype=np.int64))
-        g_k = np.repeat(g[rows], lengths)
-        h_k = np.repeat(h[rows], lengths)
-        occupied = np.unique(cols_k)
-        keys = np.searchsorted(occupied, cols_k) * self.n_bins + bins_k
-        size = len(occupied) * self.n_bins
-        grad_hist = np.bincount(keys, weights=g_k, minlength=size)
-        hess_hist = np.bincount(keys, weights=h_k, minlength=size)
-        count_hist = np.bincount(keys, minlength=size).astype(np.int64)
-        grad_hist = grad_hist.reshape(len(occupied), self.n_bins)
-        hess_hist = hess_hist.reshape(len(occupied), self.n_bins)
-        count_hist = count_hist.reshape(len(occupied), self.n_bins)
-        grad_hist[:, 0] = g_tot - grad_hist[:, 1:].sum(axis=1)
-        hess_hist[:, 0] = h_tot - hess_hist[:, 1:].sum(axis=1)
-        count_hist[:, 0] = len(rows) - count_hist[:, 1:].sum(axis=1)
-        return occupied, grad_hist, hess_hist, count_hist
+        if len(pos) == 0:
+            return no_split
+        cols = self.X.cols[pos]
+        occupied = np.unique(cols)
+        keys = np.searchsorted(occupied, cols) * n_bins + self.bins[pos]
+        size, shape = len(occupied) * n_bins, (len(occupied), n_bins)
+        grad = np.bincount(keys, weights=np.repeat(g[rows], lengths),
+                           minlength=size).reshape(shape)
+        hess = np.bincount(keys, weights=np.repeat(h[rows], lengths),
+                           minlength=size).reshape(shape)
+        count = np.bincount(keys, minlength=size).reshape(shape)
+        grad[:, 0] = g_sum - grad[:, 1:].sum(axis=1)
+        hess[:, 0] = h_sum - hess[:, 1:].sum(axis=1)
+        count[:, 0] = n - count[:, 1:].sum(axis=1)
+        # left-side sums of thresholds 0..n_bins-2, accumulated in place
+        g_left = np.cumsum(grad, axis=1, out=grad)[:, :-1]
+        h_left = np.cumsum(hess, axis=1, out=hess)[:, :-1]
+        c_left = np.cumsum(count, axis=1, out=count)[:, :-1]
+        g_right = g_sum - g_left
+        lam = config.lambda_l2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = g_left * g_left / (h_left + lam)
+            gains += g_right * g_right / (h_sum - h_left + lam)
+            gains -= g_sum * g_sum / (h_sum + lam)
+            gains *= 0.5
+        gains[(c_left < min_data) | (c_left > n - min_data)] = -np.inf
+        return occupied, gains
+
+    def split_node(self, node: tuple, col: int, threshold: float,
+                   g: np.ndarray, h: np.ndarray) -> tuple[tuple, tuple]:
+        """Child records of ``node``; rows go left iff value <= threshold,
+        the routing ``predict`` applies."""
+        rows = node[0]
+        goes_left = self.X.column_values(col, rows) <= threshold
+        return _node(rows[goes_left], g, h), _node(rows[~goes_left], g, h)
 
 
-def _leaf_value(g_sum: float, h_sum: float, config: GbdtConfig) -> float:
+def _node(rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:
+    """A node record: its rows and their gradient and hessian sums."""
+    return rows, float(g[rows].sum()), float(h[rows].sum())
+
+
+def _leaf_value(node: tuple, config: GbdtConfig) -> float:
+    rows, g_sum, h_sum = node
+    if len(rows) == 0:
+        return 0.0  # a symmetric leaf no training row reaches
     return -g_sum / (h_sum + config.lambda_l2) * config.learning_rate
 
 
-def _best_for_node(binned: _BinnedMatrix, rows, g, h, g_tot, h_tot,
-                   config: GbdtConfig):
-    """(gain, column, bin, threshold) for the node, or None."""
-    occupied, grad_hist, hess_hist, count_hist = binned.node_histograms(
-        rows, g, h, g_tot, h_tot)
-    if len(occupied) == 0:
-        return None
-    found = find_best_split(grad_hist, hess_hist, count_hist,
-                            config.lambda_l2, config.min_data_in_leaf,
-                            totals=(g_tot, h_tot, len(rows)))
-    if found is None:
-        return None
-    occ_index, bin_threshold, gain = found
-    col = int(occupied[occ_index])
-    return gain, col, bin_threshold, split_threshold(binned.cuts, col,
-                                                     bin_threshold)
+def _leaf_values(leaves: list[tuple], config: GbdtConfig,
+                 n: int) -> tuple[list[float], np.ndarray]:
+    """Each leaf's value, and the per-row training predictions they give."""
+    values = [_leaf_value(leaf, config) for leaf in leaves]
+    predictions = np.empty(n)
+    for (rows, _, _), value in zip(leaves, values):
+        predictions[rows] = value
+    return values, predictions
 
 
 def _grow_leafwise(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
                    config: GbdtConfig) -> tuple[LeafwiseTree, np.ndarray]:
     """Grow one tree; returns it plus its per-row training predictions."""
-    n = len(g)
+    def best_split(node):
+        """(gain, column, bin) of the node's best split, or None."""
+        occupied, gains = binned.split_gains(node, g, h, config)
+        if gains.size == 0:
+            return None
+        best = int(np.argmax(gains))
+        if gains.flat[best] <= 0.0:
+            return None
+        k, bin_threshold = divmod(best, gains.shape[1])
+        return float(gains.flat[best]), int(occupied[k]), bin_threshold
+
     tree = LeafwiseTree(columns=[-1], bins=[-1], thresholds=[0.0],
                         left=[-1], right=[-1], values=[0.0])
-    all_rows = np.arange(n)
-    root_g, root_h = float(g.sum()), float(h.sum())
-    stats = {0: (all_rows, root_g, root_h)}
-    best = {0: _best_for_node(binned, all_rows, g, h, root_g, root_h, config)}
+    nodes = {0: _node(np.arange(len(g)), g, h)}
+    best = {0: best_split(nodes[0])}
     leaves = [0]
-
     while len(leaves) < config.max_leaves:
-        chosen = None
-        for node in leaves:
-            candidate = best[node]
-            if candidate is None:
-                continue
-            if chosen is None or candidate[0] > best[chosen][0]:
-                chosen = node
-        if chosen is None:
+        splittable = [leaf for leaf in leaves if best[leaf] is not None]
+        if not splittable:
             break
-        _, col, bin_threshold, threshold = best[chosen]
-        rows, g_sum, h_sum = stats[chosen]
-        goes_left = binned.X.column_values(col, rows) <= threshold
-        left_rows, right_rows = rows[goes_left], rows[~goes_left]
-
-        left_id, right_id = len(tree.columns), len(tree.columns) + 1
+        # the first leaf of highest gain
+        chosen = max(splittable, key=lambda leaf: best[leaf][0])
+        _, col, bin_threshold = best.pop(chosen)
+        threshold = split_threshold(binned.cuts, col, bin_threshold)
+        left_id = len(tree.columns)
         tree.columns[chosen] = col
         tree.bins[chosen] = bin_threshold
         tree.thresholds[chosen] = threshold
         tree.left[chosen] = left_id
-        tree.right[chosen] = right_id
-        for child_rows in (left_rows, right_rows):
-            tree.columns.append(-1)
-            tree.bins.append(-1)
-            tree.thresholds.append(0.0)
-            tree.left.append(-1)
-            tree.right.append(-1)
-            tree.values.append(0.0)
-            child_g = float(g[child_rows].sum())
-            child_h = float(h[child_rows].sum())
-            child_id = len(tree.columns) - 1
-            stats[child_id] = (child_rows, child_g, child_h)
-            best[child_id] = _best_for_node(binned, child_rows, g, h,
-                                            child_g, child_h, config)
+        tree.right[chosen] = left_id + 1
+        for child in binned.split_node(nodes.pop(chosen), col, threshold, g, h):
+            child_id = len(tree.columns)
+            for array, blank in ((tree.columns, -1), (tree.bins, -1),
+                                 (tree.thresholds, 0.0), (tree.left, -1),
+                                 (tree.right, -1), (tree.values, 0.0)):
+                array.append(blank)
+            nodes[child_id] = child
+            best[child_id] = best_split(child)
         leaves.remove(chosen)
-        leaves.extend([left_id, right_id])
-        del stats[chosen], best[chosen]
+        leaves.extend([left_id, left_id + 1])
 
-    predictions = np.empty(n)
-    for node in leaves:
-        rows, g_sum, h_sum = stats[node]
-        value = _leaf_value(g_sum, h_sum, config)
-        tree.values[node] = value
-        predictions[rows] = value
+    values, predictions = _leaf_values([nodes[leaf] for leaf in leaves],
+                                       config, len(g))
+    for leaf, value in zip(leaves, values):
+        tree.values[leaf] = value
     return tree, predictions
 
 
 def _grow_symmetric(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
                     config: GbdtConfig) -> tuple[SymmetricTree, np.ndarray]:
-    n = len(g)
     n_bins = binned.n_bins
-    groups: list[np.ndarray] = [np.arange(n)]
+    nodes = [_node(np.arange(len(g)), g, h)]
     tree = SymmetricTree(columns=[], bins=[], thresholds=[], leaf_values=[])
 
     for _ in range(config.depth):
         total_gain = np.zeros((binned.X.n_cols, n_bins - 1))
-        for rows in groups:
-            if len(rows) < 2 * config.min_data_in_leaf:
-                continue
-            g_tot = float(g[rows].sum())
-            h_tot = float(h[rows].sum())
-            occupied, grad_hist, hess_hist, count_hist = binned.node_histograms(
-                rows, g, h, g_tot, h_tot)
-            if len(occupied) == 0:
-                continue
-            gains, valid = _split_gains(grad_hist, hess_hist, count_hist,
-                                        config.lambda_l2, config.min_data_in_leaf,
-                                        g_tot, h_tot, len(rows))
-            total_gain[occupied] += np.where(valid & (gains > 0.0), gains, 0.0)
+        for node in nodes:
+            occupied, gains = binned.split_gains(node, g, h, config)
+            total_gain[occupied] += np.where(gains > 0.0, gains, 0.0)
 
-        best = int(np.argmax(total_gain.ravel()))
-        if total_gain.ravel()[best] <= 0.0:
+        if total_gain.max(initial=0.0) <= 0.0:  # initial: no columns at all
             # no level split improves: pad with a no-op routing all rows left
             tree.columns.append(0)
             tree.bins.append(n_bins - 1)
             tree.thresholds.append(None)
-            padded: list[np.ndarray] = []
-            for rows in groups:
-                padded.extend([rows, np.empty(0, dtype=np.int64)])
-            groups = padded
+            empty = _node(np.empty(0, dtype=np.int64), g, h)
+            nodes = [child for node in nodes for child in (node, empty)]
             continue
-        col, bin_threshold = divmod(best, n_bins - 1)
+        col, bin_threshold = divmod(int(np.argmax(total_gain)), n_bins - 1)
         threshold = split_threshold(binned.cuts, col, bin_threshold)
         tree.columns.append(col)
         tree.bins.append(bin_threshold)
         tree.thresholds.append(threshold)
-        next_groups: list[np.ndarray] = []
-        for rows in groups:
-            if len(rows) == 0:
-                next_groups.extend([rows, rows])
-                continue
-            goes_left = binned.X.column_values(col, rows) <= threshold
-            next_groups.extend([rows[goes_left], rows[~goes_left]])
-        groups = next_groups
+        nodes = [child for node in nodes
+                 for child in binned.split_node(node, col, threshold, g, h)]
 
-    predictions = np.empty(n)
-    for rows in groups:
-        if len(rows) == 0:
-            tree.leaf_values.append(0.0)
-            continue
-        value = _leaf_value(float(g[rows].sum()), float(h[rows].sum()), config)
-        tree.leaf_values.append(value)
-        predictions[rows] = value
+    tree.leaf_values, predictions = _leaf_values(nodes, config, len(g))
     return tree, predictions
 
 

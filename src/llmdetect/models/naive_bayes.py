@@ -8,6 +8,7 @@ log scores (the evidence term enters as the normalizer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,8 @@ class NaiveBayesModel:
 
 def train_nb(X: SparseMatrix, y, alpha: float = DEFAULT_ALPHA) -> NaiveBayesModel:
     """Fit priors and smoothed per-class feature likelihoods."""
-    if alpha <= 0.0:
-        raise ModelError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ModelError(f"alpha must be positive and finite, got {alpha}")
     if X.n_rows == 0:
         raise ModelError("cannot train on an empty matrix")
     y = check_binary_labels(y, X.n_rows)

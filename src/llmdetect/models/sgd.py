@@ -11,6 +11,7 @@ decays as eta0 / (1 + eta0 * l2 * t) over global step count t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,10 +30,10 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta0 <= 0.0:
-            raise ModelError(f"eta0 must be positive, got {self.eta0}")
-        if self.l2 < 0.0:
-            raise ModelError(f"l2 must be non-negative, got {self.l2}")
+        if not 0.0 < self.eta0 < math.inf:
+            raise ModelError(f"eta0 must be positive and finite, got {self.eta0}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ModelError(f"l2 must be non-negative and finite, got {self.l2}")
         if self.epochs < 1:
             raise ModelError(f"epochs must be >= 1, got {self.epochs}")
 

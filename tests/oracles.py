@@ -358,3 +358,109 @@ def oracle_predictions(leaves) -> dict[int, float]:
         for row in node.rows:
             out[int(row)] = node.value
     return out
+
+
+# -- GBDT: binning and split choice before the single split search ---------
+# The library's two binning passes and its histogram split choice, kept
+# verbatim; ``_BinnedMatrix`` must reproduce their cuts and bins byte for
+# byte, and leaf-wise growth their (column, bin, gain) choice.  One case
+# differs on purpose: with n_bins = 2 a column of two or more distinct
+# values gets a cut at its minimum here, which bins larger values past
+# the last bin, and a cut at its maximum in the library.
+
+def compute_bin_edges(X: SparseMatrix, n_bins: int) -> list[np.ndarray]:
+    """Per-column cut values for the nonzero entries.
+
+    If a column has at most n_bins - 1 distinct nonzero values, every
+    distinct value gets its own bin (cuts are the values themselves), which
+    makes histogram splits coincide with exhaustive value splits.
+    """
+    col_indptr, _, vals, _ = X.to_csc()
+    cuts: list[np.ndarray] = []
+    for col in range(X.n_cols):
+        v = vals[col_indptr[col]:col_indptr[col + 1]]
+        if len(v) == 0:
+            cuts.append(np.empty(0))
+            continue
+        unique = np.unique(v)
+        if len(unique) <= n_bins - 1:
+            cuts.append(unique)
+        else:
+            quantiles = np.quantile(v, np.linspace(0.0, 1.0, n_bins - 1))
+            cuts.append(np.unique(quantiles))
+    return cuts
+
+
+def bin_matrix(X: SparseMatrix, cuts: list[np.ndarray]) -> np.ndarray:
+    """Bin index per stored nonzero, parallel to X.vals (always >= 1)."""
+    col_indptr, _, vals, csr_pos = X.to_csc()
+    bins = np.zeros(X.nnz, dtype=np.int64)
+    for col in range(X.n_cols):
+        lo, hi = col_indptr[col], col_indptr[col + 1]
+        if hi > lo:
+            bins[csr_pos[lo:hi]] = 1 + np.searchsorted(
+                cuts[col], vals[lo:hi], side="left")
+    return bins
+
+
+def find_best_split(grad_hist: np.ndarray, hess_hist: np.ndarray,
+                    count_hist: np.ndarray, lambda_l2: float,
+                    min_data_in_leaf: int, totals: tuple[float, float, int],
+                    ) -> tuple[int, int, float] | None:
+    """Best (column, bin, gain) over (n_cols, n_bins) histograms.
+
+    ``totals`` is the node's (grad_sum, hess_sum, row_count).  Returns None
+    when no split has positive gain while leaving min_data_in_leaf rows on
+    both sides.  Ties go to the lowest column, then the lowest bin.
+    """
+    gains, valid = _split_gains(grad_hist, hess_hist, count_hist,
+                                lambda_l2, min_data_in_leaf, *totals)
+    if not valid.any():
+        return None
+    flat = np.where(valid, gains, -np.inf).ravel()
+    best = int(np.argmax(flat))
+    if flat[best] <= 0.0:
+        return None
+    col, bin_threshold = divmod(best, gains.shape[1])
+    return col, bin_threshold, float(flat[best])
+
+
+def _split_gains(grad_hist, hess_hist, count_hist, lambda_l2, min_data_in_leaf,
+                 g_tot, h_tot, c_tot):
+    """Gain and validity per (column, threshold bin); thresholds 0..B-2."""
+    g_left = np.cumsum(grad_hist, axis=1)[:, :-1]
+    h_left = np.cumsum(hess_hist, axis=1)[:, :-1]
+    c_left = np.cumsum(count_hist, axis=1)[:, :-1]
+    g_right = g_tot - g_left
+    h_right = h_tot - h_left
+    c_right = c_tot - c_left
+    valid = (c_left >= min_data_in_leaf) & (c_right >= min_data_in_leaf)
+    parent = g_tot * g_tot / (h_tot + lambda_l2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (g_left * g_left / (h_left + lambda_l2)
+                       + g_right * g_right / (h_right + lambda_l2)
+                       - parent)
+    return gains, valid
+
+
+def histograms_oracle(X: SparseMatrix, bins: np.ndarray, rows, g, h,
+                      n_bins: int):
+    """(grad, hess, count) histograms of every column at the node holding
+    ``rows``, one stored entry at a time; the zero bin holds the node's
+    rows with no entry in the column."""
+    grad = np.zeros((X.n_cols, n_bins))
+    hess = np.zeros((X.n_cols, n_bins))
+    count = np.zeros((X.n_cols, n_bins), dtype=np.int64)
+    for row in rows:
+        grad[:, 0] += g[row]
+        hess[:, 0] += h[row]
+        count[:, 0] += 1
+        for k in range(X.indptr[row], X.indptr[row + 1]):
+            col, b = X.cols[k], bins[k]
+            grad[col, 0] -= g[row]
+            hess[col, 0] -= h[row]
+            count[col, 0] -= 1
+            grad[col, b] += g[row]
+            hess[col, b] += h[row]
+            count[col, b] += 1
+    return grad, hess, count

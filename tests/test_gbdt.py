@@ -2,61 +2,112 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llmdetect.errors import ModelError
-from llmdetect.models import GbdtConfig, find_best_split, train_gbdt
+from llmdetect.models import GbdtConfig, train_gbdt
 from llmdetect.models.common import sigmoid
-from llmdetect.models.gbdt import LEAF_WISE, SYMMETRIC, _BinnedMatrix
+from llmdetect.models.gbdt import (LEAF_WISE, SYMMETRIC, _BinnedMatrix, _node,
+                                   split_threshold)
 from llmdetect.sparse import SparseMatrix
 from llmdetect.metrics import roc_auc
 from conftest import random_sparse
 from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
+from oracles import (_oracle_gain, bin_matrix, compute_bin_edges,
+                     find_best_split, histograms_oracle)
 
 
-def node_histograms(X, rows, g, h, n_bins):
-    """The training path's histograms at the node holding ``rows``."""
+def node_split_gains(X, rows, g, h, n_bins, min_data_in_leaf=1, lambda_l2=1.0):
+    """The training path's (binned matrix, occupied, gains) at the node
+    holding ``rows``."""
     binned = _BinnedMatrix(X, n_bins)
-    return binned.node_histograms(rows, g, h, float(g[rows].sum()),
-                                  float(h[rows].sum()))
+    config = GbdtConfig(n_bins=n_bins, min_data_in_leaf=min_data_in_leaf,
+                        lambda_l2=lambda_l2)
+    occupied, gains = binned.split_gains(_node(rows, g, h), g, h, config)
+    return binned, occupied, gains
+
+
+def explicit_gains(X, binned, occupied, rows, g, h, min_data_in_leaf=1,
+                   lambda_l2=1.0):
+    """Gains from the explicit left/right rows of every threshold, -inf
+    where a side holds fewer than min_data_in_leaf rows."""
+    out = np.full((len(occupied), binned.n_bins - 1), -np.inf)
+    for k, col in enumerate(occupied):
+        values = X.column_values(col, rows)
+        for b in range(binned.n_bins - 1):
+            # bins past the last cut are empty: their threshold is that cut
+            last = min(b, len(binned.cuts[col]))
+            goes_left = values <= split_threshold(binned.cuts, col, last)
+            left, right = rows[goes_left], rows[~goes_left]
+            if min(len(left), len(right)) >= min_data_in_leaf:
+                out[k, b] = _oracle_gain(g[left].sum(), h[left].sum(),
+                                         g[right].sum(), h[right].sum(),
+                                         lambda_l2)
+    return out
+
+
+def assert_gains_explicit(X, binned, occupied, gains, rows, g, h, **kw):
+    expected = explicit_gains(X, binned, occupied, rows, g, h, **kw)
+    assert gains.shape == expected.shape
+    np.testing.assert_array_equal(np.isinf(gains), np.isinf(expected))
+    finite = np.isfinite(expected)
+    np.testing.assert_allclose(gains[finite], expected[finite], rtol=1e-9,
+                               atol=1e-12)
+
+
+def leafwise_choice(occupied, gains):
+    """Leaf-wise growth's pick at a node: (column, bin, gain) of the first
+    largest gain if it is positive, else None."""
+    if gains.size == 0 or gains.max() <= 0.0:
+        return None
+    k, b = divmod(int(np.argmax(gains)), gains.shape[1])
+    return int(occupied[k]), b, float(gains[k, b])
 
 
 class TestHistograms:
     def test_single_bin_totals(self):
         # one distinct nonzero value, present in every row: all of the
-        # node's mass lands in bin 1 and none in the zero bin
+        # node's mass lands in bin 1 and none in the zero bin, so no
+        # threshold leaves rows on both sides
         g = np.array([0.5, -0.25, 1.0])
         h = np.array([0.2, 0.3, 0.1])
         X = SparseMatrix.from_dense([[0.7], [0.7], [0.7]])
-        occupied, grad, hess, count = node_histograms(X, np.arange(3), g, h, 4)
+        binned, occupied, gains = node_split_gains(X, np.arange(3), g, h, 4)
         assert occupied.tolist() == [0]
-        assert grad[0, 1] == pytest.approx(g.sum(), abs=1e-12)
-        assert hess[0, 1] == pytest.approx(h.sum(), abs=1e-12)
-        assert count[0].tolist() == [0, 3, 0, 0]
+        assert binned.bins.tolist() == [1, 1, 1]
+        assert gains.tolist() == [[-np.inf] * 3]
+        assert _node(np.arange(3), g, h)[1:] == pytest.approx(
+            (g.sum(), h.sum()), abs=1e-12)
 
     def test_all_zero_column_mass_in_zero_bin(self):
         X = SparseMatrix.from_dense([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0],
                                      [0.0, 3.0], [0.0, 0.0]])
         ones = np.ones(5)
-        occupied, _, _, count = node_histograms(X, np.arange(5), ones, ones, 8)
+        rows = np.arange(5)
+        binned, occupied, gains = node_split_gains(X, rows, ones, ones, 8)
         assert occupied.tolist() == [0, 1]
-        assert count[:, 0].tolist() == [3, 4]  # zero rows per column
+        # threshold 0 sends each column's zero rows (3 and 4) left
+        assert gains[0, 0] == pytest.approx(_oracle_gain(3, 3, 2, 2, 1.0))
+        assert gains[1, 0] == pytest.approx(_oracle_gain(4, 4, 1, 1, 1.0))
+        assert_gains_explicit(X, binned, occupied, gains, rows, ones, ones)
         # column 1 is all zero at this node: it cannot split and is omitted
-        occupied, grad, _, count = node_histograms(X, np.array([0, 1, 2]),
-                                                   ones, ones, 8)
+        rows = np.array([0, 1, 2])
+        binned, occupied, gains = node_split_gains(X, rows, ones, ones, 8)
         assert occupied.tolist() == [0]
-        assert count[0, 0] == 1 and grad[0, 0] == 1.0
+        assert gains[0, 0] == pytest.approx(_oracle_gain(1, 1, 2, 2, 1.0))
+        assert_gains_explicit(X, binned, occupied, gains, rows, ones, ones)
 
     def test_bin_statistics_sum_to_column_totals(self, rng):
+        # the right side of every threshold is the node minus its left side
         X, _ = random_sparse(rng, 40, 6, max_distinct=10)
         g = rng.normal(size=40)
         h = rng.random(40)
         rows = np.sort(rng.choice(40, size=25, replace=False))
-        occupied, grad, hess, count = node_histograms(X, rows, g, h, 6)
+        binned, occupied, gains = node_split_gains(X, rows, g, h, 6)
         assert len(occupied) > 0
-        np.testing.assert_allclose(grad.sum(axis=1), g[rows].sum(), atol=1e-12)
-        np.testing.assert_allclose(hess.sum(axis=1), h[rows].sum(), atol=1e-12)
-        assert (count.sum(axis=1) == len(rows)).all()
+        assert_gains_explicit(X, binned, occupied, gains, rows, g, h)
 
     def test_histogram_gain_matches_exhaustive(self, rng):
         # with one bin per distinct value, the best histogram split must
@@ -66,52 +117,172 @@ class TestHistograms:
         g = rng.normal(size=50)
         h = rng.random(50) + 0.1
         rows = np.arange(50)
-        occupied, grad, hess, count = node_histograms(X, rows, g, h, 32)
-        found = find_best_split(grad, hess, count, lambda_l2=1.0,
-                                min_data_in_leaf=2,
-                                totals=(float(g.sum()), float(h.sum()), 50))
+        _, occupied, gains = node_split_gains(X, rows, g, h, 32,
+                                              min_data_in_leaf=2)
+        found = leafwise_choice(occupied, gains)
         expected = _oracle_best_split(dense, _column_thresholds(dense), rows,
                                       g, h, 1.0, 2)
         assert found is not None and expected is not None
-        assert occupied[found[0]] == expected[1]  # same column
+        assert found[0] == expected[1]  # same column
         assert found[2] == pytest.approx(expected[0], rel=1e-9)
 
 
 class TestFindBestSplit:
     @staticmethod
-    def totals(grad, hess, count):
-        return float(grad[0].sum()), float(hess[0].sum()), int(count[0].sum())
+    def choice(dense, g, h, n_bins, min_data_in_leaf):
+        X = SparseMatrix.from_dense(dense)
+        _, occupied, gains = node_split_gains(
+            X, np.arange(len(g)), np.asarray(g, float), np.asarray(h, float),
+            n_bins, min_data_in_leaf)
+        return leafwise_choice(occupied, gains)
 
     def test_pure_leaf_returns_none(self):
-        count = np.array([[3, 2, 4, 1]])
-        grad = 0.5 * count  # per-bin sums
-        hess = 0.25 * count
-        assert find_best_split(grad, hess, count, 1.0, 1,
-                               self.totals(grad, hess, count)) is None
+        # count [3, 2, 4, 1] over four bins, every row with g 0.5, h 0.25
+        column = [0.0] * 3 + [1.0] * 2 + [2.0] * 4 + [3.0]
+        assert self.choice([[v] for v in column], [0.5] * 10, [0.25] * 10,
+                           4, 1) is None
 
     def test_two_group_boundary(self):
         # bin 0: strongly negative gradients; bin 1: strongly positive
-        grad = np.array([[-5.0, 5.0]])
-        hess = np.array([[2.0, 2.0]])
-        count = np.array([[10, 10]])
-        col, bin_threshold, gain = find_best_split(
-            grad, hess, count, 1.0, 1, self.totals(grad, hess, count))
+        column = [0.0] * 10 + [1.0] * 10
+        col, bin_threshold, gain = self.choice(
+            [[v] for v in column], [-0.5] * 10 + [0.5] * 10, [0.2] * 20, 2, 1)
         assert (col, bin_threshold) == (0, 0) and gain > 0
 
     def test_tie_prefers_lowest_column(self):
-        grad = np.array([[-5.0, 5.0], [-5.0, 5.0]])
-        hess = np.array([[2.0, 2.0], [2.0, 2.0]])
-        count = np.array([[10, 10], [10, 10]])
-        col, _, _ = find_best_split(grad, hess, count, 1.0, 1,
-                                    self.totals(grad, hess, count))
+        column = [0.0] * 10 + [1.0] * 10
+        col, _, _ = self.choice([[v, v] for v in column],
+                                [-0.5] * 10 + [0.5] * 10, [0.2] * 20, 2, 1)
         assert col == 0
 
+    @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
+    def test_tie_prefers_lowest_column_in_training(self, variant):
+        column = [0.0] * 10 + [1.0] * 10
+        X = SparseMatrix.from_dense([[v, v] for v in column])
+        model = train_gbdt(X, [0] * 10 + [1] * 10, GbdtConfig(
+            variant=variant, n_trees=1, max_leaves=2, depth=1, n_bins=2,
+            min_data_in_leaf=1))
+        assert model.trees[0].columns[0] == 0
+
     def test_min_data_blocks_split(self):
-        grad = np.array([[-5.0, 5.0]])
-        hess = np.array([[2.0, 2.0]])
-        count = np.array([[1, 19]])
-        assert find_best_split(grad, hess, count, 1.0, 2,
-                               self.totals(grad, hess, count)) is None
+        column = [0.0] + [1.0] * 19
+        assert self.choice([[v] for v in column], [-5.0] + [5 / 19] * 19,
+                           [2.0] + [2 / 19] * 19, 2, 2) is None
+
+
+@st.composite
+def _binning_inputs(draw):
+    """Matrices whose columns are empty, hold few distinct nonzeros, or
+    more than n_bins - 1 of them (the quantile branch)."""
+    n_bins = draw(st.integers(2, 9))
+    n_rows = draw(st.integers(1, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["empty", "few", "many"]))
+        if kind == "empty":
+            columns.append(np.zeros(n_rows))
+            continue
+        grid = draw(st.integers(1, 3 * n_bins))
+        values = draw(st.lists(st.integers(0, grid), min_size=n_rows,
+                               max_size=n_rows))
+        scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e-300, 1e300]))
+        columns.append(np.array(values, dtype=float) * scale)
+    return SparseMatrix.from_dense(np.column_stack(columns)), n_bins
+
+
+class TestBinning:
+    @given(_binning_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_two_pass_oracle(self, inputs):
+        X, n_bins = inputs
+        binned = _BinnedMatrix(X, n_bins)
+        cuts = compute_bin_edges(X, n_bins)
+        expected_bins = bin_matrix(X, cuts)
+        assert len(binned.cuts) == len(cuts) == X.n_cols
+        assert binned.bins.dtype == expected_bins.dtype
+        assert ((1 <= binned.bins) & (binned.bins <= n_bins - 1)).all()
+        col_indptr, _, csc_vals, _ = X.to_csc()
+        for col, (got, expected) in enumerate(zip(binned.cuts, cuts)):
+            values = csc_vals[col_indptr[col]:col_indptr[col + 1]]
+            entries = X.cols == col
+            if n_bins == 2 and len(np.unique(values)) > 1:
+                # the two-pass cut sat at the minimum and put larger values
+                # in bin 2, past the last bin; one bin holds them all now
+                assert got.tolist() == [values.max()]
+                assert (binned.bins[entries] == 1).all()
+                continue
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            assert (binned.bins[entries].tobytes()
+                    == expected_bins[entries].tobytes())
+
+    def test_quantile_branch_and_empty_column(self):
+        X = SparseMatrix.from_dense(np.column_stack(
+            [np.arange(20.0), np.zeros(20), np.arange(20.0) % 3]))
+        binned = _BinnedMatrix(X, 3)
+        cuts = compute_bin_edges(X, 3)
+        assert [len(c) for c in cuts] == [2, 0, 2]
+        for got, expected in zip(binned.cuts, cuts):
+            assert got.tobytes() == expected.tobytes()
+        assert binned.bins.tobytes() == bin_matrix(X, cuts).tobytes()
+
+    @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
+    def test_two_bins_split_zero_from_nonzero(self, variant):
+        # once a ValueError: the only nonzero bin could not hold the values
+        # above the column's minimum
+        column = [0.0] * 6 + [0.25, 0.5, 0.75, 1.0, 0.5, 0.25]
+        X = SparseMatrix.from_dense([[v] for v in column])
+        model = train_gbdt(X, [0] * 6 + [1] * 6, GbdtConfig(
+            variant=variant, n_trees=1, max_leaves=2, depth=1, n_bins=2,
+            min_data_in_leaf=1))
+        tree = model.trees[0]
+        assert (tree.columns[0], tree.bins[0], tree.thresholds[0]) == (0, 0, 0.0)
+        assert roc_auc(model.predict_proba(X), [0] * 6 + [1] * 6) == 1.0
+
+
+@st.composite
+def _node_inputs(draw):
+    rows = draw(st.integers(2, 24))
+    cols = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X, _ = random_sparse(rng, rows, cols, density=draw(st.sampled_from(
+        [0.1, 0.4, 0.9])), max_distinct=draw(st.integers(0, 12)))
+    # dyadic gradients and hessians: every sum is exact in any order
+    g = rng.integers(-16, 17, size=rows) / 8
+    h = rng.integers(0, 17, size=rows) / 16
+    node_rows = np.sort(rng.choice(rows, size=draw(st.integers(1, rows)),
+                                   replace=False))
+    return (X, g, h, node_rows, draw(st.integers(2, 20)),
+            draw(st.integers(1, 4)), draw(st.sampled_from([0.5, 1.0, 3.0])))
+
+
+class TestSplitGains:
+    @given(_node_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_every_gain_is_the_explicit_split_gain(self, inputs):
+        X, g, h, rows, n_bins, min_data, lam = inputs
+        binned, occupied, gains = node_split_gains(X, rows, g, h, n_bins,
+                                                   min_data, lam)
+        if len(rows) >= 2 * min_data:
+            assert occupied.tolist() == sorted(
+                {int(c) for r in rows
+                 for c in X.cols[X.indptr[r]:X.indptr[r + 1]]})
+        assert_gains_explicit(X, binned, occupied, gains, rows, g, h,
+                              min_data_in_leaf=min_data, lambda_l2=lam)
+
+    @given(_node_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_leafwise_choice_matches_histogram_oracle(self, inputs):
+        X, g, h, rows, n_bins, min_data, lam = inputs
+        binned, occupied, gains = node_split_gains(X, rows, g, h, n_bins,
+                                                   min_data, lam)
+        grad, hess, count = histograms_oracle(X, binned.bins, rows, g, h,
+                                              n_bins)
+        expected = find_best_split(grad, hess, count, lam, min_data,
+                                   (float(g[rows].sum()),
+                                    float(h[rows].sum()), len(rows)))
+        assert leafwise_choice(occupied, gains) == expected
 
 
 class TestTraining:
@@ -178,6 +349,15 @@ class TestTraining:
         for tree in model.trees:
             assert tree.depth == 4
             assert len(tree.leaf_values) == 2 ** 4
+
+    @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
+    def test_no_columns_gives_constant_trees(self, variant):
+        # a TF-IDF model whose min_df drops every n-gram has no columns;
+        # the symmetric grower once failed on an empty argmax
+        X = SparseMatrix.from_dense(np.zeros((4, 0)))
+        model = train_gbdt(X, [0, 1, 0, 1], GbdtConfig(
+            variant=variant, n_trees=2, depth=2, min_data_in_leaf=1))
+        np.testing.assert_array_equal(model.predict_proba(X), [0.5] * 4)
 
     def test_symmetric_pads_with_noop_when_unsplittable(self):
         # min_data_in_leaf so large no split is ever valid

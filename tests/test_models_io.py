@@ -1,15 +1,20 @@
+import copy
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from llmdetect.corpus import save_corpus, synth_corpus
-from llmdetect.errors import ModelError
+from llmdetect.errors import LlmdetectError, ModelError
 from llmdetect.features import TfidfConfig, fit_tfidf
 from llmdetect.models import (GbdtConfig, SgdConfig, load_model, save_model,
                               train_gbdt, train_nb, train_sgd, vocab_hash)
+from llmdetect.models.gbdt import MAX_DEPTH
 from llmdetect.pipeline import TOKEN_SOURCE_WHITESPACE, train_bundle
 from llmdetect.tokenizer import TokenSequence
 from conftest import random_sparse
@@ -164,6 +169,19 @@ class TestBundleValidation:
         with pytest.raises(ModelError, match="malformed gbdt"):
             load_model(tampered(bundles["gbdt"], swap))
 
+    @pytest.mark.parametrize("name,key", [("gbdt", "columns"),
+                                          ("gbdt", "left"),
+                                          ("gbdt_symmetric", "columns")])
+    def test_boolean_index_rejected(self, bundles, name, key):
+        # a column of true once passed the range check and then failed
+        # inside predict with a TypeError
+        def poison(params):
+            params["trees"][0][key][0] = True
+            if name == "gbdt_symmetric":
+                params["trees"][0]["thresholds"][0] = 0.5
+        with pytest.raises(ModelError, match="True outside"):
+            load_model(tampered(bundles[name], poison))
+
     @pytest.mark.parametrize("name,key", [("naive_bayes", "log_prior"),
                                           ("sgd_linear", "theta")])
     def test_non_finite_weights_rejected(self, bundles, name, key):
@@ -214,3 +232,170 @@ class TestCorruptGbdtBundleCli:
             params["trees"][0]["left"][0] = 0
         assert "left child" in self.refused(tampered(leafwise[0], cycle),
                                             leafwise[1])
+
+
+def cli(*args, cwd) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "llmdetect", *map(str, args)],
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=CLI_TIME_BOUND_S)
+
+
+def single_error_line(proc, code: str) -> str:
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        f"llmdetect: error[{code}]: "), proc.stderr
+    return lines[0]
+
+
+class TestUnwritableBundle:
+    """``save_model`` writes only what ``load_model`` accepts."""
+
+    @pytest.mark.parametrize("build", [
+        lambda v: GbdtConfig(learning_rate=v),
+        lambda v: GbdtConfig(lambda_l2=v),
+        lambda v: SgdConfig(eta0=v),
+        lambda v: SgdConfig(l2=v),
+    ], ids=["gbdt.learning_rate", "gbdt.lambda_l2", "sgd.eta0", "sgd.l2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_config_rejected(self, build, value):
+        # once trained and saved a bundle that load_model refused
+        with pytest.raises(ModelError, match="finite"):
+            build(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_nb_alpha_rejected(self, training, value):
+        X, y = training
+        with pytest.raises(ModelError, match="finite"):
+            train_nb(X, y, alpha=value)
+
+    def test_non_finite_parameters_not_saved(self, tfidf, training):
+        X, y = training
+        models = train_each(X, y)
+        models["gbdt"].trees[0].values[-1] = math.inf
+        models["gbdt_symmetric"].base_score = math.nan
+        models["sgd_linear"].theta[0] = math.nan
+        models["naive_bayes"].log_likelihood[1, 0] = -math.inf
+        for name, model in models.items():
+            with pytest.raises(ModelError, match="finite"):
+                save_model(model, tfidf, vocab_ref="r")
+
+    def test_width_mismatch_not_saved(self, training):
+        X, y = training
+        narrow = fit_tfidf([TokenSequence(ids=(1, 2))], TfidfConfig(1, 1, min_df=1))
+        with pytest.raises(ModelError, match="features"):
+            save_model(train_nb(X, y), narrow, vocab_ref="r")
+
+    def test_cli_train_refuses_to_write(self, tmp_path):
+        # learning_rate 1e308 overflows a leaf value to inf; train once
+        # exited 0 and predict then failed on the bundle it wrote
+        corpus = synth_corpus(40, seed=5, divergence=0.2)
+        save_corpus(corpus, tmp_path / "c.jsonl", "jsonl")
+        (tmp_path / "run.ini").write_text(
+            "[features]\ntoken_source = whitespace\nngram_max = 1\n"
+            "min_df = 1\n[gbdt]\nlearning_rate = 1e308\nn_trees = 20\n"
+            "min_data_in_leaf = 2\n")
+        proc = cli("train", "c.jsonl", "--kind", "gbdt", "--config", "run.ini",
+                   "--out", "m.json", cwd=tmp_path)
+        assert "leaf value inf" in single_error_line(proc, "model")
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestDepthCap:
+    def test_constructor(self):
+        assert GbdtConfig(depth=MAX_DEPTH).depth == 16
+        for depth in (0, MAX_DEPTH + 1, 40):
+            with pytest.raises(ModelError, match=r"depth must be in \[1, 16\]"):
+                GbdtConfig(variant="symmetric", depth=depth)
+
+    def test_cli_fails_at_config_time(self, tmp_path):
+        # the symmetric grower keeps 2**depth row groups: depth 40 once ran
+        # out of memory instead of failing
+        save_corpus(synth_corpus(6, seed=5, divergence=0.9),
+                    tmp_path / "c.jsonl", "jsonl")
+        (tmp_path / "run.ini").write_text(
+            "[features]\ntoken_source = whitespace\nmin_df = 1\n"
+            "[gbdt]\nvariant = symmetric\ndepth = 17\nn_trees = 1\n"
+            "min_data_in_leaf = 1\n")
+        proc = cli("train", "c.jsonl", "--kind", "gbdt", "--config", "run.ini",
+                   "--out", "m.json", cwd=tmp_path)
+        assert "depth must be in [1, 16], got 17" in single_error_line(
+            proc, "model")
+        assert not (tmp_path / "m.json").exists()
+
+
+# -- fuzzing GBDT bundle parameters -----------------------------------------
+
+def _small_gbdt_bundles() -> dict[str, bytes]:
+    rng = np.random.default_rng(7)
+    X, _ = random_sparse(rng, 40, 8, max_distinct=10)
+    y = (rng.random(40) < 0.5).astype(int)
+    y[0], y[1] = 0, 1
+    docs = [TokenSequence(ids=(1, 2, 3)), TokenSequence(ids=(2, 3, 4)),
+            TokenSequence(ids=(5,))]
+    tfidf = fit_tfidf(docs, TfidfConfig(1, 2, min_df=1))
+    return {variant: save_model(train_gbdt(X, y, GbdtConfig(
+        variant=variant, n_trees=2, max_leaves=4, depth=2, n_bins=16,
+        min_data_in_leaf=2)), tfidf, vocab_ref="r")
+        for variant in ("leaf_wise", "symmetric")}
+
+
+GBDT_BUNDLES = _small_gbdt_bundles()
+_PROBE = random_sparse(np.random.default_rng(8), 30, 8, max_distinct=10)[0]
+
+_ODD_VALUES = st.sampled_from([
+    None, True, False, -1, -2, 0, 1, 2, 3, 7, 8, 10 ** 6, 2 ** 63, -(2 ** 63),
+    1.5, -0.5, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324,
+    "0", "", [], [0], {}, {"a": 1}])
+
+
+@st.composite
+def _mutations(draw, node):
+    """Up to four edits anywhere inside a parameters document: drop a key,
+    swap in a value of another type or range, resize a list, or point a
+    child back at an earlier node."""
+    for _ in range(draw(st.integers(1, 4))):
+        path, target = [], node
+        while (isinstance(target, (dict, list)) and target
+               and draw(st.integers(0, 3))):
+            key = draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                       else range(len(target))))
+            path.append(target)
+            target = target[key]
+            path.append(key)
+        if not path:
+            continue
+        parent, key = path[-2], path[-1]
+        action = draw(st.sampled_from(["drop", "replace", "grow", "cycle"]))
+        if action == "drop" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "grow" and isinstance(target, list):
+            target.append(copy.deepcopy(
+                draw(_ODD_VALUES) if draw(st.booleans())
+                else (target[-1] if target else 0)))
+        elif action == "cycle" and key in ("left", "right") and target:
+            target[draw(st.integers(0, len(target) - 1))] = draw(
+                st.integers(-1, len(target)))
+        else:
+            parent[key] = copy.deepcopy(draw(_ODD_VALUES))
+    return node
+
+
+class TestFuzzGbdtBundles:
+    @pytest.mark.parametrize("variant", ["leaf_wise", "symmetric"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_and_predict_finish_or_refuse(self, variant, data, time_bound):
+        payload = json.loads(GBDT_BUNDLES[variant])
+        payload["parameters"] = data.draw(_mutations(
+            copy.deepcopy(payload["parameters"])))
+        blob = json.dumps(payload).encode("utf-8")
+        with time_bound(10):
+            try:
+                scores = load_model(blob).predict_proba(_PROBE)
+            except LlmdetectError:
+                return
+        assert scores.shape == (_PROBE.n_rows,)
+        assert np.isfinite(scores).all()
+        assert ((0.0 <= scores) & (scores <= 1.0)).all()

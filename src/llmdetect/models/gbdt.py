@@ -19,6 +19,14 @@ the best (column, bin) to every node of that level, and always produces a
 perfect tree of the configured depth (levels with no positive-gain split
 become no-op splits and missing leaves get value 0).  Ties anywhere go to
 the lowest column, then the lowest bin.
+
+A column with fewer than min_data_in_leaf nonzeros at a node leaves fewer
+rows than that on the nonzero side of every threshold, so it cannot split
+the node.  Such columns are skipped twice, without changing any tree:
+columns with too few nonzeros in the whole matrix are never binned, and
+the split search drops the rest per node before building histograms
+(TF-IDF matrices are wide and sparse, so most columns go).  The symmetric
+grower sums a level's gains over only the columns its nodes keep.
 """
 
 from __future__ import annotations
@@ -67,8 +75,9 @@ class GbdtConfig:
         if self.min_data_in_leaf < 1:
             raise ModelError(f"min_data_in_leaf must be >= 1, "
                              f"got {self.min_data_in_leaf}")
-        if not 0.0 <= self.lambda_l2 < math.inf:
-            raise ModelError(f"lambda_l2 must be finite and >= 0, "
+        # h >= 0, so every H + lambda_l2 a leaf or a gain divides by is > 0
+        if not 0.0 < self.lambda_l2 < math.inf:
+            raise ModelError(f"lambda_l2 must be finite and > 0, "
                              f"got {self.lambda_l2}")
 
 
@@ -228,25 +237,35 @@ def split_threshold(cuts: list[np.ndarray], col: int, bin_threshold: int) -> flo
 class _BinnedMatrix:
     """Training matrix pre-binned for histogram work.
 
-    ``cuts[col]`` holds the column's cut values and ``bins`` a bin index per
-    stored nonzero, parallel to X.vals (always >= 1).  A column with at most
-    n_bins - 1 distinct nonzero values gives every distinct value its own
-    bin (the cuts are the values themselves), which makes histogram splits
-    coincide with exhaustive value splits; a column with more is cut at
-    n_bins - 1 evenly spaced quantiles of its nonzero values (at its
+    Only the ``splittable`` columns, those with at least min_data_in_leaf
+    nonzeros, are binned: any other column leaves fewer rows than that on
+    the nonzero side of every threshold at every node, so it can split
+    none.  ``X_split`` is X restricted to them (column k is
+    splittable[k]), and ``bins`` a bin index per stored nonzero of
+    X_split, parallel to its vals (always >= 1).  ``cuts[col]`` holds a
+    column's cut values, empty if it is not splittable.  A column with at
+    most n_bins - 1 distinct nonzero values gives every distinct value its
+    own bin (the cuts are the values themselves), which makes histogram
+    splits coincide with exhaustive value splits; a column with more is
+    cut at n_bins - 1 evenly spaced quantiles of its nonzero values (at its
     maximum alone when n_bins is 2), duplicates dropped.
     """
 
-    def __init__(self, X: SparseMatrix, n_bins: int):
+    def __init__(self, X: SparseMatrix, config: GbdtConfig):
         if X.nnz and X.vals.min() < 0.0:
             raise ModelError("negative feature values are unsupported: bin 0 "
                              "is reserved for zeros, which must sort lowest")
         self.X = X
-        self.n_bins = n_bins
-        self.cuts: list[np.ndarray] = []
-        self.bins = np.zeros(X.nnz, dtype=np.int64)
+        self.config = config
+        self.n_bins = n_bins = config.n_bins
         col_indptr, _, vals, csr_pos = X.to_csc()
-        for lo, hi in zip(col_indptr[:-1].tolist(), col_indptr[1:].tolist()):
+        self.splittable = np.flatnonzero(
+            np.diff(col_indptr) >= config.min_data_in_leaf)
+        self.cuts: list[np.ndarray] = [np.empty(0)] * X.n_cols
+        bins = np.zeros(X.nnz, dtype=np.int64)
+        bounds = col_indptr.tolist()
+        for col in self.splittable.tolist():
+            lo, hi = bounds[col], bounds[col + 1]
             v = vals[lo:hi]
             cuts = np.unique(v)
             if len(cuts) > n_bins - 1:
@@ -254,35 +273,50 @@ class _BinnedMatrix:
                 # one of the n_bins - 1 nonzero bins
                 q = np.linspace(0.0, 1.0, n_bins - 1) if n_bins > 2 else 1.0
                 cuts = np.unique(np.quantile(v, q))
-            self.cuts.append(cuts)
-            self.bins[csr_pos[lo:hi]] = 1 + np.searchsorted(cuts, v, side="left")
+            self.cuts[col] = cuts
+            bins[csr_pos[lo:hi]] = 1 + np.searchsorted(cuts, v, side="left")
+        in_split = bins > 0
+        kept_before = np.zeros(X.nnz + 1, dtype=np.int64)
+        np.cumsum(in_split, out=kept_before[1:])
+        self.X_split = SparseMatrix(
+            indptr=kept_before[X.indptr],
+            cols=np.searchsorted(self.splittable, X.cols[in_split]),
+            vals=X.vals[in_split], n_rows=X.n_rows, n_cols=len(self.splittable))
+        self.bins = bins[in_split]
 
-    def split_gains(self, node: tuple, g: np.ndarray, h: np.ndarray,
-                    config: GbdtConfig) -> tuple[np.ndarray, np.ndarray]:
+    def split_gains(self, node: tuple, g: np.ndarray,
+                    h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gain of every split of ``node``, a (rows, g_sum, h_sum) record.
 
-        Returns (occupied, gains).  ``occupied`` lists the columns with a
-        nonzero entry at the node; no other column can split it.
-        ``gains[k, b]`` is the gain of sending bins 0..b of column
-        occupied[k] left, for b in 0..n_bins-2, and -inf where a side would
-        hold fewer than min_data_in_leaf rows.  The zero bin holds the node
-        totals minus the column's nonzero sums.
+        Returns (occupied, gains).  ``occupied`` lists the columns with at
+        least min_data_in_leaf nonzeros at the node; every threshold of any
+        other column leaves fewer than min_data_in_leaf rows on its right
+        side, so it cannot split the node and is dropped before its
+        histograms are built.  ``gains[k, b]`` is the gain of sending bins
+        0..b of column occupied[k] left, for b in 0..n_bins-2, and -inf
+        where a side would hold fewer than min_data_in_leaf rows.  The zero
+        bin holds the node totals minus the column's nonzero sums.
         """
         rows, g_sum, h_sum = node
-        n, min_data, n_bins = len(rows), config.min_data_in_leaf, self.n_bins
+        n, n_bins = len(rows), self.n_bins
+        min_data, lam = self.config.min_data_in_leaf, self.config.lambda_l2
         no_split = np.empty(0, dtype=np.int64), np.empty((0, n_bins - 1))
         if n < 2 * min_data:
             return no_split
-        pos, lengths = self.X.gather_positions(rows)
-        if len(pos) == 0:
+        pos, lengths = self.X_split.gather_positions(rows)
+        cols = self.X_split.cols[pos]
+        keep = np.bincount(cols, minlength=self.X_split.n_cols) >= min_data
+        if not keep.any():
             return no_split
-        cols = self.X.cols[pos]
-        occupied = np.unique(cols)
-        keys = np.searchsorted(occupied, cols) * n_bins + self.bins[pos]
+        occupied = self.splittable[keep]
+        kept = keep[cols]
+        keys = ((np.cumsum(keep) - 1)[cols[kept]] * n_bins
+                + self.bins[pos[kept]])
+        entry_rows = np.repeat(rows, lengths)[kept]
         size, shape = len(occupied) * n_bins, (len(occupied), n_bins)
-        grad = np.bincount(keys, weights=np.repeat(g[rows], lengths),
+        grad = np.bincount(keys, weights=g[entry_rows],
                            minlength=size).reshape(shape)
-        hess = np.bincount(keys, weights=np.repeat(h[rows], lengths),
+        hess = np.bincount(keys, weights=h[entry_rows],
                            minlength=size).reshape(shape)
         count = np.bincount(keys, minlength=size).reshape(shape)
         grad[:, 0] = g_sum - grad[:, 1:].sum(axis=1)
@@ -292,14 +326,17 @@ class _BinnedMatrix:
         g_left = np.cumsum(grad, axis=1, out=grad)[:, :-1]
         h_left = np.cumsum(hess, axis=1, out=hess)[:, :-1]
         c_left = np.cumsum(count, axis=1, out=count)[:, :-1]
+        # scored only where both sides hold min_data_in_leaf rows
+        valid = (c_left >= min_data) & (c_left <= n - min_data)
+        g_left, h_left = g_left[valid], h_left[valid]
         g_right = g_sum - g_left
-        lam = config.lambda_l2
         with np.errstate(divide="ignore", invalid="ignore"):
-            gains = g_left * g_left / (h_left + lam)
-            gains += g_right * g_right / (h_sum - h_left + lam)
-            gains -= g_sum * g_sum / (h_sum + lam)
-            gains *= 0.5
-        gains[(c_left < min_data) | (c_left > n - min_data)] = -np.inf
+            scored = g_left * g_left / (h_left + lam)
+            scored += g_right * g_right / (h_sum - h_left + lam)
+            scored -= g_sum * g_sum / (h_sum + lam)
+            scored *= 0.5
+        gains = np.full(valid.shape, -np.inf)
+        gains[valid] = scored
         return occupied, gains
 
     def split_node(self, node: tuple, col: int, threshold: float,
@@ -338,7 +375,7 @@ def _grow_leafwise(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
     """Grow one tree; returns it plus its per-row training predictions."""
     def best_split(node):
         """(gain, column, bin) of the node's best split, or None."""
-        occupied, gains = binned.split_gains(node, g, h, config)
+        occupied, gains = binned.split_gains(node, g, h)
         if gains.size == 0:
             return None
         best = int(np.argmax(gains))
@@ -391,10 +428,13 @@ def _grow_symmetric(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
     tree = SymmetricTree(columns=[], bins=[], thresholds=[], leaf_values=[])
 
     for _ in range(config.depth):
-        total_gain = np.zeros((binned.X.n_cols, n_bins - 1))
-        for node in nodes:
-            occupied, gains = binned.split_gains(node, g, h, config)
-            total_gain[occupied] += np.where(gains > 0.0, gains, 0.0)
+        splits = [binned.split_gains(node, g, h) for node in nodes]
+        # positive gains summed node by node over the columns any node keeps
+        columns = np.unique(np.concatenate([occupied for occupied, _ in splits]))
+        total_gain = np.zeros((len(columns), n_bins - 1))
+        for occupied, gains in splits:
+            total_gain[np.searchsorted(columns, occupied)] += np.where(
+                gains > 0.0, gains, 0.0)
 
         if total_gain.max(initial=0.0) <= 0.0:  # initial: no columns at all
             # no level split improves: pad with a no-op routing all rows left
@@ -404,7 +444,8 @@ def _grow_symmetric(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
             empty = _node(np.empty(0, dtype=np.int64), g, h)
             nodes = [child for node in nodes for child in (node, empty)]
             continue
-        col, bin_threshold = divmod(int(np.argmax(total_gain)), n_bins - 1)
+        k, bin_threshold = divmod(int(np.argmax(total_gain)), n_bins - 1)
+        col = int(columns[k])
         threshold = split_threshold(binned.cuts, col, bin_threshold)
         tree.columns.append(col)
         tree.bins.append(bin_threshold)
@@ -422,7 +463,7 @@ def train_gbdt(X: SparseMatrix, y, config: GbdtConfig = GbdtConfig()) -> GbdtMod
     positive_rate = float(y_float.mean())
     base_score = math.log(positive_rate / (1.0 - positive_rate))
 
-    binned = _BinnedMatrix(X, config.n_bins)
+    binned = _BinnedMatrix(X, config)
     grow = _grow_leafwise if config.variant == LEAF_WISE else _grow_symmetric
     scores = np.full(X.n_rows, base_score)
     trees = []

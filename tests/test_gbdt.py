@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,11 +24,19 @@ from oracles import (_oracle_gain, bin_matrix, compute_bin_edges,
 def node_split_gains(X, rows, g, h, n_bins, min_data_in_leaf=1, lambda_l2=1.0):
     """The training path's (binned matrix, occupied, gains) at the node
     holding ``rows``."""
-    binned = _BinnedMatrix(X, n_bins)
-    config = GbdtConfig(n_bins=n_bins, min_data_in_leaf=min_data_in_leaf,
-                        lambda_l2=lambda_l2)
-    occupied, gains = binned.split_gains(_node(rows, g, h), g, h, config)
+    binned = _BinnedMatrix(X, GbdtConfig(n_bins=n_bins,
+                                         min_data_in_leaf=min_data_in_leaf,
+                                         lambda_l2=lambda_l2))
+    occupied, gains = binned.split_gains(_node(rows, g, h), g, h)
     return binned, occupied, gains
+
+
+def csr_bins(binned):
+    """The binned matrix's bin per stored nonzero of X, in X's storage
+    order; 0 for the nonzeros of columns it does not bin."""
+    bins = np.zeros(binned.X.nnz, dtype=np.int64)
+    bins[np.isin(binned.X.cols, binned.splittable)] = binned.bins
+    return bins
 
 
 def explicit_gains(X, binned, occupied, rows, g, h, min_data_in_leaf=1,
@@ -190,36 +200,71 @@ def _binning_inputs(draw):
     return SparseMatrix.from_dense(np.column_stack(columns)), n_bins
 
 
+def assert_column_binned_like_oracle(binned, X, col, expected_cuts,
+                                     expected_bins):
+    """Column ``col`` has the two-pass oracle's cuts and bins, byte for
+    byte, except for the n_bins = 2 quantile case."""
+    n_bins = binned.n_bins
+    col_indptr, _, csc_vals, _ = X.to_csc()
+    values = csc_vals[col_indptr[col]:col_indptr[col + 1]]
+    entries = X.cols == col
+    got, bins = binned.cuts[col], csr_bins(binned)
+    if n_bins == 2 and len(np.unique(values)) > 1:
+        # the two-pass cut sat at the minimum and put larger values in
+        # bin 2, past the last bin; one bin holds them all now
+        assert got.tolist() == [values.max()]
+        assert (bins[entries] == 1).all()
+        return
+    assert got.dtype == expected_cuts.dtype
+    assert got.tobytes() == expected_cuts.tobytes()
+    assert bins[entries].tobytes() == expected_bins[entries].tobytes()
+
+
 class TestBinning:
     @given(_binning_inputs())
     @settings(max_examples=300, deadline=None)
     def test_one_pass_matches_two_pass_oracle(self, inputs):
         X, n_bins = inputs
-        binned = _BinnedMatrix(X, n_bins)
+        binned = _BinnedMatrix(X, GbdtConfig(n_bins=n_bins, min_data_in_leaf=1))
         cuts = compute_bin_edges(X, n_bins)
         expected_bins = bin_matrix(X, cuts)
         assert len(binned.cuts) == len(cuts) == X.n_cols
         assert binned.bins.dtype == expected_bins.dtype
         assert ((1 <= binned.bins) & (binned.bins <= n_bins - 1)).all()
-        col_indptr, _, csc_vals, _ = X.to_csc()
-        for col, (got, expected) in enumerate(zip(binned.cuts, cuts)):
-            values = csc_vals[col_indptr[col]:col_indptr[col + 1]]
-            entries = X.cols == col
-            if n_bins == 2 and len(np.unique(values)) > 1:
-                # the two-pass cut sat at the minimum and put larger values
-                # in bin 2, past the last bin; one bin holds them all now
-                assert got.tolist() == [values.max()]
-                assert (binned.bins[entries] == 1).all()
-                continue
-            assert got.dtype == expected.dtype
-            assert got.tobytes() == expected.tobytes()
-            assert (binned.bins[entries].tobytes()
-                    == expected_bins[entries].tobytes())
+        # at min_data_in_leaf = 1 every nonzero is binned
+        assert len(binned.bins) == X.nnz
+        for col, expected in enumerate(cuts):
+            assert_column_binned_like_oracle(binned, X, col, expected,
+                                             expected_bins)
+
+    @given(_binning_inputs(), st.integers(2, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_below_min_data_are_not_binned(self, inputs, min_data):
+        X, n_bins = inputs
+        binned = _BinnedMatrix(X, GbdtConfig(n_bins=n_bins,
+                                             min_data_in_leaf=min_data))
+        cuts = compute_bin_edges(X, n_bins)
+        expected_bins = bin_matrix(X, cuts)
+        nnz = np.bincount(X.cols, minlength=X.n_cols)
+        assert binned.splittable.tolist() == np.flatnonzero(
+            nnz >= min_data).tolist()
+        assert len(binned.cuts) == X.n_cols
+        assert ((1 <= binned.bins) & (binned.bins <= n_bins - 1)).all()
+        for col, expected in enumerate(cuts):
+            if nnz[col] >= min_data:
+                assert_column_binned_like_oracle(binned, X, col, expected,
+                                                 expected_bins)
+            else:
+                assert len(binned.cuts[col]) == 0
+        # X_split is X restricted to the binned columns, in X's row order
+        dense = X.toarray()[:, binned.splittable]
+        np.testing.assert_array_equal(binned.X_split.toarray(), dense)
+        assert len(binned.bins) == binned.X_split.nnz
 
     def test_quantile_branch_and_empty_column(self):
         X = SparseMatrix.from_dense(np.column_stack(
             [np.arange(20.0), np.zeros(20), np.arange(20.0) % 3]))
-        binned = _BinnedMatrix(X, 3)
+        binned = _BinnedMatrix(X, GbdtConfig(n_bins=3, min_data_in_leaf=1))
         cuts = compute_bin_edges(X, 3)
         assert [len(c) for c in cuts] == [2, 0, 2]
         for got, expected in zip(binned.cuts, cuts):
@@ -264,12 +309,20 @@ class TestSplitGains:
         X, g, h, rows, n_bins, min_data, lam = inputs
         binned, occupied, gains = node_split_gains(X, rows, g, h, n_bins,
                                                    min_data, lam)
+        nonzeros = Counter(int(c) for r in rows
+                           for c in X.cols[X.indptr[r]:X.indptr[r + 1]])
         if len(rows) >= 2 * min_data:
             assert occupied.tolist() == sorted(
-                {int(c) for r in rows
-                 for c in X.cols[X.indptr[r]:X.indptr[r + 1]]})
+                c for c, k in nonzeros.items() if k >= min_data)
         assert_gains_explicit(X, binned, occupied, gains, rows, g, h,
                               min_data_in_leaf=min_data, lambda_l2=lam)
+        # a column with a nonzero at the node that is left out cannot split
+        # it: every value threshold leaves a side short
+        for col in set(nonzeros) - set(occupied.tolist()):
+            values = X.column_values(col, rows)
+            for threshold in np.unique(np.append(values, 0.0)):
+                goes_left = values <= threshold
+                assert min(goes_left.sum(), (~goes_left).sum()) < min_data
 
     @given(_node_inputs())
     @settings(max_examples=200, deadline=None)
@@ -277,7 +330,9 @@ class TestSplitGains:
         X, g, h, rows, n_bins, min_data, lam = inputs
         binned, occupied, gains = node_split_gains(X, rows, g, h, n_bins,
                                                    min_data, lam)
-        grad, hess, count = histograms_oracle(X, binned.bins, rows, g, h,
+        # a column left unbinned has all of its rows in the zero bin here;
+        # it has too few nonzeros to split, as it would with its true bins
+        grad, hess, count = histograms_oracle(X, csr_bins(binned), rows, g, h,
                                               n_bins)
         expected = find_best_split(grad, hess, count, lam, min_data,
                                    (float(g[rows].sum()),
@@ -372,6 +427,37 @@ class TestTraining:
         assert tree.leaf_values[1:] == [0.0] * 7
 
 
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation, in MB, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_unsplittable_columns_cost_no_level_arrays(self, rng):
+        # 20,000 columns of one nonzero each can split no node at
+        # min_data_in_leaf 5; a dense per-level gain array over every
+        # column once cost 20,004 x 254 floats, about 40 MB, and the
+        # per-node histograms of the columns with a nonzero several times
+        # that
+        _, dense = random_sparse(rng, 60, 4, max_distinct=10)
+        y = (dense[:, 0] > 0.3).astype(int)
+        y[0], y[1] = 0, 1
+        extra = np.zeros((60, 20_000))
+        extra[np.arange(20_000) % 60, np.arange(20_000)] = 0.5
+        narrow = SparseMatrix.from_dense(dense)
+        wide = SparseMatrix.from_dense(np.hstack([dense, extra]))
+        config = GbdtConfig(variant=SYMMETRIC, n_trees=1, depth=3,
+                            min_data_in_leaf=5)
+        peaks = [traced_peak_mb(lambda: train_gbdt(X, y, config))
+                 for X in (narrow, wide)]
+        assert peaks[1] - peaks[0] < 4.0
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_leafwise_node_for_node(self, seed):
@@ -403,3 +489,67 @@ class TestOracleEquivalence:
         base, rounds = replay_boosting(dense, y, cfg, SYMMETRIC)
         for tree, oracle_round in zip(model.trees, rounds):
             assert_symmetric_equal(tree, oracle_round, X, 90)
+
+    @staticmethod
+    def wide_sparse(seed):
+        """A TF-IDF-shaped training set: 120 rows and 80 columns whose
+        densities fall like n-gram frequencies, from 0.4 to 0.012, so that
+        most columns hold fewer than 5 nonzeros at the root."""
+        rng = np.random.default_rng(seed)
+        density = 0.4 * np.arange(1, 81) ** -0.8
+        dense = np.round(rng.random((120, 80)) * 9) / 9
+        dense[rng.random((120, 80)) > density] = 0.0
+        signal = dense[:, :20].sum(axis=1) + 0.2 * rng.random(120)
+        y = (signal > np.median(signal)).astype(np.float64)
+        return SparseMatrix.from_dense(dense), dense, y
+
+    @staticmethod
+    def pruning_spy(monkeypatch):
+        """(rows, dropped) for every node split_gains scores: its row count
+        and how many columns with a nonzero there it leaves out."""
+        seen = []
+        split_gains = _BinnedMatrix.split_gains
+
+        def spy(self, node, g, h):
+            occupied, gains = split_gains(self, node, g, h)
+            rows = node[0]
+            if len(rows) >= 2 * self.config.min_data_in_leaf:
+                pos, _ = self.X.gather_positions(rows)
+                present = len(np.unique(self.X.cols[pos]))
+                seen.append((len(rows), present - len(occupied)))
+            return occupied, gains
+
+        monkeypatch.setattr(_BinnedMatrix, "split_gains", spy)
+        return seen
+
+    @staticmethod
+    def assert_pruned_at_root_and_below(seen, n_rows):
+        # most of the 80 columns at the root, and some at every tree's
+        # deeper nodes
+        assert all(dropped > 40 for rows, dropped in seen if rows == n_rows)
+        assert any(dropped for rows, dropped in seen if rows < n_rows)
+
+    @pytest.mark.parametrize("seed", [20, 21, 22, 23])
+    def test_leafwise_node_for_node_wide_sparse(self, seed, monkeypatch):
+        X, dense, y = self.wide_sparse(seed)
+        seen = self.pruning_spy(monkeypatch)
+        cfg = GbdtConfig(n_trees=3, learning_rate=0.3, max_leaves=8,
+                         n_bins=64, min_data_in_leaf=5)
+        model = train_gbdt(X, y.astype(int), cfg)
+        self.assert_pruned_at_root_and_below(seen, 120)
+        base, rounds = replay_boosting(dense, y, cfg, LEAF_WISE)
+        assert model.base_score == pytest.approx(base, abs=1e-12)
+        for tree, (oracle_root, _) in zip(model.trees, rounds):
+            assert_leafwise_equal(tree, oracle_root, X, 120)
+
+    @pytest.mark.parametrize("seed", [30, 31, 32, 33])
+    def test_symmetric_node_for_node_wide_sparse(self, seed, monkeypatch):
+        X, dense, y = self.wide_sparse(seed)
+        seen = self.pruning_spy(monkeypatch)
+        cfg = GbdtConfig(variant=SYMMETRIC, n_trees=3, learning_rate=0.3,
+                         depth=3, n_bins=64, min_data_in_leaf=5)
+        model = train_gbdt(X, y.astype(int), cfg)
+        self.assert_pruned_at_root_and_below(seen, 120)
+        base, rounds = replay_boosting(dense, y, cfg, SYMMETRIC)
+        for tree, oracle_round in zip(model.trees, rounds):
+            assert_symmetric_equal(tree, oracle_round, X, 120)

@@ -324,6 +324,37 @@ class TestDepthCap:
         assert not (tmp_path / "m.json").exists()
 
 
+class TestPositiveLambda:
+    # with lambda_l2 = 0, a node whose rows all had saturated probabilities
+    # (h exactly 0) once ended training in a bare ZeroDivisionError
+
+    @pytest.mark.parametrize("variant", ["leaf_wise", "symmetric"])
+    def test_constructor(self, variant):
+        with pytest.raises(ModelError, match="lambda_l2 must be finite and > 0"):
+            GbdtConfig(variant=variant, lambda_l2=0.0, learning_rate=0.3,
+                       n_trees=200)
+        assert GbdtConfig(variant=variant, lambda_l2=1e-12).lambda_l2 == 1e-12
+
+    @pytest.mark.parametrize("variant", ["leaf_wise", "symmetric"])
+    def test_bundle_with_zero_lambda_rejected(self, variant):
+        def zero_lambda(parameters):
+            parameters["config"]["lambda_l2"] = 0.0
+        with pytest.raises(ModelError, match="lambda_l2"):
+            load_model(tampered(GBDT_BUNDLES[variant], zero_lambda))
+
+    def test_cli_fails_at_config_time(self, tmp_path):
+        save_corpus(synth_corpus(6, seed=5, divergence=0.9),
+                    tmp_path / "c.jsonl", "jsonl")
+        (tmp_path / "run.ini").write_text(
+            "[features]\ntoken_source = whitespace\nmin_df = 1\n"
+            "[gbdt]\nlambda_l2 = 0\nn_trees = 1\nmin_data_in_leaf = 1\n")
+        proc = cli("train", "c.jsonl", "--kind", "gbdt", "--config", "run.ini",
+                   "--out", "m.json", cwd=tmp_path)
+        assert "lambda_l2 must be finite and > 0, got 0.0" in single_error_line(
+            proc, "model")
+        assert not (tmp_path / "m.json").exists()
+
+
 # -- fuzzing GBDT bundle parameters -----------------------------------------
 
 def _small_gbdt_bundles() -> dict[str, bytes]:

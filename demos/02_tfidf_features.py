@@ -4,7 +4,7 @@ Run:  python demos/02_tfidf_features.py
 """
 
 from llmdetect import (TfidfConfig, encode, extract_ngrams, fit_tfidf,
-                       train_bpe, transform, transform_corpus)
+                       train_bpe, transform_corpus)
 
 corpus = [
     "the model writes fluent text",
@@ -37,10 +37,11 @@ print("most common (lowest idf):",
 print("rarest (highest idf):   ",
       [(render(ngrams[c]), round(model.idf[c], 3)) for c in by_idf[-3:]])
 
-# each document becomes an L2-normalized sparse vector
-vec = transform(model, sequences[0])
-print(f"\ndocument 0 vector: {vec.nnz} nonzeros out of {model.n_features}")
-print("first entries:", [(c, round(w, 4)) for c, w in vec.to_pairs()[:5]])
-
+# each document becomes an L2-normalized sparse row
 X = transform_corpus(model, sequences)
+vec = X.row(0)
+print(f"\ndocument 0 vector: {vec.nnz} nonzeros out of {model.n_features}")
+print("first entries:", [(c, round(w, 4)) for c, w in
+                         zip(vec.cols.tolist()[:5], vec.vals.tolist()[:5])])
+
 print(f"corpus matrix: {X.n_rows} x {X.n_cols}, {X.nnz} stored values")

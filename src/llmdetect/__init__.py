@@ -14,7 +14,7 @@ from .ensemble import (EnsembleSpec, ExternalScores, Voter,
                        soft_vote, tune_weights)
 from .errors import LlmdetectError
 from .features import (NgramVocabulary, TfidfConfig, TfidfModel,
-                       extract_ngrams, fit_tfidf, transform, transform_corpus)
+                       extract_ngrams, fit_tfidf, transform_corpus)
 from .metrics import (ConfusionCounts, RocCurve, confusion_at, roc_auc,
                       roc_auc_exact, roc_curve, trapezoid_auc_exact)
 from .models import (GbdtConfig, GbdtModel, ModelBundle, NaiveBayesModel,

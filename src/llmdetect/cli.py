@@ -17,7 +17,9 @@ from pathlib import Path
 from . import ensemble as ens
 from .config import RunConfig, load_run_config
 from .corpus import SplitSpec, load_corpus, save_corpus, split_corpus, synth_corpus
-from .errors import ConfigError, EnsembleError, LlmdetectError, ModelError
+from .errors import (ConfigError, EnsembleError, LlmdetectError,
+                     MetricsError, ModelError, TokenizerError)
+from .files import read_bytes, read_text, write_bytes
 from .metrics import evaluation_report
 from .models import MODEL_KINDS, bundle_from_dict, load_model
 from .pipeline import (TOKEN_SOURCE_BPE, check_vocab_ref, score_texts,
@@ -44,17 +46,10 @@ def _load_corpus_arg(path, explicit_format: str | None):
     return load_corpus(path, _resolve_format(path, explicit_format))
 
 
-def _read_bytes(path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except FileNotFoundError:
-        raise LlmdetectError(f"no such file: {path}")
-
-
 def _read_json(path, error):
     try:
-        return json.loads(_read_bytes(path).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(read_text(path, "file", error))
+    except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}")
 
 
@@ -66,7 +61,7 @@ def _config_for(args) -> RunConfig:
 
 
 def _load_bpe_vocab(path):
-    data = _read_bytes(path)
+    data = read_bytes(path, "file", TokenizerError)
     return load_vocab(data), data
 
 
@@ -75,7 +70,7 @@ def cmd_tokenize_train(args) -> int:
     vocab_size = args.vocab_size or config.get("tokenizer", "vocab_size")
     corpus = _load_corpus_arg(args.corpus, args.format)
     vocab = train_bpe(corpus.texts, vocab_size=vocab_size)
-    Path(args.out).write_bytes(save_vocab(vocab))
+    write_bytes(args.out, save_vocab(vocab), TokenizerError)
     _log(f"trained {len(vocab.merges)} merges; vocabulary size {vocab.size}")
     return 0
 
@@ -114,9 +109,23 @@ def cmd_train(args) -> int:
         sgd_config=sgd_config,
         gbdt_config=gbdt_config,
         seed=config.seed, config_hash=config.hash())
-    Path(args.out).write_bytes(bundle_bytes)
+    write_bytes(args.out, bundle_bytes, ModelError)
     _log(f"trained {args.kind} on {len(corpus)} documents -> {args.out}")
     return 0
+
+
+def _voter(raw_path, weight: float, base, is_scores: bool,
+           where: str) -> ens.Voter:
+    """A voter from a bundle or score-file path, resolved against base."""
+    if not isinstance(raw_path, str) or not raw_path:
+        raise EnsembleError(f"{where}: path must be a non-empty string, "
+                            f"got {raw_path!r}")
+    path = Path(base) / raw_path
+    if is_scores:
+        return ens.Voter(weight=weight, name=raw_path,
+                         external=ens.load_external_scores(path))
+    return ens.Voter(weight=weight, name=raw_path,
+                     bundle=load_model(read_bytes(path, "file", ModelError)))
 
 
 def _ensemble_spec(payload, path) -> ens.EnsembleSpec:
@@ -131,20 +140,16 @@ def _ensemble_spec(payload, path) -> ens.EnsembleSpec:
     base = Path(path).parent
     voters = []
     for i, entry in enumerate(payload["voters"]):
+        where = f"{path}: voters[{i}]"
         if not isinstance(entry, dict) or "weight" not in entry:
-            raise EnsembleError(f"{path}: voters[{i}] needs a weight")
-        weight = ens.parse_weight(entry["weight"], f"{path}: voters[{i}]")
+            raise EnsembleError(f"{where} needs a weight")
+        weight = ens.parse_weight(entry["weight"], where)
         if "model" in entry:
-            bundle = load_model(_read_bytes(base / entry["model"]))
-            voters.append(ens.Voter(weight=weight, bundle=bundle,
-                                    name=str(entry["model"])))
+            voters.append(_voter(entry["model"], weight, base, False, where))
         elif "scores" in entry:
-            scores = ens.load_external_scores(base / entry["scores"])
-            voters.append(ens.Voter(weight=weight, external=scores,
-                                    name=str(entry["scores"])))
+            voters.append(_voter(entry["scores"], weight, base, True, where))
         else:
-            raise EnsembleError(f"{path}: voters[{i}] needs a model or "
-                                f"scores path")
+            raise EnsembleError(f"{where} needs a model or scores path")
     combine = payload.get("combine", ens.COMBINE_PROBABILITY_MEAN)
     return ens.EnsembleSpec(voters=voters, combine=combine)
 
@@ -163,14 +168,8 @@ def _spec_from_config(config) -> ens.EnsembleSpec:
                               f"{len(weights)} ensemble.weights")
     else:
         weights = [1.0] * len(paths)
-    voters = []
-    for p, w in zip(paths, weights):
-        if p.endswith(".csv"):
-            voters.append(ens.Voter(weight=w,
-                                    external=ens.load_external_scores(p), name=p))
-        else:
-            voters.append(ens.Voter(weight=w, bundle=load_model(_read_bytes(p)),
-                                    name=p))
+    voters = [_voter(p, w, "", p.endswith(".csv"), "ensemble.voters")
+              for p, w in zip(paths, weights)]
     return ens.EnsembleSpec(voters=voters,
                             combine=config.get("ensemble", "combine"))
 
@@ -192,6 +191,11 @@ def _vocab_for(bundles, vocab_path):
     return bpe_vocab
 
 
+def _write_scores(path, ids, scores) -> None:
+    write_bytes(path, ens.dump_scores(ids, scores).encode("utf-8"),
+                EnsembleError)
+
+
 def _spec_bundles(spec: ens.EnsembleSpec):
     return [v.bundle for v in spec.voters if v.bundle is not None]
 
@@ -209,8 +213,7 @@ def cmd_predict(args) -> int:
         bpe_vocab = _vocab_for([bundle], args.vocab)
         scores, _ = score_texts(bundle, corpus.texts, bpe_vocab)
 
-    Path(args.out).write_bytes(
-        ens.dump_scores(corpus.ids, scores).encode("utf-8"))
+    _write_scores(args.out, corpus.ids, scores)
     _log(f"scored {len(corpus)} documents -> {args.out}")
     return 0
 
@@ -233,7 +236,7 @@ def cmd_evaluate(args) -> int:
     if args.json:
         payload = (json.dumps(report, sort_keys=True, separators=(",", ":"))
                    + "\n").encode("utf-8")
-        Path(args.json).write_bytes(payload)
+        write_bytes(args.json, payload, MetricsError)
         _log(f"wrote structured report to {args.json}")
     return 0
 
@@ -247,20 +250,16 @@ def cmd_ensemble(args) -> int:
     corpus = _load_corpus_arg(args.corpus, args.format)
     bpe_vocab = _vocab_for(_spec_bundles(spec), args.vocab)
 
+    per_voter = ens.collect_voter_scores(spec, corpus, bpe_vocab)
+    weights = [v.weight for v in spec.voters]
     if args.tune_weights:
-        per_voter = ens.collect_voter_scores(spec, corpus, bpe_vocab)
         step = config.get("ensemble", "grid_step")
         weights, auc = ens.tune_weights(per_voter, corpus.labels,
                                         combine=spec.combine, step=step)
         _log(f"tuned weights {list(weights)} (validation auc {auc!r})")
-        for voter, w in zip(spec.voters, weights):
-            voter.weight = w
-        scores = ens._combiner(spec.combine)(per_voter, list(weights))
-    else:
-        scores = ens.run_ensemble(spec, corpus, bpe_vocab)
+    scores = ens.combiner(spec.combine)(per_voter, list(weights))
 
-    Path(args.out).write_bytes(
-        ens.dump_scores(corpus.ids, scores).encode("utf-8"))
+    _write_scores(args.out, corpus.ids, scores)
     _log(f"combined {len(spec.voters)} voters over {len(corpus)} documents "
          f"-> {args.out}")
     return 0

@@ -12,11 +12,11 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
 from .errors import ConfigError
 from .features import TfidfConfig
+from .files import read_text
 from .models import GbdtConfig, SgdConfig
 from .models.naive_bayes import DEFAULT_ALPHA
 from .tokenizer import DEFAULT_VOCAB_SIZE
@@ -131,12 +131,7 @@ def load_run_config(path=None) -> RunConfig:
     if path is None:
         return default_config()
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        text = Path(path).read_bytes().decode("utf-8", errors="strict")
-    except FileNotFoundError:
-        raise ConfigError(f"no such config file: {path}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"undecodable bytes in {path}: {exc}")
+    text = read_text(path, "config file", ConfigError)
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:

@@ -12,9 +12,9 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 
 from .errors import CorpusError
+from .files import read_text, write_bytes
 from .seeds import stream_rng
 
 CSV_HEADER = ["id", "text", "label"]
@@ -98,22 +98,13 @@ def _parse_label(raw, line_num: int) -> int:
     return label
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_bytes().decode("utf-8", errors="strict")
-    except FileNotFoundError:
-        raise CorpusError(f"no such file: {path}")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"undecodable bytes in {path}: {exc}")
-
-
 def load_corpus(path, format: str) -> LabeledCorpus:
     """Read a labeled dataset from a csv or jsonl file.
 
     Row order is preserved.  Malformed rows, duplicate ids, labels outside
     {0, 1}, and non-UTF-8 bytes are hard errors, never repaired.
     """
-    raw = _read_text(path)
+    raw = read_text(path, "file", CorpusError)
     if format == "csv":
         return _load_csv(raw, path)
     if format == "jsonl":
@@ -207,7 +198,7 @@ def dump_corpus(corpus: LabeledCorpus, format: str) -> str:
 
 
 def save_corpus(corpus: LabeledCorpus, path, format: str) -> None:
-    Path(path).write_bytes(dump_corpus(corpus, format).encode("utf-8"))
+    write_bytes(path, dump_corpus(corpus, format).encode("utf-8"), CorpusError)
 
 
 def split_corpus(corpus: LabeledCorpus,

@@ -16,13 +16,14 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import csv_rows
 from .errors import EnsembleError
+from .files import read_text
 from .metrics import roc_auc, tie_groups
+from .pipeline import score_texts
 
 COMBINE_PROBABILITY_MEAN = "probability_mean"
 COMBINE_RANK_MEAN = "rank_mean"
@@ -147,7 +148,7 @@ def soft_vote(per_voter_scores, weights) -> np.ndarray:
     return _weighted_mean(numerators, 1 << -low, weights)
 
 
-def _combiner(name: str):
+def combiner(name: str):
     """The combine function for a COMBINERS name.
 
     Resolved through the module globals on every call, so a caller that
@@ -208,12 +209,7 @@ def parse_external_scores(text: str, source: str = "<scores>") -> ExternalScores
 
 
 def load_external_scores(path) -> ExternalScores:
-    try:
-        text = Path(path).read_bytes().decode("utf-8", errors="strict")
-    except FileNotFoundError:
-        raise EnsembleError(f"no such score file: {path}")
-    except UnicodeDecodeError as exc:
-        raise EnsembleError(f"undecodable bytes in {path}: {exc}")
+    text = read_text(path, "score file", EnsembleError)
     return parse_external_scores(text, source=str(path))
 
 
@@ -235,8 +231,6 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
     voters must cover every document id.  Token sequences are computed once
     and shared across internal voters.
     """
-    from .pipeline import score_texts  # local import to avoid a cycle
-
     ids = documents.ids
     texts = documents.texts
     refs = {v.bundle.vocab_ref for v in spec.voters if v.bundle is not None}
@@ -263,7 +257,7 @@ def run_ensemble(spec: EnsembleSpec, documents, bpe_vocab=None) -> np.ndarray:
     ``texts``; labels are not consulted.
     """
     per_voter = collect_voter_scores(spec, documents, bpe_vocab)
-    return _combiner(spec.combine)(per_voter, [v.weight for v in spec.voters])
+    return combiner(spec.combine)(per_voter, [v.weight for v in spec.voters])
 
 
 def weight_grid(n_voters: int,
@@ -293,7 +287,7 @@ def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_ME
     best_weights = None
     best_auc = -1.0
     for weights in weight_grid(len(per_voter_scores), step):
-        auc = roc_auc(_combiner(combine)(per_voter_scores, weights), labels)
+        auc = roc_auc(combiner(combine)(per_voter_scores, weights), labels)
         if auc > best_auc:
             best_weights, best_auc = weights, auc
     return best_weights, best_auc

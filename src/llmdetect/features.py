@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FeatureError
-from .sparse import SparseMatrix, SparseVector
+from .sparse import SparseMatrix
 from .tokenizer import TokenSequence
 
 Ngram = tuple[int, ...]
@@ -79,7 +79,6 @@ class TfidfModel:
     idf: np.ndarray
     config: TfidfConfig
     word_vocab: list[str] | None = None
-    _word_ids: dict[str, int] | None = field(default=None, repr=False, compare=False)
     _ngram_table: _NgramTable | None = field(default=None, repr=False,
                                              compare=False)
 
@@ -331,11 +330,6 @@ def transform_corpus(model: TfidfModel,
                         n_rows=len(corpus_tokens), n_cols=model.n_features)
 
 
-def transform(model: TfidfModel, seq: TokenSequence) -> SparseVector:
-    """Weight one document; out-of-vocabulary n-grams are dropped."""
-    return transform_corpus(model, [seq]).row(0)
-
-
 # -- whitespace-token fallback -------------------------------------------
 
 def fit_word_vocab(texts: list[str]) -> list[str]:
@@ -344,16 +338,12 @@ def fit_word_vocab(texts: list[str]) -> list[str]:
     return [WORD_UNKNOWN] + words
 
 
-def encode_words(word_vocab: list[str], text: str,
-                 model: TfidfModel | None = None) -> TokenSequence:
+def encode_words(word_vocab: list[str],
+                 texts: list[str]) -> list[TokenSequence]:
     """Map whitespace-delimited words to ids; unknown words map to id 0."""
-    if model is not None and model._word_ids is not None:
-        table = model._word_ids
-    else:
-        table = {w: i for i, w in enumerate(word_vocab)}
-        if model is not None:
-            model._word_ids = table
-    return TokenSequence(ids=tuple(table.get(w, 0) for w in text.split()))
+    table = {w: i for i, w in enumerate(word_vocab)}
+    return [TokenSequence(ids=tuple(table.get(w, 0) for w in text.split()))
+            for text in texts]
 
 
 # -- bundle-embedded serialization ---------------------------------------
@@ -388,5 +378,14 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
                            "integer token ids")
     if len(idf) != len(ngrams) or len(vocabulary.df) != len(ngrams):
         raise FeatureError("malformed tfidf payload: df/idf length mismatch")
+    # Entries need not be distinct: a corpus holding the literal word
+    # "<unk>" lists it twice, and its bundles must load.
+    if word_vocab is not None and not (
+            isinstance(word_vocab, list) and word_vocab
+            and all(isinstance(w, str) for w in word_vocab)
+            and word_vocab[0] == WORD_UNKNOWN):
+        raise FeatureError(f"malformed tfidf payload: word_vocab must be null "
+                           f"or a list of strings starting with "
+                           f"{WORD_UNKNOWN!r}")
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config,
                       word_vocab=word_vocab)

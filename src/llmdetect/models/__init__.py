@@ -21,7 +21,7 @@ from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
                    train_gbdt)
 from .naive_bayes import NaiveBayesModel, train_nb
 from .sgd import (SgdConfig, SgdLinearModel, objective, sample_gradient,
-                  sample_loss, sgd_step, train_sgd)
+                  sgd_step, train_sgd)
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -34,7 +34,7 @@ KIND_NAIVE_BAYES, KIND_SGD_LINEAR, KIND_GBDT = MODEL_KINDS
 __all__ = [
     "NaiveBayesModel", "train_nb",
     "SgdConfig", "SgdLinearModel", "train_sgd", "sgd_step",
-    "sample_loss", "sample_gradient", "objective",
+    "sample_gradient", "objective",
     "GbdtConfig", "GbdtModel", "train_gbdt",
     "LeafwiseTree", "SymmetricTree",
     "sigmoid", "ModelBundle", "save_model", "load_model", "bundle_from_dict",
@@ -109,6 +109,9 @@ def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
     for required in ("tfidf", "vocab_ref", "parameters"):
         if required not in payload:
             raise ModelError(f"field {required}: missing from bundle")
+    if not isinstance(payload["vocab_ref"], str):
+        raise ModelError(f"field vocab_ref: expected a string, got "
+                         f"{type(payload['vocab_ref']).__name__}")
     tfidf = tfidf_from_dict(payload["tfidf"])
     model = _model_from_parameters(kind, payload["parameters"],
                                    tfidf.n_features)

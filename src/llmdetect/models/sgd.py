@@ -75,16 +75,6 @@ def sgd_step(theta: np.ndarray, gradient: np.ndarray, alpha: float) -> np.ndarra
     return theta - alpha * gradient
 
 
-def sample_loss(theta: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                label: int, l2: float) -> float:
-    """The per-sample objective at theta."""
-    margin = float(np.dot(vals, theta[cols]) + theta[-1])
-    y_signed = 2 * label - 1
-    weights = theta[:-1]
-    return (float(np.logaddexp(0.0, -y_signed * margin)) +
-            0.5 * l2 * float(np.dot(weights, weights)))
-
-
 def sample_gradient(theta: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                     label: int, l2: float) -> np.ndarray:
     """Dense gradient of the per-sample objective at theta."""

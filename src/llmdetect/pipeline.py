@@ -14,8 +14,8 @@ import numpy as np
 
 from .corpus import LabeledCorpus
 from .errors import ModelError
-from .features import (TfidfConfig, TfidfModel, encode_words, fit_tfidf,
-                       fit_word_vocab, transform_corpus)
+from .features import (TfidfConfig, encode_words, fit_tfidf, fit_word_vocab,
+                       transform_corpus)
 from .models import (KIND_GBDT, KIND_NAIVE_BAYES, KIND_SGD_LINEAR, ModelBundle,
                      save_model, train_gbdt, train_nb, train_sgd, vocab_hash)
 from .models.naive_bayes import DEFAULT_ALPHA
@@ -39,11 +39,11 @@ def check_vocab_ref(bundle: ModelBundle, vocab_bytes: bytes) -> None:
             f"{bundle.vocab_ref}, tokenizer file is {actual}")
 
 
-def tokenize_texts(texts: list[str], tfidf: TfidfModel,
+def tokenize_texts(texts: list[str], word_vocab: list[str] | None,
                    bpe_vocab: BpeVocab | None) -> list[TokenSequence]:
-    """Tokenize with the scheme a fitted model was built on."""
-    if tfidf.word_vocab is not None:
-        return [encode_words(tfidf.word_vocab, t, model=tfidf) for t in texts]
+    """Whitespace word ids when there is a word vocabulary, else BPE ids."""
+    if word_vocab is not None:
+        return encode_words(word_vocab, texts)
     if bpe_vocab is None:
         raise ModelError("model was trained on BPE tokens; a tokenizer "
                          "vocabulary is required to score text")
@@ -60,19 +60,17 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
                  config_hash: str | None = None) -> bytes:
     """Tokenize, fit TF-IDF, train one classifier, and emit its bundle."""
     texts = corpus.texts
-    word_vocab = None
     if token_source == TOKEN_SOURCE_WHITESPACE:
         word_vocab = fit_word_vocab(texts)
-        sequences = [encode_words(word_vocab, t) for t in texts]
         ref = word_vocab_ref(word_vocab)
     elif token_source == TOKEN_SOURCE_BPE:
         if bpe_vocab is None or vocab_bytes is None:
             raise ModelError("BPE token source requires a trained tokenizer "
                              "vocabulary (run tokenize-train first)")
-        sequences = [encode(bpe_vocab, t) for t in texts]
-        ref = vocab_hash(vocab_bytes)
+        word_vocab, ref = None, vocab_hash(vocab_bytes)
     else:
         raise ModelError(f"unknown token source {token_source!r}")
+    sequences = tokenize_texts(texts, word_vocab, bpe_vocab)
 
     tfidf = fit_tfidf(sequences, tfidf_config)
     tfidf.word_vocab = word_vocab
@@ -96,6 +94,6 @@ def score_texts(bundle: ModelBundle, texts: list[str],
     """Probability of class 1 per text; returns the token sequences too so
     callers scoring several same-vocabulary bundles can reuse them."""
     if sequences is None:
-        sequences = tokenize_texts(texts, bundle.tfidf, bpe_vocab)
+        sequences = tokenize_texts(texts, bundle.tfidf.word_vocab, bpe_vocab)
     X = transform_corpus(bundle.tfidf, sequences)
     return bundle.predict_proba(X), sequences

@@ -1,10 +1,9 @@
 """Minimal compressed-sparse-row containers for document-term matrices.
 
-Only what the pipeline needs: construction from per-document vectors, row
-access, matrix-vector products against dense weight vectors, and a CSC
-view for column-oriented work (histogram binning, per-column quantiles).
-Column indices within a row are strictly increasing and explicit zeros are
-never stored.
+Only what the pipeline needs: row access, matrix-vector products against
+dense weight vectors, and a CSC view for column-oriented work (histogram
+binning, per-column quantiles).  Column indices within a row are strictly
+increasing and explicit zeros are never stored.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ class SparseVector:
     def nnz(self) -> int:
         return len(self.cols)
 
-    def to_pairs(self) -> list[tuple[int, float]]:
-        return list(zip(self.cols.tolist(), self.vals.tolist()))
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.n_cols)
         out[self.cols] = self.vals
@@ -49,31 +45,6 @@ class SparseMatrix:
     n_rows: int
     n_cols: int
     _csc_cache: tuple | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_rows(cls, rows: list[SparseVector], n_cols: int) -> "SparseMatrix":
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        for i, r in enumerate(rows):
-            indptr[i + 1] = indptr[i] + r.nnz
-        total = int(indptr[-1])
-        cols = np.empty(total, dtype=np.int64)
-        vals = np.empty(total, dtype=np.float64)
-        for i, r in enumerate(rows):
-            cols[indptr[i]:indptr[i + 1]] = r.cols
-            vals[indptr[i]:indptr[i + 1]] = r.vals
-        return cls(indptr=indptr, cols=cols, vals=vals,
-                   n_rows=len(rows), n_cols=n_cols)
-
-    @classmethod
-    def from_dense(cls, dense) -> "SparseMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        rows = []
-        for i in range(dense.shape[0]):
-            nz = np.flatnonzero(dense[i])
-            rows.append(SparseVector(cols=nz.astype(np.int64),
-                                     vals=dense[i, nz],
-                                     n_cols=dense.shape[1]))
-        return cls.from_rows(rows, dense.shape[1])
 
     @property
     def nnz(self) -> int:
@@ -163,15 +134,3 @@ class SparseMatrix:
             lo, hi = self.indptr[i], self.indptr[i + 1]
             out[i, self.cols[lo:hi]] = self.vals[lo:hi]
         return out
-
-    def validate(self) -> None:
-        """Assert CSR invariants; used by tests."""
-        assert self.indptr[0] == 0 and self.indptr[-1] == self.nnz
-        assert np.all(np.diff(self.indptr) >= 0), "row offsets must not decrease"
-        if self.nnz:
-            assert self.cols.min() >= 0 and self.cols.max() < self.n_cols
-            assert np.all(self.vals != 0.0), "explicit zeros are not stored"
-        for i in range(self.n_rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            assert np.all(np.diff(self.cols[lo:hi]) > 0), \
-                f"row {i} columns must strictly increase"

@@ -14,7 +14,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"),
                   os.environ.get("PYTHONPATH")]))
 
-from llmdetect.sparse import SparseMatrix
+from oracles import sparse_from_dense
 
 
 def pytest_runtest_logreport(report):
@@ -37,7 +37,7 @@ def random_sparse(rng, n_rows, n_cols, density=0.4, max_distinct=0):
     dense[rng.random((n_rows, n_cols)) > density] = 0.0
     if max_distinct:
         dense = np.round(dense * max_distinct) / max_distinct
-    return SparseMatrix.from_dense(dense), dense
+    return sparse_from_dense(dense), dense
 
 
 @pytest.fixture

@@ -23,6 +23,49 @@ from llmdetect.sparse import SparseMatrix, SparseVector
 from llmdetect.tokenizer import TokenSequence
 
 
+# -- CSR containers built one row at a time ---------------------------------
+
+def sparse_from_rows(rows: list[SparseVector], n_cols: int) -> SparseMatrix:
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    for i, r in enumerate(rows):
+        indptr[i + 1] = indptr[i] + r.nnz
+    total = int(indptr[-1])
+    cols = np.empty(total, dtype=np.int64)
+    vals = np.empty(total, dtype=np.float64)
+    for i, r in enumerate(rows):
+        cols[indptr[i]:indptr[i + 1]] = r.cols
+        vals[indptr[i]:indptr[i + 1]] = r.vals
+    return SparseMatrix(indptr=indptr, cols=cols, vals=vals,
+                        n_rows=len(rows), n_cols=n_cols)
+
+
+def sparse_from_dense(dense) -> SparseMatrix:
+    dense = np.asarray(dense, dtype=np.float64)
+    rows = []
+    for i in range(dense.shape[0]):
+        nz = np.flatnonzero(dense[i])
+        rows.append(SparseVector(cols=nz.astype(np.int64), vals=dense[i, nz],
+                                 n_cols=dense.shape[1]))
+    return sparse_from_rows(rows, dense.shape[1])
+
+
+def validate_csr(X: SparseMatrix) -> None:
+    """Assert the CSR invariants."""
+    assert X.indptr[0] == 0 and X.indptr[-1] == X.nnz
+    assert np.all(np.diff(X.indptr) >= 0), "row offsets must not decrease"
+    if X.nnz:
+        assert X.cols.min() >= 0 and X.cols.max() < X.n_cols
+        assert np.all(X.vals != 0.0), "explicit zeros are not stored"
+    for i in range(X.n_rows):
+        lo, hi = X.indptr[i], X.indptr[i + 1]
+        assert np.all(np.diff(X.cols[lo:hi]) > 0), \
+            f"row {i} columns must strictly increase"
+
+
+def vector_pairs(vec: SparseVector) -> list[tuple[int, float]]:
+    return list(zip(vec.cols.tolist(), vec.vals.tolist()))
+
+
 # -- BPE: recount every pair from scratch each iteration -------------------
 
 def bpe_merges_oracle(texts: list[str], max_merges: int) -> list[tuple[str, str]]:
@@ -147,10 +190,20 @@ def transform_corpus_oracle(model: TfidfModel,
                             corpus_tokens: list[TokenSequence]
                             ) -> SparseMatrix:
     rows = [transform_oracle(model, seq) for seq in corpus_tokens]
-    return SparseMatrix.from_rows(rows, n_cols=model.n_features)
+    return sparse_from_rows(rows, n_cols=model.n_features)
 
 
 # -- SGD: central finite differences of the per-sample objective -----------
+
+def sample_loss(theta: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                label: int, l2: float) -> float:
+    """The per-sample objective at theta."""
+    margin = float(np.dot(vals, theta[cols]) + theta[-1])
+    y_signed = 2 * label - 1
+    weights = theta[:-1]
+    return (float(np.logaddexp(0.0, -y_signed * margin)) +
+            0.5 * l2 * float(np.dot(weights, weights)))
+
 
 def finite_difference_gradient(loss_fn, theta: np.ndarray,
                                step: float = 1e-6) -> np.ndarray:

@@ -21,15 +21,15 @@ from llmdetect.features import TfidfConfig, fit_tfidf, transform_corpus
 from llmdetect.metrics import roc_auc, roc_auc_exact, roc_curve, \
     trapezoid_auc_exact
 from llmdetect.models import (GbdtConfig, SgdConfig, load_model,
-                              sample_gradient, sample_loss, save_model,
+                              sample_gradient, save_model,
                               train_gbdt, train_nb, train_sgd, vocab_hash)
-from llmdetect.sparse import SparseMatrix
 from llmdetect.tokenizer import encode, save_vocab, train_bpe
 from conftest import random_sparse
 from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
 from oracles import (bpe_merges_oracle, finite_difference_gradient,
-                     pairwise_auc_oracle, tfidf_oracle)
+                     pairwise_auc_oracle, sample_loss, sparse_from_dense,
+                     tfidf_oracle, vector_pairs)
 
 
 def test_bpe_merge_oracle_100_corpora():
@@ -73,8 +73,8 @@ def test_tfidf_hand_oracle():
         expected = tfidf_oracle(docs, 1, 2, 1, False, l2_normalize)
         ngrams = model.vocabulary.columns()
         for seq, wanted in zip(seqs, expected):
-            from llmdetect.features import transform
-            got = {ngrams[c]: w for c, w in transform(model, seq).to_pairs()}
+            vec = transform_corpus(model, [seq]).row(0)
+            got = {ngrams[c]: w for c, w in vector_pairs(vec)}
             assert set(got) == set(wanted)
             for term, weight in wanted.items():
                 assert abs(got[term] - weight) < 1e-9
@@ -95,9 +95,9 @@ def test_naive_bayes_posteriors():
     p0 = np.exp(score0 - high) / (np.exp(score0 - high) + np.exp(score1 - high))
     assert np.max(np.abs(p0 + p1 - 1.0)) < 1e-9
 
-    hand = train_nb(SparseMatrix.from_dense([[3.0, 1.0], [1.0, 3.0]]), [0, 1],
+    hand = train_nb(sparse_from_dense([[3.0, 1.0], [1.0, 3.0]]), [0, 1],
                     alpha=1.0)
-    got = hand.predict_proba(SparseMatrix.from_dense([[1.0, 0.0]]))[0]
+    got = hand.predict_proba(sparse_from_dense([[1.0, 0.0]]))[0]
     assert abs(got - 1.0 / 3.0) < 1e-12
 
 
@@ -123,7 +123,7 @@ def test_sgd_gradient_and_separable_fit():
 
     pos = rng.uniform(0.6, 1.0, size=(10, 2))
     neg = rng.uniform(0.0, 0.4, size=(10, 2))
-    X = SparseMatrix.from_dense(np.vstack([pos, neg]))
+    X = sparse_from_dense(np.vstack([pos, neg]))
     y = [1] * 10 + [0] * 10
     model = train_sgd(X, y, SgdConfig(eta0=0.5, l2=0.0, epochs=100, seed=0))
     assert list((model.predict_proba(X) >= 0.5).astype(int)) == y
@@ -158,7 +158,7 @@ def test_gbdt_exhaustive_oracle_and_threshold_dataset():
     rng = np.random.default_rng(3)
     x = rng.random(200)
     y = (x > 0.5).astype(int)
-    X = SparseMatrix.from_dense(x[:, None])
+    X = sparse_from_dense(x[:, None])
     for variant in ("leaf_wise", "symmetric"):
         cfg = GbdtConfig(variant=variant, n_trees=5, learning_rate=0.3,
                          max_leaves=8, depth=3, n_bins=255, min_data_in_leaf=5)

@@ -441,3 +441,156 @@ class TestBadInputs:
                     "--out", workdir / "b.csv"]) == 1
         assert single_error(capsys, "model") == from_bundle
         assert "--vocab" in from_bundle
+
+
+def cli_proc(args, cwd) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "llmdetect", *map(str, args)],
+                          cwd=cwd, capture_output=True, text=True, timeout=60)
+
+
+def single_error_proc(proc, code: str) -> str:
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"llmdetect: error[{code}]: "), lines[0]
+    return lines[0]
+
+
+class TestFilePaths:
+    """A path that names a directory, or a file in a missing directory, ends
+    in one error line like a missing file does; each of these once ended in
+    an IsADirectoryError or FileNotFoundError traceback."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["evaluate", "adir", "corpus.jsonl"], "ensemble"),
+        (["predict", "adir", "corpus.jsonl", "--out", "s.csv"], "model"),
+        (["train", "corpus.jsonl", "--kind", "naive_bayes", "--out", "m.json",
+          "--config", "adir"], "config"),
+        (["tokenize-train", "corpus.jsonl", "--out", "adir",
+          "--config", "run.ini"], "tokenizer"),
+        (["synth", "--n-per-class", "2", "--divergence", "0.5",
+          "--out", "missing_dir/x.jsonl"], "corpus"),
+    ], ids=["evaluate", "predict", "train-config", "tokenize-train", "synth"])
+    def test_subprocess_single_error(self, workdir, args, code):
+        (workdir / "adir").mkdir()
+        line = single_error_proc(cli_proc(args, workdir), code)
+        assert "adir" in line or "missing_dir" in line
+
+    @pytest.mark.parametrize("flag, code", [
+        ("--out", "ensemble"), ("--vocab", "tokenizer")])
+    def test_predict_paths(self, workdir, capsys, flag, code):
+        bundle, vocab = trained_bundle(workdir)
+        (workdir / "adir").mkdir()
+        paths = {"--out": workdir / "s.csv", "--vocab": vocab}
+        paths[flag] = workdir / "adir"
+        capsys.readouterr()
+        assert run(["predict", bundle, workdir / "corpus.jsonl",
+                    "--out", paths["--out"], "--vocab", paths["--vocab"]]) == 1
+        assert "adir" in single_error(capsys, code)
+
+    @pytest.mark.parametrize("flag, code", [
+        ("--out", "model"), ("--holdout-out", "corpus"), ("--vocab", "tokenizer")])
+    def test_train_paths(self, workdir, capsys, flag, code):
+        _, vocab = trained_bundle(workdir)
+        (workdir / "adir").mkdir()
+        paths = {"--out": workdir / "m.json", "--vocab": vocab,
+                 "--holdout-out": workdir / "h.jsonl"}
+        paths[flag] = workdir / "adir"
+        capsys.readouterr()
+        assert run(["train", workdir / "corpus.jsonl", "--kind", "naive_bayes",
+                    "--config", workdir / "run.ini", "--holdout-fraction",
+                    "0.25", *[a for f, p in paths.items() for a in (f, p)]]) == 1
+        # the held-out part may be logged before the failing step
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if "error[" in line] == lines[-1:]
+        assert lines[-1].startswith(f"llmdetect: error[{code}]: ")
+        assert "adir" in lines[-1]
+
+    def test_corpus_directory(self, workdir, capsys):
+        (workdir / "adir").mkdir()
+        assert run(["tokenize-train", workdir / "adir",
+                    "--out", workdir / "v.json"]) == 1
+        assert "adir" in single_error(capsys, "corpus")
+
+    def test_evaluate_json_and_ensemble_out(self, workdir, capsys):
+        (workdir / "adir").mkdir()
+        corpus = synth_corpus(20, seed=5, divergence=0.9)
+        (workdir / "ext.csv").write_text(
+            "id,score\n" + "".join(f"{i},0.5\n" for i in corpus.ids))
+        spec = {"format_version": 1,
+                "voters": [{"scores": "ext.csv", "weight": 1.0}]}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert run(["evaluate", workdir / "ext.csv", workdir / "corpus.jsonl",
+                    "--json", workdir / "adir"]) == 1
+        assert "adir" in capsys.readouterr().err.splitlines()[-1]
+        assert run(["ensemble", workdir / "spec.json", workdir / "corpus.jsonl",
+                    "--out", workdir / "adir"]) == 1
+        assert "adir" in single_error(capsys, "ensemble")
+
+    def test_spec_voter_directory(self, workdir, capsys):
+        (workdir / "adir").mkdir()
+        spec = {"format_version": 1,
+                "voters": [{"model": "adir", "weight": 1.0}]}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run(["ensemble", workdir / "spec.json", workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert "adir" in single_error(capsys, "model")
+
+
+class TestLoaderGaps:
+    @pytest.fixture
+    def ws_bundle(self, workdir):
+        config = workdir / "ws.ini"
+        config.write_text("[features]\ntoken_source = whitespace\n"
+                          "ngram_max = 1\nmin_df = 1\n")
+        assert run(["train", workdir / "corpus.jsonl", "--kind", "naive_bayes",
+                    "--out", workdir / "ws.json", "--config", config]) == 0
+        return workdir / "ws.json"
+
+    @staticmethod
+    def edit(path, edit):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("command", ["predict", "ensemble"])
+    def test_non_string_vocab_ref_in_spec(self, workdir, ws_bundle, capsys,
+                                          command):
+        # once TypeError: unhashable type: 'list' from a spec naming it
+        self.edit(ws_bundle, lambda p: p.update(vocab_ref=["x"]))
+        spec = {"format_version": 1,
+                "voters": [{"model": "ws.json", "weight": 1.0}]}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert run([command, workdir / "spec.json", workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert "vocab_ref" in single_error(capsys, "model")
+
+    @pytest.mark.parametrize("word_vocab", [5, [[1]], "abc"])
+    def test_malformed_word_vocab(self, workdir, ws_bundle, capsys,
+                                  word_vocab):
+        self.edit(ws_bundle, lambda p: p["tfidf"].update(word_vocab=word_vocab))
+        capsys.readouterr()
+        assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert "word_vocab" in single_error(capsys, "features")
+
+    @pytest.mark.parametrize("voter", [{"model": 5}, {"scores": None},
+                                       {"model": ""}, {"scores": ["a.csv"]}])
+    def test_voter_path_must_be_a_string(self, workdir, capsys, voter):
+        spec = {"format_version": 1, "voters": [{**voter, "weight": 1.0}]}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        assert run(["ensemble", workdir / "spec.json", workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert "voters[0]: path" in single_error(capsys, "ensemble")
+
+    def test_subprocess_voter_path(self, workdir):
+        # once a TypeError traceback in the spec loader
+        spec = {"format_version": 1, "voters": [{"model": 5, "weight": 1.0}]}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        line = single_error_proc(cli_proc(
+            ["predict", "spec.json", "corpus.jsonl", "--out", "x.csv"],
+            workdir), "ensemble")
+        assert "non-empty string" in line

@@ -12,14 +12,20 @@ from llmdetect.corpus import synth_corpus
 from llmdetect.errors import FeatureError
 from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
                                 fit_tfidf, fit_word_vocab, tfidf_from_dict,
-                                tfidf_to_dict, transform, transform_corpus)
+                                tfidf_to_dict, transform_corpus)
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenSequence, encode,
                                  train_bpe)
-from oracles import fit_tfidf_oracle, tfidf_oracle, transform_corpus_oracle
+from oracles import (fit_tfidf_oracle, tfidf_oracle, transform_corpus_oracle,
+                     vector_pairs)
 
 
 def seqs(*id_lists):
     return [TokenSequence(ids=tuple(ids)) for ids in id_lists]
+
+
+def transform(model, seq):
+    """One document's row of transform_corpus."""
+    return transform_corpus(model, [seq]).row(0)
 
 
 class TestExtractNgrams:
@@ -87,7 +93,7 @@ class TestTransform:
                           TfidfConfig(1, 1, min_df=1, l2_normalize=False))
         col = model.vocabulary.ngram_to_col[(4,)]
         vec = transform(model, seqs([4, 4])[0])
-        assert dict(vec.to_pairs())[col] == pytest.approx(
+        assert dict(vector_pairs(vec))[col] == pytest.approx(
             2.0 * model.idf[col], abs=1e-15)
 
     def test_l2_normalized_unit_norm(self):
@@ -107,7 +113,7 @@ class TestTransform:
         model = fit_tfidf(seqs([1, 2], [2, 3]), cfg)
         with_oov = transform(model, seqs([1, 2, 99])[0])
         without = transform(model, seqs([1, 2])[0])
-        assert with_oov.to_pairs() == without.to_pairs()
+        assert vector_pairs(with_oov) == vector_pairs(without)
 
     def test_matrix_rows_match_vector_transforms(self):
         docs = seqs([1, 2, 3], [2, 2], [9])
@@ -136,7 +142,7 @@ class TestOracleEquivalence:
         ngrams = model.vocabulary.columns()
         for i, doc in enumerate(docs):
             vec = transform(model, seqs(doc)[0])
-            got = {ngrams[c]: w for c, w in vec.to_pairs()}
+            got = {ngrams[c]: w for c, w in vector_pairs(vec)}
             assert set(got) == set(expected[i])
             for t, w in expected[i].items():
                 assert got[t] == pytest.approx(w, abs=1e-9)
@@ -237,7 +243,7 @@ class TestMatchesCounterOracle:
     def test_corpus_spanning_several_blocks(self):
         corpus = synth_corpus(150, seed=3, divergence=0.0004)
         vocab = fit_word_vocab(corpus.texts[::2])
-        sequences = [encode_words(vocab, t) for t in corpus.texts]
+        sequences = encode_words(vocab, corpus.texts)
         assert sum(map(len, sequences)) > 2 * features._BLOCK_TOKENS
         for config in (TfidfConfig(), TfidfConfig(2, 4, min_df=3,
                                                   sublinear_tf=True,
@@ -275,6 +281,33 @@ class TestMatchesCounterOracle:
             transform_corpus(model, seqs([1, 2**63]))
 
 
+class TestWordVocab:
+    def test_encode_words(self):
+        vocab = ["<unk>", "a", "b"]
+        assert encode_words(vocab, ["a b c", "", "b  a"]) == seqs(
+            [1, 2, 0], [], [2, 1])
+
+    @pytest.mark.parametrize("word_vocab", [5, [[1]], "abc", [], ["a"],
+                                            ["a", "<unk>"], ["<unk>", 1]])
+    def test_malformed_rejected(self, word_vocab):
+        payload = tfidf_to_dict(fit_tfidf(seqs([1, 2]), TfidfConfig(1, 1, 1)))
+        payload["word_vocab"] = word_vocab
+        with pytest.raises(FeatureError, match="word_vocab"):
+            tfidf_from_dict(payload)
+
+    def test_literal_unknown_word_loads(self):
+        # a corpus holding the word "<unk>" lists it twice
+        vocab = fit_word_vocab(["<unk> a", "b"])
+        assert vocab == ["<unk>", "<unk>", "a", "b"]
+        model = fit_tfidf(encode_words(vocab, ["<unk> a", "b"]),
+                          TfidfConfig(1, 1, 1))
+        model.word_vocab = vocab
+        assert tfidf_from_dict(tfidf_to_dict(model)).word_vocab == vocab
+        payload = tfidf_to_dict(model)
+        payload["word_vocab"] = None
+        assert tfidf_from_dict(payload).word_vocab is None
+
+
 # SHA-256 of indptr, cols and vals of a CLI-default fit (BPE vocab 5000,
 # 1-3-grams, min_df 2, l2) on synth_corpus(150, 1, 0.0004), recorded with
 # the Counter featurizer on x86-64 with numpy 2.x.
@@ -307,7 +340,7 @@ def _traced_peak(fn):
 def test_transform_peak_memory_no_higher_than_counter_path():
     corpus = synth_corpus(600, seed=5, divergence=0.0004)
     vocab = fit_word_vocab(corpus.texts[:300])
-    sequences = [encode_words(vocab, t) for t in corpus.texts]
+    sequences = encode_words(vocab, corpus.texts)
     assert sum(map(len, sequences)) >= 150_000
     model = fit_tfidf(sequences[:300], TfidfConfig())
     oracle_peak = _traced_peak(

@@ -12,13 +12,12 @@ from llmdetect.models import GbdtConfig, train_gbdt
 from llmdetect.models.common import sigmoid
 from llmdetect.models.gbdt import (LEAF_WISE, SYMMETRIC, _BinnedMatrix, _node,
                                    split_threshold)
-from llmdetect.sparse import SparseMatrix
 from llmdetect.metrics import roc_auc
 from conftest import random_sparse
 from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
 from oracles import (_oracle_gain, bin_matrix, compute_bin_edges,
-                     find_best_split, histograms_oracle)
+                     find_best_split, histograms_oracle, sparse_from_dense)
 
 
 def node_split_gains(X, rows, g, h, n_bins, min_data_in_leaf=1, lambda_l2=1.0):
@@ -83,7 +82,7 @@ class TestHistograms:
         # threshold leaves rows on both sides
         g = np.array([0.5, -0.25, 1.0])
         h = np.array([0.2, 0.3, 0.1])
-        X = SparseMatrix.from_dense([[0.7], [0.7], [0.7]])
+        X = sparse_from_dense([[0.7], [0.7], [0.7]])
         binned, occupied, gains = node_split_gains(X, np.arange(3), g, h, 4)
         assert occupied.tolist() == [0]
         assert binned.bins.tolist() == [1, 1, 1]
@@ -92,7 +91,7 @@ class TestHistograms:
             (g.sum(), h.sum()), abs=1e-12)
 
     def test_all_zero_column_mass_in_zero_bin(self):
-        X = SparseMatrix.from_dense([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0],
+        X = sparse_from_dense([[1.0, 0.0], [2.0, 0.0], [0.0, 0.0],
                                      [0.0, 3.0], [0.0, 0.0]])
         ones = np.ones(5)
         rows = np.arange(5)
@@ -140,7 +139,7 @@ class TestHistograms:
 class TestFindBestSplit:
     @staticmethod
     def choice(dense, g, h, n_bins, min_data_in_leaf):
-        X = SparseMatrix.from_dense(dense)
+        X = sparse_from_dense(dense)
         _, occupied, gains = node_split_gains(
             X, np.arange(len(g)), np.asarray(g, float), np.asarray(h, float),
             n_bins, min_data_in_leaf)
@@ -168,7 +167,7 @@ class TestFindBestSplit:
     @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
     def test_tie_prefers_lowest_column_in_training(self, variant):
         column = [0.0] * 10 + [1.0] * 10
-        X = SparseMatrix.from_dense([[v, v] for v in column])
+        X = sparse_from_dense([[v, v] for v in column])
         model = train_gbdt(X, [0] * 10 + [1] * 10, GbdtConfig(
             variant=variant, n_trees=1, max_leaves=2, depth=1, n_bins=2,
             min_data_in_leaf=1))
@@ -197,7 +196,7 @@ def _binning_inputs(draw):
                                max_size=n_rows))
         scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e-300, 1e300]))
         columns.append(np.array(values, dtype=float) * scale)
-    return SparseMatrix.from_dense(np.column_stack(columns)), n_bins
+    return sparse_from_dense(np.column_stack(columns)), n_bins
 
 
 def assert_column_binned_like_oracle(binned, X, col, expected_cuts,
@@ -262,7 +261,7 @@ class TestBinning:
         assert len(binned.bins) == binned.X_split.nnz
 
     def test_quantile_branch_and_empty_column(self):
-        X = SparseMatrix.from_dense(np.column_stack(
+        X = sparse_from_dense(np.column_stack(
             [np.arange(20.0), np.zeros(20), np.arange(20.0) % 3]))
         binned = _BinnedMatrix(X, GbdtConfig(n_bins=3, min_data_in_leaf=1))
         cuts = compute_bin_edges(X, 3)
@@ -276,7 +275,7 @@ class TestBinning:
         # once a ValueError: the only nonzero bin could not hold the values
         # above the column's minimum
         column = [0.0] * 6 + [0.25, 0.5, 0.75, 1.0, 0.5, 0.25]
-        X = SparseMatrix.from_dense([[v] for v in column])
+        X = sparse_from_dense([[v] for v in column])
         model = train_gbdt(X, [0] * 6 + [1] * 6, GbdtConfig(
             variant=variant, n_trees=1, max_leaves=2, depth=1, n_bins=2,
             min_data_in_leaf=1))
@@ -345,15 +344,15 @@ class TestTraining:
         rng = np.random.default_rng(seed)
         x = rng.random(n)
         y = (x > 0.5).astype(int)
-        return SparseMatrix.from_dense(x[:, None]), y
+        return sparse_from_dense(x[:, None]), y
 
     def test_single_class_rejected(self):
-        X = SparseMatrix.from_dense([[1.0], [2.0]])
+        X = sparse_from_dense([[1.0], [2.0]])
         with pytest.raises(ModelError):
             train_gbdt(X, [1, 1])
 
     def test_negative_features_rejected(self):
-        X = SparseMatrix.from_dense([[-1.0], [2.0]])
+        X = sparse_from_dense([[-1.0], [2.0]])
         with pytest.raises(ModelError, match="negative"):
             train_gbdt(X, [0, 1])
 
@@ -409,14 +408,14 @@ class TestTraining:
     def test_no_columns_gives_constant_trees(self, variant):
         # a TF-IDF model whose min_df drops every n-gram has no columns;
         # the symmetric grower once failed on an empty argmax
-        X = SparseMatrix.from_dense(np.zeros((4, 0)))
+        X = sparse_from_dense(np.zeros((4, 0)))
         model = train_gbdt(X, [0, 1, 0, 1], GbdtConfig(
             variant=variant, n_trees=2, depth=2, min_data_in_leaf=1))
         np.testing.assert_array_equal(model.predict_proba(X), [0.5] * 4)
 
     def test_symmetric_pads_with_noop_when_unsplittable(self):
         # min_data_in_leaf so large no split is ever valid
-        X = SparseMatrix.from_dense([[0.1], [0.9], [0.4], [0.7]])
+        X = sparse_from_dense([[0.1], [0.9], [0.4], [0.7]])
         cfg = GbdtConfig(variant=SYMMETRIC, n_trees=1, depth=3, n_bins=8,
                          min_data_in_leaf=4)
         model = train_gbdt(X, [0, 1, 0, 1], cfg)
@@ -449,8 +448,8 @@ class TestMemory:
         y[0], y[1] = 0, 1
         extra = np.zeros((60, 20_000))
         extra[np.arange(20_000) % 60, np.arange(20_000)] = 0.5
-        narrow = SparseMatrix.from_dense(dense)
-        wide = SparseMatrix.from_dense(np.hstack([dense, extra]))
+        narrow = sparse_from_dense(dense)
+        wide = sparse_from_dense(np.hstack([dense, extra]))
         config = GbdtConfig(variant=SYMMETRIC, n_trees=1, depth=3,
                             min_data_in_leaf=5)
         peaks = [traced_peak_mb(lambda: train_gbdt(X, y, config))
@@ -501,7 +500,7 @@ class TestOracleEquivalence:
         dense[rng.random((120, 80)) > density] = 0.0
         signal = dense[:, :20].sum(axis=1) + 0.2 * rng.random(120)
         y = (signal > np.median(signal)).astype(np.float64)
-        return SparseMatrix.from_dense(dense), dense, y
+        return sparse_from_dense(dense), dense, y
 
     @staticmethod
     def pruning_spy(monkeypatch):

@@ -87,6 +87,14 @@ class TestBundleRoundTrip:
         with pytest.raises(ModelError, match="format_version"):
             load_model(tampered)
 
+    @pytest.mark.parametrize("ref", [["x"], 5, None])
+    def test_non_string_vocab_ref_rejected(self, tfidf, training, ref):
+        X, y = training
+        payload = json.loads(save_model(train_nb(X, y), tfidf, vocab_ref="r"))
+        payload["vocab_ref"] = ref
+        with pytest.raises(ModelError, match="vocab_ref"):
+            load_model(json.dumps(payload).encode("utf-8"))
+
     def test_truncated_rejected(self, tfidf, training):
         X, y = training
         data = save_model(train_nb(X, y), tfidf, vocab_ref="r")

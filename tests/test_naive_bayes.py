@@ -3,14 +3,14 @@ import pytest
 
 from llmdetect.errors import ModelError
 from llmdetect.models import train_nb
-from llmdetect.sparse import SparseMatrix
 from conftest import random_sparse
+from oracles import sparse_from_dense
 
 
 class TestTraining:
     def test_symmetric_likelihoods_give_half(self):
         # balanced classes with identical class-conditional counts
-        X = SparseMatrix.from_dense([[2.0, 1.0], [2.0, 1.0]])
+        X = sparse_from_dense([[2.0, 1.0], [2.0, 1.0]])
         model = train_nb(X, [0, 1], alpha=1.0)
         np.testing.assert_allclose(model.predict_proba(X), 0.5, atol=1e-12)
 
@@ -18,14 +18,14 @@ class TestTraining:
         # class 0 counts (3,1), class 1 counts (1,3), alpha 1, balanced
         # priors; doc with counts (1,0): smoothed likelihoods are
         # (4/6, 2/6) vs (2/6, 4/6), so P(1) = (2/6) / (4/6 + 2/6) = 1/3
-        X = SparseMatrix.from_dense([[3.0, 1.0], [1.0, 3.0]])
+        X = sparse_from_dense([[3.0, 1.0], [1.0, 3.0]])
         model = train_nb(X, [0, 1], alpha=1.0)
-        test = SparseMatrix.from_dense([[1.0, 0.0]])
+        test = sparse_from_dense([[1.0, 0.0]])
         assert model.predict_proba(test)[0] == pytest.approx(1.0 / 3.0,
                                                              abs=1e-12)
 
     def test_prior_reflects_class_frequencies(self):
-        X = SparseMatrix.from_dense([[1.0], [1.0], [1.0], [1.0]])
+        X = sparse_from_dense([[1.0], [1.0], [1.0], [1.0]])
         model = train_nb(X, [0, 0, 0, 1], alpha=1.0)
         np.testing.assert_allclose(np.exp(model.log_prior), [0.75, 0.25],
                                    atol=1e-12)
@@ -39,12 +39,12 @@ class TestTraining:
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_single_class_rejected(self):
-        X = SparseMatrix.from_dense([[1.0], [2.0]])
+        X = sparse_from_dense([[1.0], [2.0]])
         with pytest.raises(ModelError):
             train_nb(X, [1, 1])
 
     def test_nonpositive_alpha_rejected(self):
-        X = SparseMatrix.from_dense([[1.0], [2.0]])
+        X = sparse_from_dense([[1.0], [2.0]])
         with pytest.raises(ModelError):
             train_nb(X, [0, 1], alpha=0.0)
 

@@ -3,9 +3,10 @@ import pytest
 
 from llmdetect.errors import ModelError
 from llmdetect.models import (SgdConfig, objective, sample_gradient,
-                              sample_loss, sgd_step, train_sgd)
+                              sgd_step, train_sgd)
 from llmdetect.sparse import SparseMatrix
 from conftest import random_sparse
+from oracles import sample_loss, sparse_from_dense, sparse_from_rows
 
 
 class TestStep:
@@ -73,7 +74,7 @@ class TestTraining:
         neg = rng.uniform(0.0, 0.4, size=(10, 2))
         dense = np.vstack([pos, neg])
         labels = [1] * 10 + [0] * 10
-        return SparseMatrix.from_dense(dense), labels
+        return sparse_from_dense(dense), labels
 
     def test_separable_data_fits_perfectly(self):
         X, y = self.separable()
@@ -82,7 +83,7 @@ class TestTraining:
         assert list(predictions) == y
 
     def test_zero_features_only_bias_moves(self):
-        X = SparseMatrix.from_rows([], n_cols=3)
+        X = sparse_from_rows([], n_cols=3)
         X = SparseMatrix(indptr=np.zeros(5, dtype=np.int64),
                          cols=np.empty(0, dtype=np.int64),
                          vals=np.empty(0), n_rows=4, n_cols=3)
@@ -92,7 +93,7 @@ class TestTraining:
         assert model.theta[-1] != 0.0
 
     def test_single_class_rejected(self):
-        X = SparseMatrix.from_dense([[1.0], [2.0]])
+        X = sparse_from_dense([[1.0], [2.0]])
         with pytest.raises(ModelError):
             train_sgd(X, [0, 0])
 

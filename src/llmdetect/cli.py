@@ -82,14 +82,6 @@ def cmd_train(args) -> int:
         config.tfidf_config(), config.sgd_config(), config.gbdt_config())
     corpus = _load_corpus_arg(args.corpus, args.format)
 
-    if args.holdout_fraction:
-        spec = SplitSpec(test_fraction=args.holdout_fraction, seed=config.seed)
-        corpus, holdout = split_corpus(corpus, spec)
-        if args.holdout_out:
-            save_corpus(holdout, args.holdout_out,
-                        _resolve_format(args.holdout_out, None))
-            _log(f"wrote {len(holdout)} held-out documents to {args.holdout_out}")
-
     token_source = config.get("features", "token_source")
     bpe_vocab = vocab_bytes = None
     if token_source == TOKEN_SOURCE_BPE:
@@ -99,6 +91,11 @@ def cmd_train(args) -> int:
                               "vocabulary with tokenize-train and point the "
                               "config (or --vocab) at it")
         bpe_vocab, vocab_bytes = _load_bpe_vocab(vocab_path)
+
+    holdout = None
+    if args.holdout_fraction:
+        spec = SplitSpec(test_fraction=args.holdout_fraction, seed=config.seed)
+        corpus, holdout = split_corpus(corpus, spec)
 
     bundle_bytes = train_bundle(
         args.kind, corpus,
@@ -111,6 +108,11 @@ def cmd_train(args) -> int:
         seed=config.seed, config_hash=config.hash())
     write_bytes(args.out, bundle_bytes, ModelError)
     _log(f"trained {args.kind} on {len(corpus)} documents -> {args.out}")
+    # written only once the bundle is, so a failed train leaves no file
+    if holdout is not None and args.holdout_out:
+        save_corpus(holdout, args.holdout_out,
+                    _resolve_format(args.holdout_out, None))
+        _log(f"wrote {len(holdout)} held-out documents to {args.holdout_out}")
     return 0
 
 

@@ -19,11 +19,12 @@ from itertools import product
 
 import numpy as np
 
+from . import pipeline
 from .corpus import csv_rows
 from .errors import EnsembleError
+from .features import same_transform
 from .files import read_text
 from .metrics import roc_auc, tie_groups
-from .pipeline import score_texts
 
 COMBINE_PROBABILITY_MEAN = "probability_mean"
 COMBINE_RANK_MEAN = "rank_mean"
@@ -227,26 +228,41 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
                          bpe_vocab=None) -> list[np.ndarray]:
     """Per-voter score arrays over the documents, in spec order.
 
-    Internal voters must agree on their vocabulary reference; external
-    voters must cover every document id.  Token sequences are computed once
-    and shared across internal voters.
+    BPE voters must agree on their vocabulary reference; external voters
+    must cover every document id.  The texts are tokenized once per token
+    scheme (BPE, or one whitespace word table) and featurized once per
+    distinct TF-IDF model of a scheme (``same_transform``), each on first
+    use, so errors still come out in spec order.
     """
     ids = documents.ids
     texts = documents.texts
-    refs = {v.bundle.vocab_ref for v in spec.voters if v.bundle is not None}
+    refs = {v.bundle.vocab_ref for v in spec.voters
+            if v.bundle is not None and v.bundle.tfidf.word_vocab is None}
     if len(refs) > 1:
-        raise EnsembleError(f"internal voters disagree on vocabulary hash: "
+        raise EnsembleError(f"BPE voters disagree on vocabulary hash: "
                             f"{sorted(refs)}")
 
+    # per token scheme: its word table, token sequences, and the
+    # (TF-IDF model, matrix) pairs featurized from them
+    schemes: list[tuple] = []
     per_voter: list[np.ndarray] = []
-    sequences = None
     for voter in spec.voters:
         if voter.external is not None:
             per_voter.append(voter.external.aligned(ids))
-        else:
-            scores, sequences = score_texts(voter.bundle, texts, bpe_vocab,
-                                            sequences=sequences)
-            per_voter.append(scores)
+            continue
+        tfidf = voter.bundle.tfidf
+        scheme = next((s for s in schemes if s[0] == tfidf.word_vocab), None)
+        if scheme is None:
+            scheme = (tfidf.word_vocab, pipeline.tokenize_texts(
+                texts, tfidf.word_vocab, bpe_vocab), [])
+            schemes.append(scheme)
+        _, sequences, matrices = scheme
+        X = next((X for model, X in matrices if same_transform(model, tfidf)),
+                 None)
+        if X is None:
+            X = pipeline.transform_corpus(tfidf, sequences)
+            matrices.append((tfidf, X))
+        per_voter.append(voter.bundle.predict_proba(X))
     return per_voter
 
 

@@ -15,6 +15,8 @@ each document's n-grams in a dictionary (``extract_ngrams``).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -85,6 +87,15 @@ class TfidfModel:
     @property
     def n_features(self) -> int:
         return self.vocabulary.size
+
+
+def same_transform(a: TfidfModel, b: TfidfModel) -> bool:
+    """Whether ``transform_corpus`` gives the same matrix under both
+    models: equal config, n-gram columns and idf bytes.  Bytes, not ``==``,
+    so that idf values such as -0.0 and 0.0 never count as equal."""
+    return (a.config == b.config
+            and a.vocabulary.ngram_to_col == b.vocabulary.ngram_to_col
+            and a.idf.tobytes() == b.idf.tobytes())
 
 
 def extract_ngrams(seq: TokenSequence, ngram_min: int, ngram_max: int) -> Counter:
@@ -336,6 +347,12 @@ def fit_word_vocab(texts: list[str]) -> list[str]:
     """Word -> id table for whitespace-token mode; id 0 is the unknown."""
     words = sorted({w for text in texts for w in text.split()})
     return [WORD_UNKNOWN] + words
+
+
+def word_vocab_ref(word_vocab: list[str]) -> str:
+    """Hash standing in for a tokenizer-file ref in whitespace mode."""
+    canonical = json.dumps(word_vocab, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(canonical).hexdigest()
 
 
 def encode_words(word_vocab: list[str],

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelError
-from ..features import TfidfModel, tfidf_from_dict, tfidf_to_dict
+from ..features import (TfidfModel, tfidf_from_dict, tfidf_to_dict,
+                        word_vocab_ref)
 from .common import sigmoid
 from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
                    train_gbdt)
@@ -71,6 +72,7 @@ def save_model(model, tfidf: TfidfModel, vocab_ref: str,
         raise ModelError(f"unknown model type {type(model).__name__}")
     parameters = model.to_dict()
     # never write a bundle that load_model would reject
+    _check_word_vocab_ref(tfidf, vocab_ref)
     _model_from_parameters(kind, parameters, tfidf.n_features)
     payload = {
         "format_version": BUNDLE_FORMAT_VERSION,
@@ -113,6 +115,7 @@ def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
         raise ModelError(f"field vocab_ref: expected a string, got "
                          f"{type(payload['vocab_ref']).__name__}")
     tfidf = tfidf_from_dict(payload["tfidf"])
+    _check_word_vocab_ref(tfidf, payload["vocab_ref"])
     model = _model_from_parameters(kind, payload["parameters"],
                                    tfidf.n_features)
     training = payload.get("training") or {}
@@ -120,6 +123,14 @@ def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
                        vocab_ref=payload["vocab_ref"],
                        seed=training.get("seed"),
                        config_hash=training.get("config_hash"))
+
+
+def _check_word_vocab_ref(tfidf: TfidfModel, vocab_ref) -> None:
+    """A whitespace bundle's ref must be the hash of its own word table."""
+    if tfidf.word_vocab is not None and \
+            vocab_ref != word_vocab_ref(tfidf.word_vocab):
+        raise ModelError("field vocab_ref: does not match the hash of the "
+                         "bundle's whitespace word table")
 
 
 def _model_from_parameters(kind: str, parameters, n_features: int):

@@ -7,15 +7,12 @@ file it was trained with and refuses to score tokens from any other.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import numpy as np
 
 from .corpus import LabeledCorpus
 from .errors import ModelError
 from .features import (TfidfConfig, encode_words, fit_tfidf, fit_word_vocab,
-                       transform_corpus)
+                       transform_corpus, word_vocab_ref)
 from .models import (KIND_GBDT, KIND_NAIVE_BAYES, KIND_SGD_LINEAR, ModelBundle,
                      save_model, train_gbdt, train_nb, train_sgd, vocab_hash)
 from .models.naive_bayes import DEFAULT_ALPHA
@@ -23,12 +20,6 @@ from .tokenizer import BpeVocab, TokenSequence, encode
 
 TOKEN_SOURCE_BPE = "bpe"
 TOKEN_SOURCE_WHITESPACE = "whitespace"
-
-
-def word_vocab_ref(word_vocab: list[str]) -> str:
-    """Hash standing in for a tokenizer-file ref in whitespace mode."""
-    canonical = json.dumps(word_vocab, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()
 
 
 def check_vocab_ref(bundle: ModelBundle, vocab_bytes: bytes) -> None:

@@ -5,7 +5,9 @@ literal method available (full recounts, exhaustive enumeration, central
 finite differences, all-pairs comparison) and deliberately shares no code
 with the implementations under test beyond data containers.  The Counter
 featurizer uses the library's ``extract_ngrams``, which the array
-featurizer it checks does not call.
+featurizer it checks does not call; the per-voter ensemble loop uses
+``pipeline.score_texts``, which the grouped ``collect_voter_scores`` does
+not call.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from llmdetect.errors import FeatureError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
+from llmdetect.pipeline import score_texts
 from llmdetect.sparse import SparseMatrix, SparseVector
 from llmdetect.tokenizer import TokenSequence
 
@@ -279,6 +282,21 @@ def rank_average_oracle(per_voter_scores, weights) -> np.ndarray:
                 acc += w * ranks[d]
         out[d] = float(acc / total)
     return out
+
+
+def collect_voter_scores_oracle(spec, documents, bpe_vocab=None):
+    """Per-voter scores in spec order, each internal voter tokenized and
+    featurized on its own by ``score_texts``."""
+    ids = documents.ids
+    texts = documents.texts
+    per_voter: list[np.ndarray] = []
+    for voter in spec.voters:
+        if voter.external is not None:
+            per_voter.append(voter.external.aligned(ids))
+        else:
+            scores, _ = score_texts(voter.bundle, texts, bpe_vocab)
+            per_voter.append(scores)
+    return per_voter
 
 
 # -- GBDT: exhaustive-threshold boosting ------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from llmdetect.cli import main
 from llmdetect.corpus import synth_corpus, save_corpus
 from llmdetect.ensemble import load_external_scores
+from llmdetect.errors import ModelError
+from llmdetect.models import load_model
 
 CONFIG = """
 [run]
@@ -324,6 +326,56 @@ class TestWhitespaceMode:
         assert "roc_auc:" in out
 
 
+class TestWhitespaceCorpora:
+    """Two whitespace NB bundles trained on synth seeds 1 and 2."""
+
+    @pytest.fixture
+    def pair(self, workdir):
+        config = workdir / "ws.ini"
+        config.write_text("[features]\ntoken_source = whitespace\n"
+                          "ngram_max = 2\nmin_df = 1\n")
+        for seed in (1, 2):
+            corpus = workdir / f"c{seed}.jsonl"
+            save_corpus(synth_corpus(20, seed=seed, divergence=0.9), corpus,
+                        "jsonl")
+            assert run(["train", corpus, "--kind", "naive_bayes", "--out",
+                        workdir / f"ws{seed}.json", "--config", config]) == 0
+        return workdir / "ws1.json", workdir / "ws2.json"
+
+    @staticmethod
+    def write_spec(workdir, weights):
+        spec = {"format_version": 1,
+                "voters": [{"model": f"ws{i}.json", "weight": w}
+                           for i, w in zip((1, 2), weights)]}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        return workdir / "spec.json"
+
+    def test_each_weight_reproduces_its_bundle(self, workdir, pair):
+        # once refused: internal voters disagree on vocabulary hash
+        for weights, bundle in (((1, 0), pair[0]), ((0, 1), pair[1])):
+            spec = self.write_spec(workdir, weights)
+            assert run(["ensemble", spec, workdir / "corpus.jsonl",
+                        "--out", workdir / "ens.csv"]) == 0
+            assert run(["predict", bundle, workdir / "corpus.jsonl",
+                        "--out", workdir / "solo.csv"]) == 0
+            assert ((workdir / "ens.csv").read_bytes()
+                    == (workdir / "solo.csv").read_bytes())
+
+    def test_borrowed_ref_refused(self, workdir, pair, capsys):
+        # once loaded, and scored after ws1 with ws1's word ids
+        first, second = pair
+        payload = json.loads(second.read_text())
+        payload["vocab_ref"] = json.loads(first.read_text())["vocab_ref"]
+        second.write_text(json.dumps(payload))
+        with pytest.raises(ModelError, match="vocab_ref"):
+            load_model(second.read_bytes())
+        spec = self.write_spec(workdir, (0, 1))
+        capsys.readouterr()
+        assert run(["predict", spec, workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert "vocab_ref" in single_error(capsys, "model")
+
+
 class TestSynth:
     def test_jsonl_line_count(self, workdir):
         assert run(["synth", "--n-per-class", "10", "--divergence", "0.5",
@@ -501,11 +553,14 @@ class TestFilePaths:
         assert run(["train", workdir / "corpus.jsonl", "--kind", "naive_bayes",
                     "--config", workdir / "run.ini", "--holdout-fraction",
                     "0.25", *[a for f, p in paths.items() for a in (f, p)]]) == 1
-        # the held-out part may be logged before the failing step
+        # the bundle may be logged before the held-out part fails
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if "error[" in line] == lines[-1:]
         assert lines[-1].startswith(f"llmdetect: error[{code}]: ")
         assert "adir" in lines[-1]
+        if flag != "--holdout-out":
+            # once written before the vocabulary was read
+            assert not (workdir / "h.jsonl").exists()
 
     def test_corpus_directory(self, workdir, capsys):
         (workdir / "adir").mkdir()

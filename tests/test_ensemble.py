@@ -1,16 +1,27 @@
+import copy
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llmdetect import pipeline
+from llmdetect.corpus import synth_corpus
 from llmdetect.ensemble import (EnsembleSpec, ExternalScores, Voter,
-                                dump_scores, parse_external_scores,
-                                rank_average, soft_vote, tune_weights,
+                                collect_voter_scores, dump_scores,
+                                parse_external_scores, rank_average,
+                                run_ensemble, soft_vote, tune_weights,
                                 weight_grid)
-from llmdetect.errors import EnsembleError
-from oracles import rank_average_oracle, soft_vote_oracle
+from llmdetect.errors import EnsembleError, ModelError
+from llmdetect.features import TfidfConfig, same_transform
+from llmdetect.models import GbdtConfig, SgdConfig, load_model
+from llmdetect.pipeline import (TOKEN_SOURCE_WHITESPACE, score_texts,
+                                train_bundle)
+from llmdetect.tokenizer import save_vocab, train_bpe
+from oracles import (collect_voter_scores_oracle, rank_average_oracle,
+                     soft_vote_oracle)
 
 
 class TestSoftVote:
@@ -237,21 +248,115 @@ class TestSpecValidation:
             EnsembleSpec(voters=[voter], combine="median")
 
 
+def _bpe_bundles(vocab_size, kinds, tfidf_config=TfidfConfig(ngram_max=2)):
+    """A BPE vocabulary of vocab_size on synth seed 1, and one loaded
+    bundle per kind trained on that corpus with it."""
+    corpus = synth_corpus(15, seed=1, divergence=0.5)
+    vocab = train_bpe(corpus.texts, vocab_size=vocab_size)
+    return vocab, [load_model(train_bundle(
+        kind, corpus, tfidf_config=tfidf_config, bpe_vocab=vocab,
+        vocab_bytes=save_vocab(vocab),
+        sgd_config=SgdConfig(epochs=2, seed=1),
+        gbdt_config=GbdtConfig(n_trees=2, n_bins=16, min_data_in_leaf=2),
+        seed=1)) for kind in kinds]
+
+
+def _whitespace_bundle(seed):
+    corpus = synth_corpus(15, seed=seed, divergence=0.5)
+    return load_model(train_bundle(
+        "naive_bayes", corpus, tfidf_config=TfidfConfig(ngram_max=2),
+        token_source=TOKEN_SOURCE_WHITESPACE))
+
+
+@contextmanager
+def _spy():
+    """Count the calls collect_voter_scores makes to the pipeline's
+    tokenize_texts and transform_corpus."""
+    names = ("tokenize_texts", "transform_corpus")
+    calls = dict.fromkeys(names, 0)
+    saved = {name: getattr(pipeline, name) for name in names}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return saved[name](*args, **kwargs)
+        return call
+
+    for name in names:
+        setattr(pipeline, name, counted(name))
+    try:
+        yield calls
+    finally:
+        for name in names:
+            setattr(pipeline, name, saved[name])
+
+
+@pytest.fixture(scope="module")
+def mixed():
+    """Seven voters: three BPE bundles sharing one TF-IDF model, one BPE
+    bundle with min_df 1, whitespace bundles from two corpora, and an
+    external score file; plus the documents and the oracle's scores."""
+    vocab, shared = _bpe_bundles(150, ["naive_bayes", "sgd_linear", "gbdt"])
+    _, own = _bpe_bundles(150, ["naive_bayes"],
+                          TfidfConfig(ngram_max=2, min_df=1))
+    documents = synth_corpus(10, seed=7, divergence=0.5)
+    external = ExternalScores(scores={
+        i: (k + 0.5) / len(documents) for k, i in enumerate(documents.ids)})
+    voters = ([Voter(weight=1.0, bundle=b) for b in
+               [*shared, *own, _whitespace_bundle(1), _whitespace_bundle(2)]]
+              + [Voter(weight=1.0, external=external)])
+    oracle = collect_voter_scores_oracle(EnsembleSpec(voters=voters),
+                                         documents, vocab)
+    return vocab, voters, documents, oracle
+
+
 class TestRunEnsemble:
     def test_inconsistent_vocab_hashes_rejected(self):
-        from llmdetect.corpus import synth_corpus
-        from llmdetect.ensemble import run_ensemble
-        from llmdetect.models import ModelBundle
-
-        corpus = synth_corpus(3, seed=1, divergence=0.5)
-        spec = EnsembleSpec(voters=[
-            Voter(weight=1.0, bundle=ModelBundle(
-                kind="naive_bayes", model=None, tfidf=None, vocab_ref="aaa")),
-            Voter(weight=1.0, bundle=ModelBundle(
-                kind="naive_bayes", model=None, tfidf=None, vocab_ref="bbb")),
-        ])
+        vocab, first = _bpe_bundles(150, ["naive_bayes"])
+        _, second = _bpe_bundles(120, ["naive_bayes"])
+        assert first[0].vocab_ref != second[0].vocab_ref
+        spec = EnsembleSpec(voters=[Voter(weight=1.0, bundle=b)
+                                    for b in first + second])
         with pytest.raises(EnsembleError, match="disagree"):
-            run_ensemble(spec, corpus)
+            run_ensemble(spec, synth_corpus(3, seed=1, divergence=0.5), vocab)
+
+    @given(order=st.permutations(range(7)))
+    @settings(max_examples=25, deadline=None)
+    def test_grouped_scores_match_oracle_bit_for_bit(self, mixed, order):
+        vocab, voters, documents, oracle = mixed
+        spec = EnsembleSpec(voters=[voters[i] for i in order])
+        with _spy() as calls:
+            got = collect_voter_scores(spec, documents, vocab)
+        assert [s.tobytes() for s in got] == [oracle[i].tobytes()
+                                              for i in order]
+        # BPE and two word tables; two BPE TF-IDF models and two word ones
+        assert calls == {"tokenize_texts": 3, "transform_corpus": 4}
+
+    def test_idf_one_ulp_apart_not_grouped(self, mixed):
+        vocab, voters, documents, _ = mixed
+        original = voters[0].bundle
+        moved = copy.deepcopy(original)
+        col = int(np.argmin(moved.tfidf.idf))  # the most common n-gram
+        moved.tfidf.idf[col] = np.nextafter(moved.tfidf.idf[col], np.inf)
+        assert not same_transform(original.tfidf, moved.tfidf)
+        spec = EnsembleSpec(voters=[Voter(weight=1.0, bundle=original),
+                                    Voter(weight=1.0, bundle=moved)])
+        with _spy() as calls:
+            got = collect_voter_scores(spec, documents, vocab)
+        assert calls == {"tokenize_texts": 1, "transform_corpus": 2}
+        alone, _ = score_texts(moved, documents.texts, vocab)
+        assert got[1].tobytes() == alone.tobytes()
+
+    def test_errors_in_spec_order(self, mixed):
+        _, voters, documents, _ = mixed
+        bpe = voters[0]
+        external = Voter(weight=1.0, external=ExternalScores(scores={}))
+        with pytest.raises(EnsembleError, match="missing"):
+            collect_voter_scores(EnsembleSpec(voters=[external, bpe]),
+                                 documents)
+        with pytest.raises(ModelError, match="tokenizer vocabulary"):
+            collect_voter_scores(EnsembleSpec(voters=[bpe, external]),
+                                 documents)
 
 
 class TestWeightTuning:

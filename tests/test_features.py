@@ -11,8 +11,9 @@ from llmdetect import features
 from llmdetect.corpus import synth_corpus
 from llmdetect.errors import FeatureError
 from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
-                                fit_tfidf, fit_word_vocab, tfidf_from_dict,
-                                tfidf_to_dict, transform_corpus)
+                                fit_tfidf, fit_word_vocab, same_transform,
+                                tfidf_from_dict, tfidf_to_dict,
+                                transform_corpus)
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenSequence, encode,
                                  train_bpe)
 from oracles import (fit_tfidf_oracle, tfidf_oracle, transform_corpus_oracle,
@@ -306,6 +307,34 @@ class TestWordVocab:
         payload = tfidf_to_dict(model)
         payload["word_vocab"] = None
         assert tfidf_from_dict(payload).word_vocab is None
+
+
+class TestSameTransform:
+    def reloaded(self, model, edit=lambda payload: None):
+        payload = tfidf_to_dict(model)
+        edit(payload)
+        return tfidf_from_dict(payload)
+
+    def test_equal_payloads_share(self):
+        model = fit_tfidf(seqs([1, 2, 3], [2, 3]), TfidfConfig(1, 2, 1))
+        assert same_transform(model, self.reloaded(model))
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["config"].update(sublinear_tf=True),
+        lambda p: p["ngrams"].reverse(),
+        lambda p: p["idf"].__setitem__(0, p["idf"][0] * (1 + 2**-52)),
+    ], ids=["config", "columns", "idf"])
+    def test_what_transform_reads_must_match(self, edit):
+        model = fit_tfidf(seqs([1, 2, 3], [2, 3]), TfidfConfig(1, 2, 1))
+        assert not same_transform(model, self.reloaded(model, edit))
+
+    def test_signed_zero_idf_not_shared(self):
+        # equal under ==, yet a transform keeps the sign
+        model = fit_tfidf(seqs([1, 2]), TfidfConfig(1, 1, 1))
+        zero = self.reloaded(model, lambda p: p["idf"].__setitem__(0, 0.0))
+        negative = self.reloaded(model, lambda p: p["idf"].__setitem__(0, -0.0))
+        assert np.array_equal(zero.idf, negative.idf)
+        assert not same_transform(zero, negative)
 
 
 # SHA-256 of indptr, cols and vals of a CLI-default fit (BPE vocab 5000,

@@ -9,6 +9,7 @@ them would otherwise show only in a traced or checked benchmark run.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,21 @@ def test_scoring_patches_fire(trained):
         else:
             np.testing.assert_array_equal(out, untraced)
         assert wanted <= fired, wanted - fired
+
+
+def test_ensemble_encodes_and_featurizes_once(trained):
+    # the four benchmark bundles share one TF-IDF model, so a traced
+    # ensemble round opens one encode and one transform span, not four
+    corpus, vocab, bundles = trained
+    spec = EnsembleSpec(voters=voters(bundles))
+    tracer = Tracer("t", True)
+    with inner_spans(tracer, workloads.SCORING_PATCHES):
+        run_ensemble(spec, corpus, vocab)
+    fired = Counter(s["name"] for s in tracer.spans)
+    assert fired["tokenizer.encode"] == 1
+    assert fired["features.transform_corpus"] == 1
+    for model in workloads.MODELS:
+        assert fired[f"models.{model}.predict"] == 1, model
 
 
 def test_tune_patches_fire(trained):

@@ -249,13 +249,15 @@ def cmd_ensemble(args) -> int:
         spec = _ensemble_spec(_read_json(args.spec, EnsembleError), args.spec)
     else:
         spec = _spec_from_config(config)
+    step = config.get("ensemble", "grid_step")
+    if args.tune_weights:
+        ens.weight_grid(len(spec.voters), step)  # refuse before any scoring
     corpus = _load_corpus_arg(args.corpus, args.format)
     bpe_vocab = _vocab_for(_spec_bundles(spec), args.vocab)
 
     per_voter = ens.collect_voter_scores(spec, corpus, bpe_vocab)
     weights = [v.weight for v in spec.voters]
     if args.tune_weights:
-        step = config.get("ensemble", "grid_step")
         weights, auc = ens.tune_weights(per_voter, corpus.labels,
                                         combine=spec.combine, step=step)
         _log(f"tuned weights {list(weights)} (validation auc {auc!r})")

@@ -21,8 +21,7 @@ from .common import sigmoid
 from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
                    train_gbdt)
 from .naive_bayes import NaiveBayesModel, train_nb
-from .sgd import (SgdConfig, SgdLinearModel, objective, sample_gradient,
-                  sgd_step, train_sgd)
+from .sgd import SgdConfig, SgdLinearModel, objective, train_sgd
 
 BUNDLE_FORMAT_VERSION = 1
 
@@ -34,8 +33,7 @@ KIND_NAIVE_BAYES, KIND_SGD_LINEAR, KIND_GBDT = MODEL_KINDS
 
 __all__ = [
     "NaiveBayesModel", "train_nb",
-    "SgdConfig", "SgdLinearModel", "train_sgd", "sgd_step",
-    "sample_gradient", "objective",
+    "SgdConfig", "SgdLinearModel", "train_sgd", "objective",
     "GbdtConfig", "GbdtModel", "train_gbdt",
     "LeafwiseTree", "SymmetricTree",
     "sigmoid", "ModelBundle", "save_model", "load_model", "bundle_from_dict",

@@ -9,7 +9,16 @@ from ..sparse import SparseMatrix
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, scalar or array."""
+    """Numerically stable logistic function, scalar or array.
+
+    A float takes the same two branches as the array path, one ``np.exp``
+    each, so both give the same bits without building an array.
+    """
+    if isinstance(x, float):
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
@@ -23,6 +32,8 @@ def check_binary_labels(y, n_rows: int) -> np.ndarray:
     y = np.asarray(y, dtype=np.int64)
     if len(y) != n_rows:
         raise ModelError(f"{n_rows} rows but {len(y)} labels")
+    if n_rows == 0:
+        raise ModelError("cannot train on an empty matrix")
     if not np.all((y == 0) | (y == 1)):
         raise ModelError("labels must be 0 or 1")
     if y.min() == y.max():

@@ -64,8 +64,6 @@ def train_nb(X: SparseMatrix, y, alpha: float = DEFAULT_ALPHA) -> NaiveBayesMode
     """Fit priors and smoothed per-class feature likelihoods."""
     if not 0.0 < alpha < math.inf:
         raise ModelError(f"alpha must be positive and finite, got {alpha}")
-    if X.n_rows == 0:
-        raise ModelError("cannot train on an empty matrix")
     y = check_binary_labels(y, X.n_rows)
 
     n_features = X.n_cols

@@ -65,30 +65,6 @@ class SgdLinearModel:
         return cls(theta=theta, config=SgdConfig(**d["config"]))
 
 
-def sgd_step(theta: np.ndarray, gradient: np.ndarray, alpha: float) -> np.ndarray:
-    """One descent update: theta - alpha * gradient, elementwise."""
-    if theta.shape != gradient.shape:
-        raise ModelError(f"theta shape {theta.shape} does not match gradient "
-                         f"shape {gradient.shape}")
-    if alpha <= 0.0:
-        raise ModelError(f"alpha must be positive, got {alpha}")
-    return theta - alpha * gradient
-
-
-def sample_gradient(theta: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                    label: int, l2: float) -> np.ndarray:
-    """Dense gradient of the per-sample objective at theta."""
-    margin = float(np.dot(vals, theta[cols]) + theta[-1])
-    y_signed = 2 * label - 1
-    residual = -y_signed * sigmoid(-y_signed * margin)
-    gradient = np.zeros_like(theta)
-    if l2 != 0.0:
-        gradient[:-1] = l2 * theta[:-1]
-    np.add.at(gradient, cols, residual * vals)
-    gradient[-1] += residual
-    return gradient
-
-
 def objective(theta: np.ndarray, X: SparseMatrix, y, l2: float) -> float:
     """Mean logistic loss over the corpus plus the L2 penalty."""
     y_signed = 2 * np.asarray(y, dtype=np.float64) - 1
@@ -99,17 +75,38 @@ def objective(theta: np.ndarray, X: SparseMatrix, y, l2: float) -> float:
 
 
 def train_sgd(X: SparseMatrix, y, config: SgdConfig = SgdConfig()) -> SgdLinearModel:
-    y = check_binary_labels(y, X.n_rows)
+    """Per-sample descent in place: theta and one gradient buffer g are the
+    only dense arrays, and each step repeats the dense update's float
+    operations in the same order, so the weights are bit-identical to
+    building theta - alpha * gradient afresh every step."""
+    signs = (2 * check_binary_labels(y, X.n_rows) - 1).tolist()
+    eta0, l2 = config.eta0, config.l2
     theta = np.zeros(X.n_cols + 1)
+    g = np.empty_like(theta)
+    weights, g_weights = theta[:-1], g[:-1]
+    indptr = X.indptr.tolist()
     rng = stream_rng(config.seed, "sgd_shuffle")
     order = list(range(X.n_rows))
     step = 0
     for _ in range(config.epochs):
         rng.shuffle(order)
         for i in order:
-            alpha = config.eta0 / (1.0 + config.eta0 * config.l2 * step)
-            row = X.row(i)
-            gradient = sample_gradient(theta, row.cols, row.vals, y[i], config.l2)
-            theta = sgd_step(theta, gradient, alpha)
+            alpha = eta0 / (1.0 + eta0 * l2 * step)
+            if alpha <= 0.0:  # eta0 * l2 * step overflowed to inf
+                raise ModelError(f"alpha must be positive, got {alpha}")
+            cols = X.cols[indptr[i]:indptr[i + 1]]
+            vals = X.vals[indptr[i]:indptr[i + 1]]
+            sign = signs[i]
+            margin = float(np.dot(vals, theta[cols]) + theta[-1])
+            residual = -sign * sigmoid(-sign * margin)
+            if l2 != 0.0:
+                np.multiply(weights, l2, out=g_weights)
+            else:
+                g_weights.fill(0.0)  # not 0.0 * theta: -0.0 where theta < 0
+            # CSR columns within a row are distinct, so += adds each once
+            g[cols] += residual * vals
+            g[-1] = 0.0 + residual  # keeps a residual of -0.0 as +0.0
+            np.multiply(g, alpha, out=g)
+            np.subtract(theta, g, out=theta)
             step += 1
     return SgdLinearModel(theta=theta, config=config)

@@ -1,6 +1,7 @@
 import os
 import signal
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -38,6 +39,17 @@ def random_sparse(rng, n_rows, n_cols, density=0.4, max_distinct=0):
     if max_distinct:
         dense = np.round(dense * max_distinct) / max_distinct
     return sparse_from_dense(dense), dense
+
+
+def traced_peak(fn) -> int:
+    """Peak traced allocation, in bytes above the start, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ with the implementations under test beyond data containers.  The Counter
 featurizer uses the library's ``extract_ngrams``, which the array
 featurizer it checks does not call; the per-voter ensemble loop uses
 ``pipeline.score_texts``, which the grouped ``collect_voter_scores`` does
-not call.
+not call; the dense-gradient SGD loop uses the library's ``sigmoid`` on
+scalars, whose scalar path is checked against its array path.
 """
 
 from __future__ import annotations
@@ -18,10 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from llmdetect.errors import FeatureError
+from llmdetect.errors import FeatureError, ModelError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
+from llmdetect.models import SgdConfig, SgdLinearModel
+from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
+from llmdetect.seeds import stream_rng
 from llmdetect.sparse import SparseMatrix, SparseVector
 from llmdetect.tokenizer import TokenSequence
 
@@ -218,6 +222,50 @@ def finite_difference_gradient(loss_fn, theta: np.ndarray,
         bumped_down[k] -= step
         grad[k] = (loss_fn(bumped_up) - loss_fn(bumped_down)) / (2.0 * step)
     return grad
+
+
+# -- SGD: a dense gradient and a new theta every step ------------------------
+
+def sgd_step(theta: np.ndarray, gradient: np.ndarray, alpha: float) -> np.ndarray:
+    """One descent update: theta - alpha * gradient, elementwise."""
+    if theta.shape != gradient.shape:
+        raise ModelError(f"theta shape {theta.shape} does not match gradient "
+                         f"shape {gradient.shape}")
+    if alpha <= 0.0:
+        raise ModelError(f"alpha must be positive, got {alpha}")
+    return theta - alpha * gradient
+
+
+def sample_gradient(theta: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                    label: int, l2: float) -> np.ndarray:
+    """Dense gradient of the per-sample objective at theta."""
+    margin = float(np.dot(vals, theta[cols]) + theta[-1])
+    y_signed = 2 * label - 1
+    residual = -y_signed * sigmoid(-y_signed * margin)
+    gradient = np.zeros_like(theta)
+    if l2 != 0.0:
+        gradient[:-1] = l2 * theta[:-1]
+    np.add.at(gradient, cols, residual * vals)
+    gradient[-1] += residual
+    return gradient
+
+
+def train_sgd_oracle(X: SparseMatrix, y,
+                     config: SgdConfig = SgdConfig()) -> SgdLinearModel:
+    y = check_binary_labels(y, X.n_rows)
+    theta = np.zeros(X.n_cols + 1)
+    rng = stream_rng(config.seed, "sgd_shuffle")
+    order = list(range(X.n_rows))
+    step = 0
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for i in order:
+            alpha = config.eta0 / (1.0 + config.eta0 * config.l2 * step)
+            row = X.row(i)
+            gradient = sample_gradient(theta, row.cols, row.vals, y[i], config.l2)
+            theta = sgd_step(theta, gradient, alpha)
+            step += 1
+    return SgdLinearModel(theta=theta, config=config)
 
 
 # -- ROC-AUC: literal all-pairs comparison ----------------------------------

@@ -20,16 +20,15 @@ from llmdetect.ensemble import (EnsembleSpec, Voter, load_external_scores,
 from llmdetect.features import TfidfConfig, fit_tfidf, transform_corpus
 from llmdetect.metrics import roc_auc, roc_auc_exact, roc_curve, \
     trapezoid_auc_exact
-from llmdetect.models import (GbdtConfig, SgdConfig, load_model,
-                              sample_gradient, save_model,
+from llmdetect.models import (GbdtConfig, SgdConfig, load_model, save_model,
                               train_gbdt, train_nb, train_sgd, vocab_hash)
 from llmdetect.tokenizer import encode, save_vocab, train_bpe
 from conftest import random_sparse
 from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
 from oracles import (bpe_merges_oracle, finite_difference_gradient,
-                     pairwise_auc_oracle, sample_loss, sparse_from_dense,
-                     tfidf_oracle, vector_pairs)
+                     pairwise_auc_oracle, sample_gradient, sample_loss,
+                     sparse_from_dense, tfidf_oracle, vector_pairs)
 
 
 def test_bpe_merge_oracle_100_corpora():

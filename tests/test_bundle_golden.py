@@ -23,6 +23,8 @@ GOLDEN_SHA256 = {
         "4b26256fb628f950dcf173656d8f9c2fec4b3f3d59c6843e1ef5af729dfe5639",
     "sgd_linear":
         "fadab39ce4ff2153781ecdb8b1c5a25376bf4b9a7b628eb6065f6513b3f0d705",
+    "sgd_linear.l2_zero":
+        "ae56c2a258f2fe1bba6d2443b3f90a98b30245dbe12276068104d654516a52aa",
     "gbdt.leaf_wise":
         "a84db3ae284c4be0d5bcf61c29a92768fb426221e70ff8363fc782d89707c6b6",
     "gbdt.symmetric":
@@ -45,6 +47,9 @@ def _train(name, X, y):
         return train_nb(X, y, alpha=0.5)
     if name == "sgd_linear":
         return train_sgd(X, y, SgdConfig(epochs=3, seed=5))
+    if name == "sgd_linear.l2_zero":
+        # the zero-filled gradient branch
+        return train_sgd(X, y, SgdConfig(l2=0.0, epochs=3, seed=5))
     variant = name.split(".")[1]
     return train_gbdt(X, y, GbdtConfig(variant=variant, n_trees=3,
                                        max_leaves=6, depth=3, n_bins=32,

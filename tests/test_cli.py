@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from llmdetect import pipeline
 from llmdetect.cli import main
 from llmdetect.corpus import synth_corpus, save_corpus
 from llmdetect.ensemble import load_external_scores
@@ -310,6 +311,31 @@ class TestEnsembleCommand:
                     "--tune-weights"]) == 0
         assert "tuned weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_voters, grid, message", [
+        (5, "", "at most 4 voters"),
+        (2, "[ensemble]\ngrid_step = 0.3\n", "evenly divide"),
+    ], ids=["five-voters", "grid-step-0.3"])
+    def test_bad_weight_grid_refused_before_scoring(
+            self, workdir, capsys, monkeypatch, n_voters, grid, message):
+        # both once tokenized, featurized and scored the whole corpus
+        # before the grid was refused
+        _, vocab = trained_bundle(workdir)
+        (workdir / "grid.ini").write_text(grid)
+        spec = {"format_version": 1,
+                "voters": [{"model": "naive_bayes.json", "weight": 1.0}]
+                * n_voters}
+        (workdir / "spec.json").write_text(json.dumps(spec))
+        calls = []
+        original = pipeline.tokenize_texts
+        monkeypatch.setattr(pipeline, "tokenize_texts",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        capsys.readouterr()
+        assert run(["ensemble", workdir / "spec.json", workdir / "corpus.jsonl",
+                    "--out", workdir / "tuned.csv", "--vocab", vocab,
+                    "--config", workdir / "grid.ini", "--tune-weights"]) == 1
+        assert message in single_error(capsys, "ensemble")
+        assert calls == []
+
 
 class TestWhitespaceMode:
     def test_train_and_predict_without_tokenizer_file(self, workdir, capsys):
@@ -452,6 +478,18 @@ class TestBadInputs:
                     "--out", workdir / "m.json", "--config", workdir / "bad.ini"])
         assert code == 1
         assert "sgd.eta0" in single_error(capsys, "config")
+
+    def test_sgd_rate_underflow(self, workdir, capsys):
+        # eta0 * l2 overflows to inf, so the second step's rate is 0.0
+        _, vocab = trained_bundle(workdir)
+        (workdir / "big.ini").write_text("[sgd]\neta0 = 1e300\nl2 = 1e300\n")
+        capsys.readouterr()
+        code = run(["train", workdir / "corpus.jsonl", "--kind", "sgd_linear",
+                    "--out", workdir / "m.json", "--config", workdir / "big.ini",
+                    "--vocab", vocab])
+        assert code == 1
+        assert "alpha must be positive" in single_error(capsys, "model")
+        assert not (workdir / "m.json").exists()
 
     def test_threads_key_removed(self, workdir, capsys):
         (workdir / "old.ini").write_text("[run]\nthreads = 0\n")

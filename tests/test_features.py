@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +15,7 @@ from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
                                 transform_corpus)
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenSequence, encode,
                                  train_bpe)
+from conftest import traced_peak
 from oracles import (fit_tfidf_oracle, tfidf_oracle, transform_corpus_oracle,
                      vector_pairs)
 
@@ -356,23 +356,13 @@ def test_cli_default_fit_csr_bytes_pinned():
     assert digest.hexdigest() == CLI_DEFAULT_CSR_SHA256
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_transform_peak_memory_no_higher_than_counter_path():
     corpus = synth_corpus(600, seed=5, divergence=0.0004)
     vocab = fit_word_vocab(corpus.texts[:300])
     sequences = encode_words(vocab, corpus.texts)
     assert sum(map(len, sequences)) >= 150_000
     model = fit_tfidf(sequences[:300], TfidfConfig())
-    oracle_peak = _traced_peak(
+    oracle_peak = traced_peak(
         lambda: transform_corpus_oracle(model, sequences))
-    array_peak = _traced_peak(lambda: transform_corpus(model, sequences))
+    array_peak = traced_peak(lambda: transform_corpus(model, sequences))
     assert array_peak <= oracle_peak

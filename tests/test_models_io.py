@@ -16,6 +16,7 @@ from llmdetect.models import (GbdtConfig, SgdConfig, load_model, save_model,
                               train_gbdt, train_nb, train_sgd, vocab_hash)
 from llmdetect.models.gbdt import MAX_DEPTH
 from llmdetect.pipeline import TOKEN_SOURCE_WHITESPACE, train_bundle
+from llmdetect.sparse import SparseMatrix
 from llmdetect.tokenizer import TokenSequence
 from conftest import random_sparse
 
@@ -50,6 +51,16 @@ def train_each(X, y):
             variant="symmetric", n_trees=4, depth=3, n_bins=16,
             min_data_in_leaf=2)),
     }
+
+
+@pytest.mark.parametrize("train", [train_nb, train_sgd, train_gbdt])
+def test_no_rows_rejected(train):
+    # train_sgd and train_gbdt once raised a bare ValueError from y.min()
+    X = SparseMatrix(indptr=np.zeros(1, dtype=np.int64),
+                     cols=np.empty(0, dtype=np.int64), vals=np.empty(0),
+                     n_rows=0, n_cols=3)
+    with pytest.raises(ModelError, match="empty matrix"):
+        train(X, [])
 
 
 class TestBundleRoundTrip:

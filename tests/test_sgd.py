@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llmdetect.errors import ModelError
-from llmdetect.models import (SgdConfig, objective, sample_gradient,
-                              sgd_step, train_sgd)
+from llmdetect.models import SgdConfig, objective, sigmoid, train_sgd
 from llmdetect.sparse import SparseMatrix
-from conftest import random_sparse
-from oracles import sample_loss, sparse_from_dense, sparse_from_rows
+from conftest import random_sparse, traced_peak
+from oracles import (sample_gradient, sample_loss, sgd_step, sparse_from_dense,
+                     sparse_from_rows, train_sgd_oracle)
 
 
 class TestStep:
@@ -125,3 +127,80 @@ class TestTraining:
             gaps.append(objective(late.theta, X, labels, 1e-3)
                         - objective(early.theta, X, labels, 1e-3))
         assert np.mean(gaps) <= 1e-6
+
+
+@st.composite
+def _sgd_inputs(draw):
+    """Signed CSR matrices with empty rows, sometimes no nonzeros at all,
+    and values large enough that the sigmoid underflows to 0."""
+    n_rows = draw(st.integers(2, 12))
+    n_cols = draw(st.integers(1, 10))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.normal(scale=scale, size=(n_rows, n_cols))
+    dense[rng.random((n_rows, n_cols)) >= density] = 0.0
+    labels = rng.integers(0, 2, size=n_rows)
+    labels[0], labels[1] = 0, 1
+    config = SgdConfig(eta0=draw(st.sampled_from([1e-3, 0.5, 1e6])),
+                       l2=draw(st.sampled_from([0.0, 1e-4, 0.5])),
+                       epochs=draw(st.integers(1, 4)),
+                       seed=draw(st.integers(0, 1000)))
+    return sparse_from_dense(dense), labels, config
+
+
+class TestOracleEquivalence:
+    @given(_sgd_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_theta_bytes_match_dense_oracle(self, inputs):
+        X, y, config = inputs
+        got = train_sgd(X, y, config).theta
+        assert got.tobytes() == train_sgd_oracle(X, y, config).theta.tobytes()
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    def test_underflow_and_negative_weights(self, l2):
+        # one step at eta0 = 1e6 drives |margin| past 1e9, so later
+        # residuals are -0.0 or 0.0, and some weights go negative.  Signed
+        # zeros in the gradient cannot reach theta (it starts at +0.0, and
+        # x - y is -0.0 only for x = -0.0), so this pins the path, not the
+        # zero-fill or the 0.0 + residual form on their own.
+        X = sparse_from_dense([[1e3, 0.0, -2.0], [0.0, -1e3, 0.0],
+                               [0.0, 0.0, 0.0], [5.0, 1e3, 0.0]])
+        y = [1, 0, 0, 1]
+        config = SgdConfig(eta0=1e6, l2=l2, epochs=3, seed=3)
+        got = train_sgd(X, y, config).theta
+        assert (got[:-1] < 0).any()
+        assert got.tobytes() == train_sgd_oracle(X, y, config).theta.tobytes()
+
+    def test_alpha_underflow_rejected(self):
+        # eta0 * l2 overflows, so the second step's rate is 0.0
+        X = sparse_from_dense([[1.0], [2.0]])
+        config = SgdConfig(eta0=1e300, l2=1e300, epochs=1)
+        for train in (train_sgd, train_sgd_oracle):
+            with pytest.raises(ModelError, match="alpha must be positive"):
+                train(X, [0, 1], config)
+
+
+class TestScalarSigmoid:
+    def test_scalar_path_matches_array_path(self):
+        values = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 36.0, -36.0, 709.0,
+                  -709.0, 745.2, -745.2, 1e300, -1e300, np.inf, -np.inf]
+        values += list(np.random.default_rng(5).normal(scale=50, size=500))
+        for x in values:
+            scalar = sigmoid(float(x))
+            assert type(scalar) is float
+            array = sigmoid(np.array([x]))[0]
+            assert np.float64(scalar).tobytes() == array.tobytes(), x
+        assert np.isnan(sigmoid(np.nan))
+
+
+def test_training_allocates_no_dense_array_per_step(rng):
+    # the dense loop holds a gradient, l2 * theta, alpha * gradient and the
+    # new theta beside the old one; the in-place loop only theta and g
+    X, _ = random_sparse(rng, 40, 30_000, density=0.001)
+    y = [0, 1] * 20
+    config = SgdConfig(epochs=2, seed=1)
+    dense_bytes = (X.n_cols + 1) * 8
+    peak = traced_peak(lambda: train_sgd(X, y, config))
+    assert peak < traced_peak(lambda: train_sgd_oracle(X, y, config))
+    assert peak < 2.5 * dense_bytes

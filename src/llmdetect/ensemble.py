@@ -15,7 +15,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -30,6 +29,12 @@ COMBINE_PROBABILITY_MEAN = "probability_mean"
 COMBINE_RANK_MEAN = "rank_mean"
 COMBINERS = (COMBINE_PROBABILITY_MEAN, COMBINE_RANK_MEAN)
 DEFAULT_GRID_STEP = 0.1  # weight step of tune_weights
+# Admits step 0.01 with 4 voters (176,851 points); a finer grid is refused
+# before it is enumerated.
+MAX_GRID_POINTS = 200_000
+# Combined scores tune_weights holds at once: on small validation sets the
+# whole grid is one chunk, on large ones memory stays flat.
+_CHUNK_SCORES = 1 << 20
 
 SCORE_HEADER = ["id", "score"]
 
@@ -100,53 +105,83 @@ class EnsembleSpec:
             raise EnsembleError("at least one voter weight must be positive")
 
 
-def _check_vote_inputs(per_voter_scores, weights) -> np.ndarray:
-    """The scores as a (voters, documents) float array, checked."""
-    if len(per_voter_scores) != len(weights):
-        raise EnsembleError(f"{len(per_voter_scores)} score lists but "
-                            f"{len(weights)} weights")
+def _weight_rows(weights) -> tuple[list, bool]:
+    """``weights`` as a list of weight vectors, and whether it was a grid
+    (a sequence of vectors) rather than one vector."""
+    if not any(np.ndim(w) for w in weights):
+        return [weights], False
+    try:
+        return [list(row) for row in weights], True
+    except TypeError:
+        raise EnsembleError("a weight grid must hold only weight vectors")
+
+
+def _check_vote_inputs(per_voter_scores, weights) -> tuple[np.ndarray, list, bool]:
+    """The scores as a (voters, documents) float array, checked, plus the
+    weight vectors and whether they came as a grid (``_weight_rows``)."""
+    rows, grid = _weight_rows(weights)
+    for row in rows:
+        if len(per_voter_scores) != len(row):
+            raise EnsembleError(f"{len(per_voter_scores)} score lists but "
+                                f"{len(row)} weights")
     if not per_voter_scores:
         raise EnsembleError("need at least one voter")
     lengths = {len(s) for s in per_voter_scores}
     if len(lengths) != 1:
         raise EnsembleError(f"voters scored different document counts: "
                             f"{sorted(lengths)}")
-    for w in weights:
-        if not _is_weight(w):
-            raise EnsembleError(f"weights must be finite and >= 0, got {w}")
-    if not any(w > 0 for w in weights):
-        raise EnsembleError("all voter weights are zero")
+    for row in rows:
+        for w in row:
+            if not _is_weight(w):
+                raise EnsembleError(f"weights must be finite and >= 0, got {w}")
+        if not any(w > 0 for w in row):
+            raise EnsembleError("all voter weights are zero")
     scores = np.array(per_voter_scores, dtype=np.float64)
     finite = np.isfinite(scores)
     if not finite.all():
         v, d = np.argwhere(~finite)[0]
         raise EnsembleError(f"voter {v} scored document {d} as "
                             f"{scores[v, d]}; scores must be finite")
-    return scores
+    return scores, rows, grid
 
 
 def _weighted_mean(numerators, denominator: int, weights) -> np.ndarray:
     """Per document, sum_v w_v * numerators[v] / (denominator * sum_v w_v),
-    as one correctly rounded int / int division, as ``float(Fraction)``."""
+    as one correctly rounded int / int division, as ``float(Fraction)``.
+    ``numerators`` is a (voters, documents) object array of Python ints;
+    the quotients come back as an object array of Python floats."""
     ratios = [float(w).as_integer_ratio() for w in weights]
     scale = max(q for _, q in ratios)  # a power of two, as every q is
     int_weights = [p * (scale // q) for p, q in ratios]
     total = denominator * sum(int_weights)
-    acc = sum(w * np.asarray(n, dtype=object)
-              for w, n in zip(int_weights, numerators))
-    return np.array([a / total for a in acc.tolist()], dtype=np.float64)
+    acc = sum(w * n for w, n in zip(int_weights, numerators) if w)
+    return acc / total
+
+
+def _vote(numerators, denominator: int, rows, grid: bool) -> np.ndarray:
+    """``_weighted_mean`` for each weight vector: one row of scores per
+    vector of a grid, else the scores of the one vector."""
+    out = np.empty((len(rows), numerators.shape[1]))
+    for r, weights in enumerate(rows):
+        out[r] = _weighted_mean(numerators, denominator, weights)
+    return out if grid else out[0]
 
 
 def soft_vote(per_voter_scores, weights) -> np.ndarray:
-    """Weighted mean of per-voter probabilities, document by document."""
-    scores = _check_vote_inputs(per_voter_scores, weights)
+    """Weighted mean of per-voter probabilities, document by document.
+
+    ``weights`` holds one weight per voter, or is a grid of such vectors;
+    a grid gives a (vectors, documents) array, one row per vector, and
+    decomposes the scores once for all of them.
+    """
+    scores, rows, grid = _check_vote_inputs(per_voter_scores, weights)
     # score = mantissa * 2**exponent with an integer mantissa of 53 bits
     mantissas, exponents = np.frexp(scores)
     exponents = exponents.astype(np.int64) - 53
     low = int(exponents.min(initial=0))
     numerators = ((mantissas * 2.0 ** 53).astype(np.int64).astype(object)
                   << (exponents - low).astype(object))
-    return _weighted_mean(numerators, 1 << -low, weights)
+    return _vote(numerators, 1 << -low, rows, grid)
 
 
 def combiner(name: str):
@@ -163,9 +198,10 @@ def rank_average(per_voter_scores, weights) -> np.ndarray:
     """Weighted mean of per-voter tie-averaged ranks scaled into [0, 1].
 
     A tie group covering sorted positions i .. j-1 shares the mean rank
-    (i + j - 1) / 2, scaled by 1 / (n - 1).
+    (i + j - 1) / 2, scaled by 1 / (n - 1).  ``weights`` is one vector or
+    a grid, as in ``soft_vote``; each voter is ranked once either way.
     """
-    scores = _check_vote_inputs(per_voter_scores, weights)
+    scores, rows, grid = _check_vote_inputs(per_voter_scores, weights)
     n_docs = scores.shape[1]
     if n_docs < 2:
         raise EnsembleError("rank averaging needs at least 2 documents")
@@ -174,7 +210,8 @@ def rank_average(per_voter_scores, weights) -> np.ndarray:
         _, group, sizes = tie_groups(row)
         ends = np.cumsum(sizes)
         numerators.append((2 * ends - sizes - 1)[group])
-    return _weighted_mean(numerators, 2 * (n_docs - 1), weights)
+    return _vote(np.array(numerators).astype(object), 2 * (n_docs - 1),
+                 rows, grid)
 
 
 def parse_external_scores(text: str, source: str = "<scores>") -> ExternalScores:
@@ -276,21 +313,37 @@ def run_ensemble(spec: EnsembleSpec, documents, bpe_vocab=None) -> np.ndarray:
     return combiner(spec.combine)(per_voter, [v.weight for v in spec.voters])
 
 
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Every tuple of ``parts`` naturals summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        return [(total,)]
+    return [(first, *rest) for first in range(total + 1)
+            for rest in _compositions(total - first, parts - 1)]
+
+
 def weight_grid(n_voters: int,
                 step: float = DEFAULT_GRID_STEP) -> list[tuple[float, ...]]:
-    """All weight vectors on the step-grid simplex (sum 1, not all zero)."""
+    """All weight vectors on the step-grid simplex (sum 1, not all zero),
+    in lexicographic order of their step counts; at most MAX_GRID_POINTS."""
+    if n_voters < 1:
+        raise EnsembleError("weight grid search needs at least one voter")
     if n_voters > 4:
         raise EnsembleError("weight grid search supports at most 4 voters")
     if not 0.0 < step <= 1.0:
         raise EnsembleError(f"grid step must be in (0, 1], got {step}")
-    units = round(1.0 / step)
+    inverse = 1.0 / step
+    if not math.isfinite(inverse):
+        raise EnsembleError(f"grid step {step} is too small: 1 / step "
+                            f"overflows")
+    units = round(inverse)
     if abs(units * step - 1.0) > 1e-9:
         raise EnsembleError(f"grid step {step} must evenly divide 1.0")
-    grid = []
-    for combo in product(range(units + 1), repeat=n_voters):
-        if sum(combo) == units:
-            grid.append(tuple(c * step for c in combo))
-    return grid
+    if math.comb(units + n_voters - 1, n_voters - 1) > MAX_GRID_POINTS:
+        raise EnsembleError(f"grid step {step} with {n_voters} voters gives "
+                            f"more than {MAX_GRID_POINTS} weight vectors")
+    return [tuple(c * step for c in combo)
+            for combo in _compositions(units, n_voters)]
 
 
 def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_MEAN,
@@ -298,12 +351,18 @@ def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_ME
     """Grid-search voter weights maximizing validation AUC.
 
     Returns (weights, auc); ties keep the first grid point, so results are
-    deterministic.
+    deterministic.  The combiner takes the grid a chunk at a time, so each
+    voter's scores are checked and decomposed once per chunk.
     """
+    grid = weight_grid(len(per_voter_scores), step)
+    rows = max(1, _CHUNK_SCORES // max(1, len(per_voter_scores[0])))
     best_weights = None
     best_auc = -1.0
-    for weights in weight_grid(len(per_voter_scores), step):
-        auc = roc_auc(combiner(combine)(per_voter_scores, weights), labels)
-        if auc > best_auc:
-            best_weights, best_auc = weights, auc
+    for start in range(0, len(grid), rows):
+        chunk = grid[start:start + rows]
+        combined = combiner(combine)(per_voter_scores, chunk)
+        for weights, scores in zip(chunk, combined):
+            auc = roc_auc(scores, labels)
+            if auc > best_auc:
+                best_weights, best_auc = weights, auc
     return best_weights, best_auc

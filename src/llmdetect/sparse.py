@@ -97,7 +97,10 @@ class SparseMatrix:
         computed column-wise can be scattered back into row order.
         """
         if self._csc_cache is None:
-            order = np.argsort(self.cols, kind="stable")
+            # the narrowest dtype that holds every column: a stable sort
+            # of 8- or 16-bit keys is a radix sort, with the same order
+            keys = self.cols.astype(np.min_scalar_type(self.n_cols - 1))
+            order = np.argsort(keys, kind="stable")
             row_ids = np.repeat(np.arange(self.n_rows), self.row_lengths())
             counts = np.bincount(self.cols, minlength=self.n_cols)
             col_indptr = np.zeros(self.n_cols + 1, dtype=np.int64)

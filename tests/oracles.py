@@ -16,12 +16,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
+from llmdetect.ensemble import (COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP,
+                                combiner, weight_grid)
 from llmdetect.errors import FeatureError, ModelError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
+from llmdetect.metrics import roc_auc
 from llmdetect.models import SgdConfig, SgdLinearModel
 from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
@@ -330,6 +334,35 @@ def rank_average_oracle(per_voter_scores, weights) -> np.ndarray:
                 acc += w * ranks[d]
         out[d] = float(acc / total)
     return out
+
+
+def weight_grid_oracle(n_voters: int, step: float) -> list[tuple[float, ...]]:
+    """Every tuple of ``product`` over the step counts, kept if it sums to
+    the unit count."""
+    units = round(1.0 / step)
+    grid = []
+    for combo in product(range(units + 1), repeat=n_voters):
+        if sum(combo) == units:
+            grid.append(tuple(c * step for c in combo))
+    return grid
+
+
+def tune_weights_oracle(per_voter_scores, labels,
+                        combine: str = COMBINE_PROBABILITY_MEAN,
+                        step: float = DEFAULT_GRID_STEP
+                        ) -> tuple[tuple[float, ...], float]:
+    """Grid-search voter weights maximizing validation AUC.
+
+    Returns (weights, auc); ties keep the first grid point, so results are
+    deterministic.
+    """
+    best_weights = None
+    best_auc = -1.0
+    for weights in weight_grid(len(per_voter_scores), step):
+        auc = roc_auc(combiner(combine)(per_voter_scores, weights), labels)
+        if auc > best_auc:
+            best_weights, best_auc = weights, auc
+    return best_weights, best_auc
 
 
 def collect_voter_scores_oracle(spec, documents, bpe_vocab=None):

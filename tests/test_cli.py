@@ -314,11 +314,17 @@ class TestEnsembleCommand:
     @pytest.mark.parametrize("n_voters, grid, message", [
         (5, "", "at most 4 voters"),
         (2, "[ensemble]\ngrid_step = 0.3\n", "evenly divide"),
-    ], ids=["five-voters", "grid-step-0.3"])
+        (2, "[ensemble]\ngrid_step = 1e-300\n", "more than 200000"),
+        (4, "[ensemble]\ngrid_step = 0.0001\n", "more than 200000"),
+        (2, "[ensemble]\ngrid_step = 5e-324\n", "overflows"),
+    ], ids=["five-voters", "grid-step-0.3", "grid-step-1e-300",
+            "grid-step-0.0001", "grid-step-5e-324"])
     def test_bad_weight_grid_refused_before_scoring(
-            self, workdir, capsys, monkeypatch, n_voters, grid, message):
-        # both once tokenized, featurized and scored the whole corpus
-        # before the grid was refused
+            self, workdir, capsys, monkeypatch, time_bound, n_voters, grid,
+            message):
+        # the first two once tokenized, featurized and scored the whole
+        # corpus before the grid was refused; 1e-300 and 5e-324 ended in
+        # an OverflowError traceback, and 0.0001 with 4 voters hung
         _, vocab = trained_bundle(workdir)
         (workdir / "grid.ini").write_text(grid)
         spec = {"format_version": 1,
@@ -330,9 +336,11 @@ class TestEnsembleCommand:
         monkeypatch.setattr(pipeline, "tokenize_texts",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         capsys.readouterr()
-        assert run(["ensemble", workdir / "spec.json", workdir / "corpus.jsonl",
-                    "--out", workdir / "tuned.csv", "--vocab", vocab,
-                    "--config", workdir / "grid.ini", "--tune-weights"]) == 1
+        with time_bound(5):
+            assert run(["ensemble", workdir / "spec.json",
+                        workdir / "corpus.jsonl", "--out", workdir / "tuned.csv",
+                        "--vocab", vocab, "--config", workdir / "grid.ini",
+                        "--tune-weights"]) == 1
         assert message in single_error(capsys, "ensemble")
         assert calls == []
 

@@ -1,15 +1,17 @@
 import copy
 import math
 from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llmdetect import pipeline
+from llmdetect import ensemble, pipeline
 from llmdetect.corpus import synth_corpus
-from llmdetect.ensemble import (EnsembleSpec, ExternalScores, Voter,
+from llmdetect.ensemble import (COMBINERS, MAX_GRID_POINTS, EnsembleSpec,
+                                ExternalScores, Voter, combiner,
                                 collect_voter_scores, dump_scores,
                                 parse_external_scores, rank_average,
                                 run_ensemble, soft_vote, tune_weights,
@@ -20,8 +22,9 @@ from llmdetect.models import GbdtConfig, SgdConfig, load_model
 from llmdetect.pipeline import (TOKEN_SOURCE_WHITESPACE, score_texts,
                                 train_bundle)
 from llmdetect.tokenizer import save_vocab, train_bpe
+from conftest import traced_peak
 from oracles import (collect_voter_scores_oracle, rank_average_oracle,
-                     soft_vote_oracle)
+                     soft_vote_oracle, tune_weights_oracle, weight_grid_oracle)
 
 
 class TestSoftVote:
@@ -169,6 +172,45 @@ class TestFractionOracles:
         scores, weights = inputs
         assert _bit_identical(rank_average(scores, weights),
                               rank_average_oracle(scores, weights))
+
+
+@st.composite
+def _grid_inputs(draw):
+    scores, weights = draw(_vote_inputs())
+    grid = [weights]
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.lists(_WEIGHTS, min_size=len(weights),
+                            max_size=len(weights)))
+        if not any(row):
+            row[-1] = draw(st.floats(1e-300, 1e200))
+        grid.append(row)
+    return scores, grid
+
+
+class TestWeightGrids:
+    @pytest.mark.parametrize("combine", COMBINERS)
+    @given(inputs=_grid_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_is_the_one_vector_call(self, combine, inputs):
+        scores, grid = inputs
+        rows = combiner(combine)(scores, grid)
+        assert rows.shape == (len(grid), len(scores[0]))
+        for row, weights in zip(rows, grid):
+            assert _bit_identical(row, combiner(combine)(scores, weights))
+
+    @pytest.mark.parametrize("combine", [soft_vote, rank_average])
+    @pytest.mark.parametrize("grid, message", [
+        ([(0.5, 0.5), (1.0,)], "2 score lists but 1 weights"),
+        ([(0.5, 0.5), 1.0], "only weight vectors"),
+        ([(0.5, 0.5), (0.0, 0.0)], "all voter weights are zero"),
+        ([(0.5, 0.5), (1.0, math.nan)], "finite"),
+        ([], "2 score lists but 0 weights"),
+        (np.empty((0, 2)), "2 score lists but 0 weights"),
+    ], ids=["ragged", "scalar-row", "zero-row", "nan-row", "empty",
+            "empty-array"])
+    def test_bad_grid_rejected(self, combine, grid, message):
+        with pytest.raises(EnsembleError, match=message):
+            combine([[0.2, 0.7, 0.4], [0.1, 0.9, 0.4]], grid)
 
 
 class TestNonFiniteInputs:
@@ -359,6 +401,24 @@ class TestRunEnsemble:
                                  documents)
 
 
+# validation scores with frequent ties, scaled near the bottom of the
+# float range or left as they are
+@st.composite
+def _tuning_inputs(draw):
+    n_voters = draw(st.integers(1, 4))
+    n_docs = draw(st.integers(2, 60))
+    digits = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1e-300]))
+    scores = [[round(draw(st.floats(0, 1)), digits) * scale
+               for _ in range(n_docs)] for _ in range(n_voters)]
+    labels = draw(st.lists(st.integers(0, 1), min_size=n_docs,
+                           max_size=n_docs))
+    labels[:2] = [0, 1]
+    step = draw(st.sampled_from([0.5, 0.25, 0.2, 0.1, 0.05]))
+    chunk = draw(st.sampled_from([1, 7, 50, 1 << 20]))
+    return scores, labels, step, chunk
+
+
 class TestWeightTuning:
     def test_grid_sums_to_one(self):
         grid = weight_grid(3, step=0.5)
@@ -374,6 +434,60 @@ class TestWeightTuning:
     def test_too_many_voters_rejected(self):
         with pytest.raises(EnsembleError):
             weight_grid(5)
+
+    def test_no_voters_rejected(self):
+        # tune_weights([], labels) once returned (None, -1.0)
+        with pytest.raises(EnsembleError, match="at least one voter"):
+            weight_grid(0)
+        with pytest.raises(EnsembleError, match="at least one voter"):
+            tune_weights([], [0, 1])
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-310])
+    def test_step_whose_inverse_overflows_rejected(self, step):
+        # 1 / step is inf; rounding it raised a bare OverflowError
+        with pytest.raises(EnsembleError, match="overflows"):
+            weight_grid(2, step=step)
+
+    @pytest.mark.parametrize("n_voters, step", [
+        (4, 0.005), (4, 0.0001), (2, 1e-300), (3, 1e-300)])
+    def test_grid_over_the_bound_refused_before_enumeration(
+            self, time_bound, n_voters, step):
+        # step 1e-300 raised OverflowError in product; 0.0001 with 4
+        # voters walked 10001 ** 4 tuples
+        with time_bound(2), pytest.raises(EnsembleError,
+                                          match=f"{MAX_GRID_POINTS}"):
+            weight_grid(n_voters, step=step)
+
+    def test_bound_admits_step_hundredth_with_four_voters(self):
+        grid = weight_grid(4, step=0.01)
+        assert len(grid) == 176_851 <= MAX_GRID_POINTS
+        assert grid[0] == (0.0, 0.0, 0.0, 1.0) and grid[-1] == (1.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("n_voters", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.2, 0.1, 0.05, 0.04])
+    def test_grid_matches_filtered_product(self, n_voters, step):
+        assert weight_grid(n_voters, step) == weight_grid_oracle(n_voters, step)
+
+    @given(_tuning_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_tuning_matches_oracle(self, inputs):
+        scores, labels, step, chunk = inputs
+        for combine in COMBINERS:
+            with patch.object(ensemble, "_CHUNK_SCORES", chunk):
+                got = tune_weights(scores, labels, combine, step)
+            assert got == tune_weights_oracle(scores, labels, combine, step)
+
+    def test_tuning_holds_no_grid_of_python_ints(self):
+        # 66 weight vectors over 20,000 documents, in chunks of 52: the
+        # chunk's float rows bring tune_weights to about 2.4 times one
+        # soft_vote call's peak, while keeping each vector's quotients as
+        # Python objects until the chunk is done reaches 6.5 times
+        rng = np.random.default_rng(11)
+        scores = [rng.random(20_000) for _ in range(3)]
+        labels = (rng.random(20_000) < 0.5).astype(int).tolist()
+        one = traced_peak(lambda: soft_vote(scores, [0.2, 0.3, 0.5]))
+        tuned = traced_peak(lambda: tune_weights(scores, labels, step=0.1))
+        assert tuned < 4 * one, (tuned, one)
 
     def test_tuning_finds_the_good_voter(self):
         labels = [1, 1, 1, 0, 0, 0]

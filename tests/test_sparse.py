@@ -54,6 +54,23 @@ class TestSparseMatrix:
         np.testing.assert_array_equal(rebuilt, dense)
         np.testing.assert_array_equal(X.vals[csr_pos], vals)
 
+    @pytest.mark.parametrize("n_cols", [1, 256, 257, 65_536, 65_537])
+    def test_csc_order_is_the_int64_stable_sort(self, rng, n_cols):
+        # to_csc sorts narrowed column keys; at each dtype edge the order
+        # must be the stable sort of the int64 columns.  Columns come from
+        # a small pool holding 0 and n_cols - 1, so many keys tie.
+        pool = np.unique(np.concatenate([[0, (n_cols - 1) // 2, n_cols - 1],
+                                         rng.integers(0, n_cols, 8)]))
+        rows = [np.unique(rng.choice(pool, size=rng.integers(0, 6)))
+                for _ in range(200)]
+        cols = np.concatenate(rows).astype(np.int64)
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        X = SparseMatrix(indptr=indptr, cols=cols, vals=rng.random(len(cols)),
+                         n_rows=len(rows), n_cols=n_cols)
+        validate_csr(X)
+        _, _, _, csr_pos = X.to_csc()
+        np.testing.assert_array_equal(csr_pos, np.argsort(cols, kind="stable"))
+
     def test_column_values(self, rng):
         X, dense = random_sparse(rng, 9, 4)
         rows = np.array([0, 2, 5, 8])

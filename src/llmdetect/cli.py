@@ -251,7 +251,7 @@ def cmd_ensemble(args) -> int:
         spec = _spec_from_config(config)
     step = config.get("ensemble", "grid_step")
     if args.tune_weights:
-        ens.weight_grid(len(spec.voters), step)  # refuse before any scoring
+        ens.grid_units(len(spec.voters), step)  # refuse before any scoring
     corpus = _load_corpus_arg(args.corpus, args.format)
     bpe_vocab = _vocab_for(_spec_bundles(spec), args.vocab)
 
@@ -273,7 +273,7 @@ def cmd_synth(args) -> int:
     config = _config_for(args)
     seed = args.seed if args.seed is not None else config.seed
     corpus = synth_corpus(args.n_per_class, seed=seed, divergence=args.divergence)
-    save_corpus(corpus, args.out, args.format or "jsonl")
+    save_corpus(corpus, args.out, _resolve_format(args.out, args.format))
     _log(f"wrote {len(corpus)} synthetic documents to {args.out}")
     return 0
 

@@ -19,6 +19,7 @@ from .seeds import stream_rng
 
 CSV_HEADER = ["id", "text", "label"]
 JSONL_KEYS = {"id", "text", "label"}
+SHOWN_HEADER_CHARS = 80  # of a bad CSV header, quoted in the error
 
 LEXICON_SIZE = 2000
 ZIPF_EXPONENT = 1.1
@@ -123,6 +124,16 @@ def csv_rows(text: str, source, error):
         raise error(f"{source}: {exc} at line {reader.line_num}")
 
 
+def shown_header(header: list[str]) -> str:
+    """A CSV header row as an error message quotes it: at most
+    SHOWN_HEADER_CHARS characters, as the first line of a file read in the
+    wrong format can be megabytes long."""
+    text = ",".join(header)
+    if len(text) <= SHOWN_HEADER_CHARS:
+        return text
+    return f"{text[:SHOWN_HEADER_CHARS]}... ({len(text)} characters)"
+
+
 def _load_csv(raw: str, path) -> LabeledCorpus:
     rows = csv_rows(raw, path, CorpusError)
     try:
@@ -131,7 +142,7 @@ def _load_csv(raw: str, path) -> LabeledCorpus:
         raise CorpusError(f"{path}: missing header row")
     if header != CSV_HEADER:
         raise CorpusError(f"{path}: header must be {','.join(CSV_HEADER)}, "
-                          f"got {','.join(header)}")
+                          f"got {shown_header(header)}")
     docs: list[Document] = []
     labels: list[int] = []
     seen: set[str] = set()

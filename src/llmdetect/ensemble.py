@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline
-from .corpus import csv_rows
+from .corpus import csv_rows, shown_header
 from .errors import EnsembleError
 from .features import same_transform
 from .files import read_text
@@ -222,7 +222,7 @@ def parse_external_scores(text: str, source: str = "<scores>") -> ExternalScores
         raise EnsembleError(f"{source}: missing header row")
     if header != SCORE_HEADER:
         raise EnsembleError(f"{source}: header must be {','.join(SCORE_HEADER)}, "
-                            f"got {','.join(header)}")
+                            f"got {shown_header(header)}")
     scores: dict[str, float] = {}
     for line_num, row in rows:
         if len(row) != 2:
@@ -322,10 +322,11 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
             for rest in _compositions(total - first, parts - 1)]
 
 
-def weight_grid(n_voters: int,
-                step: float = DEFAULT_GRID_STEP) -> list[tuple[float, ...]]:
-    """All weight vectors on the step-grid simplex (sum 1, not all zero),
-    in lexicographic order of their step counts; at most MAX_GRID_POINTS."""
+def grid_units(n_voters: int, step: float = DEFAULT_GRID_STEP) -> int:
+    """The number of steps in a weight of 1.0, once the grid of ``n_voters``
+    and ``step`` is known to be admissible: 1 to 4 voters, a step that
+    evenly divides 1.0 and at most MAX_GRID_POINTS weight vectors.  Needs
+    no enumeration, so a caller can refuse a grid before any scoring."""
     if n_voters < 1:
         raise EnsembleError("weight grid search needs at least one voter")
     if n_voters > 4:
@@ -342,8 +343,15 @@ def weight_grid(n_voters: int,
     if math.comb(units + n_voters - 1, n_voters - 1) > MAX_GRID_POINTS:
         raise EnsembleError(f"grid step {step} with {n_voters} voters gives "
                             f"more than {MAX_GRID_POINTS} weight vectors")
+    return units
+
+
+def weight_grid(n_voters: int,
+                step: float = DEFAULT_GRID_STEP) -> list[tuple[float, ...]]:
+    """All weight vectors on the step-grid simplex (sum 1, not all zero),
+    in lexicographic order of their step counts; at most MAX_GRID_POINTS."""
     return [tuple(c * step for c in combo)
-            for combo in _compositions(units, n_voters)]
+            for combo in _compositions(grid_units(n_voters, step), n_voters)]
 
 
 def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_MEAN,
@@ -352,7 +360,8 @@ def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_ME
 
     Returns (weights, auc); ties keep the first grid point, so results are
     deterministic.  The combiner takes the grid a chunk at a time, so each
-    voter's scores are checked and decomposed once per chunk.
+    voter's scores are checked and decomposed once per chunk, and one
+    ``roc_auc`` call scores the chunk's rows.
     """
     grid = weight_grid(len(per_voter_scores), step)
     rows = max(1, _CHUNK_SCORES // max(1, len(per_voter_scores[0])))
@@ -360,9 +369,8 @@ def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_ME
     best_auc = -1.0
     for start in range(0, len(grid), rows):
         chunk = grid[start:start + rows]
-        combined = combiner(combine)(per_voter_scores, chunk)
-        for weights, scores in zip(chunk, combined):
-            auc = roc_auc(scores, labels)
-            if auc > best_auc:
-                best_weights, best_auc = weights, auc
+        aucs = roc_auc(combiner(combine)(per_voter_scores, chunk), labels)
+        best = int(np.argmax(aucs))  # the first of equal maxima
+        if aucs[best] > best_auc:
+            best_weights, best_auc = chunk[best], float(aucs[best])
     return best_weights, best_auc

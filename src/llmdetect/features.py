@@ -388,6 +388,9 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         word_vocab = data.get("word_vocab")
     except (KeyError, TypeError, ValueError) as exc:
         raise FeatureError(f"malformed tfidf payload: {exc}")
+    if vocabulary.df.ndim != 1 or idf.ndim != 1:
+        raise FeatureError("malformed tfidf payload: df and idf must be flat "
+                           "arrays of numbers")
     if len(vocabulary.ngram_to_col) != len(ngrams):
         raise FeatureError("malformed tfidf payload: duplicate ngrams")
     if not all(isinstance(i, int) for ngram in ngrams for i in ngram):

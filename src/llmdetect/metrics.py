@@ -60,17 +60,26 @@ class RocCurve:
     n_neg: int
 
 
-def _check_inputs(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(scores, labels, rows: bool = False
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as a float array, one score per label (or, with ``rows``, a
+    (rows, documents) array of them), and labels as an int64 array, both
+    checked."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = list(labels)
-    if len(scores) != len(labels):
-        raise MetricsError(f"{len(scores)} scores but {len(labels)} labels")
+    if scores.ndim not in ((1, 2) if rows else (1,)):
+        raise MetricsError(f"scores must be {'1-D or 2-D' if rows else '1-D'}"
+                           f", got {scores.ndim} dimensions")
+    if scores.shape[-1] != len(labels):
+        raise MetricsError(f"{scores.shape[-1]} scores but {len(labels)} labels")
     for y in labels:
         if y not in (0, 1):  # exactly; int() would truncate 0.7 to 0
             raise MetricsError(f"label {y!r} is not 0 or 1")
-    nan = np.flatnonzero(np.isnan(scores))
+    nan = np.argwhere(np.isnan(scores))
     if len(nan):
-        raise MetricsError(f"score {nan[0]} is NaN; scores must be ordered")
+        where = f"row {nan[0][0]} " if scores.ndim == 2 else ""
+        raise MetricsError(f"{where}score {nan[0][-1]} is NaN; scores must "
+                           f"be ordered")
     return scores, np.array(labels, dtype=np.int64)
 
 
@@ -85,7 +94,6 @@ def tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _class_groups(scores, labels):
     """Checked inputs as (distinct scores ascending, positives, negatives)."""
-    scores, labels = _check_inputs(scores, labels)
     first, group, sizes = tie_groups(scores)
     pos = np.bincount(group[labels == 1], minlength=len(sizes))
     return scores[first], pos, sizes - pos
@@ -98,6 +106,38 @@ def _check_both_classes(pos, neg) -> tuple[int, int]:
     return n_pos, n_neg
 
 
+def _pair_counts(scores, labels) -> tuple[list[int], int]:
+    """Per row of checked scores, 2 * wins + ties over all positive-negative
+    pairs, and the common denominator 2 * P * N.
+
+    Each row is sorted once.  Tie groups split where neighbouring sorted
+    scores differ, so -0.0 ties with 0.0 and +-inf are ordered scores.
+    A cumulative sum along each sorted row counts the negatives, and each
+    positive adds those below its tie group (its wins) to those through
+    the end of its group (its wins and ties).  Counts are at most 2 * N,
+    so int32 holds them for any set of fewer than 2**30 documents.
+    """
+    n_pos, n_neg = _check_both_classes(labels, 1 - labels)
+    scores = scores.reshape(-1, len(labels))
+    negative = (labels == 0)[np.argsort(scores, axis=1)]
+    ranked = np.sort(scores, axis=1)  # the same values; frees the order
+    tied = ranked[:, 1:] == ranked[:, :-1]  # position i + 1 ties with i
+    del ranked
+    count = np.int32 if len(labels) < 2**30 else np.int64
+    through = np.cumsum(negative, axis=1, dtype=count)
+    below = through - negative
+    # counts never fall along a row, so a running max carries the count
+    # below each group's first position forward, and a running min from
+    # the right carries the count through each group's last one back
+    np.copyto(below[:, 1:], 0, where=tied)
+    np.maximum.accumulate(below, axis=1, out=below)
+    np.copyto(through[:, :-1], n_neg, where=tied)
+    np.minimum.accumulate(through[:, ::-1], axis=1, out=through[:, ::-1])
+    below += through
+    np.copyto(below, 0, where=negative)
+    return below.sum(axis=1, dtype=np.int64).tolist(), 2 * n_pos * n_neg
+
+
 def _confusion(groups, threshold: float) -> ConfusionCounts:
     values, pos, neg = groups
     k = int(np.searchsorted(values, threshold))  # groups k.. score >= threshold
@@ -108,7 +148,7 @@ def _confusion(groups, threshold: float) -> ConfusionCounts:
 
 def confusion_at(scores, labels, threshold: float) -> ConfusionCounts:
     """Confusion counts with the inclusive >= decision rule."""
-    return _confusion(_class_groups(scores, labels), threshold)
+    return _confusion(_class_groups(*_check_inputs(scores, labels)), threshold)
 
 
 def _curve(groups) -> RocCurve:
@@ -126,25 +166,26 @@ def _curve(groups) -> RocCurve:
 
 def roc_curve(scores, labels) -> RocCurve:
     """One point per distinct score threshold, descending, from (0,0)."""
-    return _curve(_class_groups(scores, labels))
-
-
-def _auc(groups) -> Fraction:
-    _, pos, neg = groups
-    n_pos, n_neg = _check_both_classes(pos, neg)
-    below = np.cumsum(neg) - neg  # negatives scored strictly lower
-    wins, ties = int(pos @ below), int(pos @ neg)
-    return Fraction(2 * wins + ties, 2 * n_pos * n_neg)
+    return _curve(_class_groups(*_check_inputs(scores, labels)))
 
 
 def roc_auc_exact(scores, labels) -> Fraction:
     """AUC as an exact rational: (wins + ties/2) / (P*N)."""
-    return _auc(_class_groups(scores, labels))
+    (count,), denominator = _pair_counts(*_check_inputs(scores, labels))
+    return Fraction(count, denominator)
 
 
-def roc_auc(scores, labels) -> float:
-    """Area under the ROC curve, the correctly rounded exact rational."""
-    return float(roc_auc_exact(scores, labels))
+def roc_auc(scores, labels):
+    """Area under the ROC curve, the correctly rounded exact rational.
+
+    ``scores`` holds one score per label, giving a float, or is a (rows,
+    documents) array, giving one AUC per row as a float array.  Each AUC
+    is one int / int division, so it is ``float(roc_auc_exact(row))``.
+    """
+    scores, labels = _check_inputs(scores, labels, rows=True)
+    counts, denominator = _pair_counts(scores, labels)
+    aucs = [count / denominator for count in counts]
+    return aucs[0] if scores.ndim == 1 else np.array(aucs)
 
 
 def trapezoid_auc_exact(curve: RocCurve) -> Fraction:
@@ -159,6 +200,7 @@ def trapezoid_auc_exact(curve: RocCurve) -> Fraction:
 
 def evaluation_report(scores, labels) -> dict:
     """AUC, curve points, and confusion tables at thresholds 0.1 .. 0.9."""
+    scores, labels = _check_inputs(scores, labels)
     groups = _class_groups(scores, labels)
     curve = _curve(groups)
     confusion = []
@@ -169,8 +211,9 @@ def evaluation_report(scores, labels) -> dict:
     curve_points = [
         {"threshold": thr if math.isfinite(thr) else None, "fpr": fpr, "tpr": tpr}
         for (fpr, tpr), thr in zip(curve.points, curve.thresholds)]
+    (count,), denominator = _pair_counts(scores, labels)
     return {
-        "auc": float(_auc(groups)),
+        "auc": count / denominator,
         "n_documents": curve.n_pos + curve.n_neg,
         "n_positive": curve.n_pos,
         "n_negative": curve.n_neg,

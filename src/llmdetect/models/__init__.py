@@ -116,7 +116,10 @@ def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
     _check_word_vocab_ref(tfidf, payload["vocab_ref"])
     model = _model_from_parameters(kind, payload["parameters"],
                                    tfidf.n_features)
-    training = payload.get("training") or {}
+    training = payload.get("training", {})
+    if not isinstance(training, dict):
+        raise ModelError(f"field training: expected an object, got "
+                         f"{type(training).__name__}")
     return ModelBundle(kind=kind, model=model, tfidf=tfidf,
                        vocab_ref=payload["vocab_ref"],
                        seed=training.get("seed"),

@@ -25,7 +25,7 @@ from llmdetect.ensemble import (COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP,
 from llmdetect.errors import FeatureError, ModelError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
-from llmdetect.metrics import roc_auc
+from llmdetect.metrics import roc_auc, tie_groups
 from llmdetect.models import SgdConfig, SgdLinearModel
 from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
@@ -283,6 +283,20 @@ def pairwise_auc_oracle(scores, labels) -> Fraction:
     wins = int((pos[:, None] > neg[None, :]).sum())
     ties = int((pos[:, None] == neg[None, :]).sum())
     return Fraction(2 * wins + ties, 2 * len(pos) * len(neg))
+
+
+def group_auc_oracle(scores, labels) -> Fraction:
+    """Rank-sum statistic over ``np.unique`` tie groups: each group's
+    positives beat the negatives of every lower group and tie with its
+    own."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    _, group, sizes = tie_groups(scores)
+    pos = np.bincount(group[labels == 1], minlength=len(sizes))
+    neg = sizes - pos
+    below = np.cumsum(neg) - neg  # negatives scored strictly lower
+    wins, ties = int(pos @ below), int(pos @ neg)
+    return Fraction(2 * wins + ties, 2 * int(pos.sum()) * int(neg.sum()))
 
 
 # -- Voting: per-document Fraction accumulation -----------------------------

@@ -4,11 +4,12 @@ import sys
 
 import pytest
 
-from llmdetect import pipeline
+from llmdetect import ensemble, pipeline
 from llmdetect.cli import main
 from llmdetect.corpus import synth_corpus, save_corpus
-from llmdetect.ensemble import load_external_scores
-from llmdetect.errors import ModelError
+from llmdetect.ensemble import (DEFAULT_GRID_STEP, dump_scores,
+                                load_external_scores, weight_grid)
+from llmdetect.errors import EnsembleError, ModelError
 from llmdetect.models import load_model
 
 CONFIG = """
@@ -341,8 +342,36 @@ class TestEnsembleCommand:
                         workdir / "corpus.jsonl", "--out", workdir / "tuned.csv",
                         "--vocab", vocab, "--config", workdir / "grid.ini",
                         "--tune-weights"]) == 1
-        assert message in single_error(capsys, "ensemble")
+        line = single_error(capsys, "ensemble")
+        assert message in line
         assert calls == []
+        step = float(grid.split("=")[1]) if grid else DEFAULT_GRID_STEP
+        with pytest.raises(EnsembleError) as refused:
+            weight_grid(n_voters, step)
+        assert line == f"llmdetect: error[ensemble]: {refused.value}"
+
+    def test_tuning_builds_the_grid_once(self, tmp_path, monkeypatch, capsys):
+        # the CLI once built the 176,851-point grid only to check its size,
+        # and tune_weights then built it again
+        corpus = synth_corpus(2, seed=5, divergence=0.9)
+        save_corpus(corpus, tmp_path / "c.jsonl", "jsonl")
+        for v in range(4):
+            scores = [(v + 3 * i) % 5 / 4 for i in range(len(corpus))]
+            (tmp_path / f"{v}.csv").write_text(
+                dump_scores(corpus.ids, scores))
+        spec = {"format_version": 1,
+                "voters": [{"scores": f"{v}.csv", "weight": 1.0}
+                           for v in range(4)]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        (tmp_path / "grid.ini").write_text("[ensemble]\ngrid_step = 0.01\n")
+        built = []
+        monkeypatch.setattr(ensemble, "weight_grid", lambda *a: built.append(
+            a) or weight_grid(*a))
+        assert run(["ensemble", tmp_path / "spec.json", tmp_path / "c.jsonl",
+                    "--out", tmp_path / "tuned.csv", "--config",
+                    tmp_path / "grid.ini", "--tune-weights"]) == 0
+        assert built == [(4, 0.01)]
+        assert "tuned weights" in capsys.readouterr().err
 
 
 class TestWhitespaceMode:
@@ -429,6 +458,32 @@ class TestSynth:
                  "--out", workdir / name, "--seed", "9"])
         assert ((workdir / "a.jsonl").read_bytes()
                 == (workdir / "b.jsonl").read_bytes())
+
+
+    def test_csv_suffix_round_trips_through_train(self, workdir):
+        # --out corpus.csv once wrote JSONL, which every reader then
+        # refused as a CSV file with a bad header
+        out = workdir / "corpus.csv"
+        assert run(["synth", "--n-per-class", "10", "--divergence", "0.5",
+                    "--out", out, "--seed", "3"]) == 0
+        assert out.read_text().startswith("id,text,label\n")
+        config = workdir / "ws.ini"
+        config.write_text("[features]\ntoken_source = whitespace\n")
+        assert run(["train", out, "--kind", "naive_bayes",
+                    "--out", workdir / "ws.json", "--config", config]) == 0
+        assert run(["predict", workdir / "ws.json", out,
+                    "--out", workdir / "scores.csv"]) == 0
+
+    def test_csv_header_error_quotes_a_prefix(self, workdir, capsys):
+        # the message once quoted the whole first line of the file
+        path = workdir / "long.csv"
+        path.write_text("x" * 100_000 + "\n")
+        capsys.readouterr()
+        assert run(["train", path, "--kind", "naive_bayes",
+                    "--out", workdir / "nb.json"]) == 1
+        line = single_error(capsys, "corpus")
+        assert line.endswith("x" * 80 + "... (100000 characters)")
+        assert len(line) < 300
 
 
 def test_module_entry_point(tmp_path):
@@ -677,6 +732,33 @@ class TestLoaderGaps:
         assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
                     "--out", workdir / "x.csv"]) == 1
         assert "word_vocab" in single_error(capsys, "features")
+
+    @pytest.mark.parametrize("training", ["x", 5, [1]])
+    def test_training_field_not_an_object(self, workdir, ws_bundle, capsys,
+                                          training):
+        # once an AttributeError traceback: 'str' object has no attribute 'get'
+        self.edit(ws_bundle, lambda p: p.update(training=training))
+        capsys.readouterr()
+        assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert "field training: expected an object" in single_error(
+            capsys, "model")
+
+    @pytest.mark.parametrize("field", ["df", "idf"])
+    @pytest.mark.parametrize("value", [3, 0.5, "nested"],
+                             ids=["int", "float", "nested"])
+    def test_tfidf_df_idf_not_flat(self, workdir, ws_bundle, capsys, field,
+                                   value):
+        # a number once ended in TypeError: len() of unsized object
+        def edit(payload):
+            tfidf = payload["tfidf"]
+            tfidf[field] = ([[x] for x in tfidf[field]] if value == "nested"
+                            else value)
+        self.edit(ws_bundle, edit)
+        capsys.readouterr()
+        assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert "df and idf must be flat" in single_error(capsys, "features")
 
     @pytest.mark.parametrize("voter", [{"model": 5}, {"scores": None},
                                        {"model": ""}, {"scores": ["a.csv"]}])

@@ -477,6 +477,22 @@ class TestWeightTuning:
                 got = tune_weights(scores, labels, combine, step)
             assert got == tune_weights_oracle(scores, labels, combine, step)
 
+    @pytest.mark.parametrize("chunk, calls", [(1 << 20, 1), (20, 17), (1, 66)])
+    def test_one_auc_call_per_chunk(self, chunk, calls):
+        # 66 weight vectors over 5 documents, in chunks of 66, 4 or 1 rows
+        scores = [[0.1, 0.4, 0.4, 0.8, 0.3], [0.9, 0.2, 0.5, 0.5, 0.1],
+                  [0.3, 0.3, 0.6, 0.7, 0.2]]
+        labels = [0, 1, 0, 1, 1]
+        shapes = []
+        original = ensemble.roc_auc
+        with patch.object(ensemble, "_CHUNK_SCORES", chunk), \
+                patch.object(ensemble, "roc_auc", lambda s, y: shapes.append(
+                    np.shape(s)) or original(s, y)):
+            got = tune_weights(scores, labels, step=0.1)
+        assert len(shapes) == calls
+        assert sum(rows for rows, _ in shapes) == 66
+        assert got == tune_weights_oracle(scores, labels, step=0.1)
+
     def test_tuning_holds_no_grid_of_python_ints(self):
         # 66 weight vectors over 20,000 documents, in chunks of 52: the
         # chunk's float rows bring tune_weights to about 2.4 times one

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from llmdetect.errors import MetricsError
 from llmdetect.metrics import (confusion_at, evaluation_report, roc_auc,
                                roc_auc_exact, roc_curve, trapezoid_auc_exact)
-from oracles import pairwise_auc_oracle
+from oracles import group_auc_oracle, pairwise_auc_oracle
 
 
 def random_instance(rng, n_max=200):
@@ -139,6 +139,63 @@ class TestAuc:
             labels[0] = 1 - labels[0]
         value = roc_auc(scores, labels)
         assert 0.0 <= value <= 1.0
+
+
+# rows of scores drawn from a few values, so most rows hold ties; -0.0
+# beside 0.0, +-inf, and rows where every score is equal
+_FEW_VALUES = [-math.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf]
+
+
+@st.composite
+def _score_rows(draw):
+    n_docs = draw(st.integers(2, 30))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n_docs,
+                           max_size=n_docs))
+    labels[:2] = [0, 1]
+    value = st.one_of(st.sampled_from(_FEW_VALUES),
+                      st.floats(allow_nan=False))
+    row = st.one_of(
+        st.lists(value, min_size=n_docs, max_size=n_docs),
+        value.map(lambda v: [v] * n_docs))
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    return rows, labels
+
+
+class TestAucRows:
+    @given(_score_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_oracles_bit_for_bit(self, inputs):
+        rows, labels = inputs
+        aucs = roc_auc(np.array(rows), labels)
+        assert aucs.shape == (len(rows),) and aucs.dtype == np.float64
+        for row, auc in zip(rows, aucs):
+            exact = group_auc_oracle(row, labels)
+            assert exact == pairwise_auc_oracle(row, labels)
+            assert roc_auc_exact(row, labels) == exact
+            assert auc.tobytes() == np.float64(float(exact)).tobytes()
+            assert roc_auc(row, labels) == float(exact)
+
+    @pytest.mark.parametrize("row, doc", [(0, 0), (1, 3), (2, 1)])
+    def test_nan_anywhere_rejected(self, row, doc):
+        scores = np.full((3, 4), 0.5)
+        scores[row, doc] = math.nan
+        with pytest.raises(MetricsError,
+                           match=f"row {row} score {doc} is NaN"):
+            roc_auc(scores, [0, 1, 0, 1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(MetricsError, match="3 scores but 4 labels"):
+            roc_auc(np.zeros((2, 3)), [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("entry, scores", [
+        (roc_auc, np.zeros((2, 2, 2))), (roc_auc, 0.5),
+        (roc_auc_exact, np.zeros((2, 2))), (roc_curve, np.zeros((2, 2))),
+        (evaluation_report, np.zeros((2, 2)))],
+        ids=["roc_auc-3d", "roc_auc-scalar", "roc_auc_exact-2d",
+             "roc_curve-2d", "evaluation_report-2d"])
+    def test_other_shapes_rejected(self, entry, scores):
+        with pytest.raises(MetricsError, match="dimensions"):
+            entry(scores, [0, 1])
 
 
 class TestLabels:

@@ -278,9 +278,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _add_common(parser, with_config=True):
-    if with_config:
-        parser.add_argument("--config", help="run config (INI) path")
+def _add_common(parser):
+    parser.add_argument("--config", help="run config (INI) path")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--format", choices=["csv", "jsonl"],
                         help="corpus format (default: inferred from suffix)")

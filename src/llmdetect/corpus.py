@@ -107,64 +107,69 @@ def load_corpus(path, format: str) -> LabeledCorpus:
     """
     raw = read_text(path, "file", CorpusError)
     if format == "csv":
-        return _load_csv(raw, path)
-    if format == "jsonl":
-        return _load_jsonl(raw, path)
-    raise CorpusError(f"unknown corpus format {format!r} (expected csv or jsonl)")
-
-
-def csv_rows(text: str, source, error):
-    """(line number, fields) per CSV record; a csv.Error, such as a field
-    over ``csv.field_size_limit()``, is raised as ``error``."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise error(f"{source}: {exc} at line {reader.line_num}")
-
-
-def shown_header(header: list[str]) -> str:
-    """A CSV header row as an error message quotes it: at most
-    SHOWN_HEADER_CHARS characters, as the first line of a file read in the
-    wrong format can be megabytes long."""
-    text = ",".join(header)
-    if len(text) <= SHOWN_HEADER_CHARS:
-        return text
-    return f"{text[:SHOWN_HEADER_CHARS]}... ({len(text)} characters)"
-
-
-def _load_csv(raw: str, path) -> LabeledCorpus:
-    rows = csv_rows(raw, path, CorpusError)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise CorpusError(f"{path}: missing header row")
-    if header != CSV_HEADER:
-        raise CorpusError(f"{path}: header must be {','.join(CSV_HEADER)}, "
-                          f"got {shown_header(header)}")
+        rows = id_rows(raw, path, CSV_HEADER, CorpusError)
+    elif format == "jsonl":
+        rows = _unique_ids(_jsonl_rows(raw, path), path, len(JSONL_KEYS),
+                           CorpusError)
+    else:
+        raise CorpusError(
+            f"unknown corpus format {format!r} (expected csv or jsonl)")
     docs: list[Document] = []
     labels: list[int] = []
-    seen: set[str] = set()
-    for line_num, row in rows:
-        if len(row) != 3:
-            raise CorpusError(
-                f"{path}: expected 3 fields, got {len(row)} at line {line_num}")
-        doc_id, text, raw_label = row
-        if not doc_id:
-            raise CorpusError(f"{path}: empty id at line {line_num}")
-        if doc_id in seen:
-            raise CorpusError(f"{path}: duplicate id {doc_id!r} at line {line_num}")
-        seen.add(doc_id)
+    for line_num, (doc_id, text, raw_label) in rows:
         docs.append(Document(id=doc_id, text=text))
         labels.append(_parse_label(raw_label, line_num))
     return LabeledCorpus(documents=docs, labels=labels)
 
 
-def _load_jsonl(raw: str, path) -> LabeledCorpus:
-    docs: list[Document] = []
-    labels: list[int] = []
+def id_rows(text: str, source, header: list[str], error):
+    """(line number, fields) per data row of an id-keyed CSV file, such as
+    a corpus or a score file.
+
+    The first row must equal ``header`` (a wrong one is quoted up to
+    SHOWN_HEADER_CHARS characters, as the first line of a file read in the
+    wrong format can be megabytes long), each row must hold as many fields,
+    and each id, its first field, must be non-empty and unseen.  Every
+    fault, a csv.Error such as a field over ``csv.field_size_limit()``
+    too, is raised as ``error`` naming ``source`` and the line.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise error(f"{source}: missing header row")
+        if first != header:
+            shown = ",".join(first)
+            if len(shown) > SHOWN_HEADER_CHARS:
+                shown = (f"{shown[:SHOWN_HEADER_CHARS]}... "
+                         f"({len(shown)} characters)")
+            raise error(f"{source}: header must be {','.join(header)}, "
+                        f"got {shown}")
+        yield from _unique_ids(((reader.line_num, row) for row in reader),
+                               source, len(header), error)
+    except csv.Error as exc:
+        raise error(f"{source}: {exc} at line {reader.line_num}")
+
+
+def _unique_ids(rows, source, width: int, error):
+    """``rows`` unchanged, each checked to hold ``width`` fields and a
+    non-empty id not seen before."""
     seen: set[str] = set()
+    for line_num, row in rows:
+        if len(row) != width:
+            raise error(f"{source}: expected {width} fields, got {len(row)} "
+                        f"at line {line_num}")
+        doc_id = row[0]
+        if not doc_id:
+            raise error(f"{source}: empty id at line {line_num}")
+        if doc_id in seen:
+            raise error(f"{source}: duplicate id {doc_id!r} at line {line_num}")
+        seen.add(doc_id)
+        yield line_num, row
+
+
+def _jsonl_rows(raw: str, path):
+    """(line number, [id, text, label]) per non-blank JSONL line."""
     for line_num, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
@@ -180,25 +185,24 @@ def _load_jsonl(raw: str, path) -> LabeledCorpus:
                               f"at line {line_num}")
         if isinstance(obj["label"], bool) or not isinstance(obj["label"], int):
             raise CorpusError(f"{path}: label must be an integer at line {line_num}")
-        if not obj["id"]:
-            raise CorpusError(f"{path}: empty id at line {line_num}")
-        if obj["id"] in seen:
-            raise CorpusError(f"{path}: duplicate id {obj['id']!r} at line {line_num}")
-        seen.add(obj["id"])
-        docs.append(Document(id=obj["id"], text=obj["text"]))
-        labels.append(_parse_label(obj["label"], line_num))
-    return LabeledCorpus(documents=docs, labels=labels)
+        yield line_num, [obj["id"], obj["text"], obj["label"]]
+
+
+def id_csv(header: list[str], rows) -> str:
+    """An id-keyed CSV file as ``id_rows`` reads it: ``header``, then one
+    RFC-4180 line per row of fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def dump_corpus(corpus: LabeledCorpus, format: str) -> str:
     """Serialize to the csv or jsonl dataset schema (round-trip exact)."""
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for doc, label in zip(corpus.documents, corpus.labels):
-            writer.writerow([doc.id, doc.text, label])
-        return buf.getvalue()
+        return id_csv(CSV_HEADER, ([doc.id, doc.text, label] for doc, label
+                                   in zip(corpus.documents, corpus.labels)))
     if format == "jsonl":
         lines = []
         for doc, label in zip(corpus.documents, corpus.labels):

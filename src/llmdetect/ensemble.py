@@ -11,15 +11,13 @@ it invariant to any strictly monotone miscalibration.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import pipeline
-from .corpus import csv_rows, shown_header
+from .corpus import id_csv, id_rows
 from .errors import EnsembleError
 from .features import same_transform
 from .files import read_text
@@ -215,25 +213,9 @@ def rank_average(per_voter_scores, weights) -> np.ndarray:
 
 
 def parse_external_scores(text: str, source: str = "<scores>") -> ExternalScores:
-    rows = csv_rows(text, source, EnsembleError)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise EnsembleError(f"{source}: missing header row")
-    if header != SCORE_HEADER:
-        raise EnsembleError(f"{source}: header must be {','.join(SCORE_HEADER)}, "
-                            f"got {shown_header(header)}")
     scores: dict[str, float] = {}
-    for line_num, row in rows:
-        if len(row) != 2:
-            raise EnsembleError(f"{source}: expected 2 fields, got {len(row)} "
-                                f"at line {line_num}")
-        doc_id, raw = row
-        if not doc_id:
-            raise EnsembleError(f"{source}: empty id at line {line_num}")
-        if doc_id in scores:
-            raise EnsembleError(f"{source}: duplicate id {doc_id!r} "
-                                f"at line {line_num}")
+    for line_num, (doc_id, raw) in id_rows(text, source, SCORE_HEADER,
+                                           EnsembleError):
         try:
             value = float(raw)
         except ValueError:
@@ -253,12 +235,8 @@ def load_external_scores(path) -> ExternalScores:
 
 def dump_scores(ids: list[str], scores) -> str:
     """Render the id,score CSV consumed by load_external_scores."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCORE_HEADER)
-    for doc_id, score in zip(ids, scores):
-        writer.writerow([doc_id, repr(float(score))])
-    return buf.getvalue()
+    return id_csv(SCORE_HEADER, ([doc_id, repr(float(score))]
+                                 for doc_id, score in zip(ids, scores)))
 
 
 def collect_voter_scores(spec: EnsembleSpec, documents,

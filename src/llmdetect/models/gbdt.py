@@ -115,11 +115,9 @@ class LeafwiseTree:
                 _check_index(self.left[node], node + 1, n, "left child")
                 _check_index(self.right[node], node + 1, n, "right child")
 
-    def predict(self, X: SparseMatrix, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            rows = np.arange(X.n_rows)
-        out = np.empty(len(rows))
-        stack = [(0, np.arange(len(rows)))]
+    def predict(self, X: SparseMatrix) -> np.ndarray:
+        out = np.empty(X.n_rows)
+        stack = [(0, np.arange(X.n_rows))]
         while stack:
             node, member = stack.pop()
             if len(member) == 0:
@@ -127,7 +125,7 @@ class LeafwiseTree:
             if self.columns[node] < 0:
                 out[member] = self.values[node]
                 continue
-            vals = X.column_values(self.columns[node], rows[member])
+            vals = X.column_values(self.columns[node], member)
             goes_left = vals <= self.thresholds[node]
             stack.append((self.left[node], member[goes_left]))
             stack.append((self.right[node], member[~goes_left]))
@@ -164,13 +162,12 @@ class SymmetricTree:
                 _check_reals([thr], "threshold")
                 _check_index(col, 0, n_features, "column")
 
-    def predict(self, X: SparseMatrix, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            rows = np.arange(X.n_rows)
-        index = np.zeros(len(rows), dtype=np.int64)
+    def predict(self, X: SparseMatrix) -> np.ndarray:
+        rows = np.arange(X.n_rows)
+        index = np.zeros(X.n_rows, dtype=np.int64)
         for col, thr in zip(self.columns, self.thresholds):
             if thr is None:
-                goes_right = np.zeros(len(rows), dtype=bool)
+                goes_right = np.zeros(X.n_rows, dtype=bool)
             else:
                 goes_right = X.column_values(col, rows) > thr
             index = index * 2 + goes_right

@@ -25,7 +25,7 @@ from llmdetect.ensemble import (COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP,
 from llmdetect.errors import FeatureError, ModelError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
-from llmdetect.metrics import roc_auc, tie_groups
+from llmdetect.metrics import roc_auc
 from llmdetect.models import SgdConfig, SgdLinearModel
 from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
@@ -291,7 +291,8 @@ def group_auc_oracle(scores, labels) -> Fraction:
     own."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    _, group, sizes = tie_groups(scores)
+    _, group, sizes = np.unique(scores, return_inverse=True,
+                                return_counts=True)
     pos = np.bincount(group[labels == 1], minlength=len(sizes))
     neg = sizes - pos
     below = np.cumsum(neg) - neg  # negatives scored strictly lower

@@ -1,9 +1,12 @@
+import csv
+
 import pytest
 
 from llmdetect.corpus import (Document, LabeledCorpus, SplitSpec, dump_corpus,
                               load_corpus, save_corpus, split_corpus,
                               synth_corpus)
-from llmdetect.errors import CorpusError
+from llmdetect.ensemble import parse_external_scores
+from llmdetect.errors import CorpusError, EnsembleError
 
 
 def write(tmp_path, name, text):
@@ -79,6 +82,44 @@ class TestLoad:
     def test_dump_is_deterministic(self):
         corpus = synth_corpus(3, seed=9, divergence=0.4)
         assert dump_corpus(corpus, "jsonl") == dump_corpus(corpus, "jsonl")
+
+
+# Corpus CSV and score files share one reader: the same fault gives each
+# reader's error class and the same message.
+ID_FILES = {
+    "corpus": (CorpusError, "id,text,label", "x,0",
+               lambda path: load_corpus(path, "csv")),
+    "scores": (EnsembleError, "id,score", "0.5",
+               lambda path: parse_external_scores(path.read_text(), str(path))),
+}
+LIMIT = csv.field_size_limit()
+ID_FILE_FAULTS = {  # name: (file text, message after "<path>: ")
+    "empty file": ("", "missing header row"),
+    "long wrong header": ("x" * 100_000 + "\n", "header must be {header}, got "
+                          + "x" * 80 + "... (100000 characters)"),
+    "short row": ("{header}\nd0,{rest}\nd1\n",
+                  "expected {width} fields, got 1 at line 3"),
+    "empty id": ("{header}\nd0,{rest}\n,{rest}\n", "empty id at line 3"),
+    "duplicate id": ("{header}\nd0,{rest}\nd0,{rest}\n",
+                     "duplicate id 'd0' at line 3"),
+    "field over the limit": ("{header}\nd0,{rest}\n" + "d" * (LIMIT + 1)
+                             + ",{rest}\n",
+                             f"field larger than field limit ({LIMIT}) "
+                             f"at line 3"),
+}
+
+
+@pytest.mark.parametrize("fault", ID_FILE_FAULTS)
+@pytest.mark.parametrize("kind", ID_FILES)
+def test_id_file_fault_reported_alike(tmp_path, kind, fault):
+    error, header, rest, read = ID_FILES[kind]
+    text, message = ID_FILE_FAULTS[fault]
+    path = write(tmp_path, f"{kind}.csv", text.format(header=header, rest=rest))
+    with pytest.raises(error) as caught:
+        read(path)
+    width = header.count(",") + 1
+    assert str(caught.value) == (f"{path}: "
+                                 + message.format(header=header, width=width))
 
 
 class TestSplit:

@@ -169,8 +169,12 @@ def _unique_ids(rows, source, width: int, error):
 
 
 def _jsonl_rows(raw: str, path):
-    """(line number, [id, text, label]) per non-blank JSONL line."""
-    for line_num, line in enumerate(raw.splitlines(), start=1):
+    """(line number, [id, text, label]) per non-blank JSONL line.
+
+    Lines end at "\n" alone (a "\r" before it is JSON whitespace):
+    ``str.splitlines`` would also break at U+2028, U+2029 and U+0085,
+    which JSON strings may hold unescaped."""
+    for line_num, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:

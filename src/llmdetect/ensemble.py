@@ -1,12 +1,18 @@
 """Weighted soft voting over internal classifiers plus blending of
 externally produced per-document scores.
 
-Weights and scores are binary floats, hence exact rationals over powers of
-two, so each weighted mean is computed exactly in integers and rounded once:
-rescaling every weight by a representable factor changes no output bit, and
-the mean never escapes [min voter score, max voter score].  The rank_mean
-combiner first replaces each voter's scores with tie-averaged ranks, making
-it invariant to any strictly monotone miscalibration.
+Weights and scores are binary floats, hence exact rationals, and each
+weighted mean is its exact rational rounded once, as ``float(Fraction)``
+would: rescaling every weight by a representable factor changes no output
+bit, and the mean never escapes [min voter score, max voter score].  One
+numpy kernel computes every (weight vector, document) cell of a call in
+double-double arithmetic with a proven error bound, and keeps a cell's
+float only where that bound settles its rounding.  The other cells (ties
+between two floats, numerators lost to cancellation, and every cell of a
+call with a weight or score outside [2**-256, 2**256]) are recomputed
+exactly as ratios of Python integers.  The rank_mean combiner first
+replaces each voter's scores with tie-averaged ranks, making it invariant
+to any strictly monotone miscalibration.
 """
 
 from __future__ import annotations
@@ -32,7 +38,15 @@ DEFAULT_GRID_STEP = 0.1  # weight step of tune_weights
 MAX_GRID_POINTS = 200_000
 # Combined scores tune_weights holds at once: on small validation sets the
 # whole grid is one chunk, on large ones memory stays flat.
-_CHUNK_SCORES = 1 << 20
+_CHUNK_SCORES = 1 << 18
+# (Weight vector, document) cells the vote kernel takes at once: its seven
+# buffers hold at most 224 KB whatever the grid.
+_BLOCK_CELLS = 1 << 12
+# Nonzero weights and scores within [2**-256, 2**256] keep every product
+# and quotient of the vote kernel clear of under- and overflow.
+_SAFE_LOW, _SAFE_HIGH = 2.0 ** -256, 2.0 ** 256
+_SPLITTER = 2.0 ** 27 + 1  # Veltkamp's constant for 53-bit floats
+_MANTISSA = (1 << 52) - 1  # the fraction bits of a float64
 
 SCORE_HEADER = ["id", "score"]
 
@@ -114,9 +128,11 @@ def _weight_rows(weights) -> tuple[list, bool]:
         raise EnsembleError("a weight grid must hold only weight vectors")
 
 
-def _check_vote_inputs(per_voter_scores, weights) -> tuple[np.ndarray, list, bool]:
-    """The scores as a (voters, documents) float array, checked, plus the
-    weight vectors and whether they came as a grid (``_weight_rows``)."""
+def _check_vote_inputs(per_voter_scores, weights
+                       ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The scores as a (voters, documents) float array, checked, the
+    weight vectors as a (vectors, voters) float array, and whether they
+    came as a grid (``_weight_rows``)."""
     rows, grid = _weight_rows(weights)
     for row in rows:
         if len(per_voter_scores) != len(row):
@@ -128,41 +144,264 @@ def _check_vote_inputs(per_voter_scores, weights) -> tuple[np.ndarray, list, boo
     if len(lengths) != 1:
         raise EnsembleError(f"voters scored different document counts: "
                             f"{sorted(lengths)}")
-    for row in rows:
-        for w in row:
-            if not _is_weight(w):
-                raise EnsembleError(f"weights must be finite and >= 0, got {w}")
-        if not any(w > 0 for w in row):
-            raise EnsembleError("all voter weights are zero")
+    try:
+        matrix = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise EnsembleError("weights must be finite numbers >= 0")
+    bad = ~(np.isfinite(matrix) & (matrix >= 0.0))
+    failing = np.flatnonzero(bad.any(axis=1) | ~(matrix > 0.0).any(axis=1))
+    if failing.size:  # the first bad vector, as a loop over them finds it
+        r = failing[0]
+        if bad[r].any():
+            raise EnsembleError(f"weights must be finite and >= 0, "
+                                f"got {rows[r][np.argmax(bad[r])]}")
+        raise EnsembleError("all voter weights are zero")
     scores = np.array(per_voter_scores, dtype=np.float64)
     finite = np.isfinite(scores)
     if not finite.all():
         v, d = np.argwhere(~finite)[0]
         raise EnsembleError(f"voter {v} scored document {d} as "
                             f"{scores[v, d]}; scores must be finite")
-    return scores, rows, grid
+    return scores, matrix, grid
 
 
-def _weighted_mean(numerators, denominator: int, weights) -> np.ndarray:
-    """Per document, sum_v w_v * numerators[v] / (denominator * sum_v w_v),
-    as one correctly rounded int / int division, as ``float(Fraction)``.
-    ``numerators`` is a (voters, documents) object array of Python ints;
-    the quotients come back as an object array of Python floats."""
-    ratios = [float(w).as_integer_ratio() for w in weights]
-    scale = max(q for _, q in ratios)  # a power of two, as every q is
-    int_weights = [p * (scale // q) for p, q in ratios]
-    total = denominator * sum(int_weights)
-    acc = sum(w * n for w, n in zip(int_weights, numerators) if w)
-    return acc / total
+def _two_sum(a, b):
+    """(s, e): s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
 
-def _vote(numerators, denominator: int, rows, grid: bool) -> np.ndarray:
-    """``_weighted_mean`` for each weight vector: one row of scores per
-    vector of a grid, else the scores of the one vector."""
-    out = np.empty((len(rows), numerators.shape[1]))
-    for r, weights in enumerate(rows):
-        out[r] = _weighted_mean(numerators, denominator, weights)
-    return out if grid else out[0]
+def _split(a):
+    """(hi, lo): a = hi + lo exactly, each of at most 26 significant bits
+    (Veltkamp's split)."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_product(a, a_halves, b, b_halves):
+    """(p, e): p = fl(a * b) and p + e = a * b exactly (Dekker's
+    TwoProduct, from the ``_split`` halves of a and b)."""
+    (ah, al), (bh, bl) = a_halves, b_halves
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _in_window(values) -> bool:
+    """Whether every nonzero value has a magnitude in the kernel's safe
+    window [2**-256, 2**256]."""
+    size = np.abs(values)
+    return bool(np.all((size == 0.0)
+                       | ((size >= _SAFE_LOW) & (size <= _SAFE_HIGH))))
+
+
+def _denominators(weights, k: float):
+    """k * (the sum of each weight vector) as a double-double (hi, lo),
+    within (V**2 + 4) u**2 of it relatively (``_kernel_vote``)."""
+    hi, lo = weights[:, 0], np.zeros(len(weights))
+    for column in weights.T[1:]:
+        hi, error = _two_sum(hi, column)
+        lo += error
+    hi, lo = _two_sum(hi, lo)
+    hi, error = _two_product(hi, _split(hi), k, _split(k))
+    return _two_sum(hi, error + k * lo)
+
+
+def _kernel_vote(scores, k: float, weights, out) -> tuple:
+    """Fill ``out`` with sum_v w_v * scores[v] / (k * sum_v w_v) for every
+    weight vector (row) and document, computed in double-double; return
+    the rows and documents of the cells whose rounding it cannot certify,
+    which the caller recomputes exactly.
+
+    The bound, per cell, with u = 2**-53, V voters, N = sum_v w_v a_v,
+    T = k sum_v w_v and P = sum_v |w_v a_v|:
+
+    * Each product splits exactly into p_v + e_v with |e_v| <= u |p_v|
+      (TwoProduct), once per distinct weight of a voter and document.
+    * s adds up the p_v by TwoSum, whose errors t_v are exact, and c adds
+      the 2V - 1 terms e_v, t_v in order.  Those total at most
+      V u (1 + Vu) P, so s + c = Nh + Nl is within 2 V**2 u**2 P of N.
+    * T, formed the same way per row (``_denominators``) as Th + Tl, is
+      within (V**2 + 4) u**2 T of T.
+    * q1 = fl(Nh / Th).  Nh - fl(q1 Th) is exact (Sterbenz), and so is
+      the rest of q1 Th (TwoProduct).  Taking that rest off, adding Nl
+      and taking off q1 Tl cost four roundings of values below
+      3.1u |Nh|; dividing by Th gives q2, and y + z = q1 + q2 exactly
+      (FastTwoSum).  This step adds at most 16 u**2 |Nh| / Th.
+
+    So |N / T - (y + z)| <= (3 V**2 + 21) u**2 P / Th, and the kernel
+    takes delta = (6 V**2 + 42) u**2 P' / Th, P' being P as computed, or
+    (6 V**2 + 42) u**2 |y| when no score is negative (then P = N, and
+    P / Th is within 3u of |y|): the factor 2 covers these roundings.
+    Every nonzero weight and score lies in [2**-256, 2**256]
+    (``_in_window``), so no product or quotient comes near overflow,
+    every value of the numerator is a multiple of 2**-616, and what an
+    underflowing low word loses (2**-1075) is far below u**2 P / Th.
+
+    A cell keeps y when [y + z - delta, y + z + delta] lies strictly
+    inside the reals that round to y: half a gap on either side of y,
+    where the gap below a power of two is half the gap above.  Both
+    comparisons are exact, as rounding is monotone and the half-gaps are
+    floats.  A cell whose exact value is a tie between two floats is never
+    certified, nor one whose numerator cancels to about delta.
+    """
+    n_rows, n_voters = weights.shape
+    n_docs = scores.shape[1]
+    bound = (6 * n_voters ** 2 + 42) * 2.0 ** -106
+    signed = bool((scores < 0.0).any())
+    score_hi, score_lo = _split(scores)
+    block_rows = min(n_rows, _BLOCK_CELLS)
+    block_docs = max(1, _BLOCK_CELLS // block_rows)
+    # every temporary is a view of one of these, so a call allocates them
+    # once; a voter's product table (distinct weights x documents) fits in
+    # one, as no block has more distinct weights than rows
+    buffers = np.empty((6 + signed, block_rows * min(block_docs, n_docs)))
+    left = []
+    for r0 in range(0, n_rows, block_rows):
+        block = weights[r0:r0 + block_rows]
+        distinct = [(values, *_split(values[:, None]), inv)
+                    for values, inv in (np.unique(column, return_inverse=True)
+                                        for column in block.T)]
+        th, tl = (x[:, None] for x in _denominators(block, k))
+        thh, thl = _split(th)
+        for d0 in range(0, n_docs, block_docs):
+            docs = slice(d0, d0 + block_docs)
+            width = len(range(n_docs)[docs])
+            views = [b[:len(block) * width].reshape(len(block), width)
+                     for b in buffers]
+            s, c, p, e, t1, t2 = views[:6]
+            size = views[6] if signed else None
+            first = True
+            for v, (values, uh, ul, inv) in enumerate(distinct):
+                if not values[-1]:
+                    continue  # zero throughout the block
+                a, ah, al = scores[v, docs], score_hi[v, docs], score_lo[v, docs]
+                # TwoProduct of each distinct weight with each score, in
+                # t1 and t2, gathered per row into s and c or p and e
+                tp, te, tt = (b.ravel()[:len(values) * width].reshape(
+                    len(values), width) for b in (t1, t2, p))
+                np.multiply(values[:, None], a, out=tp)
+                np.multiply(uh, ah, out=te)
+                te -= tp
+                te += np.multiply(uh, al, out=tt)
+                te += np.multiply(ul, ah, out=tt)
+                te += np.multiply(ul, al, out=tt)
+                if first:
+                    tp.take(inv, axis=0, out=s)
+                    te.take(inv, axis=0, out=c)
+                    if signed:
+                        np.abs(s, out=size)
+                    first = False
+                    continue
+                tp.take(inv, axis=0, out=p)
+                te.take(inv, axis=0, out=e)
+                if signed:
+                    size += np.abs(p, out=t1)
+                # (s, c) += p + e: s + p = t1 + s exactly (TwoSum)
+                np.add(s, p, out=t1)
+                np.subtract(t1, s, out=t2)
+                p -= t2
+                np.subtract(t1, t2, out=t2)
+                s -= t2
+                s += p
+                c += s
+                c += e
+                s, t1 = t1, s
+            # (nh, nl) = TwoSum(s, c), in t1 and c
+            np.add(s, c, out=t1)
+            np.subtract(t1, s, out=t2)
+            c -= t2
+            np.subtract(t1, t2, out=t2)
+            s -= t2
+            c += s
+            q1 = np.divide(t1, th, out=s)
+            # (qh, ql) = split(q1) in p and e; q1 th = t2 + (error in c)
+            np.multiply(q1, _SPLITTER, out=p)
+            np.subtract(p, q1, out=e)
+            p -= e
+            np.subtract(q1, p, out=e)
+            np.multiply(q1, th, out=t2)
+            t1 -= t2
+            t1 += c
+            np.multiply(p, thh, out=c)
+            c -= t2
+            c += np.multiply(p, thl, out=t2)
+            c += np.multiply(e, thh, out=t2)
+            c += np.multiply(e, thl, out=t2)
+            # q2 = (nh - q1 th + nl - q1 tl) / th, in t1
+            t1 -= c
+            t1 -= np.multiply(q1, tl, out=t2)
+            t1 /= th
+            # (y, z) = FastTwoSum(q1, q2), in p and e
+            y = np.add(q1, t1, out=p)
+            np.subtract(y, q1, out=e)
+            z = np.subtract(t1, e, out=e)
+            if signed:
+                delta = np.divide(size, th, out=t1)
+            else:
+                delta = np.abs(y, out=t1)
+            delta *= bound
+            # half the gap above |y| and below it (half as wide at a
+            # power of two), read from its exponent and fraction bits
+            bits = np.abs(y, out=c).view(np.int64)
+            exponent = np.right_shift(bits, 52, out=t2.view(np.int64))
+            np.maximum(exponent, 55, out=exponent)
+            exponent -= 53
+            half_up = np.left_shift(exponent, 52, out=s.view(np.int64))
+            exponent -= np.bitwise_and(bits, _MANTISSA, out=bits) == 0
+            half_down = np.left_shift(exponent, 52, out=exponent)
+            np.negative(z, out=z, where=y < 0)  # z toward |y|'s side
+            certified = np.add(z, delta, out=c) < half_up.view(np.float64)
+            certified &= (np.subtract(delta, z, out=c)
+                          < half_down.view(np.float64))
+            np.add(y, 0.0, out=out[r0:r0 + block_rows, docs])  # no -0.0
+            rows, cols = np.nonzero(~certified)
+            left.append((rows + r0, cols + d0))
+    return (np.concatenate([r for r, _ in left]),
+            np.concatenate([c for _, c in left]))
+
+
+def _exact_vote(scores, k: int, weights, out, rows, docs) -> None:
+    """Set out[rows[i], docs[i]] to the correctly rounded quotient of
+    sum_v w_v * scores[v] and k * sum_v w_v, as ``float(Fraction)``: the
+    scores of those documents and each weight vector become Python
+    integers over a common power of two, and each cell is one int / int
+    division."""
+    if not len(rows):
+        return
+    cols, col_of = np.unique(docs, return_inverse=True)
+    # score = mantissa * 2**exponent with an integer mantissa of 53 bits
+    mantissas, exponents = np.frexp(scores[:, cols])
+    exponents = exponents.astype(np.int64) - 53
+    low = int(exponents.min(initial=0))
+    numerators = ((mantissas * 2.0 ** 53).astype(np.int64).astype(object)
+                  << (exponents - low).astype(object))
+    order = np.argsort(rows, kind="stable")
+    starts = np.flatnonzero(np.diff(rows[order])) + 1
+    for cells in np.split(order, starts):
+        r = rows[cells[0]]
+        ratios = [w.as_integer_ratio() for w in weights[r].tolist()]
+        scale = max(q for _, q in ratios)  # a power of two, as every q is
+        int_weights = [p * (scale // q) for p, q in ratios]
+        total = (k << -low) * sum(int_weights)
+        at = col_of[cells]
+        acc = sum(w * numerators[v, at] for v, w in enumerate(int_weights)
+                  if w)
+        out[r, docs[cells]] = acc / total
+
+
+def _vote(scores, k: int, weights) -> np.ndarray:
+    """Per weight vector (row of ``weights``) and document, the correctly
+    rounded sum_v w_v * scores[v] / (k * sum_v w_v): the double-double
+    kernel's value where it is certified, else the exact one."""
+    out = np.empty((len(weights), scores.shape[1]))
+    if _in_window(scores) and _in_window(weights):
+        rows, docs = _kernel_vote(scores, float(k), weights, out)
+    else:
+        rows, docs = (i.ravel() for i in np.indices(out.shape))
+    _exact_vote(scores, k, weights, out, rows, docs)
+    return out
 
 
 def soft_vote(per_voter_scores, weights) -> np.ndarray:
@@ -170,16 +409,11 @@ def soft_vote(per_voter_scores, weights) -> np.ndarray:
 
     ``weights`` holds one weight per voter, or is a grid of such vectors;
     a grid gives a (vectors, documents) array, one row per vector, and
-    decomposes the scores once for all of them.
+    checks the scores once for all of them.
     """
-    scores, rows, grid = _check_vote_inputs(per_voter_scores, weights)
-    # score = mantissa * 2**exponent with an integer mantissa of 53 bits
-    mantissas, exponents = np.frexp(scores)
-    exponents = exponents.astype(np.int64) - 53
-    low = int(exponents.min(initial=0))
-    numerators = ((mantissas * 2.0 ** 53).astype(np.int64).astype(object)
-                  << (exponents - low).astype(object))
-    return _vote(numerators, 1 << -low, rows, grid)
+    scores, weights, grid = _check_vote_inputs(per_voter_scores, weights)
+    out = _vote(scores, 1, weights)
+    return out if grid else out[0]
 
 
 def combiner(name: str):
@@ -199,17 +433,17 @@ def rank_average(per_voter_scores, weights) -> np.ndarray:
     (i + j - 1) / 2, scaled by 1 / (n - 1).  ``weights`` is one vector or
     a grid, as in ``soft_vote``; each voter is ranked once either way.
     """
-    scores, rows, grid = _check_vote_inputs(per_voter_scores, weights)
+    scores, weights, grid = _check_vote_inputs(per_voter_scores, weights)
     n_docs = scores.shape[1]
     if n_docs < 2:
         raise EnsembleError("rank averaging needs at least 2 documents")
-    numerators = []
-    for row in scores:
+    numerators = np.empty_like(scores)
+    for row, numerator in zip(scores, numerators):
         _, group, sizes = tie_groups(row)
         ends = np.cumsum(sizes)
-        numerators.append((2 * ends - sizes - 1)[group])
-    return _vote(np.array(numerators).astype(object), 2 * (n_docs - 1),
-                 rows, grid)
+        numerator[:] = (2 * ends - sizes - 1)[group]
+    out = _vote(numerators, 2 * (n_docs - 1), weights)
+    return out if grid else out[0]
 
 
 def parse_external_scores(text: str, source: str = "<scores>") -> ExternalScores:
@@ -338,7 +572,7 @@ def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_ME
 
     Returns (weights, auc); ties keep the first grid point, so results are
     deterministic.  The combiner takes the grid a chunk at a time, so each
-    voter's scores are checked and decomposed once per chunk, and one
+    voter's scores are checked (and ranked) once per chunk, and one
     ``roc_auc`` call scores the chunk's rows.
     """
     grid = weight_grid(len(per_voter_scores), step)

@@ -2,13 +2,16 @@
 
 Everything here recomputes results from first principles by the most
 literal method available (full recounts, exhaustive enumeration, central
-finite differences, all-pairs comparison) and deliberately shares no code
-with the implementations under test beyond data containers.  The Counter
+finite differences, all-pairs comparison, Python-integer arithmetic) and
+deliberately shares no code with the implementations under test beyond
+data containers and constants, with these exceptions: the Counter
 featurizer uses the library's ``extract_ngrams``, which the array
 featurizer it checks does not call; the per-voter ensemble loop uses
 ``pipeline.score_texts``, which the grouped ``collect_voter_scores`` does
 not call; the dense-gradient SGD loop uses the library's ``sigmoid`` on
-scalars, whose scalar path is checked against its array path.
+scalars, whose scalar path is checked against its array path, and takes
+its label check (``check_binary_labels``) and its shuffle stream
+(``stream_rng``) from the library, so both loops visit the same samples.
 """
 
 from __future__ import annotations
@@ -20,12 +23,10 @@ from itertools import product
 
 import numpy as np
 
-from llmdetect.ensemble import (COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP,
-                                combiner, weight_grid)
+from llmdetect.ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
 from llmdetect.errors import FeatureError, ModelError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
-from llmdetect.metrics import roc_auc
 from llmdetect.models import SgdConfig, SgdLinearModel
 from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
@@ -362,6 +363,52 @@ def weight_grid_oracle(n_voters: int, step: float) -> list[tuple[float, ...]]:
     return grid
 
 
+def _weighted_mean(numerators, denominator: int, weights) -> np.ndarray:
+    """Per document, sum_v w_v * numerators[v] / (denominator * sum_v w_v),
+    as one correctly rounded int / int division, as ``float(Fraction)``.
+    ``numerators`` is a (voters, documents) object array of Python ints;
+    the quotients come back as an object array of Python floats."""
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    scale = max(q for _, q in ratios)  # a power of two, as every q is
+    int_weights = [p * (scale // q) for p, q in ratios]
+    total = denominator * sum(int_weights)
+    acc = sum(w * n for w, n in zip(int_weights, numerators) if w)
+    return acc / total
+
+
+def _vote(numerators, denominator: int, rows, grid: bool) -> np.ndarray:
+    """``_weighted_mean`` for each weight vector: one row of scores per
+    vector of a grid, else the scores of the one vector."""
+    out = np.empty((len(rows), numerators.shape[1]))
+    for r, weights in enumerate(rows):
+        out[r] = _weighted_mean(numerators, denominator, weights)
+    return out if grid else out[0]
+
+
+def grid_vote_oracle(per_voter_scores, grid, combine: str) -> np.ndarray:
+    """One row of combined scores per weight vector of ``grid``: each
+    voter's scores (probability_mean) or tie-averaged rank numerators over
+    ``np.unique`` groups (rank_mean) as Python integers over one common
+    denominator, and each vector's weighted mean of them by ``_vote``."""
+    scores = np.array(per_voter_scores, dtype=np.float64)
+    if combine == COMBINE_PROBABILITY_MEAN:
+        # score = mantissa * 2**exponent with an integer mantissa of 53 bits
+        mantissas, exponents = np.frexp(scores)
+        exponents = exponents.astype(np.int64) - 53
+        low = int(exponents.min(initial=0))
+        numerators = ((mantissas * 2.0 ** 53).astype(np.int64).astype(object)
+                      << (exponents - low).astype(object))
+        return _vote(numerators, 1 << -low, grid, True)
+    numerators = []
+    for row in scores:
+        _, group, sizes = np.unique(row, return_inverse=True,
+                                    return_counts=True)
+        ends = np.cumsum(sizes)
+        numerators.append((2 * ends - sizes - 1)[group])
+    return _vote(np.array(numerators).astype(object),
+                 2 * (scores.shape[1] - 1), grid, True)
+
+
 def tune_weights_oracle(per_voter_scores, labels,
                         combine: str = COMBINE_PROBABILITY_MEAN,
                         step: float = DEFAULT_GRID_STEP
@@ -369,12 +416,15 @@ def tune_weights_oracle(per_voter_scores, labels,
     """Grid-search voter weights maximizing validation AUC.
 
     Returns (weights, auc); ties keep the first grid point, so results are
-    deterministic.
+    deterministic.  AUCs are compared as the rounded floats the library
+    returns, so two grid points whose exact AUCs round alike tie.
     """
+    grid = weight_grid_oracle(len(per_voter_scores), step)
     best_weights = None
     best_auc = -1.0
-    for weights in weight_grid(len(per_voter_scores), step):
-        auc = roc_auc(combiner(combine)(per_voter_scores, weights), labels)
+    for weights, row in zip(grid, grid_vote_oracle(per_voter_scores, grid,
+                                                   combine)):
+        auc = float(group_auc_oracle(row, labels))
         if auc > best_auc:
             best_weights, best_auc = weights, auc
     return best_weights, best_auc

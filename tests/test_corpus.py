@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -54,6 +55,28 @@ class TestLoad:
                      '{"id":"d2","text":"yo","label":1}\n')
         corpus = load_corpus(path, "jsonl")
         assert corpus.ids == ["d1", "d2"] and corpus.labels == [0, 1]
+
+    def test_jsonl_text_with_unicode_line_breaks(self, tmp_path):
+        # str.splitlines broke this line at each of the three characters
+        text = "a\u2028b\u2029c\u0085d"
+        path = write(tmp_path, "c.jsonl", json.dumps(
+            {"id": "d1", "text": text, "label": 1}, ensure_ascii=False))
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        corpus = load_corpus(path, "jsonl")
+        assert corpus.texts == [text] and corpus.labels == [1]
+        save_corpus(corpus, tmp_path / "again.jsonl", "jsonl")
+        assert load_corpus(tmp_path / "again.jsonl", "jsonl").texts == [text]
+
+    def test_jsonl_crlf(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id":"d1","text":"hi","label":0}\r\n'
+                         b'{"id":"d2","text":"yo","label":1}\r\n')
+        corpus = load_corpus(path, "jsonl")
+        assert corpus.ids == ["d1", "d2"] and corpus.labels == [0, 1]
+        path.write_bytes(b'{"id":"d1","text":"hi","label":0}\r\n'
+                         b'\r\n{"id":"d2","text":"yo","label":1,"x":2}\r\n')
+        with pytest.raises(CorpusError, match="at line 3$"):
+            load_corpus(path, "jsonl")
 
     def test_jsonl_extra_key_rejected(self, tmp_path):
         path = write(tmp_path, "c.jsonl",

@@ -23,8 +23,9 @@ from llmdetect.pipeline import (TOKEN_SOURCE_WHITESPACE, score_texts,
                                 train_bundle)
 from llmdetect.tokenizer import save_vocab, train_bpe
 from conftest import traced_peak
-from oracles import (collect_voter_scores_oracle, rank_average_oracle,
-                     soft_vote_oracle, tune_weights_oracle, weight_grid_oracle)
+from oracles import (collect_voter_scores_oracle, grid_vote_oracle,
+                     rank_average_oracle, soft_vote_oracle, tune_weights_oracle,
+                     weight_grid_oracle)
 
 
 class TestSoftVote:
@@ -187,6 +188,36 @@ def _grid_inputs(draw):
     return scores, grid
 
 
+_BELOW_HALF = math.nextafter(0.5, 0.0)
+# in-window scores and weights for the kernel, drawn often from pools that
+# make ties, values just below powers of two, signed zeros and cancellation
+_KERNEL_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, _BELOW_HALF, 0.25, 1.0, 0.1, 1 / 3,
+                     math.nextafter(0.1, 1.0), -0.5, 2.0 ** -80, 2.0 ** 60]),
+    st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) > 1e-70),
+    st.floats(1e-70, 1e70))
+_KERNEL_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2, 0.30000000000000004, 0.5, 1.0, 3.0,
+                     2.0 ** -110]),
+    st.floats(1e-70, 1e70))
+
+
+@st.composite
+def _kernel_grid_inputs(draw):
+    n_voters = draw(st.integers(1, 5))
+    n_docs = draw(st.integers(2, 12))
+    scores = [draw(st.lists(_KERNEL_SCORES, min_size=n_docs,
+                            max_size=n_docs)) for _ in range(n_voters)]
+    grid = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(st.lists(_KERNEL_WEIGHTS, min_size=n_voters,
+                            max_size=n_voters))
+        if not any(row):
+            row[-1] = 1.0
+        grid.append(row)
+    return scores, grid
+
+
 class TestWeightGrids:
     @pytest.mark.parametrize("combine", COMBINERS)
     @given(inputs=_grid_inputs())
@@ -227,6 +258,84 @@ class TestNonFiniteInputs:
     def test_non_finite_weight_rejected(self, time_bound, combine, bad):
         with time_bound(10), pytest.raises(EnsembleError, match="finite"):
             combine([[0.2, 0.7], [0.1, 0.9]], [1.0, bad])
+
+
+def _assert_votes_match_oracles(scores, weights):
+    assert _bit_identical(soft_vote(scores, weights),
+                          soft_vote_oracle(scores, weights))
+    assert _bit_identical(rank_average(scores, weights),
+                          rank_average_oracle(scores, weights))
+
+
+class TestVoteKernel:
+    """The double-double kernel against the Fraction oracles, on cells it
+    must hand to the exact fallback and on inputs it must not take."""
+
+    @pytest.mark.parametrize("scores, weights", [
+        # the mean of a float and its successor is a tie between them
+        ([[0.3, 0.7], [math.nextafter(0.3, 1.0), math.nextafter(0.7, 1.0)]],
+         [0.5, 0.5]),
+        # below 0.5 the gap is half the gap above it: a tie that rounds
+        # to 0.5, a value nearer the float below, and one a hair below the
+        # tie that the double-double quotient rounds onto it
+        ([[0.5, 0.5], [_BELOW_HALF, 0.25]], [1.0, 1.0]),
+        ([[0.5, 0.5], [_BELOW_HALF, 0.25]], [1.0, 3.0]),
+        ([[0.5, 0.5], [_BELOW_HALF, 0.25], [0.0, 1.0]], [1.0, 1.0, 2.0 ** -110]),
+        # positive and negative scores cancel, and the sum of the
+        # products' low words drops a term of 2**-80: the double-double
+        # numerator is 0.0 while the exact one is not
+        ([[2.0 ** 60, 0.1], [2.0 ** -80, 0.2], [1.0, -0.3],
+          [-(2.0 ** 60), 0.4], [-1.0, 0.5]], [1.0] * 5),
+        ([[0.75, -0.25], [-0.5, 0.25], [-0.25, 1e-17]], [1.0, 2.0, 1.0]),
+        # products near underflow and near overflow
+        ([[1e-300, 3e-300], [0.25, 0.5]], [1e-20, 0.0]),
+        ([[1e-300, 0.5], [0.25, 1e-300]], [1e-20, 1.0]),
+        ([[1e200, 0.5], [0.5, 1e200]], [1e200, 1.0]),
+        # signed zeros: a zero mean is +0.0
+        ([[-0.0, 0.0, -0.0], [-0.0, -0.0, 0.5]], [1.0, 2.0]),
+        ([[-0.0, 0.25], [-0.0, 0.5]], [0.0, 1.0]),
+    ], ids=["midpoint", "tie-below-power-of-two", "below-power-of-two",
+            "hair-below-tie", "lost-low-term", "cancellation", "underflow",
+            "underflow-mixed", "overflow", "negative-zero",
+            "negative-zero-weighted-out"])
+    def test_edge_cases_match_oracles(self, scores, weights):
+        _assert_votes_match_oracles(scores, weights)
+
+    def test_fifteen_voters(self):
+        rng = np.random.default_rng(15)
+        scores = rng.random((15, 40)).tolist()
+        weights = rng.random(15).tolist()
+        _assert_votes_match_oracles(scores, weights)
+        _assert_votes_match_oracles(np.round(scores, 1).tolist(),
+                                    [1.0] * 15)
+
+    @pytest.mark.parametrize("combine, oracle", [
+        (soft_vote, soft_vote_oracle), (rank_average, rank_average_oracle)])
+    @given(inputs=_kernel_grid_inputs(), block=st.integers(1, 50))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_in_small_blocks(self, combine, oracle, inputs, block):
+        scores, grid = inputs
+        with patch.object(ensemble, "_BLOCK_CELLS", block):
+            rows = combine(scores, grid)
+        for row, weights in zip(rows, grid):
+            assert _bit_identical(row, oracle(scores, weights))
+
+    @pytest.mark.parametrize("combine", COMBINERS)
+    def test_few_cells_fall_back(self, combine):
+        rng = np.random.default_rng(4)
+        scores = rng.random((4, 150)).tolist()
+        grid = weight_grid(4, 0.1)
+        exact = ensemble._exact_vote
+        cells = []
+
+        def counted(scores, k, weights, out, rows, docs):
+            cells.append(len(rows))
+            return exact(scores, k, weights, out, rows, docs)
+
+        with patch.object(ensemble, "_exact_vote", counted):
+            rows = combiner(combine)(scores, grid)
+        assert len(cells) == 1 and cells[0] < 0.05 * rows.size, cells
+        assert _bit_identical(rows, grid_vote_oracle(scores, grid, combine))
 
 
 class TestExternalScores:

@@ -17,6 +17,7 @@ to any strictly monotone miscalibration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -558,12 +559,20 @@ def grid_units(n_voters: int, step: float = DEFAULT_GRID_STEP) -> int:
     return units
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def _grid(n_voters: int, step: float) -> tuple[tuple[float, ...], ...]:
+    """``weight_grid``'s vectors, built once per (n_voters, step); typed,
+    so a numpy step keeps grids of its own float type."""
+    return tuple(tuple(c * step for c in combo)
+                 for combo in _compositions(grid_units(n_voters, step), n_voters))
+
+
 def weight_grid(n_voters: int,
                 step: float = DEFAULT_GRID_STEP) -> list[tuple[float, ...]]:
     """All weight vectors on the step-grid simplex (sum 1, not all zero),
-    in lexicographic order of their step counts; at most MAX_GRID_POINTS."""
-    return [tuple(c * step for c in combo)
-            for combo in _compositions(grid_units(n_voters, step), n_voters)]
+    in lexicographic order of their step counts; at most MAX_GRID_POINTS.
+    A fresh list each call, of tuples built once."""
+    return list(_grid(n_voters, step))
 
 
 def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_MEAN,

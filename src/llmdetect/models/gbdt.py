@@ -10,6 +10,11 @@ second-order gain
 searched over per-column histograms whose bin edges come from quantiles of
 the nonzero training values; bin 0 is reserved for the exact zeros of
 sparse columns, which requires nonnegative features (TF-IDF weights are).
+The matrix is binned once, before boosting, in one sort: integer keys
+order the nonzeros of every binned column by (column, value), numpy's
+"linear" quantile rule then runs on all columns at once, and one
+searchsorted bins every nonzero.  Cuts and bins are byte for byte those
+of one np.unique, np.quantile and np.searchsorted call per column.
 
 Two growth strategies share one split search, ``_BinnedMatrix.split_gains``,
 which scores every (column, bin) split of one node: leaf_wise repeatedly
@@ -245,41 +250,33 @@ class _BinnedMatrix:
     own bin (the cuts are the values themselves), which makes histogram
     splits coincide with exhaustive value splits; a column with more is
     cut at n_bins - 1 evenly spaced quantiles of its nonzero values (at its
-    maximum alone when n_bins is 2), duplicates dropped.
+    maximum alone when n_bins is 2), duplicates dropped.  ``_bin_columns``
+    bins all columns together, in a fixed number of array passes over
+    X_split's nonzeros: one sort, no loop over columns, and memory linear
+    in the nonzeros.
     """
 
     def __init__(self, X: SparseMatrix, config: GbdtConfig):
         if X.nnz and X.vals.min() < 0.0:
             raise ModelError("negative feature values are unsupported: bin 0 "
                              "is reserved for zeros, which must sort lowest")
+        if not np.isfinite(X.vals).all():
+            raise ModelError("feature values must be finite numbers")
         self.X = X
         self.config = config
-        self.n_bins = n_bins = config.n_bins
-        col_indptr, _, vals, csr_pos = X.to_csc()
-        self.splittable = np.flatnonzero(
-            np.diff(col_indptr) >= config.min_data_in_leaf)
-        self.cuts: list[np.ndarray] = [np.empty(0)] * X.n_cols
-        bins = np.zeros(X.nnz, dtype=np.int64)
-        bounds = col_indptr.tolist()
-        for col in self.splittable.tolist():
-            lo, hi = bounds[col], bounds[col + 1]
-            v = vals[lo:hi]
-            cuts = np.unique(v)
-            if len(cuts) > n_bins - 1:
-                # the top cut is the maximum, so that every value lands in
-                # one of the n_bins - 1 nonzero bins
-                q = np.linspace(0.0, 1.0, n_bins - 1) if n_bins > 2 else 1.0
-                cuts = np.unique(np.quantile(v, q))
-            self.cuts[col] = cuts
-            bins[csr_pos[lo:hi]] = 1 + np.searchsorted(cuts, v, side="left")
-        in_split = bins > 0
-        kept_before = np.zeros(X.nnz + 1, dtype=np.int64)
-        np.cumsum(in_split, out=kept_before[1:])
+        self.n_bins = config.n_bins
+        keep = np.bincount(X.cols, minlength=X.n_cols) >= config.min_data_in_leaf
+        self.splittable = np.flatnonzero(keep)
+        kept = np.flatnonzero(keep[X.cols])  # X's entries in those columns
         self.X_split = SparseMatrix(
-            indptr=kept_before[X.indptr],
-            cols=np.searchsorted(self.splittable, X.cols[in_split]),
-            vals=X.vals[in_split], n_rows=X.n_rows, n_cols=len(self.splittable))
-        self.bins = bins[in_split]
+            indptr=np.searchsorted(kept, X.indptr),
+            cols=(np.cumsum(keep) - 1)[X.cols[kept]],
+            vals=X.vals[kept], n_rows=X.n_rows, n_cols=len(self.splittable))
+        cuts, bounds, self.bins = _bin_columns(self.X_split, self.n_bins)
+        bounds = bounds.tolist()
+        self.cuts: list[np.ndarray] = [np.empty(0)] * X.n_cols
+        for k, col in enumerate(self.splittable.tolist()):
+            self.cuts[col] = cuts[bounds[k]:bounds[k + 1]]
 
     def split_gains(self, node: tuple, g: np.ndarray,
                     h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,6 +340,108 @@ class _BinnedMatrix:
         rows = node[0]
         goes_left = self.X.column_values(col, rows) <= threshold
         return _node(rows[goes_left], g, h), _node(rows[~goes_left], g, h)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True where a sorted array (each row of it, if 2-d) starts a run of
+    equal values."""
+    starts = np.empty(a.shape, dtype=bool)
+    starts[..., :1] = True
+    np.not_equal(a[..., 1:], a[..., :-1], out=starts[..., 1:])
+    return starts
+
+
+def _value_ranks(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, sorted, and each value's index among them."""
+    by_value = np.argsort(vals)
+    sorted_vals = vals[by_value]
+    new_value = _run_starts(sorted_vals)
+    rank = np.empty(len(vals), dtype=np.int64)
+    rank[by_value] = np.cumsum(new_value) - 1
+    return sorted_vals[new_value], rank
+
+
+def _linear_quantiles(values: np.ndarray, starts: np.ndarray,
+                      sizes: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(values[s:s + m], q)`` of every sorted run (s, m) at
+    once, one row per run, in numpy's own float operations for its
+    "linear" method: the virtual index (m - 1) * q, its floor and the next
+    index (the run's last, at q = 1), and the two-sided lerp a + (b - a) * t,
+    or b - (b - a) * (1 - t) where t >= 0.5.  At q = 1 numpy takes the
+    fraction t from a floor of -1, but both ends are the maximum there, so
+    its value is the maximum either way."""
+    top = (sizes - 1)[:, None]
+    virtual = top * q
+    below = np.floor(virtual)
+    t = virtual - below
+    first = starts[:, None]
+    a = values[first + below.astype(np.int64)]
+    b = values[first + np.minimum(below + 1.0, top).astype(np.int64)]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
+def _bin_columns(X: SparseMatrix, n_bins: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cuts and bins of every column of X, byte for byte those of a loop of
+    ``np.unique``, ``np.quantile`` and ``np.searchsorted`` calls, one
+    column at a time (the cut rule is ``_BinnedMatrix``'s).
+
+    Returns (cuts, bounds, bins): column k's cuts are
+    cuts[bounds[k]:bounds[k + 1]], and bins[i] = 1 + searchsorted(column
+    cuts, X.vals[i], "left").  Every value gets its rank among the
+    distinct values of X, so one integer key, column * stride + rank,
+    orders (column, value) pairs, and one sort of the keys sorts every
+    column's values.  A cut c of a column gets the key column * stride +
+    (number of distinct values <= c), and c < v exactly when that key is
+    at most v's, so one searchsorted of the sorted value keys among the
+    cut keys counts each value's cuts below it.  Memory stays O(nnz).
+    """
+    cols, vals = X.cols, X.vals
+    sizes = np.bincount(cols, minlength=X.n_cols)
+    starts = np.zeros(X.n_cols + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    distinct, keys = _value_ranks(vals)
+    stride = len(distinct) + 1
+    keys += cols * stride
+    order = np.argsort(keys)
+    keys, sorted_vals, sorted_cols = keys[order], vals[order], cols[order]
+
+    # first entry of each distinct (column, value) pair
+    firsts = _run_starts(keys)
+    n_distinct = np.bincount(sorted_cols[firsts], minlength=X.n_cols)
+    few = n_distinct <= n_bins - 1
+    own_cut = firsts & few[sorted_cols]
+    # other columns: n_bins - 1 evenly spaced quantiles, whose top one is
+    # the maximum, so every value lands in one of the n_bins - 1 nonzero
+    # bins; sorted, duplicates dropped, as np.unique leaves them
+    many = np.flatnonzero(~few)
+    q = np.linspace(0.0, 1.0, n_bins - 1) if n_bins > 2 else np.ones(1)
+    quantiles = np.sort(_linear_quantiles(sorted_vals, starts[many],
+                                          sizes[many], q), axis=1)
+    kept = _run_starts(quantiles)
+
+    n_cuts = np.where(few, n_distinct, 0)
+    n_cuts[many] = kept.sum(axis=1)
+    bounds = np.zeros(X.n_cols + 1, dtype=np.int64)
+    np.cumsum(n_cuts, out=bounds[1:])
+    cut_cols = np.repeat(np.arange(X.n_cols), n_cuts)
+    own = few[cut_cols]
+    cuts = np.empty(len(cut_cols))
+    cut_keys = np.empty(len(cut_cols), dtype=np.int64)
+    cuts[own] = sorted_vals[own_cut]
+    cut_keys[own] = keys[own_cut] + 1
+    cuts[~own] = quantiles[kept]
+    cut_keys[~own] = (cut_cols[~own] * stride
+                      + np.searchsorted(distinct, cuts[~own], side="right"))
+    sorted_bins = np.searchsorted(cut_keys, keys, side="right")
+    sorted_bins -= bounds[sorted_cols]
+    sorted_bins += 1
+    bins = np.empty_like(sorted_bins)
+    bins[order] = sorted_bins
+    return cuts, bounds, bins
 
 
 def _node(rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> tuple:

@@ -1,9 +1,9 @@
 """Minimal compressed-sparse-row containers for document-term matrices.
 
 Only what the pipeline needs: row access, matrix-vector products against
-dense weight vectors, and a CSC view for column-oriented work (histogram
-binning, per-column quantiles).  Column indices within a row are strictly
-increasing and explicit zeros are never stored.
+dense weight vectors, and a CSC view for column-oriented work (one
+column's values at a tree node's rows).  Column indices within a row are
+strictly increasing and explicit zeros are never stored.
 """
 
 from __future__ import annotations

@@ -577,6 +577,27 @@ class TestWeightTuning:
     def test_grid_matches_filtered_product(self, n_voters, step):
         assert weight_grid(n_voters, step) == weight_grid_oracle(n_voters, step)
 
+    @pytest.mark.parametrize("n_voters", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.2, 0.1, 0.05])
+    def test_grid_is_built_once_and_handed_out_fresh(
+            self, monkeypatch, n_voters, step):
+        # tune_weights once rebuilt the grid through the recursive
+        # _compositions on every call, about 6% of a tune
+        ensemble._grid.cache_clear()
+        built = []
+        original = ensemble._compositions
+        monkeypatch.setattr(ensemble, "_compositions", lambda *a: built.append(
+            a) or original(*a))
+        first = weight_grid(n_voters, step)
+        first.clear()
+        calls = len(built)
+        scores = [[0.2, 0.9, 0.4, 0.6]] * n_voters
+        for _ in range(2):
+            assert weight_grid(n_voters, step) == weight_grid_oracle(
+                n_voters, step)
+            tune_weights(scores, [0, 1, 0, 1], step=step)
+        assert calls > 0 and len(built) == calls
+
     @given(_tuning_inputs())
     @settings(max_examples=150, deadline=None)
     def test_tuning_matches_oracle(self, inputs):
@@ -604,7 +625,7 @@ class TestWeightTuning:
 
     def test_tuning_holds_no_grid_of_python_ints(self):
         # 66 weight vectors over 20,000 documents, in chunks of 52: the
-        # chunk's float rows bring tune_weights to about 2.4 times one
+        # chunk's float rows bring tune_weights to about 2.7 times one
         # soft_vote call's peak, while keeping each vector's quotients as
         # Python objects until the chunk is done reaches 6.5 times
         rng = np.random.default_rng(11)

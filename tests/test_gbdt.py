@@ -13,11 +13,13 @@ from llmdetect.models.common import sigmoid
 from llmdetect.models.gbdt import (LEAF_WISE, SYMMETRIC, _BinnedMatrix, _node,
                                    split_threshold)
 from llmdetect.metrics import roc_auc
-from conftest import random_sparse
+from llmdetect.sparse import SparseMatrix
+from conftest import random_sparse, traced_peak
 from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
-from oracles import (_oracle_gain, bin_matrix, compute_bin_edges,
-                     find_best_split, histograms_oracle, sparse_from_dense)
+from oracles import (_oracle_gain, bin_matrix, binned_matrix_oracle,
+                     compute_bin_edges, find_best_split, histograms_oracle,
+                     sparse_from_dense)
 
 
 def node_split_gains(X, rows, g, h, n_bins, min_data_in_leaf=1, lambda_l2=1.0):
@@ -181,21 +183,27 @@ class TestFindBestSplit:
 
 @st.composite
 def _binning_inputs(draw):
-    """Matrices whose columns are empty, hold few distinct nonzeros, or
-    more than n_bins - 1 of them (the quantile branch)."""
-    n_bins = draw(st.integers(2, 9))
-    n_rows = draw(st.integers(1, 30))
+    """Matrices whose columns are empty, hold at most n_bins - 1 distinct
+    nonzeros, or may hold more (the quantile branch).  Values are steps of
+    a grid of at most 3 * n_bins points, so equal values run across the
+    quantile positions of many columns, and n_bins 16 and 255 get up to
+    3 * n_bins rows."""
+    n_bins = draw(st.one_of(st.integers(2, 9), st.sampled_from([16, 255])))
+    n_rows = draw(st.integers(1, 30 if n_bins < 10 else 3 * n_bins))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["empty", "few", "many"]))
         if kind == "empty":
             columns.append(np.zeros(n_rows))
             continue
-        grid = draw(st.integers(1, 3 * n_bins))
-        values = draw(st.lists(st.integers(0, grid), min_size=n_rows,
-                               max_size=n_rows))
+        if kind == "few":
+            grid = draw(st.integers(1, n_bins - 1))
+        else:
+            grid = draw(st.integers(n_bins, 3 * n_bins))
+        values = rng.integers(0, grid, n_rows, endpoint=True)
         scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e-300, 1e300]))
-        columns.append(np.array(values, dtype=float) * scale)
+        columns.append(values * scale)
     return sparse_from_dense(np.column_stack(columns)), n_bins
 
 
@@ -219,7 +227,51 @@ def assert_column_binned_like_oracle(binned, X, col, expected_cuts,
     assert bins[entries].tobytes() == expected_bins[entries].tobytes()
 
 
+def assert_binned_like_per_column_oracle(binned, expected):
+    """splittable, cuts (dtype and bytes), bins and X_split byte for byte
+    those of the per-column binning loop."""
+    assert binned.splittable.dtype == expected.splittable.dtype
+    assert binned.splittable.tobytes() == expected.splittable.tobytes()
+    assert len(binned.cuts) == len(expected.cuts)
+    for got, want in zip(binned.cuts, expected.cuts):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert binned.bins.dtype == expected.bins.dtype
+    assert binned.bins.tobytes() == expected.bins.tobytes()
+    got, want = binned.X_split, expected.X_split
+    assert (got.n_rows, got.n_cols) == (want.n_rows, want.n_cols)
+    for name in ("indptr", "cols", "vals"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestBinning:
+    @given(_binning_inputs(), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_column_oracle(self, inputs, min_data):
+        X, n_bins = inputs
+        config = GbdtConfig(n_bins=n_bins, min_data_in_leaf=min_data)
+        assert_binned_like_per_column_oracle(_BinnedMatrix(X, config),
+                                             binned_matrix_oracle(X, config))
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 16, 255])
+    @pytest.mark.parametrize("min_data", [1, 20])
+    def test_wide_matrix_matches_per_column_oracle(self, rng, n_bins,
+                                                   min_data):
+        # about 360 nonzeros per column: every column has more than 254
+        # distinct values, so all take the quantile branch; snapped to
+        # multiples of 1/1000, each column also holds runs of ties
+        for max_distinct in (0, 1000):
+            X, _ = random_sparse(rng, 600, 40, density=0.6,
+                                 max_distinct=max_distinct)
+            col_indptr, _, vals, _ = X.to_csc()
+            assert all(len(np.unique(vals[lo:hi])) > 254 for lo, hi
+                       in zip(col_indptr[:-1], col_indptr[1:]))
+            config = GbdtConfig(n_bins=n_bins, min_data_in_leaf=min_data)
+            assert_binned_like_per_column_oracle(
+                _BinnedMatrix(X, config), binned_matrix_oracle(X, config))
+
     @given(_binning_inputs())
     @settings(max_examples=300, deadline=None)
     def test_one_pass_matches_two_pass_oracle(self, inputs):
@@ -356,6 +408,12 @@ class TestTraining:
         with pytest.raises(ModelError, match="negative"):
             train_gbdt(X, [0, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = sparse_from_dense([[bad], [2.0]])
+        with pytest.raises(ModelError, match="finite"):
+            train_gbdt(X, [0, 1])
+
     def test_zero_learning_rate_keeps_base_score(self):
         X, y = self.threshold_dataset(60)
         cfg = GbdtConfig(n_trees=10, learning_rate=0.0, max_leaves=4,
@@ -455,6 +513,26 @@ class TestMemory:
         peaks = [traced_peak_mb(lambda: train_gbdt(X, y, config))
                  for X in (narrow, wide)]
         assert peaks[1] - peaks[0] < 4.0
+
+    def test_binning_memory_is_linear_in_nonzeros(self):
+        # one column nonzero in all 4,000 rows and 200 columns of 20
+        # entries each: nnz 8,000, so nnz * 8 bytes is 64 KB.  The one-sort
+        # pass peaks at about 12.6 times that, its outputs (X_split and
+        # bins) included; the bound leaves a margin of 1.6 times.  Padding
+        # every column to the longest would take 201 * 4,000 * 8 bytes,
+        # 100 times nnz * 8.
+        n_rows = 4000
+        rows = np.arange(n_rows)
+        X = SparseMatrix(
+            indptr=2 * np.arange(n_rows + 1),
+            cols=np.column_stack([np.zeros(n_rows, dtype=np.int64),
+                                  1 + rows // 20]).ravel(),
+            vals=np.random.default_rng(0).random(2 * n_rows) + 0.5,
+            n_rows=n_rows, n_cols=1 + n_rows // 20)
+        for n_bins in (2, 16, 255):
+            peak = traced_peak(lambda: _BinnedMatrix(X, GbdtConfig(
+                n_bins=n_bins)))
+            assert peak < 20 * X.nnz * 8, (n_bins, peak)
 
 
 class TestOracleEquivalence:

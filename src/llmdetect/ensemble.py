@@ -17,7 +17,6 @@ to any strictly monotone miscalibration.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -526,15 +525,6 @@ def run_ensemble(spec: EnsembleSpec, documents, bpe_vocab=None) -> np.ndarray:
     return combiner(spec.combine)(per_voter, [v.weight for v in spec.voters])
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Every tuple of ``parts`` naturals summing to ``total``, in
-    lexicographic order."""
-    if parts == 1:
-        return [(total,)]
-    return [(first, *rest) for first in range(total + 1)
-            for rest in _compositions(total - first, parts - 1)]
-
-
 def grid_units(n_voters: int, step: float = DEFAULT_GRID_STEP) -> int:
     """The number of steps in a weight of 1.0, once the grid of ``n_voters``
     and ``step`` is known to be admissible: 1 to 4 voters, a step that
@@ -559,20 +549,22 @@ def grid_units(n_voters: int, step: float = DEFAULT_GRID_STEP) -> int:
     return units
 
 
-@functools.lru_cache(maxsize=4, typed=True)
-def _grid(n_voters: int, step: float) -> tuple[tuple[float, ...], ...]:
-    """``weight_grid``'s vectors, built once per (n_voters, step); typed,
-    so a numpy step keeps grids of its own float type."""
-    return tuple(tuple(c * step for c in combo)
-                 for combo in _compositions(grid_units(n_voters, step), n_voters))
-
-
 def weight_grid(n_voters: int,
                 step: float = DEFAULT_GRID_STEP) -> list[tuple[float, ...]]:
     """All weight vectors on the step-grid simplex (sum 1, not all zero),
     in lexicographic order of their step counts; at most MAX_GRID_POINTS.
-    A fresh list each call, of tuples built once."""
-    return list(_grid(n_voters, step))
+
+    Built one voter at a time: each prefix, with the steps it leaves,
+    grows by every count that fits, in increasing order, and the last
+    voter takes what is left.  Weight c is ``c * step``, computed once per c.
+    """
+    units = grid_units(n_voters, step)
+    values = [c * step for c in range(units + 1)]
+    prefixes = [((), units)]
+    for _ in range(n_voters - 1):
+        prefixes = [(prefix + (values[c],), left - c)
+                    for prefix, left in prefixes for c in range(left + 1)]
+    return [prefix + (values[left],) for prefix, left in prefixes]
 
 
 def tune_weights(per_voter_scores, labels, combine: str = COMBINE_PROBABILITY_MEAN,

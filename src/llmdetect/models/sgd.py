@@ -78,10 +78,7 @@ def train_sgd(X: SparseMatrix, y, config: SgdConfig = SgdConfig()) -> SgdLinearM
     """Per-sample descent in place: theta and one gradient buffer g are the
     only dense arrays, and each step repeats the dense update's float
     operations in the same order, so the weights are bit-identical to
-    building theta - alpha * gradient afresh every step.  Without a
-    penalty (l2 = 0) every other entry of alpha * gradient is 0.0, and
-    x - 0.0 is x bit for bit, so a step touches only the row's weights and
-    the bias."""
+    building theta - alpha * gradient afresh every step."""
     signs = (2 * check_binary_labels(y, X.n_rows) - 1).tolist()
     eta0, l2 = config.eta0, config.l2
     theta = np.zeros(X.n_cols + 1)
@@ -102,16 +99,14 @@ def train_sgd(X: SparseMatrix, y, config: SgdConfig = SgdConfig()) -> SgdLinearM
             sign = signs[i]
             margin = float(np.dot(vals, theta[cols]) + theta[-1])
             residual = -sign * sigmoid(-sign * margin)
-            if l2 == 0.0:
-                # 0.0 + keeps a product of -0.0 as +0.0, as in g below
-                theta[cols] -= (0.0 + residual * vals) * alpha
-                theta[-1] -= (0.0 + residual) * alpha
-            else:
+            if l2 != 0.0:
                 np.multiply(weights, l2, out=g_weights)
-                # CSR columns within a row are distinct, so += adds each once
-                g[cols] += residual * vals
-                g[-1] = 0.0 + residual  # keeps a residual of -0.0 as +0.0
-                np.multiply(g, alpha, out=g)
-                np.subtract(theta, g, out=theta)
+            else:
+                g_weights.fill(0.0)  # not 0.0 * theta: -0.0 where theta < 0
+            # CSR columns within a row are distinct, so += adds each once
+            g[cols] += residual * vals
+            g[-1] = 0.0 + residual  # keeps a residual of -0.0 as +0.0
+            np.multiply(g, alpha, out=g)
+            np.subtract(theta, g, out=theta)
             step += 1
     return SgdLinearModel(theta=theta, config=config)

@@ -90,12 +90,9 @@ class SparseMatrix:
         row_ids = np.repeat(np.arange(self.n_rows), self.row_lengths())
         return np.bincount(row_ids, weights=contrib, minlength=self.n_rows)
 
-    def to_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Column-major view: (col_indptr, row_idx, vals, csr_pos).
-
-        ``csr_pos[k]`` is the CSR position of the k-th CSC entry, so values
-        computed column-wise can be scattered back into row order.
-        """
+    def to_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column-major view: (col_indptr, row_idx, vals), in the order of
+        a stable sort of ``cols``."""
         if self._csc_cache is None:
             # the narrowest dtype that holds every column: a stable sort
             # of 8- or 16-bit keys is a radix sort, with the same order
@@ -105,12 +102,12 @@ class SparseMatrix:
             counts = np.bincount(self.cols, minlength=self.n_cols)
             col_indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
             np.cumsum(counts, out=col_indptr[1:])
-            self._csc_cache = (col_indptr, row_ids[order], self.vals[order], order)
+            self._csc_cache = (col_indptr, row_ids[order], self.vals[order])
         return self._csc_cache
 
     def column_values(self, col: int, rows: np.ndarray) -> np.ndarray:
         """Values of one column at the given rows (0.0 where not stored)."""
-        col_indptr, row_idx, vals, _ = self.to_csc()
+        col_indptr, row_idx, vals = self.to_csc()
         lo, hi = col_indptr[col], col_indptr[col + 1]
         rseg = row_idx[lo:hi]
         vseg = vals[lo:hi]

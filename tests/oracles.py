@@ -8,10 +8,10 @@ data containers and constants, with these exceptions: the Counter
 featurizer uses the library's ``extract_ngrams``, which the array
 featurizer it checks does not call; the per-voter ensemble loop uses
 ``pipeline.score_texts``, which the grouped ``collect_voter_scores`` does
-not call; the two SGD loops use the library's ``sigmoid`` on scalars,
-whose scalar path is checked against its array path, and take its label
-check (``check_binary_labels``) and its shuffle stream (``stream_rng``)
-from the library, so every loop visits the same samples.
+not call; the dense-gradient SGD loop uses the library's ``sigmoid`` on
+scalars, whose scalar path is checked against its array path, and takes
+its label check (``check_binary_labels``) and its shuffle stream
+(``stream_rng``) from the library, so both loops visit the same samples.
 """
 
 from __future__ import annotations
@@ -270,45 +270,6 @@ def train_sgd_oracle(X: SparseMatrix, y,
             row = X.row(i)
             gradient = sample_gradient(theta, row.cols, row.vals, y[i], config.l2)
             theta = sgd_step(theta, gradient, alpha)
-            step += 1
-    return SgdLinearModel(theta=theta, config=config)
-
-
-# -- SGD: the in-place loop before its sparse step at l2 = 0 ----------------
-# The library's ``train_sgd`` as it was, kept verbatim: every step updates
-# all of theta through the gradient buffer, also without a penalty.
-
-def train_sgd_inplace_oracle(X: SparseMatrix, y,
-                             config: SgdConfig = SgdConfig()) -> SgdLinearModel:
-    signs = (2 * check_binary_labels(y, X.n_rows) - 1).tolist()
-    eta0, l2 = config.eta0, config.l2
-    theta = np.zeros(X.n_cols + 1)
-    g = np.empty_like(theta)
-    weights, g_weights = theta[:-1], g[:-1]
-    indptr = X.indptr.tolist()
-    rng = stream_rng(config.seed, "sgd_shuffle")
-    order = list(range(X.n_rows))
-    step = 0
-    for _ in range(config.epochs):
-        rng.shuffle(order)
-        for i in order:
-            alpha = eta0 / (1.0 + eta0 * l2 * step)
-            if alpha <= 0.0:  # eta0 * l2 * step overflowed to inf
-                raise ModelError(f"alpha must be positive, got {alpha}")
-            cols = X.cols[indptr[i]:indptr[i + 1]]
-            vals = X.vals[indptr[i]:indptr[i + 1]]
-            sign = signs[i]
-            margin = float(np.dot(vals, theta[cols]) + theta[-1])
-            residual = -sign * sigmoid(-sign * margin)
-            if l2 != 0.0:
-                np.multiply(weights, l2, out=g_weights)
-            else:
-                g_weights.fill(0.0)  # not 0.0 * theta: -0.0 where theta < 0
-            # CSR columns within a row are distinct, so += adds each once
-            g[cols] += residual * vals
-            g[-1] = 0.0 + residual  # keeps a residual of -0.0 as +0.0
-            np.multiply(g, alpha, out=g)
-            np.subtract(theta, g, out=theta)
             step += 1
     return SgdLinearModel(theta=theta, config=config)
 
@@ -632,7 +593,7 @@ def compute_bin_edges(X: SparseMatrix, n_bins: int) -> list[np.ndarray]:
     distinct value gets its own bin (cuts are the values themselves), which
     makes histogram splits coincide with exhaustive value splits.
     """
-    col_indptr, _, vals, _ = X.to_csc()
+    col_indptr, _, vals = X.to_csc()
     cuts: list[np.ndarray] = []
     for col in range(X.n_cols):
         v = vals[col_indptr[col]:col_indptr[col + 1]]
@@ -650,7 +611,9 @@ def compute_bin_edges(X: SparseMatrix, n_bins: int) -> list[np.ndarray]:
 
 def bin_matrix(X: SparseMatrix, cuts: list[np.ndarray]) -> np.ndarray:
     """Bin index per stored nonzero, parallel to X.vals (always >= 1)."""
-    col_indptr, _, vals, csr_pos = X.to_csc()
+    col_indptr, _, vals = X.to_csc()
+    # the CSR position of each CSC entry
+    csr_pos = np.argsort(X.cols, kind="stable")
     bins = np.zeros(X.nnz, dtype=np.int64)
     for col in range(X.n_cols):
         lo, hi = col_indptr[col], col_indptr[col + 1]
@@ -662,15 +625,17 @@ def bin_matrix(X: SparseMatrix, cuts: list[np.ndarray]) -> np.ndarray:
 
 # -- GBDT: the per-column binning loop before the one-sort pass -------------
 # The library's ``_BinnedMatrix.__init__`` as it was, one np.unique,
-# np.quantile and np.searchsorted call per column, kept verbatim; the
-# library's one-sort pass must reproduce all four of its results byte for
-# byte.
+# np.quantile and np.searchsorted call per column, kept verbatim but for
+# ``csr_pos``, which the CSC view no longer carries; the library's
+# one-sort pass must reproduce all four of its results byte for byte.
 
 def binned_matrix_oracle(X: SparseMatrix, config) -> SimpleNamespace:
     """``splittable``, ``cuts``, ``bins`` and ``X_split`` of X binned one
     column at a time."""
     n_bins = config.n_bins
-    col_indptr, _, vals, csr_pos = X.to_csc()
+    col_indptr, _, vals = X.to_csc()
+    # the CSR position of each CSC entry
+    csr_pos = np.argsort(X.cols, kind="stable")
     splittable = np.flatnonzero(
         np.diff(col_indptr) >= config.min_data_in_leaf)
     cuts_by_col: list[np.ndarray] = [np.empty(0)] * X.n_cols

@@ -578,25 +578,16 @@ class TestWeightTuning:
         assert weight_grid(n_voters, step) == weight_grid_oracle(n_voters, step)
 
     @pytest.mark.parametrize("n_voters", [1, 2, 3, 4])
-    @pytest.mark.parametrize("step", [1.0, 0.5, 0.2, 0.1, 0.05])
-    def test_grid_is_built_once_and_handed_out_fresh(
-            self, monkeypatch, n_voters, step):
-        # tune_weights once rebuilt the grid through the recursive
-        # _compositions on every call, about 6% of a tune
-        ensemble._grid.cache_clear()
-        built = []
-        original = ensemble._compositions
-        monkeypatch.setattr(ensemble, "_compositions", lambda *a: built.append(
-            a) or original(*a))
-        first = weight_grid(n_voters, step)
-        first.clear()
-        calls = len(built)
-        scores = [[0.2, 0.9, 0.4, 0.6]] * n_voters
-        for _ in range(2):
-            assert weight_grid(n_voters, step) == weight_grid_oracle(
-                n_voters, step)
-            tune_weights(scores, [0, 1, 0, 1], step=step)
-        assert calls > 0 and len(built) == calls
+    @pytest.mark.parametrize("step", [0.5, 0.1, 0.05, np.float64(0.2),
+                                      np.float32(0.25)])
+    def test_grid_weights_have_the_type_and_bits_of_count_times_step(
+            self, n_voters, step):
+        # the grid computes c * step once per step count c and shares the
+        # result between vectors; each weight keeps that product's type
+        def typed(grid):
+            return [[(type(w), repr(w)) for w in vector] for vector in grid]
+        assert typed(weight_grid(n_voters, step)) == typed(
+            weight_grid_oracle(n_voters, step))
 
     @given(_tuning_inputs())
     @settings(max_examples=150, deadline=None)

@@ -182,28 +182,24 @@ class TestFindBestSplit:
 
 
 @st.composite
-def _binning_inputs(draw):
-    """Matrices whose columns are empty, hold at most n_bins - 1 distinct
-    nonzeros, or may hold more (the quantile branch).  Values are steps of
-    a grid of at most 3 * n_bins points, so equal values run across the
-    quantile positions of many columns, and n_bins 16 and 255 get up to
-    3 * n_bins rows."""
-    n_bins = draw(st.one_of(st.integers(2, 9), st.sampled_from([16, 255])))
-    n_rows = draw(st.integers(1, 30 if n_bins < 10 else 3 * n_bins))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _binning_inputs(draw, n_bins=st.integers(2, 9), max_columns=6):
+    """Matrices whose columns are empty, hold few distinct nonzeros, or
+    more than n_bins - 1 of them (the quantile branch).  Values are steps
+    of a grid of at most 3 * n_bins + 1 points, with up to 3 * n_bins rows
+    (at least 30), so equal values straddle quantile positions."""
+    n_bins = draw(n_bins)
+    n_rows = draw(st.integers(1, max(30, 3 * n_bins)))
     columns = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_columns))):
         kind = draw(st.sampled_from(["empty", "few", "many"]))
         if kind == "empty":
             columns.append(np.zeros(n_rows))
             continue
-        if kind == "few":
-            grid = draw(st.integers(1, n_bins - 1))
-        else:
-            grid = draw(st.integers(n_bins, 3 * n_bins))
-        values = rng.integers(0, grid, n_rows, endpoint=True)
+        grid = draw(st.integers(1, 3 * n_bins))
+        values = draw(st.lists(st.integers(0, grid), min_size=n_rows,
+                               max_size=n_rows))
         scale = draw(st.sampled_from([1.0, 0.1, 1 / 3, 1e-300, 1e300]))
-        columns.append(values * scale)
+        columns.append(np.array(values, dtype=float) * scale)
     return sparse_from_dense(np.column_stack(columns)), n_bins
 
 
@@ -212,7 +208,7 @@ def assert_column_binned_like_oracle(binned, X, col, expected_cuts,
     """Column ``col`` has the two-pass oracle's cuts and bins, byte for
     byte, except for the n_bins = 2 quantile case."""
     n_bins = binned.n_bins
-    col_indptr, _, csc_vals, _ = X.to_csc()
+    col_indptr, _, csc_vals = X.to_csc()
     values = csc_vals[col_indptr[col]:col_indptr[col + 1]]
     entries = X.cols == col
     got, bins = binned.cuts[col], csr_bins(binned)
@@ -247,7 +243,9 @@ def assert_binned_like_per_column_oracle(binned, expected):
 
 
 class TestBinning:
-    @given(_binning_inputs(), st.integers(1, 12))
+    @given(st.one_of(_binning_inputs(),
+                     _binning_inputs(st.sampled_from([16, 255]), 3)),
+           st.integers(1, 12))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_column_oracle(self, inputs, min_data):
         X, n_bins = inputs
@@ -265,7 +263,7 @@ class TestBinning:
         for max_distinct in (0, 1000):
             X, _ = random_sparse(rng, 600, 40, density=0.6,
                                  max_distinct=max_distinct)
-            col_indptr, _, vals, _ = X.to_csc()
+            col_indptr, _, vals = X.to_csc()
             assert all(len(np.unique(vals[lo:hi])) > 254 for lo, hi
                        in zip(col_indptr[:-1], col_indptr[1:]))
             config = GbdtConfig(n_bins=n_bins, min_data_in_leaf=min_data)

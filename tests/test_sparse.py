@@ -44,7 +44,7 @@ class TestSparseMatrix:
 
     def test_csc_round_trip(self, rng):
         X, dense = random_sparse(rng, 10, 8)
-        col_indptr, row_idx, vals, csr_pos = X.to_csc()
+        col_indptr, row_idx, vals = X.to_csc()
         rebuilt = np.zeros_like(dense)
         for col in range(8):
             lo, hi = col_indptr[col], col_indptr[col + 1]
@@ -52,7 +52,6 @@ class TestSparseMatrix:
             # rows within a column are sorted, as column_values relies on
             assert np.all(np.diff(row_idx[lo:hi]) > 0)
         np.testing.assert_array_equal(rebuilt, dense)
-        np.testing.assert_array_equal(X.vals[csr_pos], vals)
 
     @pytest.mark.parametrize("n_cols", [1, 256, 257, 65_536, 65_537])
     def test_csc_order_is_the_int64_stable_sort(self, rng, n_cols):
@@ -68,8 +67,11 @@ class TestSparseMatrix:
         X = SparseMatrix(indptr=indptr, cols=cols, vals=rng.random(len(cols)),
                          n_rows=len(rows), n_cols=n_cols)
         validate_csr(X)
-        _, _, _, csr_pos = X.to_csc()
-        np.testing.assert_array_equal(csr_pos, np.argsort(cols, kind="stable"))
+        _, row_idx, vals = X.to_csc()
+        order = np.argsort(cols, kind="stable")
+        row_ids = np.repeat(np.arange(X.n_rows), X.row_lengths())
+        np.testing.assert_array_equal(row_idx, row_ids[order])
+        np.testing.assert_array_equal(vals, X.vals[order])
 
     def test_column_values(self, rng):
         X, dense = random_sparse(rng, 9, 4)

@@ -67,7 +67,8 @@ def _load_bpe_vocab(path):
 
 def cmd_tokenize_train(args) -> int:
     config = _config_for(args)
-    vocab_size = args.vocab_size or config.get("tokenizer", "vocab_size")
+    vocab_size = (args.vocab_size if args.vocab_size is not None
+                  else config.get("tokenizer", "vocab_size"))
     corpus = _load_corpus_arg(args.corpus, args.format)
     vocab = train_bpe(corpus.texts, vocab_size=vocab_size)
     write_bytes(args.out, save_vocab(vocab), TokenizerError)

@@ -6,8 +6,9 @@ weighted mean is its exact rational rounded once, as ``float(Fraction)``
 would: rescaling every weight by a representable factor changes no output
 bit, and the mean never escapes [min voter score, max voter score].  One
 numpy kernel computes every (weight vector, document) cell of a call in
-double-double arithmetic with a proven error bound, and keeps a cell's
-float only where that bound settles its rounding.  The other cells (ties
+double-double arithmetic with a proven error bound, built from error-free
+steps (``_two_sum``, ``_fast_two_sum``, ``_split``, ``_two_product``), and
+keeps a cell's float only where that bound settles its rounding.  The other cells (ties
 between two floats, numerators lost to cancellation, and every cell of a
 call with a weight or score outside [2**-256, 2**256]) are recomputed
 exactly as ratios of Python integers.  The rank_mean combiner first
@@ -39,8 +40,8 @@ MAX_GRID_POINTS = 200_000
 # Combined scores tune_weights holds at once: on small validation sets the
 # whole grid is one chunk, on large ones memory stays flat.
 _CHUNK_SCORES = 1 << 18
-# (Weight vector, document) cells the vote kernel takes at once: its seven
-# buffers hold at most 224 KB whatever the grid.
+# (Weight vector, document) cells the vote kernel takes at once, so its
+# temporaries stay small whatever the grid.
 _BLOCK_CELLS = 1 << 12
 # Nonzero weights and scores within [2**-256, 2**256] keep every product
 # and quotient of the vote kernel clear of under- and overflow.
@@ -188,6 +189,24 @@ def _two_product(a, a_halves, b, b_halves):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
+def _fast_two_sum(a, b):
+    """(s, e): s = fl(a + b) and s + e = a + b exactly, given |a| >= |b|
+    (Dekker's FastTwoSum)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _half_gaps(y):
+    """(up, down): half the gap from |y| to the next float above it and
+    to the next float below it, read from the exponent and fraction bits
+    of |y|; below a power of two the gap is half as wide.  Exact for
+    normal |y| >= 2**-968, whose half-gaps are normal floats."""
+    bits = np.abs(y).view(np.int64)
+    up = np.maximum(bits >> 52, 55) - 53
+    down = up - ((bits & _MANTISSA) == 0)
+    return (up << 52).view(np.float64), (down << 52).view(np.float64)
+
+
 def _in_window(values) -> bool:
     """Whether every nonzero value has a magnitude in the kernel's safe
     window [2**-256, 2**256]."""
@@ -218,17 +237,19 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
     T = k sum_v w_v and P = sum_v |w_v a_v|:
 
     * Each product splits exactly into p_v + e_v with |e_v| <= u |p_v|
-      (TwoProduct), once per distinct weight of a voter and document.
-    * s adds up the p_v by TwoSum, whose errors t_v are exact, and c adds
-      the 2V - 1 terms e_v, t_v in order.  Those total at most
-      V u (1 + Vu) P, so s + c = Nh + Nl is within 2 V**2 u**2 P of N.
+      (``_two_product``), once per distinct weight of a voter and
+      document.
+    * s adds up the p_v by ``_two_sum``, whose errors t_v are exact, and
+      c adds the 2V - 1 terms e_v, t_v in order.  Those total at most
+      V u (1 + Vu) P, so s + c = Nh + Nl (``_two_sum(s, c)``) is within
+      2 V**2 u**2 P of N.
     * T, formed the same way per row (``_denominators``) as Th + Tl, is
       within (V**2 + 4) u**2 T of T.
     * q1 = fl(Nh / Th).  Nh - fl(q1 Th) is exact (Sterbenz), and so is
-      the rest of q1 Th (TwoProduct).  Taking that rest off, adding Nl
-      and taking off q1 Tl cost four roundings of values below
+      the rest of q1 Th (``_two_product``).  Taking that rest off, adding
+      Nl and taking off q1 Tl cost four roundings of values below
       3.1u |Nh|; dividing by Th gives q2, and y + z = q1 + q2 exactly
-      (FastTwoSum).  This step adds at most 16 u**2 |Nh| / Th.
+      (``_fast_two_sum``).  This step adds at most 16 u**2 |Nh| / Th.
 
     So |N / T - (y + z)| <= (3 V**2 + 21) u**2 P / Th, and the kernel
     takes delta = (6 V**2 + 42) u**2 P' / Th, P' being P as computed, or
@@ -240,11 +261,12 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
     underflowing low word loses (2**-1075) is far below u**2 P / Th.
 
     A cell keeps y when [y + z - delta, y + z + delta] lies strictly
-    inside the reals that round to y: half a gap on either side of y,
-    where the gap below a power of two is half the gap above.  Both
-    comparisons are exact, as rounding is monotone and the half-gaps are
-    floats.  A cell whose exact value is a tie between two floats is never
-    certified, nor one whose numerator cancels to about delta.
+    inside the reals that round to y: half a gap on either side of y
+    (``_half_gaps``), where the gap below a power of two is half the gap
+    above.  Both comparisons are exact, as rounding is monotone and the
+    half-gaps are floats.  A cell whose exact value is a tie between two
+    floats is never certified, nor one whose numerator cancels to about
+    delta.
     """
     n_rows, n_voters = weights.shape
     n_docs = scores.shape[1]
@@ -253,109 +275,43 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
     score_hi, score_lo = _split(scores)
     block_rows = min(n_rows, _BLOCK_CELLS)
     block_docs = max(1, _BLOCK_CELLS // block_rows)
-    # every temporary is a view of one of these, so a call allocates them
-    # once; a voter's product table (distinct weights x documents) fits in
-    # one, as no block has more distinct weights than rows
-    buffers = np.empty((6 + signed, block_rows * min(block_docs, n_docs)))
     left = []
     for r0 in range(0, n_rows, block_rows):
         block = weights[r0:r0 + block_rows]
-        distinct = [(values, *_split(values[:, None]), inv)
-                    for values, inv in (np.unique(column, return_inverse=True)
-                                        for column in block.T)]
+        # each voter with a nonzero weight in the block: its distinct
+        # weights, their halves and the row -> distinct weight index
+        uniques = (np.unique(column, return_inverse=True)
+                   for column in block.T)
+        voters = [(v, w[:, None], _split(w[:, None]), inv)
+                  for v, (w, inv) in enumerate(uniques) if w[-1]]
         th, tl = (x[:, None] for x in _denominators(block, k))
-        thh, thl = _split(th)
+        th_halves = _split(th)
         for d0 in range(0, n_docs, block_docs):
             docs = slice(d0, d0 + block_docs)
-            width = len(range(n_docs)[docs])
-            views = [b[:len(block) * width].reshape(len(block), width)
-                     for b in buffers]
-            s, c, p, e, t1, t2 = views[:6]
-            size = views[6] if signed else None
-            first = True
-            for v, (values, uh, ul, inv) in enumerate(distinct):
-                if not values[-1]:
-                    continue  # zero throughout the block
-                a, ah, al = scores[v, docs], score_hi[v, docs], score_lo[v, docs]
-                # TwoProduct of each distinct weight with each score, in
-                # t1 and t2, gathered per row into s and c or p and e
-                tp, te, tt = (b.ravel()[:len(values) * width].reshape(
-                    len(values), width) for b in (t1, t2, p))
-                np.multiply(values[:, None], a, out=tp)
-                np.multiply(uh, ah, out=te)
-                te -= tp
-                te += np.multiply(uh, al, out=tt)
-                te += np.multiply(ul, ah, out=tt)
-                te += np.multiply(ul, al, out=tt)
-                if first:
-                    tp.take(inv, axis=0, out=s)
-                    te.take(inv, axis=0, out=c)
-                    if signed:
-                        np.abs(s, out=size)
-                    first = False
-                    continue
-                tp.take(inv, axis=0, out=p)
-                te.take(inv, axis=0, out=e)
+            # per voter, one TwoProduct per distinct weight and document,
+            # gathered per row
+            terms = ([x.take(inv, axis=0) for x in _two_product(
+                         w, halves, scores[v, docs],
+                         (score_hi[v, docs], score_lo[v, docs]))]
+                     for v, w, halves, inv in voters)
+            s, c = next(terms)
+            size = np.abs(s) if signed else None
+            for p, e in terms:
                 if signed:
-                    size += np.abs(p, out=t1)
-                # (s, c) += p + e: s + p = t1 + s exactly (TwoSum)
-                np.add(s, p, out=t1)
-                np.subtract(t1, s, out=t2)
-                p -= t2
-                np.subtract(t1, t2, out=t2)
-                s -= t2
-                s += p
-                c += s
+                    size += np.abs(p)
+                s, t = _two_sum(s, p)
+                c += t
                 c += e
-                s, t1 = t1, s
-            # (nh, nl) = TwoSum(s, c), in t1 and c
-            np.add(s, c, out=t1)
-            np.subtract(t1, s, out=t2)
-            c -= t2
-            np.subtract(t1, t2, out=t2)
-            s -= t2
-            c += s
-            q1 = np.divide(t1, th, out=s)
-            # (qh, ql) = split(q1) in p and e; q1 th = t2 + (error in c)
-            np.multiply(q1, _SPLITTER, out=p)
-            np.subtract(p, q1, out=e)
-            p -= e
-            np.subtract(q1, p, out=e)
-            np.multiply(q1, th, out=t2)
-            t1 -= t2
-            t1 += c
-            np.multiply(p, thh, out=c)
-            c -= t2
-            c += np.multiply(p, thl, out=t2)
-            c += np.multiply(e, thh, out=t2)
-            c += np.multiply(e, thl, out=t2)
-            # q2 = (nh - q1 th + nl - q1 tl) / th, in t1
-            t1 -= c
-            t1 -= np.multiply(q1, tl, out=t2)
-            t1 /= th
-            # (y, z) = FastTwoSum(q1, q2), in p and e
-            y = np.add(q1, t1, out=p)
-            np.subtract(y, q1, out=e)
-            z = np.subtract(t1, e, out=e)
-            if signed:
-                delta = np.divide(size, th, out=t1)
-            else:
-                delta = np.abs(y, out=t1)
-            delta *= bound
-            # half the gap above |y| and below it (half as wide at a
-            # power of two), read from its exponent and fraction bits
-            bits = np.abs(y, out=c).view(np.int64)
-            exponent = np.right_shift(bits, 52, out=t2.view(np.int64))
-            np.maximum(exponent, 55, out=exponent)
-            exponent -= 53
-            half_up = np.left_shift(exponent, 52, out=s.view(np.int64))
-            exponent -= np.bitwise_and(bits, _MANTISSA, out=bits) == 0
-            half_down = np.left_shift(exponent, 52, out=exponent)
-            np.negative(z, out=z, where=y < 0)  # z toward |y|'s side
-            certified = np.add(z, delta, out=c) < half_up.view(np.float64)
-            certified &= (np.subtract(delta, z, out=c)
-                          < half_down.view(np.float64))
-            np.add(y, 0.0, out=out[r0:r0 + block_rows, docs])  # no -0.0
+            nh, nl = _two_sum(s, c)
+            q1 = nh / th
+            p, e = _two_product(q1, _split(q1), th, th_halves)
+            q2 = ((nh - p) + nl - e - q1 * tl) / th
+            y, z = _fast_two_sum(q1, q2)
+            delta = (size / th if signed else np.abs(y)) * bound
+            half_up, half_down = _half_gaps(y)
+            z = np.where(y < 0, -z, z)  # z toward |y|'s side
+            certified = (z + delta < half_up) & (delta - z < half_down)
+            out[r0:r0 + block_rows, docs] = y + 0.0  # no -0.0
             rows, cols = np.nonzero(~certified)
             left.append((rows + r0, cols + d0))
     return (np.concatenate([r for r, _ in left]),

@@ -46,7 +46,7 @@ class BpeVocab:
     merges: list[MergeRule]
     symbols: dict[str, int]
     end_of_word_marker: str = END_OF_WORD
-    unknown_id: int = 0
+    unknown_id = 0  # the id of UNKNOWN_SYMBOL in every vocabulary
     _rank: dict[tuple[str, str], int] = field(default=None, repr=False, compare=False)
     _word_cache: dict = field(default_factory=dict, repr=False, compare=False)
 

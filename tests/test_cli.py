@@ -74,6 +74,15 @@ class TestTokenizeTrain:
         assert code == 1
         assert "error[tokenizer]" in capsys.readouterr().err
 
+    def test_vocab_size_zero_refused(self, workdir, capsys):
+        # 0 once fell back to the config's size and trained a vocabulary
+        code = run(["tokenize-train", workdir / "corpus.jsonl",
+                    "--out", workdir / "v.json", "--vocab-size", "0"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("llmdetect: error[tokenizer]: ")
+        assert not (workdir / "v.json").exists()
+
     def test_byte_identical_reruns(self, workdir):
         for _ in range(2):
             run(["tokenize-train", workdir / "corpus.jsonl",

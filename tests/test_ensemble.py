@@ -1,6 +1,7 @@
 import copy
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -78,7 +79,6 @@ class TestSoftVote:
     def test_four_voters_hand_computed_on_five_documents(self):
         # three "internal" probability lists and one "external" list,
         # weights (1,1,1,3); expectations computed by scalar arithmetic
-        from fractions import Fraction
         voters = [[0.1, 0.5, 0.9, 0.3, 0.7],
                   [0.2, 0.4, 0.8, 0.2, 0.6],
                   [0.0, 0.5, 1.0, 0.5, 0.5],
@@ -258,6 +258,59 @@ class TestNonFiniteInputs:
     def test_non_finite_weight_rejected(self, time_bound, combine, bad):
         with time_bound(10), pytest.raises(EnsembleError, match="finite"):
             combine([[0.2, 0.7], [0.1, 0.9]], [1.0, bad])
+
+
+_FINITE = st.floats(-1e300, 1e300)
+# zero or a magnitude in the kernel's window [2**-256, 2**256]
+_IN_WINDOW = st.one_of(st.sampled_from([0.0, -0.0, 2.0 ** -256, 2.0 ** 256]),
+                       st.floats(2.0 ** -256, 2.0 ** 256),
+                       st.floats(-2.0 ** 256, -2.0 ** -256))
+# normal floats whose half-gaps are normal, powers of two among them
+_GAPPED = st.one_of(st.floats(2.0 ** -968, 2.0 ** 1000),
+                    st.integers(-968, 1000).map(lambda e: 2.0 ** e))
+
+
+def _exact(s, e):
+    return Fraction(float(s)) + Fraction(float(e))
+
+
+class TestErrorFreeHelpers:
+    """The kernel's building blocks against exact rational arithmetic."""
+
+    @given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=8))
+    def test_two_sum(self, pairs):
+        a, b = np.array(pairs).T
+        s, e = ensemble._two_sum(a, b)
+        for x, y, hi, lo in zip(a, b, s, e):
+            assert hi == x + y and _exact(hi, lo) == _exact(x, y)
+
+    @given(st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=8))
+    def test_fast_two_sum(self, pairs):
+        a, b = np.array([sorted(pair, key=abs, reverse=True)
+                         for pair in pairs]).T
+        s, e = ensemble._fast_two_sum(a, b)
+        for x, y, hi, lo in zip(a, b, s, e):
+            assert hi == x + y and _exact(hi, lo) == _exact(x, y)
+
+    @given(st.lists(st.tuples(_IN_WINDOW, _IN_WINDOW), min_size=1,
+                    max_size=8))
+    def test_two_product(self, pairs):
+        a, b = np.array(pairs).T
+        assert ensemble._in_window(a) and ensemble._in_window(b)
+        p, e = ensemble._two_product(a, ensemble._split(a),
+                                     b, ensemble._split(b))
+        for x, y, hi, lo in zip(a, b, p, e):
+            assert hi == x * y
+            assert _exact(hi, lo) == Fraction(float(x)) * Fraction(float(y))
+
+    @given(st.lists(st.tuples(_GAPPED, st.booleans()), min_size=1,
+                    max_size=8))
+    def test_half_gaps(self, draws):
+        y = np.array([-x if negative else x for x, negative in draws])
+        up, down = ensemble._half_gaps(y)
+        for (x, _), hu, hd in zip(draws, up, down):
+            assert hu == (math.nextafter(x, math.inf) - x) / 2
+            assert hd == (x - math.nextafter(x, 0.0)) / 2
 
 
 def _assert_votes_match_oracles(scores, weights):

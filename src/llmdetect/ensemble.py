@@ -8,12 +8,13 @@ bit, and the mean never escapes [min voter score, max voter score].  One
 numpy kernel computes every (weight vector, document) cell of a call in
 double-double arithmetic with a proven error bound, built from error-free
 steps (``_two_sum``, ``_fast_two_sum``, ``_split``, ``_two_product``), and
-keeps a cell's float only where that bound settles its rounding.  The other cells (ties
-between two floats, numerators lost to cancellation, and every cell of a
-call with a weight or score outside [2**-256, 2**256]) are recomputed
-exactly as ratios of Python integers.  The rank_mean combiner first
-replaces each voter's scores with tie-averaged ranks, making it invariant
-to any strictly monotone miscalibration.
+keeps a cell's float only where that bound settles its rounding.  The
+other cells (ties between two floats, numerators lost to cancellation,
+and every cell of a call with a weight or score outside
+[2**-256, 2**256]) are recomputed exactly as ratios of Python integers.
+The rank_mean combiner first replaces each voter's scores with
+tie-averaged ranks, making it invariant to any strictly monotone
+miscalibration.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ print(f"document 0 has {len(counts)} distinct 1-2 grams")
 # terms, growing as terms get rarer
 model = fit_tfidf(sequences, TfidfConfig(ngram_min=1, ngram_max=2, min_df=1))
 print(f"vocabulary: {model.n_features} n-grams over {len(sequences)} docs")
-ngrams = model.vocabulary.columns()
+ngrams = model.vocabulary.ngrams
 by_idf = sorted(range(model.n_features), key=lambda c: model.idf[c])
 symbols = vocab.id_to_symbol()
 

@@ -19,7 +19,7 @@ from .config import RunConfig, load_run_config
 from .corpus import SplitSpec, load_corpus, save_corpus, split_corpus, synth_corpus
 from .errors import (ConfigError, EnsembleError, LlmdetectError,
                      MetricsError, ModelError, TokenizerError)
-from .files import read_bytes, read_text, write_bytes
+from .files import canonical_json, read_bytes, read_text, write_bytes
 from .metrics import evaluation_report
 from .models import MODEL_KINDS, bundle_from_dict, load_model
 from .pipeline import (TOKEN_SOURCE_BPE, check_vocab_ref, score_texts,
@@ -237,9 +237,7 @@ def cmd_evaluate(args) -> int:
               f"{row['tn']:7d} {row['fn']:7d}")
     print(f"curve points: {len(report['curve'])}")
     if args.json:
-        payload = (json.dumps(report, sort_keys=True, separators=(",", ":"))
-                   + "\n").encode("utf-8")
-        write_bytes(args.json, payload, MetricsError)
+        write_bytes(args.json, canonical_json(report), MetricsError)
         _log(f"wrote structured report to {args.json}")
     return 0
 

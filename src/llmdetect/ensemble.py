@@ -252,11 +252,10 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
       3.1u |Nh|; dividing by Th gives q2, and y + z = q1 + q2 exactly
       (``_fast_two_sum``).  This step adds at most 16 u**2 |Nh| / Th.
 
-    So |N / T - (y + z)| <= (3 V**2 + 21) u**2 P / Th, and the kernel
-    takes delta = (6 V**2 + 42) u**2 P' / Th, P' being P as computed, or
-    (6 V**2 + 42) u**2 |y| when no score is negative (then P = N, and
-    P / Th is within 3u of |y|): the factor 2 covers these roundings.
-    Every nonzero weight and score lies in [2**-256, 2**256]
+    So |N / T - (y + z)| <= (3 V**2 + 21) u**2 P / Th.  No weight or
+    score is negative, so P = N, P / Th is within 3u of y, and the kernel
+    takes delta = (6 V**2 + 42) u**2 y: the factor 2 covers these
+    roundings.  Every nonzero weight and score lies in [2**-256, 2**256]
     (``_in_window``), so no product or quotient comes near overflow,
     every value of the numerator is a multiple of 2**-616, and what an
     underflowing low word loses (2**-1075) is far below u**2 P / Th.
@@ -272,7 +271,6 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
     n_rows, n_voters = weights.shape
     n_docs = scores.shape[1]
     bound = (6 * n_voters ** 2 + 42) * 2.0 ** -106
-    signed = bool((scores < 0.0).any())
     score_hi, score_lo = _split(scores)
     block_rows = min(n_rows, _BLOCK_CELLS)
     block_docs = max(1, _BLOCK_CELLS // block_rows)
@@ -296,10 +294,7 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
                          (score_hi[v, docs], score_lo[v, docs]))]
                      for v, w, halves, inv in voters)
             s, c = next(terms)
-            size = np.abs(s) if signed else None
             for p, e in terms:
-                if signed:
-                    size += np.abs(p)
                 s, t = _two_sum(s, p)
                 c += t
                 c += e
@@ -308,9 +303,8 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
             p, e = _two_product(q1, _split(q1), th, th_halves)
             q2 = ((nh - p) + nl - e - q1 * tl) / th
             y, z = _fast_two_sum(q1, q2)
-            delta = (size / th if signed else np.abs(y)) * bound
+            delta = y * bound
             half_up, half_down = _half_gaps(y)
-            z = np.where(y < 0, -z, z)  # z toward |y|'s side
             certified = (z + delta < half_up) & (delta - z < half_down)
             out[r0:r0 + block_rows, docs] = y + 0.0  # no -0.0
             rows, cols = np.nonzero(~certified)
@@ -351,9 +345,10 @@ def _exact_vote(scores, k: int, weights, out, rows, docs) -> None:
 def _vote(scores, k: int, weights) -> np.ndarray:
     """Per weight vector (row of ``weights``) and document, the correctly
     rounded sum_v w_v * scores[v] / (k * sum_v w_v): the double-double
-    kernel's value where it is certified, else the exact one."""
+    kernel's value where it is certified, else the exact one.  Weights
+    are never negative; negative scores take the exact path."""
     out = np.empty((len(weights), scores.shape[1]))
-    if _in_window(scores) and _in_window(weights):
+    if _in_window(scores) and _in_window(weights) and (scores >= 0.0).all():
         rows, docs = _kernel_vote(scores, float(k), weights, out)
     else:
         rows, docs = (i.ravel() for i in np.indices(out.shape))

@@ -6,11 +6,12 @@ by 1 and defined for unseen terms.  tf is the raw in-document count, or
 1 + ln(count) when sublinear_tf is set.  Columns are assigned to n-grams
 in lexicographic token-id order, so fits are deterministic.
 
-Fit and transform work on one flat array of token ids per corpus (or per
-block of documents): n-grams are numbered one length at a time by sorted
-integer keys, and the document-term matrix is built in CSR form from the
-sorted (row, column) cells.  The result is bit-for-bit that of counting
-each document's n-grams in a dictionary (``extract_ngrams``).
+Fit and transform work on flat arrays of token ids: one walk (``_levels``)
+numbers the n-grams of a corpus, or of the vocabulary's n-gram list, one
+length at a time by sorted integer keys, up to the longest one present.
+The document-term matrix is built in CSR form from the sorted (row,
+column) cells, bit-for-bit that of counting each document's n-grams in a
+dictionary (``extract_ngrams``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ Ngram = tuple[int, ...]
 WORD_UNKNOWN = "<unk>"
 
 
+# The fit's rank matrix takes 8 * ngram_max bytes per kept n-gram, 256 at
+# this bound.
+MAX_NGRAM = 32
+
+
 @dataclass(frozen=True)
 class TfidfConfig:
     ngram_min: int = 1
@@ -42,8 +48,9 @@ class TfidfConfig:
     l2_normalize: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.ngram_min <= self.ngram_max:
-            raise FeatureError(f"need 1 <= ngram_min <= ngram_max, got "
+        if not 1 <= self.ngram_min <= self.ngram_max <= MAX_NGRAM:
+            raise FeatureError(f"need 1 <= ngram_min <= ngram_max <= "
+                               f"{MAX_NGRAM}, got "
                                f"({self.ngram_min}, {self.ngram_max})")
         if self.min_df < 1:
             raise FeatureError(f"min_df must be >= 1, got {self.min_df}")
@@ -51,21 +58,16 @@ class TfidfConfig:
 
 @dataclass
 class NgramVocabulary:
-    """Retained n-grams, their column indices, and document frequencies."""
+    """Retained n-grams in column order, and their document frequencies."""
 
-    ngram_to_col: dict[Ngram, int]
+    ngrams: list[Ngram]
     document_count: int
     df: np.ndarray
 
     @property
-    def size(self) -> int:
-        return len(self.ngram_to_col)
-
-    def columns(self) -> list[Ngram]:
-        out: list[Ngram] = [()] * len(self.ngram_to_col)
-        for ngram, col in self.ngram_to_col.items():
-            out[col] = ngram
-        return out
+    def ngram_to_col(self) -> dict[Ngram, int]:
+        """Each n-gram's column, built anew on every read."""
+        return {ngram: col for col, ngram in enumerate(self.ngrams)}
 
 
 @dataclass
@@ -86,7 +88,7 @@ class TfidfModel:
 
     @property
     def n_features(self) -> int:
-        return self.vocabulary.size
+        return len(self.vocabulary.ngrams)
 
 
 def same_transform(a: TfidfModel, b: TfidfModel) -> bool:
@@ -94,16 +96,14 @@ def same_transform(a: TfidfModel, b: TfidfModel) -> bool:
     models: equal config, n-gram columns and idf bytes.  Bytes, not ``==``,
     so that idf values such as -0.0 and 0.0 never count as equal."""
     return (a.config == b.config
-            and a.vocabulary.ngram_to_col == b.vocabulary.ngram_to_col
+            and a.vocabulary.ngrams == b.vocabulary.ngrams
             and a.idf.tobytes() == b.idf.tobytes())
 
 
 def extract_ngrams(seq: TokenSequence, ngram_min: int, ngram_max: int) -> Counter:
     """All contiguous id subsequences with length in [ngram_min, ngram_max],
     with multiplicity.  Sequences shorter than ngram_min yield what fits."""
-    if not 1 <= ngram_min <= ngram_max:
-        raise FeatureError(f"need 1 <= ngram_min <= ngram_max, got "
-                           f"({ngram_min}, {ngram_max})")
+    TfidfConfig(ngram_min, ngram_max)  # raises on a bad range
     ids = seq.ids
     counts: Counter = Counter()
     for n in range(ngram_min, ngram_max + 1):
@@ -122,20 +122,14 @@ _BLOCK_TOKENS = 8_192
 
 @dataclass(frozen=True)
 class _NgramTable:
-    """A vocabulary's n-grams as sorted integer keys, one level per length.
-
-    ``tokens`` holds the distinct token ids in ascending order; a token's
-    position there is its rank and the number of its length-1 prefix.  The
-    length-k prefixes (k >= 2) are numbered by their position in the sorted
-    ``keys[k]``: a prefix's key is the number of its own length-(k-1)
-    prefix times ``len(tokens)`` plus the rank of its last token, so keys
-    are exact for every n-gram length.  ``cols[k][i]`` is the column of
-    length-k prefix i, or -1 where it is only a prefix of longer n-grams.
-    """
+    """A vocabulary's n-grams as ``_levels`` numbers them, up to the longest
+    that a transform can produce.  ``tokens`` holds the distinct token ids
+    in ascending order, so a token's position there is its rank.  Level k
+    holds the sorted keys of the length-k prefixes and each one's column,
+    or -1 where it is only a prefix of longer n-grams."""
 
     tokens: np.ndarray
-    keys: dict[int, np.ndarray]
-    cols: dict[int, np.ndarray]
+    levels: list[tuple[np.ndarray, np.ndarray]]
 
 
 def _flat_ids(sequences: list[Ngram]) -> tuple[np.ndarray, np.ndarray]:
@@ -186,6 +180,22 @@ def _extend(ranks: np.ndarray, start: np.ndarray, number: np.ndarray, k: int,
     return start[ok], number[ok] * n_tokens + last[ok]
 
 
+def _levels(ranks: np.ndarray, start: np.ndarray, n_tokens: int, k_max: int):
+    """Yield, for k = 1, 2, ... up to k_max or the longest n-gram starting
+    at ``start`` in the gapped ``ranks``, the sorted keys of the distinct
+    length-k n-grams, their starts and their numbers (positions in the
+    keys).  A 1-gram's key is its token's rank, a longer one's the number
+    of its prefix times n_tokens plus the rank of its last token."""
+    keys, number = np.arange(n_tokens), ranks[start]
+    for k in range(1, k_max + 1):
+        if k > 1:
+            start, key = _extend(ranks, start, number, k, n_tokens)
+            keys, number = np.unique(key, return_inverse=True)
+        if not len(start):
+            return
+        yield keys, start, number
+
+
 def fit_tfidf(corpus_tokens: list[TokenSequence],
               config: TfidfConfig = TfidfConfig()) -> TfidfModel:
     """Build the n-gram vocabulary (df >= min_df) and idf weights."""
@@ -196,31 +206,25 @@ def fit_tfidf(corpus_tokens: list[TokenSequence],
     if lengths.max() < config.ngram_min:
         raise FeatureError("all documents are empty; nothing to fit")
 
-    # Number every distinct n-gram of the corpus level by level, as in
-    # _NgramTable, and count the documents holding each retained one.
+    # Number every distinct n-gram of the corpus, count the documents
+    # holding each, and read each retained one's ranks at an occurrence.
     tokens, ranks = np.unique(ids, return_inverse=True)
-    n_tokens = len(tokens)
     ranks, doc = _gapped(ranks, lengths)
-    start = np.flatnonzero(ranks >= 0)
-    number, keys = ranks[start], {}
     kept_ranks, kept_df = [], []
-    for k in range(1, config.ngram_max + 1):
-        if k > 1:
-            start, key = _extend(ranks, start, number, k, n_tokens)
-            keys[k], number = np.unique(key, return_inverse=True)
+    for k, (keys, start, number) in enumerate(_levels(
+            ranks, np.flatnonzero(ranks >= 0), len(tokens), config.ngram_max), 1):
         if k < config.ngram_min:
             continue
-        n_nodes = len(keys[k]) if k > 1 else n_tokens
+        n_nodes = len(keys)
         doc_nodes = np.sort(doc[start] * n_nodes + number)
         first = np.diff(doc_nodes, prepend=-1) != 0
         df = np.bincount(doc_nodes[first] % n_nodes, minlength=n_nodes)
         node = np.flatnonzero(df >= config.min_df)
         kept_df.append(df[node])
-        # Walk each kept n-gram back to its token ranks; -1 pads the tail.
+        occurrence = np.empty(n_nodes, dtype=np.int64)
+        occurrence[number] = start
         mat = np.full((len(node), config.ngram_max), -1, dtype=np.int64)
-        for level in range(k, 1, -1):
-            node, mat[:, level - 1] = np.divmod(keys[level][node], n_tokens)
-        mat[:, 0] = node
+        mat[:, :k] = ranks[occurrence[node, None] + np.arange(k)]
         kept_ranks.append(mat)
 
     # Ranks order like token ids and the -1 padding puts a prefix first,
@@ -230,11 +234,9 @@ def fit_tfidf(corpus_tokens: list[TokenSequence],
     mat, df = mat[order], np.concatenate(kept_df)[order]
     widths = (mat >= 0).sum(axis=1).tolist()
     rows = tokens[np.maximum(mat, 0)].tolist()
-    ngram_to_col = {tuple(row[:width]): col for col, (row, width)
-                    in enumerate(zip(rows, widths))}
+    ngrams = [tuple(row[:width]) for row, width in zip(rows, widths)]
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    vocabulary = NgramVocabulary(ngram_to_col=ngram_to_col,
-                                 document_count=n_docs, df=df)
+    vocabulary = NgramVocabulary(ngrams=ngrams, document_count=n_docs, df=df)
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 
@@ -242,27 +244,20 @@ def _ngram_table(model: TfidfModel) -> _NgramTable:
     """The model's lookup table, built on first use and then cached."""
     if model._ngram_table is not None:
         return model._ngram_table
-    cfg, vocab = model.config, model.vocabulary.ngram_to_col
-    ids, lengths = _flat_ids(list(vocab))
-    cols = np.fromiter(vocab.values(), dtype=np.int64, count=len(vocab))
-    starts = np.cumsum(lengths) - lengths
-    # A loaded vocabulary may hold lengths that no transform can produce.
-    fits = (lengths >= cfg.ngram_min) & (lengths <= cfg.ngram_max)
-    cols, lengths, starts = cols[fits], lengths[fits], starts[fits]
+    ids, lengths = _flat_ids(model.vocabulary.ngrams)
     tokens, ranks = np.unique(ids, return_inverse=True)
-    prefix = ranks[starts]
-    keys, level_cols = {}, {}
-    for k in range(1, cfg.ngram_max + 1):
-        n_prefixes = len(tokens)
-        if k > 1:
-            longer = np.flatnonzero(lengths >= k)
-            key = prefix[longer] * len(tokens) + ranks[starts[longer] + k - 1]
-            keys[k], prefix[longer] = np.unique(key, return_inverse=True)
-            n_prefixes = len(keys[k])
-        level_cols[k] = np.full(n_prefixes, -1, dtype=np.int64)
-        exact = lengths == k
-        level_cols[k][prefix[exact]] = cols[exact]
-    model._ngram_table = _NgramTable(tokens=tokens, keys=keys, cols=level_cols)
+    # Each n-gram is its own sequence, numbered by its column, and is
+    # walked from its first position only, so the levels hold its prefixes.
+    ranks, col = _gapped(ranks, lengths)
+    first = (np.cumsum(lengths + 1) - lengths - 1)[lengths > 0]
+    levels = []
+    for k, (keys, start, number) in enumerate(
+            _levels(ranks, first, len(tokens), model.config.ngram_max), 1):
+        cols = np.full(len(keys), -1, dtype=np.int64)
+        exact = ranks[start + k] < 0  # the gap after the n-gram follows
+        cols[number[exact]] = col[start[exact]]
+        levels.append((keys, cols))
+    model._ngram_table = _NgramTable(tokens=tokens, levels=levels)
     return model._ngram_table
 
 
@@ -286,14 +281,14 @@ def _transform_block(model: TfidfModel, table: _NgramTable,
     ranks[found] = rank
     ranks, doc = _gapped(ranks, lengths)
     start = np.flatnonzero(ranks >= 0)
-    number, cells = ranks[start], []
-    for k in range(1, cfg.ngram_max + 1):
+    number, cells = ranks[start], [np.zeros(0, dtype=np.int64)]
+    for k, (keys, level_cols) in enumerate(table.levels, 1):
         if k > 1:
             start, key = _extend(ranks, start, number, k, len(table.tokens))
-            found, number = _find(table.keys[k], key)
+            found, number = _find(keys, key)
             start = start[found]
         if k >= cfg.ngram_min:
-            col = table.cols[k][number]
+            col = level_cols[number]
             known = col >= 0
             cells.append(doc[start[known]] * n_cols + col[known])
     # Sorted (row, col) cells are CSR order; their multiplicities are tf.
@@ -369,7 +364,7 @@ def tfidf_to_dict(model: TfidfModel) -> dict:
     return {
         "config": asdict(model.config),
         "document_count": model.vocabulary.document_count,
-        "ngrams": [list(t) for t in model.vocabulary.columns()],
+        "ngrams": [list(t) for t in model.vocabulary.ngrams],
         "df": model.vocabulary.df.tolist(),
         "idf": model.idf.tolist(),
         "word_vocab": model.word_vocab,
@@ -381,8 +376,7 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         config = TfidfConfig(**data["config"])
         ngrams = [tuple(t) for t in data["ngrams"]]
         vocabulary = NgramVocabulary(
-            ngram_to_col={t: i for i, t in enumerate(ngrams)},
-            document_count=int(data["document_count"]),
+            ngrams=ngrams, document_count=int(data["document_count"]),
             df=np.array(data["df"], dtype=np.int64))
         idf = np.array(data["idf"], dtype=np.float64)
         word_vocab = data.get("word_vocab")
@@ -391,11 +385,11 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
     if vocabulary.df.ndim != 1 or idf.ndim != 1:
         raise FeatureError("malformed tfidf payload: df and idf must be flat "
                            "arrays of numbers")
-    if len(vocabulary.ngram_to_col) != len(ngrams):
-        raise FeatureError("malformed tfidf payload: duplicate ngrams")
     if not all(isinstance(i, int) for ngram in ngrams for i in ngram):
         raise FeatureError("malformed tfidf payload: ngram entries must be "
                            "integer token ids")
+    if len(set(ngrams)) != len(ngrams):
+        raise FeatureError("malformed tfidf payload: duplicate ngrams")
     if len(idf) != len(ngrams) or len(vocabulary.df) != len(ngrams):
         raise FeatureError("malformed tfidf payload: df/idf length mismatch")
     # Entries need not be distinct: a corpus holding the literal word

@@ -7,6 +7,7 @@ in its single error line.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 
@@ -34,3 +35,9 @@ def write_bytes(path, data: bytes, error) -> None:
         Path(path).write_bytes(data)
     except OSError as exc:
         raise error(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def canonical_json(value) -> bytes:
+    """Sorted, compact JSON and a newline, so equal values give equal bytes."""
+    return (json.dumps(value, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("utf-8")

@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import ModelError
 from ..features import (TfidfModel, tfidf_from_dict, tfidf_to_dict,
                         word_vocab_ref)
+from ..files import canonical_json
 from .common import sigmoid
 from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
                    train_gbdt)
@@ -80,8 +81,7 @@ def save_model(model, tfidf: TfidfModel, vocab_ref: str,
         "parameters": parameters,
         "training": {"seed": seed, "config_hash": config_hash},
     }
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) +
-            "\n").encode("utf-8")
+    return canonical_json(payload)
 
 
 def load_model(data: bytes, expected_kind: str | None = None) -> ModelBundle:

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import TokenizerError
+from .files import canonical_json
 
 UNKNOWN_SYMBOL = "<unk>"
 END_OF_WORD = "</w>"
@@ -222,8 +223,7 @@ def save_vocab(vocab: BpeVocab) -> bytes:
         "merges": [[m.left, m.right] for m in vocab.merges],
         "symbols": vocab.id_to_symbol(),
     }
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) +
-            "\n").encode("utf-8")
+    return canonical_json(payload)
 
 
 def load_vocab(data: bytes) -> BpeVocab:

@@ -169,11 +169,10 @@ def fit_tfidf_oracle(corpus_tokens: list[TokenSequence],
         raise FeatureError("all documents are empty; nothing to fit")
 
     retained = sorted(t for t, c in df_counts.items() if c >= config.min_df)
-    ngram_to_col = {t: i for i, t in enumerate(retained)}
     df = np.array([df_counts[t] for t in retained], dtype=np.int64)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    vocabulary = NgramVocabulary(ngram_to_col=ngram_to_col,
-                                 document_count=n_docs, df=df)
+    vocabulary = NgramVocabulary(ngrams=retained, document_count=n_docs,
+                                 df=df)
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 

@@ -70,7 +70,7 @@ def test_tfidf_hand_oracle():
         assert abs(model.idf[model.vocabulary.ngram_to_col[(3,)]]
                    - 1.6931471805599454) < 1e-15
         expected = tfidf_oracle(docs, 1, 2, 1, False, l2_normalize)
-        ngrams = model.vocabulary.columns()
+        ngrams = model.vocabulary.ngrams
         for seq, wanted in zip(seqs, expected):
             vec = transform_corpus(model, [seq]).row(0)
             got = {ngrams[c]: w for c, w in vector_pairs(vec)}

@@ -563,6 +563,20 @@ class TestBadInputs:
         assert "alpha must be positive" in single_error(capsys, "model")
         assert not (workdir / "m.json").exists()
 
+    @pytest.mark.parametrize("section, key, code", [
+        ("features", "ngram_max", "features"), ("gbdt", "n_bins", "model")])
+    def test_size_over_bound(self, workdir, capsys, section, key, code):
+        # each once a numpy _ArrayMemoryError traceback, asking for 1.96 TiB
+        # (ngram_max) or 88.7 GiB (n_bins) on a larger corpus
+        _, vocab = trained_bundle(workdir)
+        (workdir / "big.ini").write_text(f"[{section}]\n{key} = 1000000000\n")
+        capsys.readouterr()
+        assert run(["train", workdir / "corpus.jsonl", "--kind", "gbdt",
+                    "--out", workdir / "m.json", "--config", workdir / "big.ini",
+                    "--vocab", vocab]) == 1
+        assert key in single_error(capsys, code)
+        assert not (workdir / "m.json").exists()
+
     def test_threads_key_removed(self, workdir, capsys):
         (workdir / "old.ini").write_text("[run]\nthreads = 0\n")
         assert run(["synth", "--n-per-class", "2", "--divergence", "0.5",
@@ -768,6 +782,26 @@ class TestLoaderGaps:
         assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
                     "--out", workdir / "x.csv"]) == 1
         assert "df and idf must be flat" in single_error(capsys, "features")
+
+    def test_ngram_max_over_bound(self, workdir, ws_bundle, capsys,
+                                  time_bound):
+        # once a predict that ran for hours, one loop per n-gram length
+        self.edit(ws_bundle,
+                  lambda p: p["tfidf"]["config"].update(ngram_max=10 ** 9))
+        capsys.readouterr()
+        with time_bound(10):
+            assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
+                        "--out", workdir / "x.csv"]) == 1
+        assert "ngram_max" in single_error(capsys, "features")
+
+    def test_n_bins_over_bound(self, workdir, capsys):
+        bundle, vocab = trained_bundle(workdir, "gbdt")
+        self.edit(bundle,
+                  lambda p: p["parameters"]["config"].update(n_bins=10 ** 8))
+        capsys.readouterr()
+        assert run(["predict", bundle, workdir / "corpus.jsonl",
+                    "--vocab", vocab, "--out", workdir / "x.csv"]) == 1
+        assert "n_bins" in single_error(capsys, "model")
 
     @pytest.mark.parametrize("voter", [{"model": 5}, {"scores": None},
                                        {"model": ""}, {"scores": ["a.csv"]}])

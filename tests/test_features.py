@@ -70,7 +70,7 @@ class TestFit:
     def test_columns_lexicographic_and_dense(self):
         model = fit_tfidf(seqs([3, 1], [3, 1, 2], [2, 1]),
                           TfidfConfig(1, 2, min_df=1))
-        ngrams = model.vocabulary.columns()
+        ngrams = model.vocabulary.ngrams
         assert ngrams == sorted(ngrams)
         assert sorted(model.vocabulary.ngram_to_col.values()) == list(
             range(len(ngrams)))
@@ -140,7 +140,7 @@ class TestOracleEquivalence:
                           l2_normalize=l2)
         model = fit_tfidf(seqs(*docs), cfg)
         expected = tfidf_oracle(docs, 1, 2, 1, sublinear, l2)
-        ngrams = model.vocabulary.columns()
+        ngrams = model.vocabulary.ngrams
         for i, doc in enumerate(docs):
             vec = transform(model, seqs(doc)[0])
             got = {ngrams[c]: w for c, w in vector_pairs(vec)}
@@ -260,6 +260,33 @@ class TestMatchesCounterOracle:
         loaded = tfidf_from_dict(tfidf_to_dict(model))
         assert _csr_bytes(transform_corpus(loaded, docs)) == _csr_bytes(
             transform_corpus_oracle(model, docs))
+
+    def test_loaded_lengths_no_transform_produces(self):
+        # a 1-gram under ngram_min, a 5-gram over ngram_max and a trailing
+        # () never match; the () once risked an IndexError in the table
+        docs = seqs([1, 2, 3, 1, 2], [2, 3, 1, 2, 3])
+        payload = tfidf_to_dict(fit_tfidf(docs, TfidfConfig(2, 3, min_df=1)))
+        for ngram in ([1], [1, 2, 3, 1, 2], []):
+            payload["ngrams"].append(ngram)
+            payload["df"].append(1)
+            payload["idf"].append(2.0)
+        loaded = tfidf_from_dict(payload)
+        assert _csr_bytes(transform_corpus(loaded, docs)) == _csr_bytes(
+            transform_corpus_oracle(loaded, docs))
+
+    def test_levels_stop_at_longest_vocabulary_ngram(self, time_bound):
+        docs = seqs([1, 2, 3, 1, 2], [2, 3, 1, 2, 3])
+        model = fit_tfidf(docs, TfidfConfig(1, 3, min_df=1))
+        payload = tfidf_to_dict(model)
+        payload["config"]["ngram_max"] = features.MAX_NGRAM
+        loaded = tfidf_from_dict(payload)
+        with time_bound(5):
+            assert len(features._ngram_table(loaded).levels) == 3
+            with mock.patch.object(features, "_extend",
+                                   wraps=features._extend) as extend:
+                X = transform_corpus(loaded, docs)
+        assert extend.call_count == 2  # lengths 2 and 3, in one block
+        assert _csr_bytes(X) == _csr_bytes(transform_corpus(model, docs))
 
     def test_empty_vocabulary(self):
         model = fit_tfidf(seqs([1, 2], [3, 4]), TfidfConfig(1, 2, min_df=2))

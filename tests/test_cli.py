@@ -566,8 +566,8 @@ class TestBadInputs:
     @pytest.mark.parametrize("section, key, code", [
         ("features", "ngram_max", "features"), ("gbdt", "n_bins", "model")])
     def test_size_over_bound(self, workdir, capsys, section, key, code):
-        # each once a numpy _ArrayMemoryError traceback, asking for 1.96 TiB
-        # (ngram_max) or 88.7 GiB (n_bins) on a larger corpus
+        # each once a numpy _ArrayMemoryError traceback: the fit's rank
+        # matrix asked for 797 GiB here, GBDT binning for 7.45 GiB
         _, vocab = trained_bundle(workdir)
         (workdir / "big.ini").write_text(f"[{section}]\n{key} = 1000000000\n")
         capsys.readouterr()

@@ -263,7 +263,7 @@ class TestMatchesCounterOracle:
 
     def test_loaded_lengths_no_transform_produces(self):
         # a 1-gram under ngram_min, a 5-gram over ngram_max and a trailing
-        # () never match; the () once risked an IndexError in the table
+        # () load, but no transform may match them
         docs = seqs([1, 2, 3, 1, 2], [2, 3, 1, 2, 3])
         payload = tfidf_to_dict(fit_tfidf(docs, TfidfConfig(2, 3, min_df=1)))
         for ngram in ([1], [1, 2, 3, 1, 2], []):

@@ -21,7 +21,8 @@ from .models import (GbdtConfig, GbdtModel, ModelBundle, NaiveBayesModel,
                      SgdConfig, SgdLinearModel, load_model, save_model,
                      train_gbdt, train_nb, train_sgd)
 from .sparse import SparseMatrix, SparseVector
-from .tokenizer import (BpeVocab, MergeRule, TokenSequence, decode, encode,
-                        load_vocab, save_vocab, train_bpe)
+from .tokenizer import (BpeVocab, MergeRule, TokenCorpus, TokenSequence,
+                        decode, encode, encode_corpus, load_vocab, save_vocab,
+                        train_bpe)
 
 __version__ = "0.1.0"

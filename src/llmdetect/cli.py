@@ -78,7 +78,6 @@ def cmd_tokenize_train(args) -> int:
 
 def cmd_train(args) -> int:
     config = _config_for(args)
-    # typed configs check their ranges before any corpus is read
     tfidf_config, sgd_config, gbdt_config = (
         config.tfidf_config(), config.sgd_config(), config.gbdt_config())
     corpus = _load_corpus_arg(args.corpus, args.format)

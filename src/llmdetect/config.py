@@ -13,12 +13,13 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
+from .ensemble import COMBINE_PROBABILITY_MEAN, COMBINERS, DEFAULT_GRID_STEP
 from .errors import ConfigError
 from .features import TfidfConfig
 from .files import read_text
 from .models import GbdtConfig, SgdConfig
 from .models.naive_bayes import DEFAULT_ALPHA
+from .pipeline import TOKEN_SOURCE_BPE, TOKEN_SOURCES
 from .tokenizer import DEFAULT_VOCAB_SIZE
 
 
@@ -42,7 +43,7 @@ DEFAULTS: dict[str, dict] = {
         "vocab_path": "",      # trained vocabulary consumed by train/predict
     },
     "features": {
-        "token_source": "bpe",  # or "whitespace"
+        "token_source": TOKEN_SOURCE_BPE,  # or "whitespace"
         **_field_defaults(TfidfConfig),
     },
     "naive_bayes": {
@@ -57,6 +58,10 @@ DEFAULTS: dict[str, dict] = {
         "grid_step": DEFAULT_GRID_STEP,  # step for --tune-weights
     },
 }
+
+# Keys whose value must be one of a few names.
+_CHOICES = {("features", "token_source"): TOKEN_SOURCES,
+            ("ensemble", "combine"): COMBINERS}
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
@@ -147,6 +152,15 @@ def load_run_config(path=None) -> RunConfig:
                 raise ConfigError(
                     f"unknown key {section}.{key} (expected one of "
                     f"{sorted(DEFAULTS[section])})")
-            config.sections[section][key] = _coerce(
-                section, key, raw, DEFAULTS[section][key])
+            value = _coerce(section, key, raw, DEFAULTS[section][key])
+            choices = _CHOICES.get((section, key))
+            if choices is not None and value not in choices:
+                raise ConfigError(f"{section}.{key}: expected one of "
+                                  f"{list(choices)}, got {raw!r}")
+            config.sections[section][key] = value
+    # Range-check every typed section now, so that each command refuses a
+    # bad file with the same one error before it reads any input.
+    config.tfidf_config()
+    config.sgd_config()
+    config.gbdt_config()
     return config

@@ -293,20 +293,29 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
                          w, halves, scores[v, docs],
                          (score_hi[v, docs], score_lo[v, docs]))]
                      for v, w, halves, inv in voters)
+            # each intermediate is released at its last use, so a block
+            # holds few (rows, docs) arrays at once
             s, c = next(terms)
             for p, e in terms:
                 s, t = _two_sum(s, p)
+                del p
                 c += t
                 c += e
+                del t, e
             nh, nl = _two_sum(s, c)
+            del s, c
             q1 = nh / th
             p, e = _two_product(q1, _split(q1), th, th_halves)
             q2 = ((nh - p) + nl - e - q1 * tl) / th
+            del nh, nl, p, e
             y, z = _fast_two_sum(q1, q2)
+            del q1, q2
             delta = y * bound
             half_up, half_down = _half_gaps(y)
             certified = (z + delta < half_up) & (delta - z < half_down)
+            del z, delta, half_up, half_down
             out[r0:r0 + block_rows, docs] = y + 0.0  # no -0.0
+            del y
             rows, cols = np.nonzero(~certified)
             left.append((rows + r0, cols + d0))
     return (np.concatenate([r for r, _ in left]),

@@ -6,9 +6,11 @@ by 1 and defined for unseen terms.  tf is the raw in-document count, or
 1 + ln(count) when sublinear_tf is set.  Columns are assigned to n-grams
 in lexicographic token-id order, so fits are deterministic.
 
-Fit and transform work on flat arrays of token ids: one walk (``_levels``)
-numbers the n-grams of a corpus, or of the vocabulary's n-gram list, one
-length at a time by sorted integer keys, up to the longest one present.
+Fit and transform work on flat arrays of token ids: a ``TokenCorpus`` as
+the tokenizer gives it, or a list of sequences flattened once.  One walk
+(``_levels``) numbers the n-grams of a corpus, or of the vocabulary's
+n-gram list, one length at a time by sorted integer keys, up to the
+longest one present.
 The document-term matrix is built in CSR form from the sorted (row,
 column) cells, bit-for-bit that of counting each document's n-grams in a
 dictionary (``extract_ngrams``).
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import FeatureError
 from .sparse import SparseMatrix
-from .tokenizer import TokenSequence
+from .tokenizer import TokenCorpus, TokenSequence, map_words
 
 Ngram = tuple[int, ...]
 
@@ -144,6 +146,14 @@ def _flat_ids(sequences: list[Ngram]) -> tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
+def _token_corpus(corpus_tokens: TokenCorpus | list[TokenSequence]
+                  ) -> TokenCorpus:
+    """A corpus given as a list of token sequences, flattened once."""
+    if isinstance(corpus_tokens, TokenCorpus):
+        return corpus_tokens
+    return TokenCorpus(*_flat_ids([seq.ids for seq in corpus_tokens]))
+
+
 def _find(sorted_keys: np.ndarray,
           keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the ``keys`` that occur in ``sorted_keys``, and where
@@ -196,13 +206,14 @@ def _levels(ranks: np.ndarray, start: np.ndarray, n_tokens: int, k_max: int):
         yield keys, start, number
 
 
-def fit_tfidf(corpus_tokens: list[TokenSequence],
+def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
               config: TfidfConfig = TfidfConfig()) -> TfidfModel:
     """Build the n-gram vocabulary (df >= min_df) and idf weights."""
-    if not corpus_tokens:
+    corpus = _token_corpus(corpus_tokens)
+    ids, lengths = corpus.ids, corpus.lengths
+    n_docs = len(lengths)
+    if not n_docs:
         raise FeatureError("cannot fit TF-IDF on an empty corpus")
-    n_docs = len(corpus_tokens)
-    ids, lengths = _flat_ids([seq.ids for seq in corpus_tokens])
     if lengths.max() < config.ngram_min:
         raise FeatureError("all documents are empty; nothing to fit")
 
@@ -270,12 +281,12 @@ def _blocks(lengths: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _transform_block(model: TfidfModel, table: _NgramTable,
-                     corpus_tokens: list[TokenSequence]
+def _transform_block(model: TfidfModel, table: _NgramTable, ids: np.ndarray,
+                     lengths: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nnz per row, cols, vals) of one block of documents, in CSR order."""
+    """(nnz per row, cols, vals) of one block of documents, given their
+    token ids and lengths, in CSR order."""
     cfg, n_cols = model.config, model.n_features
-    ids, lengths = _flat_ids([seq.ids for seq in corpus_tokens])
     found, rank = _find(table.tokens, ids)
     ranks = np.full(len(ids), -1, dtype=np.int64)
     ranks[found] = rank
@@ -300,7 +311,7 @@ def _transform_block(model: TfidfModel, table: _NgramTable,
     else:
         tf = counts.astype(np.float64)
     vals = tf * model.idf[cols]
-    nnz = np.bincount(rows, minlength=len(corpus_tokens))
+    nnz = np.bincount(rows, minlength=len(lengths))
     if cfg.l2_normalize:
         # One np.dot per row, as a per-document vector would be normalized:
         # a segmented sum rounds differently.
@@ -317,15 +328,17 @@ def _transform_block(model: TfidfModel, table: _NgramTable,
 
 
 def transform_corpus(model: TfidfModel,
-                     corpus_tokens: list[TokenSequence]) -> SparseMatrix:
+                     corpus_tokens: TokenCorpus | list[TokenSequence]
+                     ) -> SparseMatrix:
     """Weight every document; out-of-vocabulary n-grams are dropped."""
     table = _ngram_table(model)
-    lengths = np.fromiter((len(seq.ids) for seq in corpus_tokens),
-                          dtype=np.int64, count=len(corpus_tokens))
+    corpus = _token_corpus(corpus_tokens)
+    ids, lengths = corpus.ids, corpus.lengths
+    offsets = [0, *np.cumsum(lengths).tolist()]
     nnz, cols, vals = [np.zeros(1, dtype=np.int64)], [], []
     for lo, hi in _blocks(lengths):
         block_nnz, block_cols, block_vals = _transform_block(
-            model, table, corpus_tokens[lo:hi])
+            model, table, ids[offsets[lo]:offsets[hi]], lengths[lo:hi])
         nnz.append(block_nnz)
         cols.append(block_cols)
         vals.append(block_vals)
@@ -333,7 +346,7 @@ def transform_corpus(model: TfidfModel,
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     return SparseMatrix(indptr=indptr, cols=cols, vals=vals,
-                        n_rows=len(corpus_tokens), n_cols=model.n_features)
+                        n_rows=len(lengths), n_cols=model.n_features)
 
 
 # -- whitespace-token fallback -------------------------------------------
@@ -350,12 +363,17 @@ def word_vocab_ref(word_vocab: list[str]) -> str:
     return hashlib.sha256(canonical).hexdigest()
 
 
-def encode_words(word_vocab: list[str],
-                 texts: list[str]) -> list[TokenSequence]:
+class _WordTable(dict):
+    """Word -> id; words outside the table map to the unknown id 0."""
+
+    def __missing__(self, word: str) -> int:
+        return 0
+
+
+def encode_words(word_vocab: list[str], texts: list[str]) -> TokenCorpus:
     """Map whitespace-delimited words to ids; unknown words map to id 0."""
-    table = {w: i for i, w in enumerate(word_vocab)}
-    return [TokenSequence(ids=tuple(table.get(w, 0) for w in text.split()))
-            for text in texts]
+    table = _WordTable((w, i) for i, w in enumerate(word_vocab))
+    return map_words(texts, table.__getitem__)
 
 
 # -- bundle-embedded serialization ---------------------------------------

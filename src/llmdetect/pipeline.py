@@ -16,10 +16,11 @@ from .features import (TfidfConfig, encode_words, fit_tfidf, fit_word_vocab,
 from .models import (KIND_GBDT, KIND_NAIVE_BAYES, KIND_SGD_LINEAR, ModelBundle,
                      save_model, train_gbdt, train_nb, train_sgd, vocab_hash)
 from .models.naive_bayes import DEFAULT_ALPHA
-from .tokenizer import BpeVocab, TokenSequence, encode
+from .tokenizer import BpeVocab, TokenCorpus, encode_corpus
 
 TOKEN_SOURCE_BPE = "bpe"
 TOKEN_SOURCE_WHITESPACE = "whitespace"
+TOKEN_SOURCES = (TOKEN_SOURCE_BPE, TOKEN_SOURCE_WHITESPACE)
 
 
 def check_vocab_ref(bundle: ModelBundle, vocab_bytes: bytes) -> None:
@@ -31,14 +32,14 @@ def check_vocab_ref(bundle: ModelBundle, vocab_bytes: bytes) -> None:
 
 
 def tokenize_texts(texts: list[str], word_vocab: list[str] | None,
-                   bpe_vocab: BpeVocab | None) -> list[TokenSequence]:
+                   bpe_vocab: BpeVocab | None) -> TokenCorpus:
     """Whitespace word ids when there is a word vocabulary, else BPE ids."""
     if word_vocab is not None:
         return encode_words(word_vocab, texts)
     if bpe_vocab is None:
         raise ModelError("model was trained on BPE tokens; a tokenizer "
                          "vocabulary is required to score text")
-    return [encode(bpe_vocab, t) for t in texts]
+    return encode_corpus(bpe_vocab, texts)
 
 
 def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
@@ -80,10 +81,10 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
 
 def score_texts(bundle: ModelBundle, texts: list[str],
                 bpe_vocab: BpeVocab | None,
-                sequences: list[TokenSequence] | None = None,
-                ) -> tuple[np.ndarray, list[TokenSequence]]:
-    """Probability of class 1 per text; returns the token sequences too so
-    callers scoring several same-vocabulary bundles can reuse them."""
+                sequences: TokenCorpus | None = None,
+                ) -> tuple[np.ndarray, TokenCorpus]:
+    """Probability of class 1 per text; returns the tokenized corpus too so
+    callers scoring several same-vocabulary bundles can reuse it."""
     if sequences is None:
         sequences = tokenize_texts(texts, bundle.tfidf.word_vocab, bpe_vocab)
     X = transform_corpus(bundle.tfidf, sequences)

@@ -8,6 +8,12 @@ training stops early once no pair occurs at least twice.
 
 Token id layout: id 0 is the reserved unknown sentinel, ids then cover the
 initial symbols in sorted order followed by merged symbols in merge order.
+
+Encoding merges each whitespace-delimited word on its own, so a
+vocabulary keeps one word cache and runs BPE once per distinct word.
+``encode`` gives one text's ids; ``encode_corpus`` gives a whole corpus's
+in one int64 array (``TokenCorpus``), gathered with numpy from the ids of
+its distinct words.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .errors import TokenizerError
 from .files import canonical_json
@@ -49,11 +58,13 @@ class BpeVocab:
     end_of_word_marker: str = END_OF_WORD
     unknown_id = 0  # the id of UNKNOWN_SYMBOL in every vocabulary
     _rank: dict[tuple[str, str], int] = field(default=None, repr=False, compare=False)
-    _word_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _word_cache: _WordCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self._rank is None:
             self._rank = {(m.left, m.right): m.rank for m in self.merges}
+        self._word_cache = _WordCache(self._rank, self.symbols,
+                                      self.end_of_word_marker)
 
     @property
     def size(self) -> int:
@@ -66,6 +77,29 @@ class BpeVocab:
         return out
 
 
+class _WordCache(dict):
+    """Word -> its ids, each word encoded on its first lookup.  It holds
+    the rank table, symbols and marker rather than the vocabulary, so the
+    two form no reference cycle."""
+
+    def __init__(self, rank, symbols, marker):
+        super().__init__()
+        self.rank, self.symbols, self.marker = rank, symbols, marker
+
+    def __missing__(self, word: str) -> tuple[int, ...]:
+        ids = self[word] = _encode_word(self.rank, self.symbols, self.marker,
+                                        word)
+        return ids
+
+
+class _Numbering(dict):
+    """Key -> its number, keys numbered in first-seen order."""
+
+    def __missing__(self, key) -> int:
+        number = self[key] = len(self)
+        return number
+
+
 @dataclass(frozen=True)
 class TokenSequence:
     """Token ids produced by encoding one text."""
@@ -74,6 +108,18 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenCorpus:
+    """The token ids of a corpus's documents in one int64 array, document
+    after document, and each document's length."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
 
 
 def _word_pairs(syms: list[str]) -> Counter:
@@ -169,37 +215,70 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
     return BpeVocab(merges=merges, symbols=symbols)
 
 
-def _encode_word(vocab: BpeVocab, word: str) -> tuple[int, ...]:
-    cached = vocab._word_cache.get(word)
-    if cached is not None:
-        return cached
-    syms = list(word) + [vocab.end_of_word_marker]
+def _encode_word(ranks: dict[tuple[str, str], int], symbols: dict[str, int],
+                 marker: str, word: str) -> tuple[int, ...]:
+    """One word's ids: merge rules apply greedily in ascending rank order;
+    symbols missing from the table map to the unknown id."""
+    syms = list(word) + [marker]
     while len(syms) > 1:
         best_rank = None
         best_pair = None
         for pair in zip(syms, syms[1:]):
-            rank = vocab._rank.get(pair)
+            rank = ranks.get(pair)
             if rank is not None and (best_rank is None or rank < best_rank):
                 best_rank, best_pair = rank, pair
         if best_pair is None:
             break
         syms = _apply_merge(syms, best_pair)
-    ids = tuple(vocab.symbols.get(s, vocab.unknown_id) for s in syms)
-    vocab._word_cache[word] = ids
-    return ids
+    return tuple(symbols.get(s, BpeVocab.unknown_id) for s in syms)
 
 
 def encode(vocab: BpeVocab, text: str) -> TokenSequence:
-    """Segment text into subword token ids.
+    """Segment text into subword token ids, word by whitespace-delimited
+    word (``_encode_word``)."""
+    return TokenSequence(tuple(chain.from_iterable(
+        map(vocab._word_cache.__getitem__, text.split()))))
 
-    Merge rules apply greedily in ascending rank order within each
-    whitespace-delimited word; symbols missing from the table map to the
-    unknown id.
-    """
-    ids: list[int] = []
-    for word in text.split():
-        ids.extend(_encode_word(vocab, word))
-    return TokenSequence(ids=tuple(ids))
+
+def map_words(texts, lookup) -> TokenCorpus:
+    """The corpus whose ids are each text's whitespace-delimited words
+    mapped through ``lookup``, splitting one text at a time."""
+    numbers = [list(map(lookup, text.split())) for text in texts]
+    lengths = np.fromiter(map(len, numbers), dtype=np.int64,
+                          count=len(numbers))
+    ids = np.fromiter(chain.from_iterable(numbers), dtype=np.int64,
+                      count=int(lengths.sum()))
+    return TokenCorpus(ids, lengths)
+
+
+def encode_corpus(vocab: BpeVocab, texts: list[str]) -> TokenCorpus:
+    """Every text's ``encode`` ids, flat: the corpus's words are numbered
+    in first-seen order, each distinct word is encoded once, and the id
+    spans are gathered by word number."""
+    numbering = _Numbering()
+    words = map_words(texts, numbering.__getitem__)
+    pieces = list(map(vocab._word_cache.__getitem__, numbering))
+    piece_len = np.fromiter(map(len, pieces), dtype=np.int64,
+                            count=len(pieces))
+    piece_ids = np.fromiter(chain.from_iterable(pieces), dtype=np.int64,
+                            count=int(piece_len.sum()))
+    # Position j of word w's span reads piece_ids at j + shift[w]: w's
+    # piece start less the span's own start.  Each array is released at
+    # its last use, so at most three word-length arrays are held at once.
+    span_len = piece_len[words.ids]
+    shift = (np.cumsum(piece_len) - piece_len)[words.ids]
+    word_ends = np.cumsum(words.lengths)
+    del words
+    ends = np.zeros(len(span_len) + 1, dtype=np.int64)  # ends[0] = 0
+    np.cumsum(span_len, out=ends[1:])
+    lengths = np.diff(ends[word_ends], prepend=0)
+    shift -= ends[1:]
+    del ends
+    shift += span_len
+    index = np.repeat(shift, span_len)
+    del shift, span_len
+    index += np.arange(len(index))
+    return TokenCorpus(piece_ids[index], lengths)
 
 
 def decode(vocab: BpeVocab, seq: TokenSequence) -> str:

@@ -113,6 +113,55 @@ def bpe_merges_oracle(texts: list[str], max_merges: int) -> list[tuple[str, str]
     return merges
 
 
+# -- BPE encoding: one text at a time, word by word -------------------------
+# The library's encoder before its word cache and flat corpus ids, kept
+# verbatim but for three changes: the merge helper is inlined, the rank
+# table comes from the merge list, and nothing is cached, so it cannot
+# read back what the library stored.
+
+def _encode_word_oracle(vocab, rank_of, word: str) -> tuple[int, ...]:
+    syms = list(word) + [vocab.end_of_word_marker]
+    while len(syms) > 1:
+        best_rank = None
+        best_pair = None
+        for pair in zip(syms, syms[1:]):
+            rank = rank_of.get(pair)
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank, best_pair = rank, pair
+        if best_pair is None:
+            break
+        left, right = best_pair
+        out: list[str] = []
+        i = 0
+        while i < len(syms):
+            if i + 1 < len(syms) and syms[i] == left and syms[i + 1] == right:
+                out.append(left + right)
+                i += 2
+            else:
+                out.append(syms[i])
+                i += 1
+        syms = out
+    return tuple(vocab.symbols.get(s, vocab.unknown_id) for s in syms)
+
+
+def encode_oracle(vocab, text: str) -> TokenSequence:
+    rank_of = {(m.left, m.right): m.rank for m in vocab.merges}
+    ids: list[int] = []
+    for word in text.split():
+        ids.extend(_encode_word_oracle(vocab, rank_of, word))
+    return TokenSequence(ids=tuple(ids))
+
+
+def token_sequences(corpus) -> list[TokenSequence]:
+    """A flat ``TokenCorpus`` as one ``TokenSequence`` per document."""
+    ids = corpus.ids.tolist()
+    out, start = [], 0
+    for length in corpus.lengths.tolist():
+        out.append(TokenSequence(ids=tuple(ids[start:start + length])))
+        start += length
+    return out
+
+
 # -- TF-IDF: scalar arithmetic over explicit dictionaries ------------------
 
 def tfidf_oracle(docs: list[tuple], ngram_min: int, ngram_max: int,

@@ -577,6 +577,28 @@ class TestBadInputs:
         assert key in single_error(capsys, code)
         assert not (workdir / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "tokenize-train"])
+    @pytest.mark.parametrize("section, key, code", [
+        ("features", "ngram_max", "features"), ("gbdt", "n_bins", "model"),
+        ("sgd", "epochs", "model")])
+    def test_config_checked_when_loaded(self, workdir, capsys, command,
+                                        section, key, code):
+        # synth and tokenize-train once exited 0 on a file train refuses
+        value = 0 if key == "epochs" else 10 ** 9
+        (workdir / "bad.ini").write_text(f"[{section}]\n{key} = {value}\n")
+        config = ["--config", workdir / "bad.ini"]
+        assert run(["train", workdir / "corpus.jsonl", "--kind", "gbdt",
+                    "--out", workdir / "m.json", *config]) == 1
+        refused = single_error(capsys, code)
+        assert key in refused
+        out = workdir / "out.json"
+        args = (["synth", "--n-per-class", "2", "--divergence", "0.5"]
+                if command == "synth" else
+                ["tokenize-train", workdir / "corpus.jsonl"])
+        assert run([*args, "--out", out, *config]) == 1
+        assert single_error(capsys, code) == refused
+        assert not out.exists()
+
     def test_threads_key_removed(self, workdir, capsys):
         (workdir / "old.ini").write_text("[run]\nthreads = 0\n")
         assert run(["synth", "--n-per-class", "2", "--divergence", "0.5",

@@ -1,7 +1,7 @@
 import pytest
 
 from llmdetect.config import DEFAULTS, default_config, load_run_config
-from llmdetect.errors import ConfigError
+from llmdetect.errors import ConfigError, FeatureError
 
 
 def write(tmp_path, text):
@@ -48,6 +48,19 @@ class TestParsing:
     def test_non_finite_float_rejected(self, tmp_path, raw):
         path = write(tmp_path, f"[gbdt]\nlearning_rate = {raw}\n")
         with pytest.raises(ConfigError, match="gbdt.learning_rate"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("section, key", [("features", "token_source"),
+                                              ("ensemble", "combine")])
+    def test_unknown_choice_rejected(self, tmp_path, section, key):
+        path = write(tmp_path, f"[{section}]\n{key} = bogus\n")
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected "
+                                              f"one of .*'bogus'"):
+            load_run_config(path)
+
+    def test_typed_sections_checked_on_load(self, tmp_path):
+        path = write(tmp_path, "[features]\nngram_min = 3\nngram_max = 2\n")
+        with pytest.raises(FeatureError, match="ngram_min <= ngram_max"):
             load_run_config(path)
 
     def test_bool_values(self, tmp_path):

@@ -373,6 +373,21 @@ class TestVoteKernel:
         for row, weights in zip(rows, grid):
             assert _bit_identical(row, oracle(scores, weights))
 
+    def test_block_peak_memory(self):
+        # a 4-voter grid over 150 documents, in 286 x 14 blocks: while
+        # every intermediate stayed bound until the next block rebound it,
+        # the call peaked at about 21 arrays of one block's size (0.69 MB);
+        # releasing each at its last use takes about 10.5
+        rng = np.random.default_rng(7)
+        scores = rng.random((4, 150))
+        grid = np.array(weight_grid(4, 0.1))
+        out = np.empty((len(grid), 150))
+        block = len(grid) * (ensemble._BLOCK_CELLS // len(grid)) * 8
+        ensemble._kernel_vote(scores, 1.0, grid, out)
+        peak = traced_peak(
+            lambda: ensemble._kernel_vote(scores, 1.0, grid, out))
+        assert peak <= 11 * block, peak / block
+
     @pytest.mark.parametrize("combine", COMBINERS)
     def test_few_cells_fall_back(self, combine):
         rng = np.random.default_rng(4)

@@ -13,11 +13,11 @@ from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
                                 fit_tfidf, fit_word_vocab, same_transform,
                                 tfidf_from_dict, tfidf_to_dict,
                                 transform_corpus)
-from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenSequence, encode,
-                                 train_bpe)
+from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenCorpus,
+                                 TokenSequence, encode, train_bpe)
 from conftest import traced_peak
-from oracles import (fit_tfidf_oracle, tfidf_oracle, transform_corpus_oracle,
-                     vector_pairs)
+from oracles import (fit_tfidf_oracle, tfidf_oracle, token_sequences,
+                     transform_corpus_oracle, vector_pairs)
 
 
 def seqs(*id_lists):
@@ -244,7 +244,7 @@ class TestMatchesCounterOracle:
     def test_corpus_spanning_several_blocks(self):
         corpus = synth_corpus(150, seed=3, divergence=0.0004)
         vocab = fit_word_vocab(corpus.texts[::2])
-        sequences = encode_words(vocab, corpus.texts)
+        sequences = token_sequences(encode_words(vocab, corpus.texts))
         assert sum(map(len, sequences)) > 2 * features._BLOCK_TOKENS
         for config in (TfidfConfig(), TfidfConfig(2, 4, min_df=3,
                                                   sublinear_tf=True,
@@ -309,11 +309,52 @@ class TestMatchesCounterOracle:
             transform_corpus(model, seqs([1, 2**63]))
 
 
+def _flat(sequences):
+    """The TokenCorpus holding the sequences' ids."""
+    return TokenCorpus(
+        np.array([i for seq in sequences for i in seq.ids], dtype=np.int64),
+        np.array([len(seq) for seq in sequences], dtype=np.int64))
+
+
+class TestFlatCorpusInput:
+    """A TokenCorpus and the equivalent TokenSequence list give the same
+    fit and the same matrix bytes, whatever the block size."""
+
+    @given(_featurizer_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_same_fit_and_matrix(self, inputs):
+        config, fit_docs, docs, block = inputs
+        fit_seqs, all_seqs = seqs(*fit_docs), seqs(*docs)
+        with mock.patch.object(features, "_BLOCK_TOKENS", block):
+            try:
+                want = fit_tfidf(fit_seqs, config)
+            except FeatureError as exc:
+                with pytest.raises(FeatureError) as flat_exc:
+                    fit_tfidf(_flat(fit_seqs), config)
+                assert str(flat_exc.value) == str(exc)
+                return
+            got = fit_tfidf(_flat(fit_seqs), config)
+            X_want = transform_corpus(want, all_seqs)
+            X_got = transform_corpus(got, _flat(all_seqs))
+        assert got.vocabulary.ngrams == want.vocabulary.ngrams
+        for a, b in ((got.vocabulary.df, want.vocabulary.df),
+                     (got.idf, want.idf)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (X_got.n_rows, X_got.n_cols) == (X_want.n_rows, X_want.n_cols)
+        assert _csr_bytes(X_got) == _csr_bytes(X_want)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(FeatureError, match="empty corpus"):
+            fit_tfidf(_flat([]))
+
+
 class TestWordVocab:
     def test_encode_words(self):
         vocab = ["<unk>", "a", "b"]
-        assert encode_words(vocab, ["a b c", "", "b  a"]) == seqs(
-            [1, 2, 0], [], [2, 1])
+        corpus = encode_words(vocab, ["a b c", "", "b  a"])
+        assert corpus.ids.tolist() == [1, 2, 0, 2, 1]
+        assert corpus.lengths.tolist() == [3, 0, 2]
+        assert corpus.ids.dtype == corpus.lengths.dtype == np.int64
 
     @pytest.mark.parametrize("word_vocab", [5, [[1]], "abc", [], ["a"],
                                             ["a", "<unk>"], ["<unk>", 1]])
@@ -386,7 +427,7 @@ def test_cli_default_fit_csr_bytes_pinned():
 def test_transform_peak_memory_no_higher_than_counter_path():
     corpus = synth_corpus(600, seed=5, divergence=0.0004)
     vocab = fit_word_vocab(corpus.texts[:300])
-    sequences = encode_words(vocab, corpus.texts)
+    sequences = token_sequences(encode_words(vocab, corpus.texts))
     assert sum(map(len, sequences)) >= 150_000
     model = fit_tfidf(sequences[:300], TfidfConfig())
     oracle_peak = traced_peak(

@@ -72,6 +72,22 @@ def test_mirror_check_calls(trained):
         assert scores.shape == (len(corpus),)
 
 
+@pytest.mark.parametrize("token_source", ["bpe", "whitespace"])
+def test_score_texts_takes_back_its_tokens(trained, token_source):
+    # the mirror check hands each score_texts result back as sequences=
+    corpus, vocab, bundles = trained
+    data = (bundles["naive_bayes"] if token_source == "bpe" else
+            pipeline.train_bundle("naive_bayes", corpus,
+                                  tfidf_config=workloads.TFIDF,
+                                  token_source=token_source))
+    bundle = load_model(data)
+    scores, sequences = pipeline.score_texts(bundle, corpus.texts, vocab)
+    again, returned = pipeline.score_texts(bundle, corpus.texts, vocab,
+                                           sequences=sequences)
+    assert returned is sequences
+    assert again.dtype == scores.dtype and again.tobytes() == scores.tobytes()
+
+
 def test_scoring_patches_fire(trained):
     corpus, vocab, bundles = trained
     spec = EnsembleSpec(voters=voters(bundles))

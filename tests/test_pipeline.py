@@ -102,7 +102,8 @@ class TestWhitespaceFallback:
             token_source="whitespace"))
         assert bundle.tfidf.word_vocab[:2] == ["<unk>", "<unk>"]
         scores, sequences = score_texts(bundle, corpus.texts, bpe_vocab=None)
-        assert len(scores) == len(corpus) and 1 in sequences[0].ids
+        first = sequences.ids[:sequences.lengths[0]]
+        assert len(scores) == len(corpus) and 1 in first.tolist()
 
 
 class TestVocabHandshake:

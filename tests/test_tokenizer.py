@@ -1,13 +1,19 @@
+import gc
 import random
+import weakref
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from llmdetect.corpus import synth_corpus
 from llmdetect.errors import TokenizerError
-from llmdetect.tokenizer import (TokenSequence, decode, encode,
-                                 load_vocab, save_vocab, train_bpe)
-from oracles import bpe_merges_oracle
+from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenSequence, decode,
+                                 encode, encode_corpus, load_vocab,
+                                 save_vocab, train_bpe)
+from conftest import traced_peak
+from oracles import bpe_merges_oracle, encode_oracle
 
 
 def random_corpus(seed, max_words=50, alphabet="abcdef"):
@@ -104,6 +110,77 @@ class TestEncode:
     def test_deterministic(self):
         vocab = train_bpe(["deterministic encode call"], vocab_size=60)
         assert encode(vocab, "call encode") == encode(vocab, "call encode")
+
+
+# Vocabularies learn "abcd"; "e" and "é" stay outside them.  The
+# separators are whitespace to str.split: U+2028 (line separator), \x1c
+# (file separator) and U+3000 (ideographic space) among them.
+_SEPARATORS = " \t\n\u2028\x1c\x1f\u3000"
+
+
+@st.composite
+def _encode_inputs(draw):
+    words = draw(st.lists(st.text("abcd", min_size=1, max_size=6),
+                          max_size=30))
+    vocab = train_bpe(["abcd " + " ".join(words)],
+                      vocab_size=draw(st.integers(6, 80)))
+    texts = draw(st.lists(st.text("abcdeé" + _SEPARATORS, max_size=40),
+                          max_size=8))
+    return vocab, texts
+
+
+def _assert_matches_oracle(corpus, vocab, texts):
+    expected = [encode_oracle(vocab, text) for text in texts]
+    assert corpus.ids.dtype == corpus.lengths.dtype == np.int64
+    assert corpus.ids.tolist() == [i for seq in expected for i in seq.ids]
+    assert corpus.lengths.tolist() == [len(seq) for seq in expected]
+
+
+class TestFlatEncoding:
+    """encode_corpus and encode give the oracle's ids, id for id."""
+
+    @given(_encode_inputs())
+    @settings(max_examples=200, deadline=None)
+    @example((train_bpe(["abcd ab ab"], 20), []))
+    @example((train_bpe(["abcd ab ab"], 20),
+              ["", "  ", "\u2028", "ab\x1cab\u2028ab", "é e ab ab é",
+               "abcd\x1fabcd abcd"]))
+    def test_encode_corpus_matches_oracle(self, inputs):
+        vocab, texts = inputs
+        _assert_matches_oracle(encode_corpus(vocab, texts), vocab, texts)
+        # again, from the word cache the first call filled
+        _assert_matches_oracle(encode_corpus(vocab, texts), vocab, texts)
+
+    @given(_encode_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_encode_matches_oracle(self, inputs):
+        vocab, texts = inputs
+        for text in texts + texts:  # the second pass reads the word cache
+            assert encode(vocab, text) == encode_oracle(vocab, text)
+
+    def test_word_cache_holds_no_cycle(self):
+        vocab = train_bpe(["ab ab ba"], vocab_size=10)
+        encode_corpus(vocab, ["ab ba", "ba"])
+        ref = weakref.ref(vocab)
+        gc.disable()
+        try:
+            del vocab
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_peak_memory(self):
+        # One text's words at a time: at most 4 int64 arrays of the
+        # corpus's token count, plus the table of its distinct words.
+        # Holding every text's word list at once, as str objects, takes
+        # over 9.
+        corpus = synth_corpus(600, seed=5, divergence=0.0004)
+        vocab = train_bpe(corpus.texts[:300], vocab_size=DEFAULT_VOCAB_SIZE)
+        n_tokens = len(encode_corpus(vocab, corpus.texts).ids)  # warm cache
+        table = traced_peak(lambda: {w: i for i, w in enumerate(
+            {w for text in corpus.texts for w in text.split()})})
+        peak = traced_peak(lambda: encode_corpus(vocab, corpus.texts))
+        assert peak <= 4 * 8 * n_tokens + table, (peak - table) / n_tokens
 
 
 class TestDecode:

@@ -342,6 +342,9 @@ def transform_corpus(model: TfidfModel,
         nnz.append(block_nnz)
         cols.append(block_cols)
         vals.append(block_vals)
+    # A flattened list's ids go before the output is assembled, so they
+    # add nothing to the peak.
+    del corpus, ids
     indptr = np.cumsum(np.concatenate(nnz))
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)

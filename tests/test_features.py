@@ -424,6 +424,21 @@ def test_cli_default_fit_csr_bytes_pinned():
     assert digest.hexdigest() == CLI_DEFAULT_CSR_SHA256
 
 
+def test_flattened_list_adds_little_to_transform_peak():
+    # A TokenSequence list is flattened once at entry; its flat ids (8
+    # bytes a token) are released before the matrix is assembled, the
+    # step that sets the peak.  Held to the end, they added all 8 bytes.
+    corpus = synth_corpus(600, seed=5, divergence=0.0004)
+    flat = encode_words(fit_word_vocab(corpus.texts[:300]), corpus.texts)
+    sequences = token_sequences(flat)
+    model = fit_tfidf(flat, TfidfConfig())
+    transform_corpus(model, flat)
+    flat_peak = traced_peak(lambda: transform_corpus(model, flat))
+    list_peak = traced_peak(lambda: transform_corpus(model, sequences))
+    assert list_peak - flat_peak < 0.5 * 8 * len(flat.ids), (
+        (list_peak - flat_peak) / len(flat.ids))
+
+
 def test_transform_peak_memory_no_higher_than_counter_path():
     corpus = synth_corpus(600, seed=5, divergence=0.0004)
     vocab = fit_word_vocab(corpus.texts[:300])

@@ -342,8 +342,8 @@ def transform_corpus(model: TfidfModel,
         nnz.append(block_nnz)
         cols.append(block_cols)
         vals.append(block_vals)
-    # A flattened list's ids go before the output is assembled, so they
-    # add nothing to the peak.
+    # A flattened list's ids are released before the output is assembled,
+    # the step whose transients are largest.
     del corpus, ids
     indptr = np.cumsum(np.concatenate(nnz))
     cols = np.concatenate(cols)

@@ -82,13 +82,13 @@ class _WordCache(dict):
     the rank table, symbols and marker rather than the vocabulary, so the
     two form no reference cycle."""
 
-    def __init__(self, rank, symbols, marker):
+    def __init__(self, ranks, symbols, marker):
         super().__init__()
-        self.rank, self.symbols, self.marker = rank, symbols, marker
+        self.ranks, self.symbols, self.marker = ranks, symbols, marker
 
     def __missing__(self, word: str) -> tuple[int, ...]:
-        ids = self[word] = _encode_word(self.rank, self.symbols, self.marker,
-                                        word)
+        ids = self[word] = _encode_word(self.ranks, self.symbols,
+                                        self.marker, word)
         return ids
 
 
@@ -236,8 +236,10 @@ def _encode_word(ranks: dict[tuple[str, str], int], symbols: dict[str, int],
 def encode(vocab: BpeVocab, text: str) -> TokenSequence:
     """Segment text into subword token ids, word by whitespace-delimited
     word (``_encode_word``)."""
-    return TokenSequence(tuple(chain.from_iterable(
-        map(vocab._word_cache.__getitem__, text.split()))))
+    # Through a list: a tuple grown from an iterator is resized step by
+    # step, and the heap keeps about 40 bytes of slack a text.
+    return TokenSequence(tuple(list(chain.from_iterable(
+        map(vocab._word_cache.__getitem__, text.split())))))
 
 
 def map_words(texts, lookup) -> TokenCorpus:

@@ -128,10 +128,23 @@ class _NgramTable:
     that a transform can produce.  ``tokens`` holds the distinct token ids
     in ascending order, so a token's position there is its rank.  Level k
     holds the sorted keys of the length-k prefixes and each one's column,
-    or -1 where it is only a prefix of longer n-grams."""
+    or -1 where it is only a prefix of longer n-grams.  ``lookup`` holds
+    each id's rank, -1 where it is no token, when the ids are small enough
+    for a dense array; else it is None."""
 
     tokens: np.ndarray
     levels: list[tuple[np.ndarray, np.ndarray]]
+    lookup: np.ndarray | None
+
+    def ranks(self, ids: np.ndarray) -> np.ndarray:
+        """Each id's rank, or -1 where it is not one of the tokens."""
+        if self.lookup is not None:
+            # ids below 0 or past the last token read the final -1
+            return self.lookup[np.clip(ids, -1, len(self.lookup) - 1)]
+        found, rank = _find(self.tokens, ids)
+        ranks = np.full(len(ids), -1, dtype=np.int64)
+        ranks[found] = rank
+        return ranks
 
 
 def _flat_ids(sequences: list[Ngram]) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +281,14 @@ def _ngram_table(model: TfidfModel) -> _NgramTable:
         exact = ranks[start + k] < 0  # the gap after the n-gram follows
         cols[number[exact]] = col[start[exact]]
         levels.append((keys, cols))
-    model._ngram_table = _NgramTable(tokens=tokens, levels=levels)
+    # Token ids a few times the token count fit a dense lookup; a bundle
+    # may hold any int64 id, and those are searched instead.
+    lookup = None
+    if len(tokens) and tokens[0] >= 0 and tokens[-1] < 4 * len(tokens) + 4096:
+        lookup = np.full(int(tokens[-1]) + 2, -1, dtype=np.int64)
+        lookup[tokens] = np.arange(len(tokens))
+    model._ngram_table = _NgramTable(tokens=tokens, levels=levels,
+                                     lookup=lookup)
     return model._ngram_table
 
 
@@ -287,10 +307,7 @@ def _transform_block(model: TfidfModel, table: _NgramTable, ids: np.ndarray,
     """(nnz per row, cols, vals) of one block of documents, given their
     token ids and lengths, in CSR order."""
     cfg, n_cols = model.config, model.n_features
-    found, rank = _find(table.tokens, ids)
-    ranks = np.full(len(ids), -1, dtype=np.int64)
-    ranks[found] = rank
-    ranks, doc = _gapped(ranks, lengths)
+    ranks, doc = _gapped(table.ranks(ids), lengths)
     start = np.flatnonzero(ranks >= 0)
     number, cells = ranks[start], [np.zeros(0, dtype=np.int64)]
     for k, (keys, level_cols) in enumerate(table.levels, 1):

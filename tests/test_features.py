@@ -303,6 +303,20 @@ class TestMatchesCounterOracle:
         assert vec.cols.tobytes() == row.cols.tobytes()
         assert vec.vals.tobytes() == row.vals.tobytes()
 
+    @pytest.mark.parametrize("shift", [0, 2**40])
+    def test_dense_and_searched_rank_lookup_agree(self, shift):
+        # small ids take the dense lookup, ids far past the token count
+        # the searched one; both give the Counter featurizer's bytes
+        fit = seqs(*[[i + shift for i in ids]
+                     for ids in ([1, 2, 3, 1, 2], [2, 3, 1], [3, 3])])
+        unseen = seqs([shift - 1, shift + 1, shift + 7, shift + 2])
+        model = fit_tfidf(fit, TfidfConfig(1, 2, min_df=1))
+        table = features._ngram_table(model)
+        assert (table.lookup is None) == (shift > 0)
+        all_seqs = fit + unseen
+        assert _csr_bytes(transform_corpus(model, all_seqs)) == _csr_bytes(
+            transform_corpus_oracle(model, all_seqs))
+
     def test_id_beyond_int64_rejected(self):
         model = fit_tfidf(seqs([1, 2], [2, 1]), TfidfConfig(1, 1, min_df=1))
         with pytest.raises(FeatureError, match="64-bit"):

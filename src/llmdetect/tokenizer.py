@@ -18,6 +18,7 @@ its distinct words.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -122,10 +123,6 @@ class TokenCorpus:
         return len(self.lengths)
 
 
-def _word_pairs(syms: list[str]) -> Counter:
-    return Counter(zip(syms, syms[1:]))
-
-
 def _apply_merge(syms: list[str], pair: tuple[str, str]) -> list[str]:
     """Replace occurrences of pair left-to-right, non-overlapping."""
     left, right = pair
@@ -141,9 +138,29 @@ def _apply_merge(syms: list[str], pair: tuple[str, str]) -> list[str]:
     return out
 
 
+def _pair_heap(pair_counts: dict[tuple[str, str], int]) -> list:
+    """One (-count, pair) entry for each pair that can still be merged."""
+    heap = [(-count, pair) for pair, count in pair_counts.items()
+            if count >= MIN_PAIR_FREQUENCY]
+    heapq.heapify(heap)
+    return heap
+
+
 def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVocab:
     """Learn merge rules until the symbol table reaches vocab_size or no
-    adjacent pair occurs at least twice."""
+    adjacent pair occurs at least twice.
+
+    Each merge is popped from a heap of (-count, pair) entries: the most
+    frequent pair, ties to the lexicographically smallest.  Entries are
+    never updated in place: after each merge, every pair whose count it
+    changed is pushed again, and a popped entry whose count is not the
+    pair's live count is stale and dropped.  Only pairs that occur at
+    least MIN_PAIR_FREQUENCY times are pushed, so an empty heap means no
+    pair repeats.  The heap is rebuilt from the live counts once stale
+    entries outnumber live ones.  A merge updates only the words that
+    hold its pair, by the difference between each word's old and new
+    adjacent pairs.
+    """
     word_freq = Counter()
     for text in texts:
         word_freq.update(text.split())
@@ -164,22 +181,22 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
     word_syms: list[list[str]] = [list(w) + [END_OF_WORD] for w in words]
     freqs = [word_freq[w] for w in words]
 
-    pair_counts: Counter = Counter()
+    pair_counts: dict[tuple[str, str], int] = {}
     pair_words: dict[tuple[str, str], set[int]] = {}
     for wid, syms in enumerate(word_syms):
-        for pair, n in _word_pairs(syms).items():
-            pair_counts[pair] += n * freqs[wid]
+        for pair in zip(syms, syms[1:]):
+            pair_counts[pair] = pair_counts.get(pair, 0) + freqs[wid]
             pair_words.setdefault(pair, set()).add(wid)
+    heap = _pair_heap(pair_counts)
+    n_live = len(heap)  # pairs counted at least MIN_PAIR_FREQUENCY times
 
     merges: list[MergeRule] = []
     while len(symbols) < vocab_size:
-        best_pair = None
-        best_count = 0
-        for pair, count in pair_counts.items():
-            if count > best_count or (count == best_count and
-                                      best_pair is not None and pair < best_pair):
-                best_pair, best_count = pair, count
-        if best_pair is None or best_count < MIN_PAIR_FREQUENCY:
+        while heap:
+            neg_count, best_pair = heapq.heappop(heap)
+            if pair_counts.get(best_pair) == -neg_count:
+                break
+        else:
             break
 
         merged = best_pair[0] + best_pair[1]
@@ -191,26 +208,45 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
         if merged not in symbols:
             symbols[merged] = len(symbols)
 
+        # count changes of this merge, summed over the words it touches
+        changes: dict[tuple[str, str], int] = {}
         for wid in sorted(pair_words[best_pair]):
             old = word_syms[wid]
-            new = _apply_merge(old, best_pair)
-            word_syms[wid] = new
-            old_pairs = _word_pairs(old)
-            new_pairs = _word_pairs(new)
-            for pair in old_pairs.keys() | new_pairs.keys():
-                delta = new_pairs[pair] - old_pairs[pair]
-                if delta:
-                    pair_counts[pair] += delta * freqs[wid]
-                    if pair_counts[pair] == 0:
-                        del pair_counts[pair]
-                if new_pairs[pair]:
+            new = word_syms[wid] = _apply_merge(old, best_pair)
+            new_pairs = set(zip(new, new[1:]))
+            delta: dict[tuple[str, str], int] = {}
+            for pair in zip(new, new[1:]):
+                delta[pair] = delta.get(pair, 0) + 1
+            for pair in zip(old, old[1:]):
+                delta[pair] = delta.get(pair, 0) - 1
+            freq = freqs[wid]
+            for pair, n in delta.items():
+                if not n:
+                    continue
+                changes[pair] = changes.get(pair, 0) + n * freq
+                if n > 0:
                     pair_words.setdefault(pair, set()).add(wid)
-                elif old_pairs[pair]:
-                    members = pair_words.get(pair)
-                    if members is not None:
-                        members.discard(wid)
-                        if not members:
-                            del pair_words[pair]
+                elif pair not in new_pairs:
+                    members = pair_words[pair]
+                    members.discard(wid)
+                    if not members:
+                        del pair_words[pair]
+
+        for pair, n in changes.items():
+            if not n:
+                continue
+            before = pair_counts.get(pair, 0)
+            count = before + n
+            if count:
+                pair_counts[pair] = count
+            else:
+                del pair_counts[pair]
+            n_live += ((count >= MIN_PAIR_FREQUENCY)
+                       - (before >= MIN_PAIR_FREQUENCY))
+            if count >= MIN_PAIR_FREQUENCY:
+                heapq.heappush(heap, (-count, pair))
+        if len(heap) > 2 * n_live:
+            heap = _pair_heap(pair_counts)
 
     return BpeVocab(merges=merges, symbols=symbols)
 

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from llmdetect.ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
-from llmdetect.errors import FeatureError, ModelError
+from llmdetect.errors import FeatureError, ModelError, TokenizerError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
 from llmdetect.models import SgdConfig, SgdLinearModel
@@ -33,7 +33,9 @@ from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
 from llmdetect.seeds import stream_rng
 from llmdetect.sparse import SparseMatrix, SparseVector
-from llmdetect.tokenizer import TokenSequence
+from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, END_OF_WORD,
+                                 MIN_PAIR_FREQUENCY, UNKNOWN_SYMBOL,
+                                 BpeVocab, MergeRule, TokenSequence)
 
 
 # -- CSR containers built one row at a time ---------------------------------
@@ -111,6 +113,103 @@ def bpe_merges_oracle(texts: list[str], max_merges: int) -> list[tuple[str, str]
                     i += 1
             words[w] = out
     return merges
+
+
+# -- BPE training: a scan of every live pair for each merge --------------
+# The library's trainer before its heap, kept verbatim with its two
+# helpers.
+
+def _word_pairs(syms: list[str]) -> Counter:
+    return Counter(zip(syms, syms[1:]))
+
+
+def _apply_merge(syms: list[str], pair: tuple[str, str]) -> list[str]:
+    """Replace occurrences of pair left-to-right, non-overlapping."""
+    left, right = pair
+    out: list[str] = []
+    i = 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == left and syms[i + 1] == right:
+            out.append(left + right)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
+
+
+def train_bpe_oracle(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVocab:
+    """Learn merge rules until the symbol table reaches vocab_size or no
+    adjacent pair occurs at least twice."""
+    word_freq = Counter()
+    for text in texts:
+        word_freq.update(text.split())
+    if not word_freq:
+        raise TokenizerError("empty corpus: no whitespace-delimited words found")
+
+    chars = sorted({ch for word in word_freq for ch in word} | {END_OF_WORD})
+    symbols: dict[str, int] = {UNKNOWN_SYMBOL: 0}
+    for ch in chars:
+        symbols[ch] = len(symbols)
+    if vocab_size < len(symbols):
+        raise TokenizerError(
+            f"vocab_size {vocab_size} is below the {len(symbols)} initial "
+            f"symbols (characters + marker + unknown sentinel)")
+
+    # distinct word types with frequencies; merges never cross word boundaries
+    words = sorted(word_freq)
+    word_syms: list[list[str]] = [list(w) + [END_OF_WORD] for w in words]
+    freqs = [word_freq[w] for w in words]
+
+    pair_counts: Counter = Counter()
+    pair_words: dict[tuple[str, str], set[int]] = {}
+    for wid, syms in enumerate(word_syms):
+        for pair, n in _word_pairs(syms).items():
+            pair_counts[pair] += n * freqs[wid]
+            pair_words.setdefault(pair, set()).add(wid)
+
+    merges: list[MergeRule] = []
+    while len(symbols) < vocab_size:
+        best_pair = None
+        best_count = 0
+        for pair, count in pair_counts.items():
+            if count > best_count or (count == best_count and
+                                      best_pair is not None and pair < best_pair):
+                best_pair, best_count = pair, count
+        if best_pair is None or best_count < MIN_PAIR_FREQUENCY:
+            break
+
+        merged = best_pair[0] + best_pair[1]
+        if merged in (UNKNOWN_SYMBOL, END_OF_WORD):
+            raise TokenizerError(
+                f"corpus would form the reserved symbol {merged!r}")
+        merges.append(MergeRule(left=best_pair[0], right=best_pair[1],
+                                rank=len(merges)))
+        if merged not in symbols:
+            symbols[merged] = len(symbols)
+
+        for wid in sorted(pair_words[best_pair]):
+            old = word_syms[wid]
+            new = _apply_merge(old, best_pair)
+            word_syms[wid] = new
+            old_pairs = _word_pairs(old)
+            new_pairs = _word_pairs(new)
+            for pair in old_pairs.keys() | new_pairs.keys():
+                delta = new_pairs[pair] - old_pairs[pair]
+                if delta:
+                    pair_counts[pair] += delta * freqs[wid]
+                    if pair_counts[pair] == 0:
+                        del pair_counts[pair]
+                if new_pairs[pair]:
+                    pair_words.setdefault(pair, set()).add(wid)
+                elif old_pairs[pair]:
+                    members = pair_words.get(pair)
+                    if members is not None:
+                        members.discard(wid)
+                        if not members:
+                            del pair_words[pair]
+
+    return BpeVocab(merges=merges, symbols=symbols)
 
 
 # -- BPE encoding: one text at a time, word by word -------------------------

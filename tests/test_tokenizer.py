@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from llmdetect.corpus import synth_corpus
 from llmdetect.errors import TokenizerError
-from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenSequence, decode,
-                                 encode, encode_corpus, load_vocab,
-                                 save_vocab, train_bpe)
+from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, END_OF_WORD,
+                                 TokenSequence, decode, encode,
+                                 encode_corpus, load_vocab, save_vocab,
+                                 train_bpe)
 from conftest import traced_peak
-from oracles import bpe_merges_oracle, encode_oracle
+from oracles import bpe_merges_oracle, encode_oracle, train_bpe_oracle
 
 
 def random_corpus(seed, max_words=50, alphabet="abcdef"):
@@ -80,6 +81,95 @@ class TestTraining:
         large = train_bpe(texts, vocab_size=60)
         prefix = [(m.left, m.right) for m in small.merges]
         assert [(m.left, m.right) for m in large.merges[:len(prefix)]] == prefix
+
+
+# Alphabets for the heap trainer's oracle comparison: a one-letter run
+# ("aaaa": overlapping pairs), small alphabets (count ties), the
+# characters of the reserved symbols, CJK, and combining marks.
+_TRAINING_ALPHABETS = ["a", "ab", "abc", "q/</w>", "<unk>", "中文字",
+                       "e\u0301\u0327"]
+# Corpora the drawn ones may miss.  "/</w>" forms as ("/", "</w>") and as
+# ("/</w", ">"), so the second merge adds no symbol; in the first corpus
+# that second "/</w>" next to a "q" forms ("q", "/</w>") again, a
+# duplicate rule.
+_DUPLICATE_RULE = "q/ / q/ q/</w>q/ q/</w>/"
+_TWO_PATHS = "/</w>/ </w >/ /</w>"
+
+
+def _bpe_bytes(train, texts, vocab_size):
+    """A vocabulary's bytes, or the message training refused with."""
+    try:
+        return save_vocab(train(texts, vocab_size))
+    except TokenizerError as exc:
+        return str(exc)
+
+
+@st.composite
+def _training_inputs(draw):
+    alphabet = draw(st.sampled_from(_TRAINING_ALPHABETS))
+    words = draw(st.lists(st.text(alphabet, min_size=1, max_size=8),
+                          max_size=30))
+    cuts = sorted(draw(st.lists(st.integers(0, len(words)), max_size=2)))
+    bounds = [0, *cuts, len(words)]
+    texts = [" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:])]
+    texts += draw(st.lists(st.text(" \t\n\u3000", max_size=3), max_size=2))
+    initial = len(set("".join(words)) | {END_OF_WORD}) + 1  # + <unk>
+    vocab_size = draw(st.one_of(st.integers(initial - 2, initial + 2),
+                                st.integers(initial, initial + 60),
+                                st.just(10 ** 9)))
+    return texts, vocab_size
+
+
+class TestHeapTraining:
+    """train_bpe picks merges from a heap; the oracle scans every pair."""
+
+    @given(_training_inputs())
+    @settings(max_examples=300, deadline=None)
+    @example(([_DUPLICATE_RULE], 1000))
+    @example(([_TWO_PATHS], 1000))
+    @example((["<unk> <unk>"], 100))
+    @example((["</w></w> </w>"], 100))
+    @example((["aaaa aaaa aaa", "aaaaa"], 100))
+    @example((["中文 中文 文字", "e\u0301e\u0301 e\u0301"], 100))
+    @example((["  \t", "\u3000"], 50))
+    def test_matches_scan_oracle(self, inputs):
+        texts, vocab_size = inputs
+        assert (_bpe_bytes(train_bpe, texts, vocab_size)
+                == _bpe_bytes(train_bpe_oracle, texts, vocab_size))
+
+    def test_pair_formed_again_is_merged_again(self):
+        rules = [(m.left, m.right)
+                 for m in train_bpe([_DUPLICATE_RULE], 1000).merges]
+        assert rules.count(("q", "/</w>")) == 2
+
+    def test_symbol_formed_twice_is_numbered_once(self):
+        vocab = train_bpe([_TWO_PATHS], 1000)
+        merged = [m.merged for m in vocab.merges]
+        assert merged.count("/</w>") == 2
+        assert len(vocab.symbols) == len(set(_TWO_PATHS) - {" "}) + 2 + len(
+            set(merged))
+
+    def test_reserved_symbols_refused(self):
+        for text, symbol in [("<unk> <unk>", "<unk>"),
+                             ("</w></w> </w>", "</w>")]:
+            with pytest.raises(TokenizerError,
+                               match=f"reserved symbol '{symbol}'"):
+                train_bpe([text], 100)
+
+    def test_peak_memory(self):
+        # The heap keeps at most two entries per pair that can still be
+        # merged; the scan oracle keeps none.  On 2,531 distinct words the
+        # heap trainer peaks at about 1.2 times the oracle.
+        rng = random.Random(7)
+        letters = "etaoinshrdlucmfwypvbgkjqxz"
+        weights = [1 / (i + 1) for i in range(len(letters))]
+        pool = ["".join(rng.choices(letters, weights, k=rng.randint(3, 9)))
+                for _ in range(3000)]
+        texts = [" ".join(rng.choice(pool) for _ in range(20))
+                 for _ in range(300)]
+        peak = traced_peak(lambda: train_bpe(texts, 1000))
+        oracle_peak = traced_peak(lambda: train_bpe_oracle(texts, 1000))
+        assert peak <= 1.3 * oracle_peak, peak / oracle_peak
 
 
 class TestEncode:

@@ -124,6 +124,9 @@ class LeafwiseTree:
                 _check_index(self.left[node], node + 1, n, "left child")
                 _check_index(self.right[node], node + 1, n, "right child")
 
+    def split_columns(self) -> list[int]:
+        return [col for col in self.columns if col >= 0]
+
     def predict(self, X: SparseMatrix) -> np.ndarray:
         out = np.empty(X.n_rows)
         stack = [(0, np.arange(X.n_rows))]
@@ -171,6 +174,10 @@ class SymmetricTree:
                 _check_reals([thr], "threshold")
                 _check_index(col, 0, n_features, "column")
 
+    def split_columns(self) -> list[int]:
+        return [col for col, thr in zip(self.columns, self.thresholds)
+                if thr is not None]
+
     def predict(self, X: SparseMatrix) -> np.ndarray:
         rows = np.arange(X.n_rows)
         index = np.zeros(X.n_rows, dtype=np.int64)
@@ -194,6 +201,11 @@ class GbdtModel:
 
     def decision_scores(self, X: SparseMatrix) -> np.ndarray:
         check_feature_count(self.n_features, X)
+        # the trees read only their split columns: sort just those entries
+        used = np.zeros(X.n_cols, dtype=bool)
+        for tree in self.trees:
+            used[tree.split_columns()] = True
+        X = X.select_columns(used)
         scores = np.full(X.n_rows, self.base_score)
         for tree in self.trees:
             scores += tree.predict(X)

@@ -2,7 +2,8 @@
 
 Only what the pipeline needs: row access, matrix-vector products against
 dense weight vectors, and a CSC view for column-oriented work (one
-column's values at a tree node's rows).  Column indices within a row are
+column's values at a tree node's rows), of the whole matrix or of the
+few columns a trained model reads.  Column indices within a row are
 strictly increasing and explicit zeros are never stored.
 """
 
@@ -104,6 +105,15 @@ class SparseMatrix:
             np.cumsum(counts, out=col_indptr[1:])
             self._csc_cache = (col_indptr, row_ids[order], self.vals[order])
         return self._csc_cache
+
+    def select_columns(self, keep: np.ndarray) -> SparseMatrix:
+        """The same matrix with only the entries of columns where the
+        boolean ``keep`` is set: one pass over ``cols``, so a caller that
+        reads a few columns sorts only their entries in ``to_csc``."""
+        pos = np.flatnonzero(keep[self.cols])
+        return SparseMatrix(indptr=np.searchsorted(pos, self.indptr),
+                            cols=self.cols[pos], vals=self.vals[pos],
+                            n_rows=self.n_rows, n_cols=self.n_cols)
 
     def column_values(self, col: int, rows: np.ndarray) -> np.ndarray:
         """Values of one column at the given rows (0.0 where not stored)."""

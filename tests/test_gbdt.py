@@ -461,6 +461,27 @@ class TestTraining:
             assert len(tree.leaf_values) == 2 ** 4
 
     @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
+    def test_predict_sorts_only_split_columns(self, rng, variant):
+        # decision_scores reads a copy of the split columns' entries: the
+        # scores are each tree's routing on the whole matrix, bit for bit,
+        # and the caller's matrix builds no CSC copy of every column
+        X, _ = random_sparse(rng, 80, 40, density=0.3, max_distinct=10)
+        y = (rng.random(80) < 0.5).astype(int)
+        y[0], y[1] = 0, 1
+        model = train_gbdt(X, y, GbdtConfig(
+            variant=variant, n_trees=4, max_leaves=4, depth=2, n_bins=16,
+            min_data_in_leaf=2, learning_rate=0.3))
+        fresh = SparseMatrix(X.indptr, X.cols, X.vals, X.n_rows, X.n_cols)
+        scores = model.decision_scores(fresh)
+        assert fresh._csc_cache is None
+        expected = np.full(X.n_rows, model.base_score)
+        for tree in model.trees:
+            expected += tree.predict(X)
+        np.testing.assert_array_equal(scores, expected)
+        used = {c for tree in model.trees for c in tree.split_columns()}
+        assert 0 < len(used) < X.n_cols
+
+    @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
     def test_no_columns_gives_constant_trees(self, variant):
         # a TF-IDF model whose min_df drops every n-gram has no columns;
         # the symmetric grower once failed on an empty argmax

@@ -80,6 +80,18 @@ class TestSparseMatrix:
             np.testing.assert_array_equal(X.column_values(col, rows),
                                           dense[rows, col])
 
+    def test_select_columns(self, rng):
+        X, dense = random_sparse(rng, 30, 7)
+        keep = np.array([True, False, False, True, False, False, True])
+        part = X.select_columns(keep)
+        validate_csr(part)
+        np.testing.assert_array_equal(part.toarray(), dense * keep)
+        rows = np.arange(30)
+        for col in np.flatnonzero(keep):
+            np.testing.assert_array_equal(part.column_values(col, rows),
+                                          X.column_values(col, rows))
+        assert X.select_columns(np.zeros(7, dtype=bool)).nnz == 0
+
     def test_column_sums(self, rng):
         X, dense = random_sparse(rng, 9, 4)
         np.testing.assert_allclose(X.column_sums(), dense.sum(axis=0), atol=1e-12)

@@ -83,6 +83,21 @@ class TestTokenizeTrain:
         assert len(err) == 1 and err[0].startswith("llmdetect: error[tokenizer]: ")
         assert not (workdir / "v.json").exists()
 
+    def test_vocab_size_bounded_by_the_data(self, workdir, time_bound):
+        # Training stops once no pair repeats, so a size of 10^9 costs no
+        # more than the smallest size that holds every symbol it learns.
+        from llmdetect.tokenizer import load_vocab
+        with time_bound(10):
+            assert run(["tokenize-train", workdir / "corpus.jsonl",
+                        "--out", workdir / "huge.json",
+                        "--vocab-size", "1000000000"]) == 0
+        data = (workdir / "huge.json").read_bytes()
+        size = load_vocab(data).size
+        assert run(["tokenize-train", workdir / "corpus.jsonl",
+                    "--out", workdir / "exact.json",
+                    "--vocab-size", str(size)]) == 0
+        assert (workdir / "exact.json").read_bytes() == data
+
     def test_byte_identical_reruns(self, workdir):
         for _ in range(2):
             run(["tokenize-train", workdir / "corpus.jsonl",

@@ -157,9 +157,10 @@ class TestHeapTraining:
                 train_bpe([text], 100)
 
     def test_peak_memory(self):
-        # The heap keeps at most two entries per pair that can still be
-        # merged; the scan oracle keeps none.  On 2,531 distinct words the
-        # heap trainer peaks at about 1.2 times the oracle.
+        # The heap holds at most twice as many entries as there are pairs
+        # that can still be merged; the scan oracle holds none.  On 2,531
+        # distinct words the heap trainer peaks at about 1.23 times the
+        # oracle.
         rng = random.Random(7)
         letters = "etaoinshrdlucmfwypvbgkjqxz"
         weights = [1 / (i + 1) for i in range(len(letters))]

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import json
 import random
 import weakref
 
@@ -7,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from llmdetect import tokenizer
 from llmdetect.corpus import synth_corpus
 from llmdetect.errors import TokenizerError
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, END_OF_WORD,
-                                 TokenSequence, decode, encode,
-                                 encode_corpus, load_vocab, save_vocab,
-                                 train_bpe)
+                                 UNKNOWN_SYMBOL, TokenSequence, decode,
+                                 encode, encode_corpus, load_vocab,
+                                 save_vocab, train_bpe)
 from conftest import traced_peak
 from oracles import bpe_merges_oracle, encode_oracle, train_bpe_oracle
 
@@ -239,7 +242,7 @@ class TestFlatEncoding:
     def test_encode_corpus_matches_oracle(self, inputs):
         vocab, texts = inputs
         _assert_matches_oracle(encode_corpus(vocab, texts), vocab, texts)
-        # again, from the word cache the first call filled
+        # again, with the pair table the first call may have built
         _assert_matches_oracle(encode_corpus(vocab, texts), vocab, texts)
 
     @given(_encode_inputs())
@@ -249,9 +252,15 @@ class TestFlatEncoding:
         for text in texts + texts:  # the second pass reads the word cache
             assert encode(vocab, text) == encode_oracle(vocab, text)
 
-    def test_word_cache_holds_no_cycle(self):
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_word_cache_holds_no_cycle(self, batched):
         vocab = train_bpe(["ab ab ba"], vocab_size=10)
-        encode_corpus(vocab, ["ab ba", "ba"])
+        encode(vocab, "ab ba")
+        texts = ["ab ba", "ba"]
+        if batched:  # enough distinct words to build the pair table
+            texts.append(" ".join("ab" * (i + 1) for i in range(40)))
+        encode_corpus(vocab, texts)
+        assert (vocab._word_cache.pair_table is not None) == batched
         ref = weakref.ref(vocab)
         gc.disable()
         try:
@@ -260,6 +269,29 @@ class TestFlatEncoding:
         finally:
             gc.enable()
 
+    def test_encode_corpus_leaves_word_cache_empty(self):
+        rng = random.Random(11)
+        texts = [" ".join("".join(rng.choices("abcdefghij", k=6))
+                          for _ in range(10)) for _ in range(2000)]
+        vocab = train_bpe(texts[:200], vocab_size=300)
+        encode_corpus(vocab, texts)
+        assert len(vocab._word_cache) == 0
+        encode(vocab, texts[0])  # per-text encode still caches its words
+        assert len(vocab._word_cache) == len(set(texts[0].split())) == 10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_encode_corpus_matches_encode(self, seed):
+        # Both encoders stay in the library: the batched pass behind
+        # encode_corpus and the scalar loop behind encode's word cache.
+        corpus = synth_corpus(150, seed, 0.0004)
+        data = save_vocab(train_bpe(corpus.texts[:240], DEFAULT_VOCAB_SIZE))
+        flat = encode_corpus(load_vocab(data), corpus.texts)
+        vocab = load_vocab(data)
+        per_text = [encode(vocab, text) for text in corpus.texts]
+        assert vocab._word_cache.pair_table is None
+        assert flat.ids.tolist() == [i for seq in per_text for i in seq.ids]
+        assert flat.lengths.tolist() == list(map(len, per_text))
+
     def test_peak_memory(self):
         # One text's words at a time: at most 4 int64 arrays of the
         # corpus's token count, plus the table of its distinct words.
@@ -267,11 +299,105 @@ class TestFlatEncoding:
         # over 9.
         corpus = synth_corpus(600, seed=5, divergence=0.0004)
         vocab = train_bpe(corpus.texts[:300], vocab_size=DEFAULT_VOCAB_SIZE)
-        n_tokens = len(encode_corpus(vocab, corpus.texts).ids)  # warm cache
+        n_tokens = len(encode_corpus(vocab, corpus.texts).ids)  # pair table
         table = traced_peak(lambda: {w: i for i, w in enumerate(
             {w for text in corpus.texts for w in text.split()})})
         peak = traced_peak(lambda: encode_corpus(vocab, corpus.texts))
         assert peak <= 4 * 8 * n_tokens + table, (peak - table) / n_tokens
+
+
+def _vocab_bytes(rules, symbols, marker=END_OF_WORD):
+    """A vocabulary file that load_vocab accepts: the rules' merged
+    strings join the given symbols, after the unknown sentinel."""
+    table = [UNKNOWN_SYMBOL]
+    for string in [marker, *symbols, *(left + right for left, right in rules)]:
+        if string not in table:
+            table.append(string)
+    return json.dumps({"format_version": 1, "end_of_word_marker": marker,
+                       "merges": [list(rule) for rule in rules],
+                       "symbols": table}).encode("utf-8")
+
+
+@st.composite
+def _hostile_inputs(draw):
+    """A vocabulary load_vocab accepts but train_bpe would never write:
+    rules in any rank order, repeated, sharing a merged string, with
+    strings (even empty ones) outside the symbol table, and with the
+    unknown sentinel's string; "d" and "é" are in no rule, and "d" is
+    sometimes a symbol."""
+    marker = draw(st.sampled_from([END_OF_WORD, "_", "a"]))
+    part = st.one_of(st.text("abc", max_size=3),
+                     st.text("abc", max_size=2).map(lambda s: s + marker),
+                     st.just(UNKNOWN_SYMBOL))
+    rules = draw(st.lists(st.tuples(part, part), max_size=30))
+    if rules:
+        rules += draw(st.lists(st.sampled_from(rules), max_size=4))
+        rules = draw(st.permutations(rules))
+    symbols = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "ab",
+                                             "ca", marker]), unique=True))
+    vocab = load_vocab(_vocab_bytes(rules, draw(st.permutations(symbols)),
+                                    marker))
+    words = draw(st.lists(st.text("abcdé", min_size=1, max_size=7),
+                          max_size=tokenizer._BATCH_MIN_WORDS + 8))
+    cut = draw(st.integers(0, len(words)))
+    texts = [" ".join(words[:cut]), "\n".join(words[cut:])]
+    return vocab, texts + draw(st.lists(st.sampled_from(["", " ", "d é"]),
+                                        max_size=2))
+
+
+def _distinct_words(n, alphabet="abc"):
+    words = ["".join(chars) for size in range(1, 6)
+             for chars in itertools.product(alphabet, repeat=size)]
+    return words[:n]
+
+
+class TestHostileVocabularies:
+    """encode_corpus gives encode_oracle's ids on every vocabulary
+    load_vocab accepts, by either encoder."""
+
+    @given(_hostile_inputs())
+    @settings(max_examples=300, deadline=None)
+    # a rule string ("b") missing from the symbols
+    @example((load_vocab(_vocab_bytes([("a", "b")], ["a"])),
+              ["ab b ba", "abab"]))
+    # a repeated rule: (a, b) ranks after (b, c), so "abc" -> a bc
+    @example((load_vocab(_vocab_bytes([("a", "b"), ("b", "c"), ("a", "b")],
+                                      ["a", "b", "c"])), ["abc cab"]))
+    # two rules whose merged strings are both "abc"
+    @example((load_vocab(_vocab_bytes(
+        [("a", "b"), ("b", "c"), ("ab", "c"), ("a", "bc"), ("abc", "a")],
+        ["a", "b", "c"])), ["abca bcabca"]))
+    # a later merge forms an earlier-ranked pair: ab, then (ab, c)
+    @example((load_vocab(_vocab_bytes([("ab", "c"), ("a", "b")],
+                                      ["a", "b", "c"])), ["abc abcabc"]))
+    # a rule on the sentinel's string, beside characters in no rule
+    @example((load_vocab(_vocab_bytes([(UNKNOWN_SYMBOL, "a"), ("a", "d")],
+                                      ["a"])), ["da éa ad"]))
+    # self-pair runs, and words of unknown characters only
+    @example((load_vocab(_vocab_bytes([("a", "a"), ("aa", "a")], ["a"])),
+              ["a aa aaa aaaa aaaaa", "d éé déd", "", " "]))
+    def test_matches_oracle(self, inputs):
+        vocab, texts = inputs
+        # as drawn, then with enough distinct words for the batched pass
+        filler = " ".join(_distinct_words(tokenizer._BATCH_MIN_WORDS))
+        for corpus in (texts, [*texts, filler]):
+            _assert_matches_oracle(encode_corpus(vocab, corpus), vocab,
+                                   corpus)
+
+    @pytest.mark.parametrize("extra", [-1, 0])
+    def test_either_side_of_the_crossover(self, extra, monkeypatch):
+        vocab = load_vocab(_vocab_bytes(
+            [("b", "c"), ("a", "a"), ("a", "b"), ("c", "a"), ("aa", "a"),
+             ("b", "c"), ("ab", "c</w>"), ("c", "</w>")], ["a", "b"]))
+        words = _distinct_words(tokenizer._BATCH_MIN_WORDS + extra - 1)
+        words.append("dé")  # unknown characters only
+        texts = [" ".join(words[:10]), "", "\t".join(words[10:] + words)]
+        batches = []
+        batch = tokenizer._encode_batch
+        monkeypatch.setattr(tokenizer, "_encode_batch",
+                            lambda *args: batches.append(1) or batch(*args))
+        _assert_matches_oracle(encode_corpus(vocab, texts), vocab, texts)
+        assert len(batches) == (extra >= 0)
 
 
 class TestDecode:

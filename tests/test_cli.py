@@ -592,6 +592,29 @@ class TestBadInputs:
         assert key in single_error(capsys, code)
         assert not (workdir / "m.json").exists()
 
+    def test_max_leaves_bounded_by_the_data(self, workdir, time_bound):
+        # Leaf-wise growth stops once no leaf can be split, so a bound of
+        # 10^9 grows the trees of the largest leaf count it reaches.  The
+        # hard corpus keeps leaves splittable past CONFIG's 4.
+        _, vocab = trained_bundle(workdir)
+        corpus = workdir / "hard.jsonl"
+        save_corpus(synth_corpus(30, seed=5, divergence=0.0004), corpus,
+                    "jsonl")
+
+        def trees(max_leaves):
+            ini, out = workdir / "leaves.ini", workdir / "gbdt.json"
+            ini.write_text(CONFIG.replace("max_leaves = 4",
+                                          f"max_leaves = {max_leaves}"))
+            assert run(["train", corpus, "--kind", "gbdt", "--out", out,
+                        "--config", ini, "--vocab", vocab]) == 0
+            return load_model(out.read_bytes()).model.trees
+
+        with time_bound(10):
+            grown = trees(10 ** 9)
+        leaves = max(tree.columns.count(-1) for tree in grown)
+        assert leaves > 4
+        assert trees(leaves) == grown
+
     @pytest.mark.parametrize("command", ["synth", "tokenize-train"])
     @pytest.mark.parametrize("section, key, code", [
         ("features", "ngram_max", "features"), ("gbdt", "n_bins", "model"),

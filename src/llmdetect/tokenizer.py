@@ -39,8 +39,9 @@ DEFAULT_VOCAB_SIZE = 5000
 MIN_PAIR_FREQUENCY = 2
 
 # From this many words on, the batched numpy pass beats the scalar merge
-# loop: it costs a fixed 0.1-0.15 ms a call, and about 1.3 us a word
-# against 5-6 us (words of ``synth_corpus``, pair table built).
+# loop: a call costs a fixed 0.1-0.25 ms, then about a quarter of the
+# loop's time a word (words of ``synth_corpus``, pair table built; the
+# two cross at 30-40 words).
 _BATCH_MIN_WORDS = 32
 _NO_RANK = np.iinfo(np.int64).max
 
@@ -308,8 +309,9 @@ def _pair_table(cache: _WordCache) -> _PairTable:
               for left, right in by_rank]
     for string in set(chain.from_iterable(by_rank)).difference(ids):
         ids[string] = len(ids)
+    marker = ids.setdefault(cache.marker, len(ids))
     chars = {ord(s): i for s, i in ids.items() if len(s) == 1}
-    chars[ord("\t")] = ids.setdefault(cache.marker, len(ids))
+    chars[ord("\t")] = marker
     unknown = len(ids)
     chars[ord("\n")] = unknown + 1
     chars[0x110000] = unknown
@@ -343,10 +345,10 @@ def _encode_batch(cache: _WordCache,
     """``_encode_word`` of each of one or more words, in numpy rounds.
     The words, none holding whitespace, sit in one symbol array, each
     after a gap and before the marker; a gap pairs with nothing.  A round
-    takes each word's lowest-rank pair and merges its occurrences left to right
-    without overlap (in a run of adjacent hits of a self-pair such as
-    (a, a), every other one), then looks up again only the pairs beside
-    a merge.  Words with no ranked pair left are taken out of the arrays
+    takes each word's lowest-rank pair and merges its occurrences left to
+    right without overlap (in a run of adjacent hits of a self-pair such
+    as (a, a), every other one), then looks up again only the pairs
+    beside a merge.  Words with no ranked pair left are taken out of the arrays
     once they hold half of them, so a long word does not keep the rest
     in every round."""
     if cache.pair_table is None:

@@ -13,8 +13,8 @@ Encoding merges each whitespace-delimited word on its own.  ``encode``
 gives one text's ids through the vocabulary's word cache, which encodes
 each word at its first lookup; ``encode_corpus`` gives a whole corpus's
 in one int64 array (``TokenCorpus``), gathered with numpy from the ids of
-its distinct words, all encoded in one call.  Few words go through the
-scalar merge loop, many through a batched numpy pass over all of them.
+its distinct words, all encoded in one batched numpy pass.  Both give
+the ids of the same scalar merge loop.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ FORMAT_VERSION = 1
 DEFAULT_VOCAB_SIZE = 5000
 MIN_PAIR_FREQUENCY = 2
 
-# From this many words on, the batched numpy pass beats the scalar merge
-# loop: a call costs a fixed 0.1-0.25 ms, then about a quarter of the
-# loop's time a word (words of ``synth_corpus``, pair table built; the
-# two cross at 30-40 words).
-_BATCH_MIN_WORDS = 32
 _NO_RANK = np.iinfo(np.int64).max
 
 
@@ -100,8 +95,6 @@ class _WordCache(dict):
         self.pair_table: _PairTable | None = None
 
     def __missing__(self, word: str) -> tuple[int, ...]:
-        # one word: the scalar loop, without _encode_words' dispatch,
-        # which costs per-text encode about 5%
         ids = self[word] = _encode_word(self.ranks, self.symbols,
                                         self.marker, word)
         return ids
@@ -340,17 +333,20 @@ def _pair_orders(table: _PairTable, left: np.ndarray,
     return np.where(table.keys[at] == keys, table.orders[at], _NO_RANK)
 
 
-def _encode_batch(cache: _WordCache,
-                  words: list[str]) -> list[tuple[int, ...]]:
-    """``_encode_word`` of each of one or more words, in numpy rounds.
+def _encode_batch(cache: _WordCache, words: list[str]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_encode_word`` of each word, in numpy rounds: the ids of every
+    word in one int64 array, then each word's start and length in it.
     The words, none holding whitespace, sit in one symbol array, each
     after a gap and before the marker; a gap pairs with nothing.  A round
     takes each word's lowest-rank pair and merges its occurrences left to
     right without overlap (in a run of adjacent hits of a self-pair such
     as (a, a), every other one), then looks up again only the pairs
-    beside a merge.  Words with no ranked pair left are taken out of the arrays
-    once they hold half of them, so a long word does not keep the rest
-    in every round."""
+    beside a merge.  Words with no ranked pair left are taken out of the
+    arrays once they hold half of them, so a long word does not keep the
+    rest in every round."""
+    if not words:
+        return (np.zeros(0, dtype=np.int64),) * 3
     if cache.pair_table is None:
         cache.pair_table = _pair_table(cache)
     table = cache.pair_table
@@ -401,22 +397,12 @@ def _encode_batch(cache: _WordCache,
     ids = np.concatenate(out_syms)
     ids = ids[ids != gap]
     ids[ids >= len(cache.symbols)] = BpeVocab.unknown_id
-    ids = ids.tolist()
-    ends = (np.concatenate(out_len) - 1).cumsum().tolist()
-    pieces = [tuple(ids[a:b]) for a, b in zip([0, *ends], ends)]
-    by_word = np.concatenate(out_words).argsort().tolist()
-    return list(map(pieces.__getitem__, by_word))
-
-
-def _encode_words(cache: _WordCache,
-                  words: list[str]) -> list[tuple[int, ...]]:
-    """Each word's ids, by what ``cache`` holds of a vocabulary (its
-    entries are neither read nor filled): by the scalar loop below
-    _BATCH_MIN_WORDS words, by the batched pass from there on."""
-    if len(words) >= _BATCH_MIN_WORDS:
-        return _encode_batch(cache, words)
-    return [_encode_word(cache.ranks, cache.symbols, cache.marker, word)
-            for word in words]
+    counts = np.concatenate(out_len) - 1  # less the gap
+    word = np.concatenate(out_words)
+    start, length = np.empty_like(word), np.empty_like(word)
+    start[word] = counts.cumsum() - counts
+    length[word] = counts
+    return ids, start, length
 
 
 def encode(vocab: BpeVocab, text: str) -> TokenSequence:
@@ -442,22 +428,18 @@ def map_words(texts, lookup) -> TokenCorpus:
 def encode_corpus(vocab: BpeVocab, texts: list[str]) -> TokenCorpus:
     """Every text's ``encode`` ids, flat: the corpus's words are numbered
     in first-seen order, the distinct words are encoded in one
-    ``_encode_words`` call (the word cache's entries are neither read
+    ``_encode_batch`` call (the word cache's entries are neither read
     nor filled), and the id spans are gathered by word number."""
     numbering = _Numbering()
     words = map_words(texts, numbering.__getitem__)
-    pieces = _encode_words(vocab._word_cache, list(numbering))
+    piece_ids, piece_start, piece_len = _encode_batch(vocab._word_cache,
+                                                      list(numbering))
     del numbering
-    piece_len = np.fromiter(map(len, pieces), dtype=np.int64,
-                            count=len(pieces))
-    piece_ids = np.fromiter(chain.from_iterable(pieces), dtype=np.int64,
-                            count=int(piece_len.sum()))
-    del pieces
     # Position j of word w's span reads piece_ids at j + shift[w]: w's
     # piece start less the span's own start.  Each array is released at
     # its last use, so at most three word-length arrays are held at once.
     span_len = piece_len[words.ids]
-    shift = (np.cumsum(piece_len) - piece_len)[words.ids]
+    shift = piece_start[words.ids]
     word_ends = np.cumsum(words.lengths)
     del words
     ends = np.zeros(len(span_len) + 1, dtype=np.int64)  # ends[0] = 0

@@ -13,8 +13,8 @@ Encoding merges each whitespace-delimited word on its own.  ``encode``
 gives one text's ids through the vocabulary's word cache, which encodes
 each word at its first lookup; ``encode_corpus`` gives a whole corpus's
 in one int64 array (``TokenCorpus``), gathered with numpy from the ids of
-its distinct words, all encoded in one batched numpy pass.  Both give
-the ids of the same scalar merge loop.
+its distinct words, all encoded in one batched numpy pass that gives
+the scalar merge loop's ids.
 """
 
 from __future__ import annotations

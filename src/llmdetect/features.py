@@ -7,7 +7,8 @@ by 1 and defined for unseen terms.  tf is the raw in-document count, or
 in lexicographic token-id order, so fits are deterministic.
 
 Fit and transform work on flat arrays of token ids: a ``TokenCorpus`` as
-the tokenizer gives it, or a list of sequences flattened once.  One walk
+the tokenizer gives it, or a list of sequences flattened once (its
+sequences still pending on a vocabulary are first encoded in one batch).  One walk
 (``_levels``) numbers the n-grams of a corpus, or of the vocabulary's
 n-gram list, one length at a time by sorted integer keys, up to the
 longest one present.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import FeatureError
 from .sparse import SparseMatrix
-from .tokenizer import TokenCorpus, TokenSequence, map_words
+from .tokenizer import TokenCorpus, TokenSequence, encode_pending, map_words
 
 Ngram = tuple[int, ...]
 
@@ -161,10 +162,15 @@ def _flat_ids(sequences: list[Ngram]) -> tuple[np.ndarray, np.ndarray]:
 
 def _token_corpus(corpus_tokens: TokenCorpus | list[TokenSequence]
                   ) -> TokenCorpus:
-    """A corpus given as a list of token sequences, flattened once."""
+    """A corpus given as a list of token sequences, flattened once after
+    its pending sequences are encoded; a list wholly pending on one
+    vocabulary is that encoding's corpus as it is."""
     if isinstance(corpus_tokens, TokenCorpus):
         return corpus_tokens
-    return TokenCorpus(*_flat_ids([seq.ids for seq in corpus_tokens]))
+    corpus = encode_pending(corpus_tokens)
+    if corpus is None:
+        corpus = TokenCorpus(*_flat_ids([seq.ids for seq in corpus_tokens]))
+    return corpus
 
 
 def _find(sorted_keys: np.ndarray,

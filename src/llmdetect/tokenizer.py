@@ -9,12 +9,14 @@ training stops early once no pair occurs at least twice.
 Token id layout: id 0 is the reserved unknown sentinel, ids then cover the
 initial symbols in sorted order followed by merged symbols in merge order.
 
-Encoding merges each whitespace-delimited word on its own.  ``encode``
-gives one text's ids through the vocabulary's word cache, which encodes
-each word at its first lookup; ``encode_corpus`` gives a whole corpus's
-in one int64 array (``TokenCorpus``), gathered with numpy from the ids of
-its distinct words, all encoded in one batched numpy pass that gives
-the scalar merge loop's ids.
+Encoding merges each whitespace-delimited word on its own, by one
+encoder: ``encode_corpus`` gives a whole corpus's ids in one int64 array
+(``TokenCorpus``), gathered with numpy from the ids of its distinct
+words, all encoded in one batched numpy pass.  ``encode`` defers: it
+gives a ``TokenSequence`` pending on its text and vocabulary, and
+``encode_pending`` encodes a list's pending sequences in one
+``encode_corpus`` call per vocabulary (a sequence read on its own is a
+one-text corpus).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import heapq
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -62,14 +64,10 @@ class BpeVocab:
     symbols: dict[str, int]
     end_of_word_marker: str = END_OF_WORD
     unknown_id = 0  # the id of UNKNOWN_SYMBOL in every vocabulary
-    _rank: dict[tuple[str, str], int] = field(default=None, repr=False, compare=False)
-    _word_cache: _WordCache = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._rank is None:
-            self._rank = {(m.left, m.right): m.rank for m in self.merges}
-        self._word_cache = _WordCache(self._rank, self.symbols,
-                                      self.end_of_word_marker)
+    # Built by the first encode, not at load: load_vocab runs in every
+    # command.  It holds arrays only, so no cycle runs through it.
+    _pair_table: _PairTable | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -82,24 +80,6 @@ class BpeVocab:
         return out
 
 
-class _WordCache(dict):
-    """Word -> its ids, each word encoded on its first lookup.  It also
-    holds what encoding reads of the vocabulary: the rank table, symbols
-    and marker and, once a batched encode has built it, the pair table
-    (not at load: load_vocab runs in every command).  It holds those
-    rather than the vocabulary, so the two form no reference cycle."""
-
-    def __init__(self, ranks, symbols, marker):
-        super().__init__()
-        self.ranks, self.symbols, self.marker = ranks, symbols, marker
-        self.pair_table: _PairTable | None = None
-
-    def __missing__(self, word: str) -> tuple[int, ...]:
-        ids = self[word] = _encode_word(self.ranks, self.symbols,
-                                        self.marker, word)
-        return ids
-
-
 class _Numbering(dict):
     """Key -> its number, keys numbered in first-seen order."""
 
@@ -108,14 +88,38 @@ class _Numbering(dict):
         return number
 
 
-@dataclass(frozen=True)
 class TokenSequence:
-    """Token ids produced by encoding one text."""
+    """Token ids produced by encoding one text.
 
-    ids: tuple[int, ...]
+    ``TokenSequence(ids)`` holds its ids.  ``encode`` gives one pending on
+    its text and vocabulary, whose ids are worked out at their first read
+    (``encode_pending``), after which it holds only them."""
+
+    __slots__ = ("_ids", "_pending")
+
+    def __init__(self, ids: tuple[int, ...]):
+        self._ids = ids
+        self._pending: tuple[str, BpeVocab] | None = None
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        if self._pending is not None:
+            encode_pending([self])
+        return self._ids
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ids == other.ids
+
+    def __hash__(self) -> int:
+        return hash((self.ids,))
+
+    def __repr__(self) -> str:
+        return f"TokenSequence(ids={self.ids!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,24 +262,6 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
     return BpeVocab(merges=merges, symbols=symbols)
 
 
-def _encode_word(ranks: dict[tuple[str, str], int], symbols: dict[str, int],
-                 marker: str, word: str) -> tuple[int, ...]:
-    """One word's ids: merge rules apply greedily in ascending rank order;
-    symbols missing from the table map to the unknown id."""
-    syms = list(word) + [marker]
-    while len(syms) > 1:
-        best_rank = None
-        best_pair = None
-        for pair in zip(syms, syms[1:]):
-            rank = ranks.get(pair)
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank, best_pair = rank, pair
-        if best_pair is None:
-            break
-        syms = _apply_merge(syms, best_pair)
-    return tuple(symbols.get(s, BpeVocab.unknown_id) for s in syms)
-
-
 class _PairTable(NamedTuple):
     """A vocabulary's merge rules as arrays, for ``_encode_batch``.
 
@@ -295,14 +281,15 @@ class _PairTable(NamedTuple):
     char_ids: np.ndarray    # and of "\t" (the marker) and "\n" (the gap)
 
 
-def _pair_table(cache: _WordCache) -> _PairTable:
-    ids = dict(cache.symbols)
-    by_rank = sorted(cache.ranks, key=cache.ranks.__getitem__)
+def _pair_table(vocab: BpeVocab) -> _PairTable:
+    ids = dict(vocab.symbols)
+    ranks = {(m.left, m.right): m.rank for m in vocab.merges}
+    by_rank = sorted(ranks, key=ranks.__getitem__)
     merged = [ids.setdefault(left + right, len(ids))
               for left, right in by_rank]
     for string in set(chain.from_iterable(by_rank)).difference(ids):
         ids[string] = len(ids)
-    marker = ids.setdefault(cache.marker, len(ids))
+    marker = ids.setdefault(vocab.end_of_word_marker, len(ids))
     chars = {ord(s): i for s, i in ids.items() if len(s) == 1}
     chars[ord("\t")] = marker
     unknown = len(ids)
@@ -333,10 +320,13 @@ def _pair_orders(table: _PairTable, left: np.ndarray,
     return np.where(table.keys[at] == keys, table.orders[at], _NO_RANK)
 
 
-def _encode_batch(cache: _WordCache, words: list[str]
+def _encode_batch(vocab: BpeVocab, words: list[str]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_encode_word`` of each word, in numpy rounds: the ids of every
-    word in one int64 array, then each word's start and length in it.
+    """Each word's ids, merge rules applied greedily in ascending rank
+    order and symbols missing from the table mapped to the unknown id
+    (``tests/oracles.py::encode_oracle`` is that loop, word by word), in
+    numpy rounds: the ids of every word in one int64 array, then each
+    word's start and length in it.
     The words, none holding whitespace, sit in one symbol array, each
     after a gap and before the marker; a gap pairs with nothing.  A round
     takes each word's lowest-rank pair and merges its occurrences left to
@@ -347,9 +337,9 @@ def _encode_batch(cache: _WordCache, words: list[str]
     rest in every round."""
     if not words:
         return (np.zeros(0, dtype=np.int64),) * 3
-    if cache.pair_table is None:
-        cache.pair_table = _pair_table(cache)
-    table = cache.pair_table
+    if vocab._pair_table is None:
+        vocab._pair_table = _pair_table(vocab)
+    table = vocab._pair_table
     gap = table.n_ids - 1
     text = "\n" + "\t\n".join(words) + "\t\n"
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
@@ -396,7 +386,7 @@ def _encode_batch(cache: _WordCache, words: list[str]
 
     ids = np.concatenate(out_syms)
     ids = ids[ids != gap]
-    ids[ids >= len(cache.symbols)] = BpeVocab.unknown_id
+    ids[ids >= len(vocab.symbols)] = BpeVocab.unknown_id
     counts = np.concatenate(out_len) - 1  # less the gap
     word = np.concatenate(out_words)
     start, length = np.empty_like(word), np.empty_like(word)
@@ -407,11 +397,35 @@ def _encode_batch(cache: _WordCache, words: list[str]
 
 def encode(vocab: BpeVocab, text: str) -> TokenSequence:
     """Segment text into subword token ids, word by whitespace-delimited
-    word, through the vocabulary's word cache."""
-    # Through a list: a tuple grown from an iterator is resized step by
-    # step, and the heap keeps about 40 bytes of slack a text.
-    return TokenSequence(tuple(list(chain.from_iterable(
-        map(vocab._word_cache.__getitem__, text.split())))))
+    word: a sequence pending on the text and vocabulary, whose ids are
+    ``encode_corpus``'s for the text, worked out at their first read."""
+    seq = TokenSequence(())
+    seq._pending = (text, vocab)
+    return seq
+
+
+def encode_pending(sequences: list[TokenSequence]) -> TokenCorpus | None:
+    """Work out the ids of the list's pending sequences, those pending on
+    one vocabulary in one ``encode_corpus`` call, and fill them in; each
+    then holds its ids only.  When every sequence was pending on one
+    vocabulary, return that call's corpus, the list's ids; else None."""
+    groups: dict[int, list[TokenSequence]] = {}
+    for seq in sequences:
+        if seq._pending is not None:
+            groups.setdefault(id(seq._pending[1]), []).append(seq)
+    corpus = None
+    for group in groups.values():
+        vocab = group[0]._pending[1]
+        corpus = encode_corpus(vocab, [seq._pending[0] for seq in group])
+        # Through an array of the vocabulary's ids as Python ints, so the
+        # tuples share one int object per id rather than one per token.
+        flat = np.arange(len(vocab.symbols), dtype=object)[corpus.ids].tolist()
+        ends = corpus.lengths.cumsum().tolist()
+        for seq, start, end in zip(group, [0, *ends], ends):
+            seq._ids, seq._pending = tuple(flat[start:end]), None
+    if len(groups) == 1 and len(group) == len(sequences):
+        return corpus
+    return None
 
 
 def map_words(texts, lookup) -> TokenCorpus:
@@ -426,14 +440,13 @@ def map_words(texts, lookup) -> TokenCorpus:
 
 
 def encode_corpus(vocab: BpeVocab, texts: list[str]) -> TokenCorpus:
-    """Every text's ``encode`` ids, flat: the corpus's words are numbered
-    in first-seen order, the distinct words are encoded in one
-    ``_encode_batch`` call (the word cache's entries are neither read
-    nor filled), and the id spans are gathered by word number."""
+    """Every text's token ids, flat: the corpus's words are numbered in
+    first-seen order, the distinct words are encoded in one
+    ``_encode_batch`` call, and the id spans are gathered by word
+    number."""
     numbering = _Numbering()
     words = map_words(texts, numbering.__getitem__)
-    piece_ids, piece_start, piece_len = _encode_batch(vocab._word_cache,
-                                                      list(numbering))
+    piece_ids, piece_start, piece_len = _encode_batch(vocab, list(numbering))
     del numbering
     # Position j of word w's span reads piece_ids at j + shift[w]: w's
     # piece start less the span's own start.  Each array is released at
@@ -495,7 +508,7 @@ def load_vocab(data: bytes) -> BpeVocab:
         raise TokenizerError("field end_of_word_marker: must be a non-empty string")
     raw_symbols = payload.get("symbols")
     if (not isinstance(raw_symbols, list) or
-            not all(isinstance(s, str) for s in raw_symbols)):
+            not all(map(isinstance, raw_symbols, repeat(str)))):
         raise TokenizerError("field symbols: must be an array of strings")
     if len(set(raw_symbols)) != len(raw_symbols):
         raise TokenizerError("field symbols: duplicate symbol strings")
@@ -511,14 +524,13 @@ def load_vocab(data: bytes) -> BpeVocab:
         raise TokenizerError("field merges: must be an array")
     merges: list[MergeRule] = []
     for rank, entry in enumerate(raw_merges):
-        if (not isinstance(entry, list) or len(entry) != 2 or
-                not all(isinstance(p, str) for p in entry)):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
             raise TokenizerError(f"field merges[{rank}]: must be a [left, right] "
                                  f"pair of strings")
-        rule = MergeRule(left=entry[0], right=entry[1], rank=rank)
-        if rule.merged not in symbols:
+        left, right = entry
+        if left + right not in symbols:
             raise TokenizerError(f"field merges[{rank}]: merged symbol "
-                                 f"{rule.merged!r} missing from symbols")
-        merges.append(rule)
-
+                                 f"{left + right!r} missing from symbols")
+        merges.append(MergeRule(left, right, rank))
     return BpeVocab(merges=merges, symbols=symbols, end_of_word_marker=marker)

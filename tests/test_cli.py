@@ -592,6 +592,23 @@ class TestBadInputs:
         assert key in single_error(capsys, code)
         assert not (workdir / "m.json").exists()
 
+    @pytest.mark.parametrize("kind, section, key", [
+        ("gbdt", "gbdt", "n_trees"), ("sgd_linear", "sgd", "epochs")])
+    def test_rounds_over_bound(self, workdir, capsys, time_bound, kind,
+                               section, key):
+        # each once ran on, silent, until killed: every tree or epoch runs
+        # however little it changes the model
+        _, vocab = trained_bundle(workdir)
+        (workdir / "big.ini").write_text(f"[{section}]\n{key} = 1000000000\n")
+        capsys.readouterr()
+        with time_bound(10):
+            assert run(["train", workdir / "corpus.jsonl", "--kind", kind,
+                        "--out", workdir / "m.json",
+                        "--config", workdir / "big.ini",
+                        "--vocab", vocab]) == 1
+        assert key in single_error(capsys, "model")
+        assert not (workdir / "m.json").exists()
+
     def test_max_leaves_bounded_by_the_data(self, workdir, time_bound):
         # Leaf-wise growth stops once no leaf can be split, so a bound of
         # 10^9 grows the trees of the largest leaf count it reaches.  The

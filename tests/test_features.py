@@ -16,8 +16,8 @@ from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenCorpus,
                                  TokenSequence, encode, train_bpe)
 from conftest import traced_peak
-from oracles import (fit_tfidf_oracle, tfidf_oracle, token_sequences,
-                     transform_corpus_oracle, vector_pairs)
+from oracles import (encode_oracle, fit_tfidf_oracle, tfidf_oracle,
+                     token_sequences, transform_corpus_oracle, vector_pairs)
 
 
 def seqs(*id_lists):
@@ -360,6 +360,66 @@ class TestFlatCorpusInput:
     def test_empty_corpus_rejected(self):
         with pytest.raises(FeatureError, match="empty corpus"):
             fit_tfidf(_flat([]))
+
+
+# Two vocabularies for lists that mix the sequences of both.
+_VOCABS = [train_bpe(["abcd ab ab cd abc"], 12), train_bpe(["dcba dc dc ba"], 9)]
+
+
+@st.composite
+def _mixed_entries(draw):
+    """Texts, each with one of _VOCABS and how its sequence enters a list:
+    pending on the vocabulary, already read, or constructed from ids."""
+    return draw(st.lists(st.tuples(
+        st.sampled_from(["pending", "read", "constructed"]),
+        st.sampled_from([0, 1]), st.text("abcde \n", max_size=30)),
+        min_size=1, max_size=10))
+
+
+def _mixed(entries):
+    out = []
+    for kind, which, text in entries:
+        if kind == "constructed":
+            seq = TokenSequence(ids=encode_oracle(_VOCABS[which], text).ids)
+        else:
+            seq = encode(_VOCABS[which], text)
+            if kind == "read":
+                len(seq)
+        out.append(seq)
+    return out
+
+
+def _constructed(entries):
+    return [TokenSequence(ids=encode_oracle(_VOCABS[which], text).ids)
+            for _, which, text in entries]
+
+
+class TestPendingSequenceInput:
+    """A list holding pending sequences gives the fit and the matrix bytes
+    of the same ids in constructed sequences."""
+
+    @given(_mixed_entries(), _mixed_entries(),
+           st.sampled_from([TfidfConfig(1, 2, min_df=1), TfidfConfig()]))
+    @settings(max_examples=200, deadline=None)
+    @example([("pending", 0, "ab abcd")] * 2, [("pending", 1, "dc ba")],
+             TfidfConfig(1, 2, min_df=1))
+    def test_same_fit_and_matrix(self, fit_entries, entries, config):
+        try:
+            want = fit_tfidf(_constructed(fit_entries), config)
+        except FeatureError as exc:
+            with pytest.raises(FeatureError) as got_exc:
+                fit_tfidf(_mixed(fit_entries), config)
+            assert str(got_exc.value) == str(exc)
+            return
+        got = fit_tfidf(_mixed(fit_entries), config)
+        assert got.vocabulary.ngrams == want.vocabulary.ngrams
+        for a, b in ((got.vocabulary.df, want.vocabulary.df),
+                     (got.idf, want.idf)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        X_want = transform_corpus(want, _constructed(entries))
+        X_got = transform_corpus(got, _mixed(entries))
+        assert (X_got.n_rows, X_got.n_cols) == (X_want.n_rows, X_want.n_cols)
+        assert _csr_bytes(X_got) == _csr_bytes(X_want)
 
 
 class TestWordVocab:

@@ -1,7 +1,10 @@
 import gc
 import json
 import random
+import string
+import tracemalloc
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,10 +13,12 @@ from hypothesis import strategies as st
 
 from llmdetect.corpus import synth_corpus
 from llmdetect.errors import TokenizerError
+from llmdetect.features import TfidfConfig, fit_tfidf
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, END_OF_WORD,
-                                 UNKNOWN_SYMBOL, TokenSequence, decode,
-                                 encode, encode_corpus, load_vocab,
-                                 save_vocab, train_bpe)
+                                 UNKNOWN_SYMBOL, TokenCorpus, TokenSequence,
+                                 decode, encode, encode_corpus,
+                                 encode_pending, load_vocab, save_vocab,
+                                 train_bpe)
 from conftest import traced_peak
 from oracles import bpe_merges_oracle, encode_oracle, train_bpe_oracle
 
@@ -247,16 +252,18 @@ class TestFlatEncoding:
     @settings(max_examples=200, deadline=None)
     def test_encode_matches_oracle(self, inputs):
         vocab, texts = inputs
-        for text in texts + texts:  # the second pass reads the word cache
+        for text in texts:  # each sequence read on its own
             assert encode(vocab, text) == encode_oracle(vocab, text)
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_word_cache_holds_no_cycle(self, batched):
+    def test_vocabulary_freed_once_sequences_read(self):
+        # A pending sequence holds its vocabulary; a read one holds only
+        # its ids, and the vocabulary's pair table refers back to nothing.
         vocab = train_bpe(["ab ab ba"], vocab_size=10)
-        encode(vocab, "ab ba")
-        if batched:  # builds the pair table
-            encode_corpus(vocab, ["ab ba", "ba"])
-        assert (vocab._word_cache.pair_table is not None) == batched
+        alone, batched = encode(vocab, "ab ba"), [encode(vocab, "ba")] * 2
+        assert alone == encode_oracle(vocab, "ab ba")  # read alone
+        encode_pending(batched)
+        assert batched[0] == encode_oracle(vocab, "ba")
+        assert vocab._pair_table is not None
         ref = weakref.ref(vocab)
         gc.disable()
         try:
@@ -265,26 +272,41 @@ class TestFlatEncoding:
         finally:
             gc.enable()
 
-    def test_encode_corpus_leaves_word_cache_empty(self):
+    @pytest.mark.parametrize("route", ["encode_corpus", "encode"])
+    def test_vocabulary_retains_no_words(self, route):
+        # Once the outputs are dropped, the vocabulary holds nothing per
+        # word.  A per-text word cache kept about 37 MB for these 200,000
+        # distinct words.
         rng = random.Random(11)
-        texts = [" ".join("".join(rng.choices("abcdefghij", k=6))
-                          for _ in range(10)) for _ in range(2000)]
-        vocab = train_bpe(texts[:200], vocab_size=300)
-        encode_corpus(vocab, texts)
-        assert len(vocab._word_cache) == 0
-        encode(vocab, texts[0])  # per-text encode still caches its words
-        assert len(vocab._word_cache) == len(set(texts[0].split())) == 10
+        texts = [" ".join("".join(rng.choices(string.ascii_lowercase, k=8))
+                          for _ in range(100)) for _ in range(2000)]
+        vocab = train_bpe(texts[:20], vocab_size=300)
+        encode_corpus(vocab, texts[:1])  # builds the pair table
+
+        def run():
+            if route == "encode_corpus":
+                encode_corpus(vocab, texts)
+            else:
+                fit_tfidf([encode(vocab, text) for text in texts],
+                          TfidfConfig(1, 1))
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000, retained
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_encode_corpus_matches_encode(self, seed):
-        # Both encoders stay in the library: the batched pass behind
-        # encode_corpus and the scalar loop behind encode's word cache.
+        # Sequences read one at a time give the corpus's ids.
         corpus = synth_corpus(150, seed, 0.0004)
         data = save_vocab(train_bpe(corpus.texts[:240], DEFAULT_VOCAB_SIZE))
         flat = encode_corpus(load_vocab(data), corpus.texts)
         vocab = load_vocab(data)
         per_text = [encode(vocab, text) for text in corpus.texts]
-        assert vocab._word_cache.pair_table is None
         assert flat.ids.tolist() == [i for seq in per_text for i in seq.ids]
         assert flat.lengths.tolist() == list(map(len, per_text))
 
@@ -341,9 +363,99 @@ def _hostile_inputs(draw):
                                         max_size=2))
 
 
+@st.composite
+def _mixed_sequences(draw):
+    """Sequences pending on two vocabularies, some of them already read,
+    among constructed ones; and the texts and vocabularies behind them."""
+    vocabs = [train_bpe(["abcd " + " ".join(draw(st.lists(
+        st.text("abcd", min_size=1, max_size=6), max_size=20)))],
+        vocab_size=draw(st.integers(6, 60))) for _ in range(2)]
+    entries = draw(st.lists(st.tuples(
+        st.sampled_from(["pending", "read", "constructed"]), st.integers(0, 1),
+        st.text("abcdeé" + _SEPARATORS, max_size=30)), max_size=10))
+    sequences = []
+    for kind, which, text in entries:
+        if kind == "constructed":
+            seq = TokenSequence(ids=encode_oracle(vocabs[which], text).ids)
+        else:
+            seq = encode(vocabs[which], text)
+            if kind == "read":
+                len(seq)
+        sequences.append(seq)
+    return sequences, [(vocabs[which], text) for _, which, text in entries]
+
+
+class TestPendingSequences:
+    """A pending sequence's ids are encode_oracle's, read alone or with
+    its list, and it compares and hashes as a constructed one."""
+
+    @given(_mixed_sequences())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_oracle(self, inputs):
+        sequences, sources = inputs
+        was_pending = [seq._pending is not None for seq in sequences]
+        one_vocab = len({id(seq._pending[1]) for seq in sequences
+                         if seq._pending is not None}) == 1
+        corpus = encode_pending(sequences)
+        expected = [encode_oracle(vocab, text).ids for vocab, text in sources]
+        assert [seq._pending for seq in sequences] == [None] * len(sequences)
+        assert [seq.ids for seq in sequences] == expected
+        if sequences and all(was_pending) and one_vocab:
+            _assert_matches_oracle(corpus, sources[0][0],
+                                   [text for _, text in sources])
+        else:
+            assert corpus is None
+
+    def test_whole_list_on_one_vocabulary_is_its_corpus(self):
+        vocab = train_bpe(["ab ab ba"], vocab_size=10)
+        seq = encode(vocab, "ab ba")
+        corpus = encode_pending([seq, encode(vocab, ""), seq])
+        assert isinstance(corpus, TokenCorpus)
+        assert corpus.lengths.tolist() == [len(seq), 0, len(seq)]
+        assert encode_pending([seq]) is None  # nothing left pending
+
+    def test_pending_equals_constructed(self):
+        vocab = train_bpe(["abra cadabra abra"], vocab_size=40)
+        for text in ["abra cadabra", "", "zz abra"]:
+            want = encode_oracle(vocab, text)
+            assert encode(vocab, text) == want
+            assert want == encode(vocab, text)
+            assert hash(encode(vocab, text)) == hash(want)
+            assert repr(encode(vocab, text)) == repr(want)
+            assert len({encode(vocab, text), want}) == 1
+        assert encode(vocab, "abra") != encode(vocab, "cadabra")
+        assert encode(vocab, "abra") != encode_oracle(vocab, "abra").ids
+
+    def test_read_alone(self):
+        vocab = train_bpe(["hello world hello"], vocab_size=60)
+        seq = encode(vocab, "hello world")
+        assert decode(vocab, seq) == "hello world"
+        assert seq._pending is None
+        assert len(encode(vocab, "hello")) == len(encode_oracle(vocab,
+                                                                "hello"))
+
+    def test_long_word_in_time(self, time_bound):
+        # A merge loop that rebuilds the word for every rule it applies
+        # took 1.3-1.8 s on this word; the batched pass takes about 0.07 s.
+        rng = random.Random(3)
+        word = "".join(rng.choice("abcd") for _ in range(20_000))
+        # every pair of letters, every pair of those, then the first 1,000
+        # distinct adjacent pairs of the word's segmentation by those
+        rules = list(product("abcd", repeat=2))
+        rules += [(a + b, c + d) for (a, b), (c, d) in product(rules,
+                                                               repeat=2)]
+        vocab = load_vocab(_vocab_bytes(rules, "abcd"))
+        symbols = vocab.id_to_symbol()
+        pieces = [symbols[i] for i in encode_corpus(vocab, [word]).ids]
+        rules += list(dict.fromkeys(zip(pieces, pieces[1:])))[:1000]
+        vocab = load_vocab(_vocab_bytes(rules, "abcd"))
+        with time_bound(0.5):
+            assert len(encode(vocab, word)) < len(pieces)
+
+
 class TestHostileVocabularies:
-    """encode_corpus gives encode_oracle's ids on every vocabulary
-    load_vocab accepts."""
+    """encode_corpus and encode give encode_oracle's ids on every
+    vocabulary load_vocab accepts."""
 
     @given(_hostile_inputs())
     @settings(max_examples=300, deadline=None)
@@ -369,6 +481,8 @@ class TestHostileVocabularies:
     def test_matches_oracle(self, inputs):
         vocab, texts = inputs
         _assert_matches_oracle(encode_corpus(vocab, texts), vocab, texts)
+        assert ([encode(vocab, text) for text in texts]
+                == [encode_oracle(vocab, text) for text in texts])
 
 
 class TestDecode:

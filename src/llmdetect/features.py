@@ -7,8 +7,8 @@ by 1 and defined for unseen terms.  tf is the raw in-document count, or
 in lexicographic token-id order, so fits are deterministic.
 
 Fit and transform work on flat arrays of token ids: a ``TokenCorpus`` as
-the tokenizer gives it, or a list of sequences flattened once (its
-sequences still pending on a vocabulary are first encoded in one batch).  One walk
+the tokenizer gives it, or a list of sequences flattened once (those
+still pending on a vocabulary are first encoded in one batch).  One walk
 (``_levels``) numbers the n-grams of a corpus, or of the vocabulary's
 n-gram list, one length at a time by sorted integer keys, up to the
 longest one present.

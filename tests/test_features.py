@@ -363,7 +363,8 @@ class TestFlatCorpusInput:
 
 
 # Two vocabularies for lists that mix the sequences of both.
-_VOCABS = [train_bpe(["abcd ab ab cd abc"], 12), train_bpe(["dcba dc dc ba"], 9)]
+_VOCABS = [train_bpe(["abcd ab ab cd abc"], 12),
+           train_bpe(["dcba dc dc ba"], 9)]
 
 
 @st.composite

@@ -322,33 +322,34 @@ def _kernel_vote(scores, k: float, weights, out) -> tuple:
             np.concatenate([c for _, c in left]))
 
 
+def _as_integers(values):
+    """(ints, low): an object array of Python integers with
+    values == ints * 2**low exactly, one low <= 0 for all of them."""
+    # value = mantissa * 2**exponent with an integer mantissa of 53 bits
+    mantissas, exponents = np.frexp(values)
+    exponents = exponents.astype(np.int64) - 53
+    low = int(exponents.min(initial=0))
+    return ((mantissas * 2.0 ** 53).astype(np.int64).astype(object)
+            << (exponents - low).astype(object)), low
+
+
 def _exact_vote(scores, k: int, weights, out, rows, docs) -> None:
     """Set out[rows[i], docs[i]] to the correctly rounded quotient of
     sum_v w_v * scores[v] and k * sum_v w_v, as ``float(Fraction)``: the
-    scores of those documents and each weight vector become Python
-    integers over a common power of two, and each cell is one int / int
-    division."""
+    scores of those documents and the weight vectors become Python
+    integers, each over one common power of two, and every cell is one
+    int / int division.  Scaling all of a row's weights by the same power
+    of two scales its numerator and denominator together."""
     if not len(rows):
         return
     cols, col_of = np.unique(docs, return_inverse=True)
-    # score = mantissa * 2**exponent with an integer mantissa of 53 bits
-    mantissas, exponents = np.frexp(scores[:, cols])
-    exponents = exponents.astype(np.int64) - 53
-    low = int(exponents.min(initial=0))
-    numerators = ((mantissas * 2.0 ** 53).astype(np.int64).astype(object)
-                  << (exponents - low).astype(object))
-    order = np.argsort(rows, kind="stable")
-    starts = np.flatnonzero(np.diff(rows[order])) + 1
-    for cells in np.split(order, starts):
-        r = rows[cells[0]]
-        ratios = [w.as_integer_ratio() for w in weights[r].tolist()]
-        scale = max(q for _, q in ratios)  # a power of two, as every q is
-        int_weights = [p * (scale // q) for p, q in ratios]
-        total = (k << -low) * sum(int_weights)
-        at = col_of[cells]
-        acc = sum(w * numerators[v, at] for v, w in enumerate(int_weights)
-                  if w)
-        out[r, docs[cells]] = acc / total
+    vectors, row_of = np.unique(rows, return_inverse=True)
+    numerators, low = _as_integers(scores[:, cols])
+    int_weights, _ = _as_integers(weights[vectors])
+    totals = (k << -low) * int_weights.sum(axis=1)
+    sums = sum(int_weights[row_of, v] * numerators[v, col_of]
+               for v in range(len(numerators)))
+    out[rows, docs] = sums / totals[row_of]
 
 
 def _vote(scores, k: int, weights) -> np.ndarray:
@@ -518,8 +519,11 @@ def weight_grid(n_voters: int,
     Built one voter at a time: each prefix, with the steps it leaves,
     grows by every count that fits, in increasing order, and the last
     voter takes what is left.  Weight c is ``c * step``, computed once per c.
+    A one-voter grid is its one vector, however fine the step.
     """
     units = grid_units(n_voters, step)
+    if n_voters == 1:
+        return [(units * step,)]
     values = [c * step for c in range(units + 1)]
     prefixes = [((), units)]
     for _ in range(n_voters - 1):

@@ -22,9 +22,17 @@ from ..sparse import SparseMatrix
 from .common import check_binary_labels, check_feature_count, sigmoid
 
 # Each epoch visits every row however little it changes the weights: about
-# 0.08 s at CLI defaults on 1,600 documents, so about 80 s at this bound,
+# 0.01 s at CLI defaults on 1,600 documents, so about 10 s at this bound,
 # 100 times the default.
 MAX_EPOCHS = 1_000
+# train_sgd holds the weights as scale * v and, when |scale| leaves this
+# window, folds scale into v with one dense pass.  The learning-rate
+# schedule brings scale to about 1 / (1 + eta0 * l2 * t) after t steps, so
+# ordinary training stays inside it; only a step whose 1 - alpha * l2 is 0
+# or far from 1 leaves it.  Inside it, v = theta / scale and each step's
+# change to v stay within 64 binades of the weights' own size, far from
+# overflow and from subnormals.
+_SCALE_LOW, _SCALE_HIGH = 2.0 ** -64, 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -81,15 +89,18 @@ def objective(theta: np.ndarray, X: SparseMatrix, y, l2: float) -> float:
 
 
 def train_sgd(X: SparseMatrix, y, config: SgdConfig = SgdConfig()) -> SgdLinearModel:
-    """Per-sample descent in place: theta and one gradient buffer g are the
-    only dense arrays, and each step repeats the dense update's float
-    operations in the same order, so the weights are bit-identical to
-    building theta - alpha * gradient afresh every step."""
+    """Per-sample descent with lazy L2 (Bottou, "Stochastic Gradient Descent
+    Tricks", 2012): the weights are held as scale * v, so a step shrinks
+    every weight by multiplying the scalar scale by 1 - alpha * l2 and
+    updates only the row's entries of v.  With l2 = 0 the scale stays
+    exactly 1.0 and each weight sees the dense update's float operations,
+    so theta is bit-identical to building theta - alpha * gradient afresh
+    every step; with l2 > 0 it differs from that only by rounding."""
     signs = (2 * check_binary_labels(y, X.n_rows) - 1).tolist()
     eta0, l2 = config.eta0, config.l2
     theta = np.zeros(X.n_cols + 1)
-    g = np.empty_like(theta)
-    weights, g_weights = theta[:-1], g[:-1]
+    v = theta[:-1]
+    scale, bias = 1.0, 0.0
     indptr = X.indptr.tolist()
     rng = stream_rng(config.seed, "sgd_shuffle")
     order = list(range(X.n_rows))
@@ -103,16 +114,17 @@ def train_sgd(X: SparseMatrix, y, config: SgdConfig = SgdConfig()) -> SgdLinearM
             cols = X.cols[indptr[i]:indptr[i + 1]]
             vals = X.vals[indptr[i]:indptr[i + 1]]
             sign = signs[i]
-            margin = float(np.dot(vals, theta[cols]) + theta[-1])
+            margin = float(scale * np.dot(vals, v[cols]) + bias)
             residual = -sign * sigmoid(-sign * margin)
-            if l2 != 0.0:
-                np.multiply(weights, l2, out=g_weights)
-            else:
-                g_weights.fill(0.0)  # not 0.0 * theta: -0.0 where theta < 0
-            # CSR columns within a row are distinct, so += adds each once
-            g[cols] += residual * vals
-            g[-1] = 0.0 + residual  # keeps a residual of -0.0 as +0.0
-            np.multiply(g, alpha, out=g)
-            np.subtract(theta, g, out=theta)
+            bias -= alpha * residual
+            scale *= 1.0 - alpha * l2
+            if not _SCALE_LOW <= abs(scale) <= _SCALE_HIGH:  # 0 and NaN too
+                v *= scale
+                scale = 1.0
+            # CSR columns within a row are distinct, so each is updated once
+            v[cols] -= residual * vals * (alpha / scale)
             step += 1
+    v *= scale
+    v += 0.0  # a negative scale leaves -0.0 where v is 0.0
+    theta[-1] = bias
     return SgdLinearModel(theta=theta, config=config)

@@ -4,8 +4,12 @@ A small fixed corpus is tokenized, featurized and used to train each model
 kind; the canonical bundle bytes must hash to the recorded values, so any
 change to a serializer, a default, or a training path that moves a single
 output bit shows up here.  The hashes were recorded on x86-64 with
-numpy 2.x; they pin float results, so a platform whose libm or numpy
-reductions round differently may need its own recording.
+numpy 2.x and OpenBLAS.  They pin float results, and two of those go
+through BLAS ``ddot``: each TF-IDF row's L2 norm and each SGD step's
+margin.  OpenBLAS picks its ``ddot`` kernel for the CPU at run time, and
+the kernels sum in different orders, so a machine whose OpenBLAS picks
+another kernel (``OPENBLAS_CORETYPE=Haswell`` forces one) writes other
+bytes with no code change.
 """
 
 import hashlib
@@ -22,7 +26,7 @@ GOLDEN_SHA256 = {
     "naive_bayes":
         "4b26256fb628f950dcf173656d8f9c2fec4b3f3d59c6843e1ef5af729dfe5639",
     "sgd_linear":
-        "fadab39ce4ff2153781ecdb8b1c5a25376bf4b9a7b628eb6065f6513b3f0d705",
+        "c59b77ad93723cd5bd349542d32cc8ff3ef8c5d92a454602e8da9804074c4bd1",
     "sgd_linear.l2_zero":
         "ae56c2a258f2fe1bba6d2443b3f90a98b30245dbe12276068104d654516a52aa",
     "gbdt.leaf_wise":
@@ -48,7 +52,7 @@ def _train(name, X, y):
     if name == "sgd_linear":
         return train_sgd(X, y, SgdConfig(epochs=3, seed=5))
     if name == "sgd_linear.l2_zero":
-        # the zero-filled gradient branch
+        # the scale stays 1.0, so the weights equal the dense loop's
         return train_sgd(X, y, SgdConfig(l2=0.0, epochs=3, seed=5))
     variant = name.split(".")[1]
     return train_gbdt(X, y, GbdtConfig(variant=variant, n_trees=3,

@@ -374,6 +374,22 @@ class TestEnsembleCommand:
             weight_grid(n_voters, step)
         assert line == f"llmdetect: error[ensemble]: {refused.value}"
 
+    def test_one_voter_fine_grid_bounded(self, tmp_path, capsys, time_bound):
+        # a one-voter grid is one vector whatever the step, but the grid
+        # once listed c * step for every count c up to 1 / step: 10**9
+        # floats here, a MemoryError traceback under a 2 GB ulimit -v
+        corpus = synth_corpus(3, seed=5, divergence=0.9)
+        save_corpus(corpus, tmp_path / "c.jsonl", "jsonl")
+        (tmp_path / "v.csv").write_text(
+            dump_scores(corpus.ids, [i / 5 for i in range(len(corpus))]))
+        (tmp_path / "grid.ini").write_text(
+            f"[ensemble]\nvoters = {tmp_path / 'v.csv'}\ngrid_step = 1e-9\n")
+        with time_bound(5):
+            assert run(["ensemble", tmp_path / "c.jsonl", "--out",
+                        tmp_path / "tuned.csv", "--config",
+                        tmp_path / "grid.ini", "--tune-weights"]) == 0
+        assert "tuned weights [1.0]" in capsys.readouterr().err
+
     def test_tuning_builds_the_grid_once(self, tmp_path, monkeypatch, capsys):
         # the CLI once built the 176,851-point grid only to check its size,
         # and tune_weights then built it again

@@ -24,6 +24,11 @@ SHOWN_HEADER_CHARS = 80  # of a bad CSV header, quoted in the error
 LEXICON_SIZE = 2000
 ZIPF_EXPONENT = 1.1
 DOC_LENGTH_RANGE = (50, 200)
+# synth builds the whole corpus in memory before writing it: about 1 KB
+# and 65 us a document, so about 0.2 GB and 13 s at this bound, 125 times
+# the 800 a class of the hard corpus synth_corpus(800, 1, 0.0004).  Ids
+# keep their five digits.
+MAX_N_PER_CLASS = 100_000
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -269,8 +274,9 @@ def synth_corpus(n_per_class: int, seed: int, divergence: float) -> LabeledCorpu
     (divergence 1, disjoint high-frequency vocabularies).  Deterministic in
     the seed; document length is uniform over 50-200 words.
     """
-    if n_per_class < 1:
-        raise CorpusError(f"n_per_class must be >= 1, got {n_per_class}")
+    if not 1 <= n_per_class <= MAX_N_PER_CLASS:
+        raise CorpusError(f"n_per_class must be in [1, {MAX_N_PER_CLASS}], "
+                          f"got {n_per_class}")
     if not 0.0 <= divergence <= 1.0:
         raise CorpusError(f"divergence must lie in [0, 1], got {divergence}")
     lexicon = _lexicon()

@@ -8,10 +8,11 @@ in lexicographic token-id order, so fits are deterministic.
 
 Fit and transform work on flat arrays of token ids: a ``TokenCorpus`` as
 the tokenizer gives it, or a list of sequences flattened once (those
-still pending on a vocabulary are first encoded in one batch).  One walk
-(``_levels``) numbers the n-grams of a corpus, or of the vocabulary's
-n-gram list, one length at a time by sorted integer keys, up to the
-longest one present.
+still pending on a vocabulary are first encoded in one batch), and the
+vocabulary holds its n-grams flat too, from fit to bundle and back.  One
+walk (``_levels``) numbers the n-grams of a corpus, or the vocabulary's
+own, one length at a time by sorted integer keys, up to the longest one
+present.
 The document-term matrix is built in CSR form from the sorted (row,
 column) cells, bit-for-bit that of counting each document's n-grams in a
 dictionary (``extract_ngrams``).
@@ -29,6 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FeatureError
+from .files import pack, unpack
 from .sparse import SparseMatrix
 from .tokenizer import TokenCorpus, TokenSequence, encode_pending, map_words
 
@@ -61,11 +63,22 @@ class TfidfConfig:
 
 @dataclass
 class NgramVocabulary:
-    """Retained n-grams in column order, and their document frequencies."""
+    """Retained n-grams in column order, held flat: ``ids`` holds their
+    token ids end to end and ``lengths`` each one's length (both int64);
+    and their document frequencies."""
 
-    ngrams: list[Ngram]
+    ids: np.ndarray
+    lengths: np.ndarray
     document_count: int
     df: np.ndarray
+
+    @property
+    def ngrams(self) -> list[Ngram]:
+        """Each column's n-gram as a tuple, built anew on every read."""
+        ids = self.ids.tolist()
+        ends = np.cumsum(self.lengths).tolist()
+        return [tuple(ids[end - n:end])
+                for end, n in zip(ends, self.lengths.tolist())]
 
     @property
     def ngram_to_col(self) -> dict[Ngram, int]:
@@ -91,15 +104,17 @@ class TfidfModel:
 
     @property
     def n_features(self) -> int:
-        return len(self.vocabulary.ngrams)
+        return len(self.vocabulary.lengths)
 
 
 def same_transform(a: TfidfModel, b: TfidfModel) -> bool:
     """Whether ``transform_corpus`` gives the same matrix under both
     models: equal config, n-gram columns and idf bytes.  Bytes, not ``==``,
     so that idf values such as -0.0 and 0.0 never count as equal."""
+    va, vb = a.vocabulary, b.vocabulary
     return (a.config == b.config
-            and a.vocabulary.ngrams == b.vocabulary.ngrams
+            and va.lengths.tobytes() == vb.lengths.tobytes()
+            and va.ids.tobytes() == vb.ids.tobytes()
             and a.idf.tobytes() == b.idf.tobytes())
 
 
@@ -262,11 +277,12 @@ def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
     mat = np.concatenate(kept_ranks)
     order = np.lexsort(mat.T[::-1])
     mat, df = mat[order], np.concatenate(kept_df)[order]
-    widths = (mat >= 0).sum(axis=1).tolist()
-    rows = tokens[np.maximum(mat, 0)].tolist()
-    ngrams = [tuple(row[:width]) for row, width in zip(rows, widths)]
+    # Row-major order reads each n-gram's ranks, then its padding.
+    token = mat >= 0
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    vocabulary = NgramVocabulary(ngrams=ngrams, document_count=n_docs, df=df)
+    vocabulary = NgramVocabulary(ids=tokens[mat[token]],
+                                 lengths=token.sum(axis=1, dtype=np.int64),
+                                 document_count=n_docs, df=df)
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 
@@ -274,8 +290,8 @@ def _ngram_table(model: TfidfModel) -> _NgramTable:
     """The model's lookup table, built on first use and then cached."""
     if model._ngram_table is not None:
         return model._ngram_table
-    ids, lengths = _flat_ids(model.vocabulary.ngrams)
-    tokens, ranks = np.unique(ids, return_inverse=True)
+    lengths = model.vocabulary.lengths
+    tokens, ranks = np.unique(model.vocabulary.ids, return_inverse=True)
     # Each n-gram is its own sequence, numbered by its column, and is
     # walked from its first position only, so the levels hold its prefixes.
     ranks, col = _gapped(ranks, lengths)
@@ -405,37 +421,70 @@ def encode_words(word_vocab: list[str], texts: list[str]) -> TokenCorpus:
 # -- bundle-embedded serialization ---------------------------------------
 
 def tfidf_to_dict(model: TfidfModel) -> dict:
+    vocabulary = model.vocabulary
     return {
         "config": asdict(model.config),
-        "document_count": model.vocabulary.document_count,
-        "ngrams": [list(t) for t in model.vocabulary.ngrams],
-        "df": model.vocabulary.df.tolist(),
-        "idf": model.idf.tolist(),
+        "document_count": vocabulary.document_count,
+        "ngram_ids": pack(vocabulary.ids, "<i8"),
+        "ngram_lengths": pack(vocabulary.lengths, "<i8"),
+        "df": pack(vocabulary.df, "<i8"),
+        "idf": pack(model.idf, "<f8"),
         "word_vocab": model.word_vocab,
     }
+
+
+def _array(data: dict, key: str, dtype: str) -> np.ndarray:
+    return unpack(data[key], dtype, f"malformed tfidf payload: {key}",
+                  FeatureError)
+
+
+def _has_duplicate(ids: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether two n-grams of the flat vocabulary are equal.  Each length's
+    n-grams are gathered as rows and sorted, then compared with their
+    neighbours: as one int64 each, their ids' digits in base span (the
+    ids' range), where span ** n fits, as BPE and word n-grams do; else
+    as one byte string each."""
+    starts = np.cumsum(lengths) - lengths
+    distinct, counts = np.unique(lengths, return_counts=True)
+    for n in distinct[counts > 1].tolist():
+        if not n:
+            return True  # two empty n-grams
+        rows = ids[starts[lengths == n, None] + np.arange(n)]
+        low = int(rows.min())
+        span = int(rows.max()) - low + 1
+        if n < 63 and span ** n < 2 ** 63:
+            keys = (rows - low) @ span ** np.arange(n, dtype=np.int64)
+        else:
+            keys = rows.view(np.dtype((np.void, 8 * n))).ravel()
+        keys = np.sort(keys)
+        if (keys[1:] == keys[:-1]).any():
+            return True
+    return False
 
 
 def tfidf_from_dict(data: dict) -> TfidfModel:
     try:
         config = TfidfConfig(**data["config"])
-        ngrams = [tuple(t) for t in data["ngrams"]]
-        vocabulary = NgramVocabulary(
-            ngrams=ngrams, document_count=int(data["document_count"]),
-            df=np.array(data["df"], dtype=np.int64))
-        idf = np.array(data["idf"], dtype=np.float64)
+        document_count = int(data["document_count"])
+        ids = _array(data, "ngram_ids", "<i8")
+        lengths = _array(data, "ngram_lengths", "<i8")
+        df = _array(data, "df", "<i8")
+        idf = _array(data, "idf", "<f8")
         word_vocab = data.get("word_vocab")
     except (KeyError, TypeError, ValueError) as exc:
         raise FeatureError(f"malformed tfidf payload: {exc}")
-    if vocabulary.df.ndim != 1 or idf.ndim != 1:
-        raise FeatureError("malformed tfidf payload: df and idf must be flat "
-                           "arrays of numbers")
-    if not all(isinstance(i, int) for ngram in ngrams for i in ngram):
-        raise FeatureError("malformed tfidf payload: ngram entries must be "
-                           "integer token ids")
-    if len(set(ngrams)) != len(ngrams):
-        raise FeatureError("malformed tfidf payload: duplicate ngrams")
-    if len(idf) != len(ngrams) or len(vocabulary.df) != len(ngrams):
+    # No length exceeds the id count, so their sum cannot wrap.
+    if len(lengths) and (lengths.min() < 0 or lengths.max() > len(ids)):
+        raise FeatureError("malformed tfidf payload: ngram_lengths must lie "
+                           "in [0, len(ngram_ids)]")
+    if int(lengths.sum()) != len(ids):
+        raise FeatureError(f"malformed tfidf payload: ngram_lengths sum to "
+                           f"{int(lengths.sum())}, not the {len(ids)} "
+                           f"ngram_ids")
+    if len(idf) != len(lengths) or len(df) != len(lengths):
         raise FeatureError("malformed tfidf payload: df/idf length mismatch")
+    if _has_duplicate(ids, lengths):
+        raise FeatureError("malformed tfidf payload: duplicate ngrams")
     # Entries need not be distinct: a corpus holding the literal word
     # "<unk>" lists it twice, and its bundles must load.
     if word_vocab is not None and not (
@@ -445,5 +494,7 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         raise FeatureError(f"malformed tfidf payload: word_vocab must be null "
                            f"or a list of strings starting with "
                            f"{WORD_UNKNOWN!r}")
+    vocabulary = NgramVocabulary(ids=ids, lengths=lengths,
+                                 document_count=document_count, df=df)
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config,
                       word_vocab=word_vocab)

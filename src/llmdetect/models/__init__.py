@@ -24,7 +24,7 @@ from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
 from .naive_bayes import NaiveBayesModel, train_nb
 from .sgd import SgdConfig, SgdLinearModel, objective, train_sgd
 
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 # Bundle "kind" -> model class; each class owns its parameter schema.
 MODEL_CLASSES = {cls.KIND: cls

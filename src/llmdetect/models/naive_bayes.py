@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelError
+from ..files import pack, unpack
 from ..sparse import SparseMatrix
 from .common import check_binary_labels, check_feature_count
 
@@ -25,7 +26,7 @@ class NaiveBayesModel:
     KIND = "naive_bayes"
 
     log_prior: np.ndarray       # shape (2,)
-    log_likelihood: np.ndarray  # shape (2, n_features)
+    log_likelihood: np.ndarray  # shape (2, n_features), stored row-major
     alpha: float
 
     @property
@@ -44,19 +45,20 @@ class NaiveBayesModel:
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "log_prior": self.log_prior.tolist(),
-                "log_likelihood": self.log_likelihood.tolist()}
+                "log_likelihood": pack(self.log_likelihood, "<f8")}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NaiveBayesModel":
         log_prior = np.array(d["log_prior"], dtype=np.float64)
-        log_likelihood = np.array(d["log_likelihood"], dtype=np.float64)
-        if (log_prior.shape != (2,) or log_likelihood.ndim != 2
-                or len(log_likelihood) != 2
+        log_likelihood = unpack(d["log_likelihood"], "<f8",
+                                "naive Bayes log_likelihood", ModelError)
+        if (log_prior.shape != (2,) or len(log_likelihood) % 2
                 or not np.isfinite(log_prior).all()
                 or not np.isfinite(log_likelihood).all()):
             raise ModelError("naive Bayes needs 2 finite priors and 2 finite "
                              "likelihood rows")
-        return cls(log_prior=log_prior, log_likelihood=log_likelihood,
+        return cls(log_prior=log_prior,
+                   log_likelihood=log_likelihood.reshape(2, -1),
                    alpha=float(d["alpha"]))
 
 

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import ModelError
+from ..files import pack, unpack
 from ..seeds import stream_rng
 from ..sparse import SparseMatrix
 from .common import check_binary_labels, check_feature_count, sigmoid
@@ -69,13 +70,14 @@ class SgdLinearModel:
         return sigmoid(margin)
 
     def to_dict(self) -> dict:
-        return {"theta": self.theta.tolist(), "config": asdict(self.config)}
+        return {"theta": pack(self.theta, "<f8"), "config": asdict(self.config)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SgdLinearModel":
-        theta = np.array(d["theta"], dtype=np.float64)
-        if theta.ndim != 1 or len(theta) == 0 or not np.isfinite(theta).all():
-            raise ModelError("theta must be a non-empty list of finite numbers")
+        theta = unpack(d["theta"], "<f8", "theta", ModelError)
+        if len(theta) == 0 or not np.isfinite(theta).all():
+            raise ModelError("theta must be a non-empty array of finite "
+                             "numbers")
         return cls(theta=theta, config=SgdConfig(**d["config"]))
 
 

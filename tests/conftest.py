@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import sys
@@ -15,7 +16,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).parent.parent / "src"),
                   os.environ.get("PYTHONPATH")]))
 
+from llmdetect.files import canonical_json, pack, unpack
 from oracles import sparse_from_dense
+
+# Packed bundle arrays are int64 under these keys and float64 elsewhere.
+_INT64_KEYS = {"ngram_ids", "ngram_lengths", "df"}
 
 
 def pytest_runtest_logreport(report):
@@ -39,6 +44,46 @@ def random_sparse(rng, n_rows, n_cols, density=0.4, max_distinct=0):
     if max_distinct:
         dense = np.round(dense * max_distinct) / max_distinct
     return sparse_from_dense(dense), dense
+
+
+def _dtype(key: str) -> str:
+    return "<i8" if key in _INT64_KEYS else "<f8"
+
+
+def unpacked(doc: dict, key: str) -> np.ndarray:
+    """The array packed at doc[key] in a bundle document."""
+    return unpack(doc[key], _dtype(key), key, ValueError)
+
+
+def repack(doc: dict, key: str, edit) -> None:
+    """Replace the packed array at doc[key] by edit(array), packed again;
+    an edit that returns None has changed the array in place."""
+    array = unpacked(doc, key)
+    edited = edit(array)
+    doc[key] = pack(array if edited is None else edited, _dtype(key))
+
+
+def v1_rendering(data: bytes) -> bytes:
+    """A format-2 bundle as format 1 wrote it: every packed array back as a
+    JSON list (the n-grams as one list of ids each, naive Bayes likelihoods
+    as two rows) under format_version 1, in canonical JSON."""
+    payload = json.loads(data)
+    tfidf = payload["tfidf"]
+    ids = unpacked(tfidf, "ngram_ids").tolist()
+    ends = np.cumsum(unpacked(tfidf, "ngram_lengths")).tolist()
+    starts = [0, *ends[:-1]]
+    tfidf["ngrams"] = [ids[lo:hi] for lo, hi in zip(starts, ends)]
+    del tfidf["ngram_ids"], tfidf["ngram_lengths"]
+    for key in ("df", "idf"):
+        tfidf[key] = unpacked(tfidf, key).tolist()
+    parameters = payload["parameters"]
+    if "log_likelihood" in parameters:
+        parameters["log_likelihood"] = unpacked(
+            parameters, "log_likelihood").reshape(2, -1).tolist()
+    if "theta" in parameters:
+        parameters["theta"] = unpacked(parameters, "theta").tolist()
+    payload["format_version"] = 1
+    return canonical_json(payload)
 
 
 def traced_peak(fn) -> int:

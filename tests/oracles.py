@@ -298,7 +298,8 @@ def tfidf_oracle(docs: list[tuple], ngram_min: int, ngram_max: int,
 
 # -- TF-IDF: the per-document Counter featurizer ---------------------------
 # The library's fit and transform before they moved to flat arrays, kept
-# verbatim; the array featurizer must reproduce their bytes.
+# verbatim but for the vocabulary, which now holds its n-grams flat; the
+# array featurizer must reproduce their bytes.
 
 def fit_tfidf_oracle(corpus_tokens: list[TokenSequence],
                      config: TfidfConfig = TfidfConfig()) -> TfidfModel:
@@ -319,8 +320,10 @@ def fit_tfidf_oracle(corpus_tokens: list[TokenSequence],
     retained = sorted(t for t, c in df_counts.items() if c >= config.min_df)
     df = np.array([df_counts[t] for t in retained], dtype=np.int64)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
-    vocabulary = NgramVocabulary(ngrams=retained, document_count=n_docs,
-                                 df=df)
+    vocabulary = NgramVocabulary(
+        ids=np.array([i for ngram in retained for i in ngram], dtype=np.int64),
+        lengths=np.array([len(ngram) for ngram in retained], dtype=np.int64),
+        document_count=n_docs, df=df)
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 

@@ -21,8 +21,25 @@ from llmdetect.features import TfidfConfig, fit_tfidf, transform_corpus
 from llmdetect.models import (GbdtConfig, SgdConfig, save_model, train_gbdt,
                               train_nb, train_sgd, vocab_hash)
 from llmdetect.tokenizer import encode, save_vocab, train_bpe
+from conftest import v1_rendering
 
 GOLDEN_SHA256 = {
+    "naive_bayes":
+        "877b0f78d8afb20e1887377449616147a0596fe805bc27e0428551f75b85a3a2",
+    "sgd_linear":
+        "a33e9552578354abb4fa572de6a8c760423d23adbfdbf6306adf940e1d998340",
+    "sgd_linear.l2_zero":
+        "0bff5bea3c928a6692e2a7956c11d5c1ac28ca969bbd76d74d69f165d52d1811",
+    "gbdt.leaf_wise":
+        "05dc2b73a20538348a43574cff172e007dff56f423babc2d85d0550166a0f736",
+    "gbdt.symmetric":
+        "18358e4ac73a34940e43199ad79a33d31edd56597fbf6bb066f1cfcde7d7e8c4",
+}
+
+# The same bundles in format 1, which held every array as a JSON list.  The
+# format-1 rendering of each bundle above must still hash to these, so
+# format 2 moved the encoding and no model number.
+GOLDEN_V1_SHA256 = {
     "naive_bayes":
         "4b26256fb628f950dcf173656d8f9c2fec4b3f3d59c6843e1ef5af729dfe5639",
     "sgd_linear":
@@ -66,3 +83,5 @@ def test_save_model_bytes_pinned(fitted, name):
     y, X, tfidf, ref = fitted
     data = save_model(_train(name, X, y), tfidf, ref, seed=7)
     assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name]
+    assert hashlib.sha256(v1_rendering(data)).hexdigest() == \
+        GOLDEN_V1_SHA256[name]

@@ -11,6 +11,7 @@ from llmdetect.ensemble import (DEFAULT_GRID_STEP, dump_scores,
                                 load_external_scores, weight_grid)
 from llmdetect.errors import EnsembleError, ModelError
 from llmdetect.models import load_model
+from conftest import unpacked, v1_rendering
 
 CONFIG = """
 [run]
@@ -492,6 +493,16 @@ class TestSynth:
         assert code == 1
         assert "error[corpus]" in capsys.readouterr().err
 
+    def test_n_per_class_over_bound(self, workdir, capsys, time_bound):
+        # the whole corpus is built in memory before it is written: 10**9
+        # per class once ran on toward some 2 TB of memory
+        with time_bound(10):
+            assert run(["synth", "--n-per-class", "1000000000",
+                        "--divergence", "0.5",
+                        "--out", workdir / "s.jsonl"]) == 1
+        assert "n_per_class" in single_error(capsys, "corpus")
+        assert not (workdir / "s.jsonl").exists()
+
     def test_fixed_seed_identical_bytes(self, workdir):
         for name in ("a.jsonl", "b.jsonl"):
             run(["synth", "--n-per-class", "6", "--divergence", "0.4",
@@ -543,6 +554,33 @@ def single_error(capsys, code: str) -> str:
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"llmdetect: error[{code}]: "), lines[0]
     return lines[0]
+
+
+class TestBundleEncoding:
+    """Bundles whose arrays format 2 cannot read end in one error line."""
+
+    def predict(self, workdir, capsys, bundle, vocab) -> int:
+        capsys.readouterr()
+        return run(["predict", bundle, workdir / "corpus.jsonl",
+                    "--vocab", vocab, "--out", workdir / "s.csv"])
+
+    def test_format_1_bundle_refused(self, workdir, capsys):
+        bundle, vocab = trained_bundle(workdir)
+        bundle.write_bytes(v1_rendering(bundle.read_bytes()))
+        assert json.loads(bundle.read_text())["tfidf"]["ngrams"]
+        assert self.predict(workdir, capsys, bundle, vocab) == 1
+        assert "field format_version: expected 2, got 1" in single_error(
+            capsys, "model")
+        assert not (workdir / "s.csv").exists()
+
+    def test_bad_padding_refused(self, workdir, capsys):
+        bundle, vocab = trained_bundle(workdir)
+        payload = json.loads(bundle.read_text())
+        payload["tfidf"]["idf"] = payload["tfidf"]["idf"][:-1]
+        bundle.write_text(json.dumps(payload))
+        assert self.predict(workdir, capsys, bundle, vocab) == 1
+        assert "idf: invalid base64" in single_error(capsys, "features")
+        assert not (workdir / "s.csv").exists()
 
 
 class TestBadInputs:
@@ -865,16 +903,19 @@ class TestLoaderGaps:
                              ids=["int", "float", "nested"])
     def test_tfidf_df_idf_not_flat(self, workdir, ws_bundle, capsys, field,
                                    value):
-        # a number once ended in TypeError: len() of unsized object
+        # a number once ended in TypeError: len() of unsized object; since
+        # format 2 the arrays are base64 strings, and anything else is one
+        # error line
         def edit(payload):
             tfidf = payload["tfidf"]
-            tfidf[field] = ([[x] for x in tfidf[field]] if value == "nested"
-                            else value)
+            tfidf[field] = ([[x] for x in unpacked(tfidf, field).tolist()]
+                            if value == "nested" else value)
         self.edit(ws_bundle, edit)
         capsys.readouterr()
         assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
                     "--out", workdir / "x.csv"]) == 1
-        assert "df and idf must be flat" in single_error(capsys, "features")
+        assert f"{field}: expected a base64 string" in single_error(
+            capsys, "features")
 
     def test_ngram_max_over_bound(self, workdir, ws_bundle, capsys,
                                   time_bound):

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 from unittest import mock
 
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 from llmdetect import features
 from llmdetect.corpus import synth_corpus
 from llmdetect.errors import FeatureError
+from llmdetect.files import pack
 from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
                                 fit_tfidf, fit_word_vocab, same_transform,
                                 tfidf_from_dict, tfidf_to_dict,
                                 transform_corpus)
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenCorpus,
                                  TokenSequence, encode, train_bpe)
-from conftest import traced_peak
+from conftest import repack, traced_peak
 from oracles import (encode_oracle, fit_tfidf_oracle, tfidf_oracle,
                      token_sequences, transform_corpus_oracle, vector_pairs)
 
@@ -27,6 +29,12 @@ def seqs(*id_lists):
 def transform(model, seq):
     """One document's row of transform_corpus."""
     return transform_corpus(model, [seq]).row(0)
+
+
+def set_payload_ngrams(payload, ngrams) -> None:
+    """Pack the n-grams into the payload's ngram_ids and ngram_lengths."""
+    payload["ngram_ids"] = pack([i for ngram in ngrams for i in ngram], "<i8")
+    payload["ngram_lengths"] = pack(list(map(len, ngrams)), "<i8")
 
 
 class TestExtractNgrams:
@@ -168,14 +176,129 @@ class TestSerialization:
             np.testing.assert_array_equal(transform(loaded, doc).vals,
                                           transform(model, doc).vals)
 
-    @pytest.mark.parametrize("entry", [1.5, "3", None, [1]])
-    def test_non_integer_ngram_entry_rejected(self, entry):
-        # the array lookup would read 1.5 as 1 and "3" as 3
+    def test_flat_arrays_held_from_fit_to_load(self):
+        model = fit_tfidf(seqs([1, 2, 3], [3, 2]), TfidfConfig(1, 2, min_df=1))
+        vocabulary = model.vocabulary
+        assert vocabulary.ngrams == [(1,), (1, 2), (2,), (2, 3), (3,),
+                                     (3, 2)]
+        assert vocabulary.ids.tolist() == [1, 1, 2, 2, 2, 3, 3, 3, 2]
+        assert vocabulary.lengths.tolist() == [1, 2, 1, 2, 1, 2]
+        loaded = tfidf_from_dict(tfidf_to_dict(model)).vocabulary
+        for got, want in ((loaded.ids, vocabulary.ids),
+                          (loaded.lengths, vocabulary.lengths),
+                          (loaded.df, vocabulary.df)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+
+    # int64 bytes hold no non-integer token id, so what can go wrong in an
+    # array field is its encoding.
+    @pytest.mark.parametrize("key", ["ngram_ids", "ngram_lengths", "df",
+                                     "idf"])
+    @pytest.mark.parametrize("value, message", [
+        ([1, 2], "expected a base64 string, got list"),
+        (None, "expected a base64 string, got NoneType"),
+        ("AAAAAAAA*AAAAAAA", "invalid base64"),
+        ("AAAAAAAAAAA", "invalid base64"),  # 11 characters: bad padding
+        ("AAAAAAAAAA==", "7 bytes is not a whole number of 8-byte values"),
+        (base64.b64encode(bytes(19)).decode(),
+         "19 bytes is not a whole number"),  # 8k + 3 bytes
+    ], ids=["list", "null", "alphabet", "padding", "7-bytes", "8k+3-bytes"])
+    def test_encoding_fault_rejected(self, key, value, message):
         model = fit_tfidf(seqs([1, 3], [3, 1]), TfidfConfig(1, 1, min_df=1))
         payload = tfidf_to_dict(model)
-        payload["ngrams"][0] = [entry]
-        with pytest.raises(FeatureError, match="malformed tfidf payload"):
+        payload[key] = value
+        with pytest.raises(FeatureError,
+                           match=f"malformed tfidf payload: {key}: .*"
+                                 f"{message}"):
             tfidf_from_dict(payload)
+
+    def fitted_payload(self):
+        docs = seqs([1, 2, 3], [3, 2, 1])
+        return tfidf_to_dict(fit_tfidf(docs, TfidfConfig(1, 2, min_df=1)))
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: repack(p, "ngram_ids", lambda a: a[:-1]),
+        lambda p: repack(p, "ngram_ids", lambda a: np.append(a, 1)),
+        lambda p: repack(p, "ngram_lengths", lambda a: a[:-1]),
+        lambda p: repack(p, "ngram_lengths",
+                         lambda a: a.__setitem__(0, a[0] + 1)),
+    ], ids=["id-short", "id-long", "lengths-short", "length-long"])
+    def test_lengths_must_sum_to_ids(self, edit):
+        payload = self.fitted_payload()
+        edit(payload)
+        with pytest.raises(FeatureError, match="ngram_lengths"):
+            tfidf_from_dict(payload)
+
+    def test_negative_length_rejected(self):
+        # lengths 3, -1 and 1 still sum to the ids of three 1-grams
+        payload = self.fitted_payload()
+        set_payload_ngrams(payload, [(1,), (2,), (3,)])
+        repack(payload, "ngram_lengths", lambda a: a + [2, -2, 0])
+        for key in ("df", "idf"):
+            repack(payload, key, lambda a: a[:3])
+        with pytest.raises(FeatureError, match=r"ngram_lengths must lie in"):
+            tfidf_from_dict(payload)
+
+    @pytest.mark.parametrize("key", ["df", "idf"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_df_and_idf_count_match_ngrams(self, key, change):
+        payload = self.fitted_payload()
+        repack(payload, key,
+               lambda a: a[:change] if change < 0 else np.append(a, a[-1]))
+        with pytest.raises(FeatureError, match="df/idf length mismatch"):
+            tfidf_from_dict(payload)
+
+    @pytest.mark.parametrize("ngrams", [
+        [(1,), (2,), (1,)],
+        [(1, 2), (2,), (3, 2), (1, 2)],
+        [(), (1,), ()],
+        [(5, 6, 7), (5, 6), (5, 6, 7)],
+        [(2**63 - 1, -2**63), (-2**63,), (2**63 - 1, -2**63)],
+        [(0, 1, 2**21), (2**21, 1, 0), (0, 1, 2**21)],
+    ], ids=["1-gram", "2-gram", "empty", "3-gram", "extreme-ids",
+            "wide-3-gram"])
+    def test_duplicate_ngram_rejected(self, ngrams):
+        payload = self.fitted_payload()
+        set_payload_ngrams(payload, ngrams)
+        for key in ("df", "idf"):
+            repack(payload, key, lambda a: a[:len(ngrams)])
+        with pytest.raises(FeatureError, match="duplicate ngrams"):
+            tfidf_from_dict(payload)
+        # the n-grams with the repeat dropped load
+        set_payload_ngrams(payload, list(dict.fromkeys(ngrams)))
+        for key in ("df", "idf"):
+            repack(payload, key, lambda a: a[:len(set(ngrams))])
+        assert tfidf_from_dict(payload).vocabulary.ngrams == list(
+            dict.fromkeys(ngrams))
+
+    @given(st.lists(st.lists(st.integers(0, 3) | st.sampled_from(
+        [2**20, 2**21 + 1, 2**62, 2**63 - 1, -2**63]), max_size=4).map(tuple),
+        max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_duplicate_check_matches_set(self, ngrams):
+        # both sort keys: int64 digits where span ** n fits, bytes where not
+        ids = np.array([i for ngram in ngrams for i in ngram], dtype=np.int64)
+        lengths = np.array(list(map(len, ngrams)), dtype=np.int64)
+        assert features._has_duplicate(ids, lengths) == (
+            len(set(ngrams)) != len(ngrams))
+
+    def test_long_duplicate_refused_in_time(self, time_bound):
+        # two equal n-grams of 10**6 ids each, then two that differ only in
+        # their last id
+        payload = self.fitted_payload()
+        long = np.arange(10**6, dtype=np.int64)
+        payload["ngram_ids"] = pack(np.concatenate([long, long]), "<i8")
+        payload["ngram_lengths"] = pack([10**6, 10**6], "<i8")
+        payload["df"] = pack([1, 1], "<i8")
+        payload["idf"] = pack([1.0, 1.0], "<f8")
+        with time_bound(10):
+            with pytest.raises(FeatureError, match="duplicate ngrams"):
+                tfidf_from_dict(payload)
+            long[-1] = -1
+            payload["ngram_ids"] = pack(np.concatenate([np.arange(10**6),
+                                                        long]), "<i8")
+            assert tfidf_from_dict(payload).n_features == 2
 
     def test_malformed_payload_rejected(self):
         model = fit_tfidf(seqs([1, 2], [2, 1]), TfidfConfig(1, 1, min_df=1))
@@ -266,11 +389,12 @@ class TestMatchesCounterOracle:
         # () load, but no transform may match them
         docs = seqs([1, 2, 3, 1, 2], [2, 3, 1, 2, 3])
         payload = tfidf_to_dict(fit_tfidf(docs, TfidfConfig(2, 3, min_df=1)))
-        for ngram in ([1], [1, 2, 3, 1, 2], []):
-            payload["ngrams"].append(ngram)
-            payload["df"].append(1)
-            payload["idf"].append(2.0)
+        set_payload_ngrams(payload, tfidf_from_dict(payload).vocabulary.ngrams
+                           + [(1,), (1, 2, 3, 1, 2), ()])
+        repack(payload, "df", lambda a: np.append(a, [1, 1, 1]))
+        repack(payload, "idf", lambda a: np.append(a, [2.0, 2.0, 2.0]))
         loaded = tfidf_from_dict(payload)
+        assert loaded.vocabulary.ngrams[-3:] == [(1,), (1, 2, 3, 1, 2), ()]
         assert _csr_bytes(transform_corpus(loaded, docs)) == _csr_bytes(
             transform_corpus_oracle(loaded, docs))
 
@@ -464,8 +588,10 @@ class TestSameTransform:
 
     @pytest.mark.parametrize("edit", [
         lambda p: p["config"].update(sublinear_tf=True),
-        lambda p: p["ngrams"].reverse(),
-        lambda p: p["idf"].__setitem__(0, p["idf"][0] * (1 + 2**-52)),
+        lambda p: set_payload_ngrams(
+            p, tfidf_from_dict(p).vocabulary.ngrams[::-1]),
+        lambda p: repack(p, "idf", lambda a: a.__setitem__(
+            0, a[0] * (1 + 2**-52))),
     ], ids=["config", "columns", "idf"])
     def test_what_transform_reads_must_match(self, edit):
         model = fit_tfidf(seqs([1, 2, 3], [2, 3]), TfidfConfig(1, 2, 1))
@@ -474,8 +600,10 @@ class TestSameTransform:
     def test_signed_zero_idf_not_shared(self):
         # equal under ==, yet a transform keeps the sign
         model = fit_tfidf(seqs([1, 2]), TfidfConfig(1, 1, 1))
-        zero = self.reloaded(model, lambda p: p["idf"].__setitem__(0, 0.0))
-        negative = self.reloaded(model, lambda p: p["idf"].__setitem__(0, -0.0))
+        zero = self.reloaded(model, lambda p: repack(
+            p, "idf", lambda a: a.__setitem__(0, 0.0)))
+        negative = self.reloaded(model, lambda p: repack(
+            p, "idf", lambda a: a.__setitem__(0, -0.0)))
         assert np.array_equal(zero.idf, negative.idf)
         assert not same_transform(zero, negative)
 

@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import math
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 from llmdetect.corpus import save_corpus, synth_corpus
 from llmdetect.errors import LlmdetectError, ModelError
 from llmdetect.features import TfidfConfig, fit_tfidf
-from llmdetect.models import (GbdtConfig, SgdConfig, load_model, save_model,
-                              train_gbdt, train_nb, train_sgd, vocab_hash)
+from llmdetect.files import pack, unpack
+from llmdetect.models import (BUNDLE_FORMAT_VERSION, GbdtConfig, SgdConfig,
+                              load_model, save_model, train_gbdt, train_nb,
+                              train_sgd, vocab_hash)
 from llmdetect.models.gbdt import MAX_DEPTH
 from llmdetect.pipeline import TOKEN_SOURCE_WHITESPACE, train_bundle
 from llmdetect.sparse import SparseMatrix
 from llmdetect.tokenizer import TokenSequence
-from conftest import random_sparse
+from conftest import random_sparse, repack, unpacked
 
 # A corrupt bundle must be refused well inside this many seconds; a
 # predict that walks a cyclic tree would otherwise never return.
@@ -91,12 +94,16 @@ class TestBundleRoundTrip:
         with pytest.raises(ModelError, match="expected naive_bayes"):
             load_model(data, expected_kind="naive_bayes")
 
-    def test_foreign_version_rejected(self, tfidf, training):
+    @pytest.mark.parametrize("version", [1, 9, "2", None])
+    def test_foreign_version_rejected(self, tfidf, training, version):
+        # format 1 held every array as a JSON list; it is refused, not read
         X, y = training
-        data = save_model(train_nb(X, y), tfidf, vocab_ref="r")
-        tampered = data.replace(b'"format_version":1', b'"format_version":9')
-        with pytest.raises(ModelError, match="format_version"):
-            load_model(tampered)
+        payload = json.loads(save_model(train_nb(X, y), tfidf, vocab_ref="r"))
+        assert payload["format_version"] == BUNDLE_FORMAT_VERSION == 2
+        payload["format_version"] = version
+        with pytest.raises(ModelError, match=f"field format_version: "
+                                             f"expected 2, got {version!r}"):
+            load_model(json.dumps(payload).encode("utf-8"))
 
     @pytest.mark.parametrize("ref", [["x"], 5, None])
     def test_non_string_vocab_ref_rejected(self, tfidf, training, ref):
@@ -143,12 +150,21 @@ class TestBundleValidation:
         return {name: save_model(model, tfidf, vocab_ref="r")
                 for name, model in train_each(X, y).items()}
 
-    def test_width_must_match_tfidf(self, bundles):
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_width_must_match_tfidf(self, bundles, change):
+        # the TF-IDF model one n-gram narrower or wider than the model
         for name in ("naive_bayes", "sgd_linear"):
             payload = json.loads(bundles[name])
-            payload["tfidf"]["ngrams"].pop()
-            payload["tfidf"]["df"].pop()
-            payload["tfidf"]["idf"].pop()
+            tfidf = payload["tfidf"]
+            lengths = unpacked(tfidf, "ngram_lengths")
+            if change < 0:
+                repack(tfidf, "ngram_ids", lambda a: a[:len(a) - lengths[-1]])
+                for key in ("ngram_lengths", "df", "idf"):
+                    repack(tfidf, key, lambda a: a[:-1])
+            else:
+                repack(tfidf, "ngram_ids", lambda a: np.append(a, 10**6))
+                for key in ("ngram_lengths", "df", "idf"):
+                    repack(tfidf, key, lambda a: np.append(a, 1))
             with pytest.raises(ModelError, match="features"):
                 load_model(json.dumps(payload).encode("utf-8"))
 
@@ -201,13 +217,82 @@ class TestBundleValidation:
         with pytest.raises(ModelError, match="True outside"):
             load_model(tampered(bundles[name], poison))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name,key", [("naive_bayes", "log_prior"),
+                                          ("naive_bayes", "log_likelihood"),
                                           ("sgd_linear", "theta")])
-    def test_non_finite_weights_rejected(self, bundles, name, key):
+    def test_non_finite_weights_rejected(self, bundles, name, key, value):
         def poison(params):
-            params[key][0] = float("nan")
+            if key == "log_prior":
+                params[key][0] = value
+            else:
+                repack(params, key, lambda a: a.__setitem__(-1, value))
         with pytest.raises(ModelError, match="finite"):
             load_model(tampered(bundles[name], poison))
+
+    @pytest.mark.parametrize("name,key", [("naive_bayes", "log_likelihood"),
+                                          ("sgd_linear", "theta")])
+    @pytest.mark.parametrize("value, message", [
+        ([0.5, 0.25], "expected a base64 string, got list"),
+        (1.5, "expected a base64 string, got float"),
+        ("AAAA#AAAAAAA", "invalid base64"),
+        ("AAAAAAAAAA", "invalid base64"),  # bad padding
+        (base64.b64encode(bytes(26)).decode(), "26 bytes is not a whole"),
+    ], ids=["list", "float", "alphabet", "padding", "8k+2-bytes"])
+    def test_encoding_fault_rejected(self, bundles, name, key, value,
+                                     message):
+        def poison(params):
+            params[key] = value
+        with pytest.raises(ModelError, match=f"{key}: .*{message}"):
+            load_model(tampered(bundles[name], poison))
+
+    def test_odd_likelihood_count_rejected(self, bundles):
+        # 2 x n row-major values: an odd count is no two rows
+        def poison(params):
+            repack(params, "log_likelihood", lambda a: a[:-1])
+        with pytest.raises(ModelError, match="2 finite likelihood rows"):
+            load_model(tampered(bundles["naive_bayes"], poison))
+
+    def test_likelihood_rows_are_row_major(self, bundles):
+        bundle = load_model(bundles["naive_bayes"])
+        params = json.loads(bundles["naive_bayes"])["parameters"]
+        stored = unpacked(params, "log_likelihood")
+        assert stored.tobytes() == bundle.model.log_likelihood.tobytes()
+        assert bundle.model.log_likelihood.shape == (2, 8)
+        np.testing.assert_array_equal(stored[:8],
+                                      bundle.model.log_likelihood[0])
+
+
+class TestPackedArrays:
+    """``files.pack``/``unpack``: the bundle's array encoding."""
+
+    @pytest.mark.parametrize("dtype", ["<f8", "<i8"])
+    def test_byte_order_independent(self, rng, dtype):
+        native = (rng.standard_normal(50) * 1e6).astype(dtype)
+        big = native.astype(np.dtype(dtype).newbyteorder(">"))
+        assert big.tobytes() != native.tobytes()
+        assert pack(big, dtype) == pack(native, dtype)
+        back = unpack(pack(big, dtype), dtype, "x", ModelError)
+        assert back.dtype == np.dtype(dtype).newbyteorder("=")
+        assert back.tobytes() == native.astype(back.dtype).tobytes()
+
+    def test_little_endian_on_any_host(self):
+        assert pack(np.array([1], dtype=">i8"), "<i8") == "AQAAAAAAAAA="
+        assert pack(np.array([1.0], dtype=">f8"), "<f8") == "AAAAAAAA8D8="
+        assert pack(np.array([1], dtype=np.int32), "<i8") == "AQAAAAAAAAA="
+
+    def test_bits_round_trip(self):
+        values = np.array([-0.0, 0.0, 5e-324, -math.inf, math.nan, 1 / 3])
+        back = unpack(pack(values, "<f8"), "<f8", "x", ModelError)
+        assert back.tobytes() == values.tobytes()
+        assert back.flags.writeable and back.flags.c_contiguous
+        extremes = np.array([2**63 - 1, -2**63, 0, -1])
+        assert unpack(pack(extremes, "<i8"), "<i8", "x",
+                      ModelError).tobytes() == extremes.tobytes()
+
+    def test_float_not_packed_as_integer(self):
+        with pytest.raises(TypeError):
+            pack(np.array([1.5]), "<i8")
 
 
 class TestCorruptGbdtBundleCli:

@@ -4,7 +4,10 @@ Training initializes every character as a symbol (plus an end-of-word
 marker per whitespace-delimited word), repeatedly merges the most frequent
 adjacent symbol pair into a new symbol, and records the merge order.  Ties
 on frequency go to the lexicographically smallest (left, right) pair, and
-training stops early once no pair occurs at least twice.
+training stops early once no pair occurs at least twice.  A merge rewrites
+only the positions its pair occupies and the counts of the pairs beside
+them, so its cost is that of its occurrences, not of the words holding
+them: one long word trains in time about linear in its length.
 
 Token id layout: id 0 is the reserved unknown sentinel, ids then cover the
 initial symbols in sorted order followed by merged symbols in merge order.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -135,21 +138,6 @@ class TokenCorpus:
         return len(self.lengths)
 
 
-def _apply_merge(syms: list[str], pair: tuple[str, str]) -> list[str]:
-    """Replace occurrences of pair left-to-right, non-overlapping."""
-    left, right = pair
-    out: list[str] = []
-    i = 0
-    while i < len(syms):
-        if i + 1 < len(syms) and syms[i] == left and syms[i + 1] == right:
-            out.append(left + right)
-            i += 2
-        else:
-            out.append(syms[i])
-            i += 1
-    return out
-
-
 def _pair_heap(pair_counts: dict[tuple[str, str], int]) -> list:
     """One (-count, pair) entry for each pair that can still be merged."""
     heap = [(-count, pair) for pair, count in pair_counts.items()
@@ -169,9 +157,15 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
     pair's live count is stale and dropped.  Only pairs that occur at
     least MIN_PAIR_FREQUENCY times are pushed, so an empty heap means no
     pair repeats.  The heap is rebuilt from the live counts once stale
-    entries outnumber live ones.  A merge updates only the words that
-    hold its pair, by the difference between each word's old and new
-    adjacent pairs.
+    entries outnumber live ones.
+
+    The distinct words' symbols sit in one flat list, word after word,
+    linked to their neighbours within the word, and each pair keeps the
+    positions of its left symbol.  A merge visits only its pair's
+    positions, in ascending order (word by word, left to right), skips
+    those that no longer hold the pair (in a run of a self-pair such as
+    (a, a), so every other hit), rewrites each occurrence in place and
+    moves the counts of the pairs beside it.
     """
     word_freq = Counter()
     for text in texts:
@@ -188,17 +182,28 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
             f"vocab_size {vocab_size} is below the {len(symbols)} initial "
             f"symbols (characters + marker + unknown sentinel)")
 
-    # distinct word types with frequencies; merges never cross word boundaries
-    words = sorted(word_freq)
-    word_syms: list[list[str]] = [list(w) + [END_OF_WORD] for w in words]
-    freqs = [word_freq[w] for w in words]
-
+    # Distinct word types, each ending in the marker; merges never cross
+    # word boundaries.  A symbol absorbed by a merge becomes None, and the
+    # links skip it: nxt[p] and prv[p] are -1 at a word's ends.
+    sym: list[str | None] = []
+    freq: list[int] = []  # each position's word frequency
+    for word in sorted(word_freq):
+        sym += word
+        sym.append(END_OF_WORD)
+        freq += repeat(word_freq[word], len(word) + 1)
+    at = list(range(len(sym)))  # the links share these int objects
+    nxt = at[1:] + [-1]
+    prv = [-1] + at[:-1]
+    # each pair's count, and the positions of its left symbol
     pair_counts: dict[tuple[str, str], int] = {}
-    pair_words: dict[tuple[str, str], set[int]] = {}
-    for wid, syms in enumerate(word_syms):
-        for pair in zip(syms, syms[1:]):
-            pair_counts[pair] = pair_counts.get(pair, 0) + freqs[wid]
-            pair_words.setdefault(pair, set()).add(wid)
+    where: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+    for p, pair in zip(at, zip(sym, sym[1:])):
+        if pair[0] == END_OF_WORD:  # the next word starts at p + 1
+            nxt[p] = prv[p + 1] = -1
+            continue
+        pair_counts[pair] = pair_counts.get(pair, 0) + freq[p]
+        where[pair].append(p)
+    del at
     heap = _pair_heap(pair_counts)
     n_live = len(heap)  # pairs counted at least MIN_PAIR_FREQUENCY times
 
@@ -211,38 +216,45 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
         else:
             break
 
-        merged = best_pair[0] + best_pair[1]
+        left, right = best_pair
+        merged = left + right
         if merged in (UNKNOWN_SYMBOL, END_OF_WORD):
             raise TokenizerError(
                 f"corpus would form the reserved symbol {merged!r}")
-        merges.append(MergeRule(left=best_pair[0], right=best_pair[1],
-                                rank=len(merges)))
+        merges.append(MergeRule(left=left, right=right, rank=len(merges)))
         if merged not in symbols:
             symbols[merged] = len(symbols)
 
-        # count changes of this merge, summed over the words it touches
+        # count changes of this merge, summed over its occurrences
         changes: dict[tuple[str, str], int] = {}
-        for wid in sorted(pair_words[best_pair]):
-            old = word_syms[wid]
-            new = word_syms[wid] = _apply_merge(old, best_pair)
-            new_pairs = set(zip(new, new[1:]))
-            delta: dict[tuple[str, str], int] = {}
-            for pair in zip(new, new[1:]):
-                delta[pair] = delta.get(pair, 0) + 1
-            for pair in zip(old, old[1:]):
-                delta[pair] = delta.get(pair, 0) - 1
-            freq = freqs[wid]
-            for pair, n in delta.items():
-                if not n:
-                    continue
-                changes[pair] = changes.get(pair, 0) + n * freq
-                if n > 0:
-                    pair_words.setdefault(pair, set()).add(wid)
-                elif pair not in new_pairs:
-                    members = pair_words[pair]
-                    members.discard(wid)
-                    if not members:
-                        del pair_words[pair]
+        positions = where.pop(best_pair)
+        positions.sort()
+        for p in positions:
+            q = nxt[p]
+            if sym[p] != left or sym[q] != right:
+                continue  # stale: merged away since it was listed
+            f = freq[p]
+            changes[best_pair] = changes.get(best_pair, 0) - f
+            pred = prv[p]
+            if pred >= 0:
+                s = sym[pred]
+                pair = (s, left)
+                changes[pair] = changes.get(pair, 0) - f
+                pair = (s, merged)
+                changes[pair] = changes.get(pair, 0) + f
+                where[pair].append(pred)
+            succ = nxt[q]
+            if succ >= 0:
+                s = sym[succ]
+                pair = (right, s)
+                changes[pair] = changes.get(pair, 0) - f
+                pair = (merged, s)
+                changes[pair] = changes.get(pair, 0) + f
+                where[pair].append(p)
+                prv[succ] = p
+            sym[p] = merged
+            sym[q] = None
+            nxt[p] = succ
 
         for pair, n in changes.items():
             if not n:
@@ -253,6 +265,7 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
                 pair_counts[pair] = count
             else:
                 del pair_counts[pair]
+                where.pop(pair, None)
             n_live += ((count >= MIN_PAIR_FREQUENCY)
                        - (before >= MIN_PAIR_FREQUENCY))
             if count >= MIN_PAIR_FREQUENCY:

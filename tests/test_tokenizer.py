@@ -102,6 +102,11 @@ _DUPLICATE_RULE = "q/ / q/ q/</w>q/ q/</w>/"
 _TWO_PATHS = "/</w>/ </w >/ /</w>"
 
 
+def _long_word(length):
+    """One whitespace-free word over "abcd"."""
+    return "".join(random.Random(3).choices("abcd", k=length))
+
+
 def _bpe_bytes(train, texts, vocab_size):
     """A vocabulary's bytes, or the message training refused with."""
     try:
@@ -138,10 +143,26 @@ class TestHeapTraining:
     @example((["aaaa aaaa aaa", "aaaaa"], 100))
     @example((["中文 中文 文字", "e\u0301e\u0301 e\u0301"], 100))
     @example((["  \t", "\u3000"], 50))
+    @example((["a" * 101], 1000))
+    @example((["ab" * 64], 1000))
+    @example((["aab" * 40 + " aab"], 1000))
     def test_matches_scan_oracle(self, inputs):
         texts, vocab_size = inputs
         assert (_bpe_bytes(train_bpe, texts, vocab_size)
                 == _bpe_bytes(train_bpe_oracle, texts, vocab_size))
+
+    def test_long_word_matches_scan_oracle(self):
+        word = _long_word(2_000)
+        assert (_bpe_bytes(train_bpe, [word], DEFAULT_VOCAB_SIZE)
+                == _bpe_bytes(train_bpe_oracle, [word], DEFAULT_VOCAB_SIZE))
+
+    def test_long_word_peak_memory(self):
+        # The trainer keeps each position's symbol, word frequency, two
+        # links and pair-index entries; on this word it peaks at about 117
+        # bytes per character.
+        word = _long_word(50_000)
+        peak = traced_peak(lambda: train_bpe([word], DEFAULT_VOCAB_SIZE))
+        assert peak <= 150 * len(word), peak / len(word)
 
     def test_pair_formed_again_is_merged_again(self):
         rules = [(m.left, m.right)
@@ -164,9 +185,10 @@ class TestHeapTraining:
 
     def test_peak_memory(self):
         # The heap holds at most twice as many entries as there are pairs
-        # that can still be merged; the scan oracle holds none.  On 2,531
-        # distinct words the heap trainer peaks at about 1.23 times the
-        # oracle.
+        # that can still be merged, and the pair index one entry per pair
+        # occurrence ever formed; the scan oracle holds neither, but keeps
+        # a symbol list per word and a word set per pair.  On 2,531
+        # distinct words the trainer peaks at about 0.97 times the oracle.
         rng = random.Random(7)
         letters = "etaoinshrdlucmfwypvbgkjqxz"
         weights = [1 / (i + 1) for i in range(len(letters))]

@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .features import TfidfConfig
 from .files import read_text
 from .models import GbdtConfig, SgdConfig
-from .models.naive_bayes import DEFAULT_ALPHA
+from .models.naive_bayes import DEFAULT_ALPHA, check_alpha
 from .pipeline import TOKEN_SOURCE_BPE, TOKEN_SOURCES
 from .tokenizer import DEFAULT_VOCAB_SIZE
 
@@ -163,4 +163,5 @@ def load_run_config(path=None) -> RunConfig:
     config.tfidf_config()
     config.sgd_config()
     config.gbdt_config()
+    check_alpha(config.get("naive_bayes", "alpha"))
     return config

@@ -37,7 +37,7 @@ grower sums a level's gains over only the columns its nodes keep.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -274,7 +274,9 @@ class _BinnedMatrix:
     maximum alone when n_bins is 2), duplicates dropped.  ``_bin_columns``
     bins all columns together, in a fixed number of array passes over
     X_split's nonzeros: one sort, no loop over columns, and memory linear
-    in the nonzeros.
+    in the nonzeros.  Splits route rows on X_split's copy of a column, so
+    training sorts only the binned columns' entries into a column view,
+    X_split's own, and leaves X as it was given.
     """
 
     def __init__(self, X: SparseMatrix, config: GbdtConfig):
@@ -283,16 +285,13 @@ class _BinnedMatrix:
                              "is reserved for zeros, which must sort lowest")
         if not np.isfinite(X.vals).all():
             raise ModelError("feature values must be finite numbers")
-        self.X = X
         self.config = config
         self.n_bins = config.n_bins
         keep = np.bincount(X.cols, minlength=X.n_cols) >= config.min_data_in_leaf
         self.splittable = np.flatnonzero(keep)
-        kept = np.flatnonzero(keep[X.cols])  # X's entries in those columns
-        self.X_split = SparseMatrix(
-            indptr=np.searchsorted(kept, X.indptr),
-            cols=(np.cumsum(keep) - 1)[X.cols[kept]],
-            vals=X.vals[kept], n_rows=X.n_rows, n_cols=len(self.splittable))
+        X_split = X.select_columns(keep)
+        self.X_split = replace(X_split, n_cols=len(self.splittable),
+                               cols=(np.cumsum(keep) - 1)[X_split.cols])
         cuts, bounds, self.bins = _bin_columns(self.X_split, self.n_bins)
         bounds = bounds.tolist()
         self.cuts: list[np.ndarray] = [np.empty(0)] * X.n_cols
@@ -359,7 +358,8 @@ class _BinnedMatrix:
         """Child records of ``node``; rows go left iff value <= threshold,
         the routing ``predict`` applies."""
         rows = node[0]
-        goes_left = self.X.column_values(col, rows) <= threshold
+        k = int(np.searchsorted(self.splittable, col))
+        goes_left = self.X_split.column_values(k, rows) <= threshold
         return _node(rows[goes_left], g, h), _node(rows[~goes_left], g, h)
 
 

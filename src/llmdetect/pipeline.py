@@ -13,8 +13,9 @@ from .corpus import LabeledCorpus
 from .errors import ModelError
 from .features import (TfidfConfig, encode_words, fit_tfidf, fit_word_vocab,
                        transform_corpus, word_vocab_ref)
-from .models import (KIND_GBDT, KIND_NAIVE_BAYES, KIND_SGD_LINEAR, ModelBundle,
-                     save_model, train_gbdt, train_nb, train_sgd, vocab_hash)
+from .models import (KIND_NAIVE_BAYES, KIND_SGD_LINEAR, MODEL_KINDS,
+                     GbdtConfig, ModelBundle, SgdConfig, save_model,
+                     train_gbdt, train_nb, train_sgd, vocab_hash)
 from .models.naive_bayes import DEFAULT_ALPHA
 from .tokenizer import BpeVocab, TokenCorpus, encode_corpus
 
@@ -50,7 +51,10 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
                  gbdt_config=None,
                  seed: int | None = None,
                  config_hash: str | None = None) -> bytes:
-    """Tokenize, fit TF-IDF, train one classifier, and emit its bundle."""
+    """Tokenize, fit TF-IDF, train one classifier, and emit its bundle.
+    A config left as None takes its trainer's defaults."""
+    if kind not in MODEL_KINDS:
+        raise ModelError(f"unknown model kind {kind!r}")
     texts = corpus.texts
     if token_source == TOKEN_SOURCE_WHITESPACE:
         word_vocab = fit_word_vocab(texts)
@@ -71,11 +75,9 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
     if kind == KIND_NAIVE_BAYES:
         model = train_nb(X, corpus.labels, alpha=nb_alpha)
     elif kind == KIND_SGD_LINEAR:
-        model = train_sgd(X, corpus.labels, sgd_config)
-    elif kind == KIND_GBDT:
-        model = train_gbdt(X, corpus.labels, gbdt_config)
+        model = train_sgd(X, corpus.labels, sgd_config or SgdConfig())
     else:
-        raise ModelError(f"unknown model kind {kind!r}")
+        model = train_gbdt(X, corpus.labels, gbdt_config or GbdtConfig())
     return save_model(model, tfidf, ref, seed=seed, config_hash=config_hash)
 
 

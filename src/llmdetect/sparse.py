@@ -75,11 +75,6 @@ class SparseMatrix:
         pos = np.arange(total, dtype=np.int64) - offsets + np.repeat(starts, lengths)
         return pos, lengths
 
-    def gather_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate the nonzeros of the given rows as (cols, vals, lengths)."""
-        pos, lengths = self.gather_positions(rows)
-        return self.cols[pos], self.vals[pos], lengths
-
     def dot(self, w: np.ndarray) -> np.ndarray:
         """Matrix-vector product against a dense weight vector."""
         if len(w) != self.n_cols:
@@ -127,16 +122,6 @@ class SparseMatrix:
         safe = np.minimum(pos, len(rseg) - 1)
         found = rseg[safe] == rows
         return np.where(found, vseg[safe], 0.0)
-
-    def column_sums(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Per-column value sums, optionally restricted to a row subset."""
-        if rows is None:
-            cols, vals = self.cols, self.vals
-        else:
-            cols, vals, _ = self.gather_rows(rows)
-        if len(cols) == 0:
-            return np.zeros(self.n_cols)
-        return np.bincount(cols, weights=vals, minlength=self.n_cols)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))

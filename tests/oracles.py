@@ -28,7 +28,7 @@ from llmdetect.ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
 from llmdetect.errors import FeatureError, ModelError, TokenizerError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
                                 extract_ngrams)
-from llmdetect.models import SgdConfig, SgdLinearModel
+from llmdetect.models import NaiveBayesModel, SgdConfig, SgdLinearModel
 from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
 from llmdetect.seeds import stream_rng
@@ -422,6 +422,28 @@ def train_sgd_oracle(X: SparseMatrix, y,
             theta = sgd_step(theta, gradient, alpha)
             step += 1
     return SgdLinearModel(theta=theta, config=config)
+
+
+# -- naive Bayes: one class at a time --------------------------------------
+
+def train_nb_oracle(X: SparseMatrix, y, alpha: float) -> NaiveBayesModel:
+    """Priors and smoothed likelihoods class by class: each class's rows
+    gathered in order, their weights summed per column by one bincount."""
+    y = check_binary_labels(y, X.n_rows)
+    log_prior = np.empty(2)
+    log_likelihood = np.empty((2, X.n_cols))
+    for cls in (0, 1):
+        rows = np.flatnonzero(y == cls)
+        log_prior[cls] = np.log(len(rows) / X.n_rows)
+        gathered = [X.row(i) for i in rows]
+        cols = np.concatenate([row.cols for row in gathered])
+        vals = np.concatenate([row.vals for row in gathered])
+        feature_sums = (np.bincount(cols, weights=vals, minlength=X.n_cols)
+                        if len(cols) else np.zeros(X.n_cols))
+        log_likelihood[cls] = np.log(
+            (alpha + feature_sums) / (alpha * X.n_cols + feature_sums.sum()))
+    return NaiveBayesModel(log_prior=log_prior, log_likelihood=log_likelihood,
+                           alpha=alpha)
 
 
 # -- ROC-AUC: literal all-pairs comparison ----------------------------------

@@ -723,6 +723,18 @@ class TestBadInputs:
         assert single_error(capsys, code) == refused
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["-1", "0"])
+    def test_nb_alpha_checked_when_loaded(self, workdir, capsys, alpha):
+        # synth once exited 0 on it, and train --kind naive_bayes refused
+        # it only after tokenizing and fitting
+        (workdir / "bad.ini").write_text(f"[naive_bayes]\nalpha = {alpha}\n")
+        capsys.readouterr()
+        assert run(["synth", "--n-per-class", "2", "--divergence", "0.5",
+                    "--out", workdir / "s.jsonl",
+                    "--config", workdir / "bad.ini"]) == 1
+        assert "alpha" in single_error(capsys, "model")
+        assert not (workdir / "s.jsonl").exists()
+
     def test_threads_key_removed(self, workdir, capsys):
         (workdir / "old.ini").write_text("[run]\nthreads = 0\n")
         assert run(["synth", "--n-per-class", "2", "--divergence", "0.5",

@@ -32,11 +32,12 @@ def node_split_gains(X, rows, g, h, n_bins, min_data_in_leaf=1, lambda_l2=1.0):
     return binned, occupied, gains
 
 
-def csr_bins(binned):
-    """The binned matrix's bin per stored nonzero of X, in X's storage
-    order; 0 for the nonzeros of columns it does not bin."""
-    bins = np.zeros(binned.X.nnz, dtype=np.int64)
-    bins[np.isin(binned.X.cols, binned.splittable)] = binned.bins
+def csr_bins(X, binned):
+    """The bin per stored nonzero of X, the matrix ``binned`` was built
+    from, in X's storage order; 0 for the nonzeros of columns it does not
+    bin."""
+    bins = np.zeros(X.nnz, dtype=np.int64)
+    bins[np.isin(X.cols, binned.splittable)] = binned.bins
     return bins
 
 
@@ -211,7 +212,7 @@ def assert_column_binned_like_oracle(binned, X, col, expected_cuts,
     col_indptr, _, csc_vals = X.to_csc()
     values = csc_vals[col_indptr[col]:col_indptr[col + 1]]
     entries = X.cols == col
-    got, bins = binned.cuts[col], csr_bins(binned)
+    got, bins = binned.cuts[col], csr_bins(X, binned)
     if n_bins == 2 and len(np.unique(values)) > 1:
         # the two-pass cut sat at the minimum and put larger values in
         # bin 2, past the last bin; one bin holds them all now
@@ -381,8 +382,8 @@ class TestSplitGains:
                                                    min_data, lam)
         # a column left unbinned has all of its rows in the zero bin here;
         # it has too few nonzeros to split, as it would with its true bins
-        grad, hess, count = histograms_oracle(X, csr_bins(binned), rows, g, h,
-                                              n_bins)
+        grad, hess, count = histograms_oracle(X, csr_bins(X, binned), rows,
+                                              g, h, n_bins)
         expected = find_best_split(grad, hess, count, lam, min_data,
                                    (float(g[rows].sum()),
                                     float(h[rows].sum()), len(rows)))
@@ -480,6 +481,24 @@ class TestTraining:
         np.testing.assert_array_equal(scores, expected)
         used = {c for tree in model.trees for c in tree.split_columns()}
         assert 0 < len(used) < X.n_cols
+
+    @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
+    def test_training_leaves_the_matrix_as_given(self, rng, variant):
+        # training once sorted every entry of the caller's matrix into a
+        # column view and left it cached there; it reads only its binned
+        # copy of the splittable columns now
+        X, _ = random_sparse(rng, 80, 40, density=0.3, max_distinct=10)
+        y = (rng.random(80) < 0.5).astype(int)
+        y[0], y[1] = 0, 1
+        arrays = [a.copy() for a in (X.indptr, X.cols, X.vals)]
+        model = train_gbdt(X, y, GbdtConfig(
+            variant=variant, n_trees=4, max_leaves=4, depth=2, n_bins=16,
+            min_data_in_leaf=2, learning_rate=0.3))
+        assert sum(len(tree.split_columns()) for tree in model.trees) > 0
+        assert X._csc_cache is None
+        for before, after in zip(arrays, (X.indptr, X.cols, X.vals)):
+            assert after.dtype == before.dtype
+            assert after.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
     def test_no_columns_gives_constant_trees(self, variant):
@@ -600,9 +619,10 @@ class TestOracleEquivalence:
         return sparse_from_dense(dense), dense, y
 
     @staticmethod
-    def pruning_spy(monkeypatch):
-        """(rows, dropped) for every node split_gains scores: its row count
-        and how many columns with a nonzero there it leaves out."""
+    def pruning_spy(monkeypatch, X):
+        """(rows, dropped) for every node split_gains scores while training
+        on X: its row count and how many columns with a nonzero there it
+        leaves out."""
         seen = []
         split_gains = _BinnedMatrix.split_gains
 
@@ -610,8 +630,8 @@ class TestOracleEquivalence:
             occupied, gains = split_gains(self, node, g, h)
             rows = node[0]
             if len(rows) >= 2 * self.config.min_data_in_leaf:
-                pos, _ = self.X.gather_positions(rows)
-                present = len(np.unique(self.X.cols[pos]))
+                pos, _ = X.gather_positions(rows)
+                present = len(np.unique(X.cols[pos]))
                 seen.append((len(rows), present - len(occupied)))
             return occupied, gains
 
@@ -628,7 +648,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", [20, 21, 22, 23])
     def test_leafwise_node_for_node_wide_sparse(self, seed, monkeypatch):
         X, dense, y = self.wide_sparse(seed)
-        seen = self.pruning_spy(monkeypatch)
+        seen = self.pruning_spy(monkeypatch, X)
         cfg = GbdtConfig(n_trees=3, learning_rate=0.3, max_leaves=8,
                          n_bins=64, min_data_in_leaf=5)
         model = train_gbdt(X, y.astype(int), cfg)
@@ -641,7 +661,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", [30, 31, 32, 33])
     def test_symmetric_node_for_node_wide_sparse(self, seed, monkeypatch):
         X, dense, y = self.wide_sparse(seed)
-        seen = self.pruning_spy(monkeypatch)
+        seen = self.pruning_spy(monkeypatch, X)
         cfg = GbdtConfig(variant=SYMMETRIC, n_trees=3, learning_rate=0.3,
                          depth=3, n_bins=64, min_data_in_leaf=5)
         model = train_gbdt(X, y.astype(int), cfg)

@@ -5,7 +5,8 @@ A stdlib ``ast`` walk stands in for a linter: a module's bound import names
 must each appear as a name somewhere in its code.  The package
 ``__init__.py`` files only re-export, so they are skipped there.  A
 module-level private function, class or constant (``_name``, dunders
-exempt) must be read somewhere in its own module, or it is dead.
+exempt) must be read somewhere in its own module, or it is dead.  The
+same walk lists every call site that can reach BLAS.
 """
 
 import ast
@@ -82,3 +83,52 @@ def test_check_sees_an_unread_private_name():
         "def _used(): return _A\ndef _dead(): _used()\n"
         "class _Dead: pass\n_C = 4\n") == [
         "line 2: _B", "line 3: _C", "line 5: _dead", "line 6: _Dead"]
+
+
+# numpy entry points that can hand a product or a sum of products to BLAS
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+
+
+def blas_call_sites(source: str, module: str) -> list[str]:
+    """``module.function: op`` for every BLAS-capable numpy call and every
+    ``@`` in a module, named by the innermost function around it."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"
+                and node.func.attr in BLAS_CALLS):
+            sites.append(f"{module}.{where}: np.{node.func.attr}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            sites.append(f"{module}.{where}: @")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_blas_call_sites_are_known():
+    # The kernel OpenBLAS picks for the CPU sets these sums' rounding
+    # order, so each site is one that bundle and CSR bytes can depend on.
+    # _has_duplicate's @ is int64, which numpy computes without BLAS.
+    sites = sorted(site for path in ALL_MODULES
+                   for site in blas_call_sites(path.read_text(encoding="utf-8"),
+                                               path.stem))
+    assert sites == ["features._has_duplicate: @",
+                     "features._transform_block: np.dot",
+                     "sgd.objective: np.dot",
+                     "sgd.train_sgd: np.dot"]
+
+
+def test_check_sees_every_blas_site():
+    assert blas_call_sites(
+        "import numpy as np\nx = a @ b\n"
+        "def f(v):\n    def g():\n        return np.einsum('i,i', v, v)\n"
+        "    return np.matmul(v, v) + np.tensordot(v, v, 1) + np.sum(v)\n",
+        "m") == ["m.<module>: @", "m.g: np.einsum", "m.f: np.matmul",
+                 "m.f: np.tensordot"]

@@ -1,10 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from llmdetect.errors import ModelError
 from llmdetect.models import train_nb
 from conftest import random_sparse
-from oracles import sparse_from_dense
+from oracles import sparse_from_dense, train_nb_oracle
+
+
+@st.composite
+def _training_sets(draw):
+    """(X, y, alpha) with empty rows, one-column matrices and, at times, a
+    class whose rows hold no nonzeros."""
+    n_rows = draw(st.integers(2, 30))
+    n_cols = draw(st.integers(1, 6))
+    y = draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows)
+             .filter(lambda labels: 0 < sum(labels) < n_rows))
+    value = st.one_of(st.just(0.0), st.floats(1e-6, 1e6),
+                      st.sampled_from([0.1, 1 / 3, 1e-300]))
+    dense = np.array(draw(st.lists(
+        st.lists(value, min_size=n_cols, max_size=n_cols),
+        min_size=n_rows, max_size=n_rows)))
+    silent = draw(st.sampled_from([None, 0, 1]))
+    if silent is not None:
+        dense[np.array(y) == silent] = 0.0
+    alpha = draw(st.sampled_from([1.0, 0.5, 1e-3, 7.0]))
+    return sparse_from_dense(dense), y, alpha
 
 
 class TestTraining:
@@ -47,6 +69,23 @@ class TestTraining:
         X = sparse_from_dense([[1.0], [2.0]])
         with pytest.raises(ModelError):
             train_nb(X, [0, 1], alpha=0.0)
+
+
+class TestOracle:
+    @given(_training_sets())
+    @settings(max_examples=300, deadline=None)
+    @example((sparse_from_dense([[0.0], [2.0], [0.0]]), [0, 1, 1], 1.0))
+    @example((sparse_from_dense([[0.0, 0.0], [0.0, 0.0]]), [1, 0], 0.5))
+    def test_matches_class_by_class_oracle(self, inputs):
+        # one bincount over both classes gives the bytes of a class-by-class
+        # gather: each sum adds its terms in the same CSR order
+        X, y, alpha = inputs
+        model = train_nb(X, y, alpha)
+        expected = train_nb_oracle(X, y, alpha)
+        for got, want in ((model.log_prior, expected.log_prior),
+                          (model.log_likelihood, expected.log_likelihood)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestScoring:

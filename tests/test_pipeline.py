@@ -6,7 +6,7 @@ from llmdetect.corpus import (Document, LabeledCorpus, SplitSpec, split_corpus,
 from llmdetect.errors import ModelError
 from llmdetect.features import TfidfConfig
 from llmdetect.metrics import roc_auc
-from llmdetect.models import load_model
+from llmdetect.models import GbdtConfig, SgdConfig, load_model
 from llmdetect.pipeline import (check_vocab_ref, score_texts, train_bundle,
                                 word_vocab_ref)
 from llmdetect.tokenizer import save_vocab, train_bpe
@@ -73,6 +73,26 @@ class TestWhitespaceFallback:
             train_bundle("transformer", corpus,
                          tfidf_config=TfidfConfig(1, 1, min_df=1),
                          token_source="whitespace")
+
+    def test_unknown_kind_rejected_before_tokenizing(self):
+        # once refused only after tokenizing and fitting TF-IDF, so a BPE
+        # run without a tokenizer named the missing vocabulary instead
+        corpus = synth_corpus(10, seed=2, divergence=0.5)
+        with pytest.raises(ModelError, match="kind"):
+            train_bundle("transformer", corpus,
+                         tfidf_config=TfidfConfig(1, 1, min_df=1))
+
+    @pytest.mark.parametrize("kind, key, default", [
+        ("sgd_linear", "sgd_config", SgdConfig()),
+        ("gbdt", "gbdt_config", GbdtConfig())])
+    def test_missing_config_means_defaults(self, kind, key, default):
+        # each once an AttributeError on None ('eta0', 'n_bins')
+        corpus = synth_corpus(10, seed=2, divergence=0.5)
+        vocab = train_bpe(corpus.texts, vocab_size=100)
+        given = dict(tfidf_config=TfidfConfig(1, 1, min_df=1),
+                     bpe_vocab=vocab, vocab_bytes=save_vocab(vocab))
+        assert (train_bundle(kind, corpus, **given)
+                == train_bundle(kind, corpus, **given, **{key: default}))
 
 
     def test_large_word_vocabulary_trains_in_time(self, time_bound):

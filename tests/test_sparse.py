@@ -31,10 +31,11 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             X.dot(np.ones(5))
 
-    def test_gather_rows(self, rng):
+    def test_gather_positions(self, rng):
         X, dense = random_sparse(rng, 12, 5)
         rows = np.array([3, 7, 9])
-        cols, vals, lengths = X.gather_rows(rows)
+        pos, lengths = X.gather_positions(rows)
+        cols, vals = X.cols[pos], X.vals[pos]
         assert lengths.sum() == sum(np.count_nonzero(dense[r]) for r in rows)
         rebuilt = np.zeros((3, 5))
         offsets = np.cumsum(lengths) - lengths
@@ -91,13 +92,6 @@ class TestSparseMatrix:
             np.testing.assert_array_equal(part.column_values(col, rows),
                                           X.column_values(col, rows))
         assert X.select_columns(np.zeros(7, dtype=bool)).nnz == 0
-
-    def test_column_sums(self, rng):
-        X, dense = random_sparse(rng, 9, 4)
-        np.testing.assert_allclose(X.column_sums(), dense.sum(axis=0), atol=1e-12)
-        subset = np.array([1, 4])
-        np.testing.assert_allclose(X.column_sums(subset),
-                                   dense[subset].sum(axis=0), atol=1e-12)
 
     def test_empty_matrix(self):
         X = sparse_from_rows([], n_cols=4)

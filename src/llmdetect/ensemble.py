@@ -442,8 +442,10 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
     BPE voters must agree on their vocabulary reference; external voters
     must cover every document id.  The texts are tokenized once per token
     scheme (BPE, or one whitespace word table) and featurized once per
-    distinct TF-IDF model of a scheme (``same_transform``), each on first
-    use, so errors still come out in spec order.
+    distinct TF-IDF model of a scheme, each on first use, so errors still
+    come out in spec order.  Bundles loaded from equal payloads hold one
+    model (``tfidf_from_dict``), matched by identity before
+    ``same_transform`` compares bytes.
     """
     ids = documents.ids
     texts = documents.texts
@@ -468,8 +470,8 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
                 texts, tfidf.word_vocab, bpe_vocab), [])
             schemes.append(scheme)
         _, sequences, matrices = scheme
-        X = next((X for model, X in matrices if same_transform(model, tfidf)),
-                 None)
+        X = next((X for model, X in matrices
+                  if model is tfidf or same_transform(model, tfidf)), None)
         if X is None:
             X = pipeline.transform_corpus(tfidf, sequences)
             matrices.append((tfidf, X))

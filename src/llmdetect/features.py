@@ -23,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import weakref
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -44,6 +46,11 @@ WORD_UNKNOWN = "<unk>"
 MAX_NGRAM = 32
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TfidfConfig:
     ngram_min: int = 1
@@ -53,6 +60,15 @@ class TfidfConfig:
     l2_normalize: bool = True
 
     def __post_init__(self):
+        for name in ("ngram_min", "ngram_max", "min_df"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise FeatureError(f"{name} must be an integer, got {value!r}")
+        for name in ("sublinear_tf", "l2_normalize"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise FeatureError(f"{name} must be true or false, got "
+                                   f"{value!r}")
         if not 1 <= self.ngram_min <= self.ngram_max <= MAX_NGRAM:
             raise FeatureError(f"need 1 <= ngram_min <= ngram_max <= "
                                f"{MAX_NGRAM}, got "
@@ -462,16 +478,54 @@ def _has_duplicate(ids: np.ndarray, lengths: np.ndarray) -> bool:
     return False
 
 
+# The packed arrays of a payload, in the order they are decoded.
+_PACKED = (("ngram_ids", "<i8"), ("ngram_lengths", "<i8"), ("df", "<i8"),
+           ("idf", "<f8"))
+
+
+class _PayloadKey(tuple):
+    """A payload's checked config and document count, then its four packed
+    strings.  Keys are equal when those are, the strings as strings; the
+    hash reads only the strings' lengths, as hashing them would take a
+    pass over each."""
+
+    def __hash__(self):
+        return hash((*self[:2], *map(len, self[2:])))
+
+
+# Every model tfidf_from_dict returned that is still alive, by its
+# payload's key; an entry goes when the last holder of its model lets it go.
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def tfidf_from_dict(data: dict) -> TfidfModel:
+    """The checked model of a bundle's ``tfidf`` payload.
+
+    While a model this returned is alive, a payload with the same config,
+    document_count and word_vocab and the same four packed strings (equal
+    as strings, not as the numbers they decode to) returns that very
+    model, with its n-gram table, and decodes nothing.  Any other payload
+    is decoded and checked in full.  Since bundles may share a model, its
+    arrays are read-only."""
     try:
         config = TfidfConfig(**data["config"])
-        document_count = int(data["document_count"])
-        ids = _array(data, "ngram_ids", "<i8")
-        lengths = _array(data, "ngram_lengths", "<i8")
-        df = _array(data, "df", "<i8")
-        idf = _array(data, "idf", "<f8")
-        word_vocab = data.get("word_vocab")
-    except (KeyError, TypeError, ValueError) as exc:
+        document_count = data["document_count"]
+    except (KeyError, TypeError) as exc:
+        raise FeatureError(f"malformed tfidf payload: {exc}")
+    if not _is_int(document_count) or document_count < 0:
+        raise FeatureError(f"malformed tfidf payload: document_count must be "
+                           f"a non-negative integer, got {document_count!r}")
+    word_vocab = data.get("word_vocab")
+    packed = [data.get(name) for name, _ in _PACKED]
+    key = _PayloadKey((config, document_count, *packed))
+    if all(isinstance(value, str) for value in packed):
+        shared = _LIVE.get(key)
+        if shared is not None and shared.word_vocab == word_vocab:
+            return shared
+    try:
+        ids, lengths, df, idf = (_array(data, name, dtype)
+                                 for name, dtype in _PACKED)
+    except KeyError as exc:
         raise FeatureError(f"malformed tfidf payload: {exc}")
     # No length exceeds the id count, so their sum cannot wrap.
     if len(lengths) and (lengths.min() < 0 or lengths.max() > len(ids)):
@@ -494,7 +548,12 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         raise FeatureError(f"malformed tfidf payload: word_vocab must be null "
                            f"or a list of strings starting with "
                            f"{WORD_UNKNOWN!r}")
+    for array in (ids, lengths, df, idf):
+        array.flags.writeable = False
     vocabulary = NgramVocabulary(ids=ids, lengths=lengths,
                                  document_count=document_count, df=df)
-    return TfidfModel(vocabulary=vocabulary, idf=idf, config=config,
-                      word_vocab=word_vocab)
+    model = TfidfModel(vocabulary=vocabulary, idf=idf, config=config,
+                       word_vocab=word_vocab)
+    # Every packed value decoded, so each is a string.
+    _LIVE[key] = model
+    return model

@@ -48,6 +48,11 @@ class SgdConfig:
             raise ModelError(f"eta0 must be positive and finite, got {self.eta0}")
         if not 0.0 <= self.l2 < math.inf:
             raise ModelError(f"l2 must be non-negative and finite, got {self.l2}")
+        # The rate's denominator, 1 + eta0 * l2 * step, must not overflow
+        # at the second step.
+        if not math.isfinite(self.eta0 * self.l2):
+            raise ModelError(f"eta0 * l2 must be finite, got eta0 = "
+                             f"{self.eta0} and l2 = {self.l2}")
         if not 1 <= self.epochs <= MAX_EPOCHS:
             raise ModelError(f"epochs must be in [1, {MAX_EPOCHS}], "
                              f"got {self.epochs}")
@@ -111,8 +116,9 @@ def train_sgd(X: SparseMatrix, y, config: SgdConfig = SgdConfig()) -> SgdLinearM
         rng.shuffle(order)
         for i in order:
             alpha = eta0 / (1.0 + eta0 * l2 * step)
-            if alpha <= 0.0:  # eta0 * l2 * step overflowed to inf
-                raise ModelError(f"alpha must be positive, got {alpha}")
+            if alpha <= 0.0:
+                raise ModelError(f"eta0 * l2 * step overflows at step {step}, "
+                                 f"so the learning rate is {alpha}")
             cols = X.cols[indptr[i]:indptr[i + 1]]
             vals = X.vals[indptr[i]:indptr[i + 1]]
             sign = signs[i]

@@ -635,16 +635,33 @@ class TestBadInputs:
         assert code == 1
         assert "sgd.eta0" in single_error(capsys, "config")
 
-    def test_sgd_rate_underflow(self, workdir, capsys):
-        # eta0 * l2 overflows to inf, so the second step's rate is 0.0
-        _, vocab = trained_bundle(workdir)
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_sgd_rate_product_overflow(self, workdir, capsys, command):
+        # eta0 * l2 overflows to inf: synth once exited 0 on the file, and
+        # train failed only at its second SGD step, naming alpha
         (workdir / "big.ini").write_text("[sgd]\neta0 = 1e300\nl2 = 1e300\n")
+        out = workdir / "out.json"
+        args = (["synth", "--n-per-class", "2", "--divergence", "0.5"]
+                if command == "synth" else
+                ["train", workdir / "corpus.jsonl", "--kind", "sgd_linear"])
+        assert run([*args, "--out", out, "--config", workdir / "big.ini"]) == 1
+        line = single_error(capsys, "model")
+        assert "eta0 * l2 must be finite" in line
+        assert "eta0 = 1e+300 and l2 = 1e+300" in line
+        assert not out.exists()
+
+    def test_sgd_rate_underflow(self, workdir, capsys):
+        # eta0 * l2 is 1e308, so eta0 * l2 * step overflows at step 2
+        _, vocab = trained_bundle(workdir)
+        (workdir / "big.ini").write_text("[sgd]\neta0 = 1e200\nl2 = 1e108\n")
         capsys.readouterr()
         code = run(["train", workdir / "corpus.jsonl", "--kind", "sgd_linear",
                     "--out", workdir / "m.json", "--config", workdir / "big.ini",
                     "--vocab", vocab])
         assert code == 1
-        assert "alpha must be positive" in single_error(capsys, "model")
+        line = single_error(capsys, "model")
+        assert "eta0 * l2 * step overflows at step 2" in line
+        assert "alpha" not in line
         assert not (workdir / "m.json").exists()
 
     @pytest.mark.parametrize("section, key, code", [
@@ -954,6 +971,26 @@ class TestLoaderGaps:
             assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
                         "--out", workdir / "x.csv"]) == 1
         assert "ngram_max" in single_error(capsys, "features")
+
+    @pytest.mark.parametrize("field, value", [
+        ("ngram_max", 1.0), ("ngram_min", True), ("min_df", 2.5),
+        ("sublinear_tf", "no"), ("l2_normalize", 1), ("document_count", "240"),
+        ("document_count", 240.9), ("document_count", -1),
+        ("document_count", True)])
+    def test_mistyped_tfidf_field(self, workdir, ws_bundle, capsys, field,
+                                  value):
+        # ngram_max 1.0 once ended in a TypeError traceback in transform,
+        # sublinear_tf "no" loaded as true, and the others loaded
+        def edit(payload):
+            tfidf = payload["tfidf"]
+            (tfidf if field == "document_count"
+             else tfidf["config"])[field] = value
+        self.edit(ws_bundle, edit)
+        capsys.readouterr()
+        assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
+                    "--out", workdir / "x.csv"]) == 1
+        assert f"{field} must be" in single_error(capsys, "features")
+        assert not (workdir / "x.csv").exists()
 
     def test_n_bins_over_bound(self, workdir, capsys):
         bundle, vocab = trained_bundle(workdir, "gbdt")

@@ -539,10 +539,22 @@ class TestRunEnsemble:
         with pytest.raises(EnsembleError, match="disagree"):
             run_ensemble(spec, synth_corpus(3, seed=1, divergence=0.5), vocab)
 
+    def test_bundles_from_equal_payloads_share_a_model(self, mixed):
+        _, voters, _, _ = mixed
+        models = [voter.bundle.tfidf for voter in voters[:6]]
+        assert models[0] is models[1] is models[2]
+        assert len({id(model) for model in models}) == 4
+
+    # Loaded, the three bundles of one payload hold one model, matched by
+    # identity; copied, each voter holds its own and they match by bytes.
+    @pytest.mark.parametrize("copied", [False, True], ids=["loaded", "copied"])
     @given(order=st.permutations(range(7)))
     @settings(max_examples=25, deadline=None)
-    def test_grouped_scores_match_oracle_bit_for_bit(self, mixed, order):
+    def test_grouped_scores_match_oracle_bit_for_bit(self, mixed, copied,
+                                                     order):
         vocab, voters, documents, oracle = mixed
+        if copied:
+            voters = copy.deepcopy(voters)
         spec = EnsembleSpec(voters=[voters[i] for i in order])
         with _spy() as calls:
             got = collect_voter_scores(spec, documents, vocab)

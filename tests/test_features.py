@@ -1,5 +1,8 @@
 import base64
+import gc
 import hashlib
+import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -189,7 +192,8 @@ class TestSerialization:
                           (loaded.df, vocabulary.df)):
             assert got.dtype == want.dtype == np.int64
             assert got.tobytes() == want.tobytes()
-            assert got.flags.writeable
+            # bundles from equal payloads share a loaded model
+            assert want.flags.writeable and not got.flags.writeable
 
     # int64 bytes hold no non-integer token id, so what can go wrong in an
     # array field is its encoding.
@@ -606,6 +610,95 @@ class TestSameTransform:
             p, "idf", lambda a: a.__setitem__(0, -0.0)))
         assert np.array_equal(zero.idf, negative.idf)
         assert not same_transform(zero, negative)
+
+
+class TestSharedPayload:
+    """A payload equal to that of a live loaded model returns that model."""
+
+    @staticmethod
+    def fitted(config=TfidfConfig(1, 2, 1)):
+        return fit_tfidf(seqs([1, 2, 3], [2, 3], [3, 1]), config)
+
+    def test_equal_payloads_return_one_model(self):
+        model = self.fitted()
+        first = tfidf_from_dict(tfidf_to_dict(model))
+        assert tfidf_from_dict(tfidf_to_dict(model)) is first
+        # the n-gram table the first transform builds is shared too
+        transform(first, seqs([1, 2])[0])
+        again = tfidf_from_dict(tfidf_to_dict(model))
+        assert again._ngram_table is first._ngram_table
+
+    def test_shared_arrays_read_only(self):
+        loaded = tfidf_from_dict(tfidf_to_dict(self.fitted()))
+        vocabulary = loaded.vocabulary
+        for array in (vocabulary.ids, vocabulary.lengths, vocabulary.df,
+                      loaded.idf):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_registry_lets_go_with_the_last_holder(self):
+        payload = tfidf_to_dict(self.fitted())
+        idf = payload["idf"]
+        held = sys.getrefcount(idf)
+        first = tfidf_from_dict(payload)
+        second = tfidf_from_dict(tfidf_to_dict(self.fitted()))
+        assert second is first
+        model = weakref.ref(first)
+        del first
+        gc.collect()
+        assert model() is second
+        del second
+        gc.collect()
+        assert model() is None
+        assert not any(idf in key for key in features._LIVE.keys())
+        assert sys.getrefcount(idf) == held  # no key holds the string
+        assert tfidf_from_dict(payload) is not None
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: repack(p, "idf", lambda a: a.__setitem__(
+            0, np.nextafter(a[0], np.inf))),
+        lambda p: p["config"].update(sublinear_tf=True),
+        lambda p: p.update(word_vocab=[features.WORD_UNKNOWN, "a", "b"]),
+        lambda p: p.update(document_count=p["document_count"] + 1),
+    ], ids=["idf-ulp", "sublinear_tf", "word_vocab", "document_count"])
+    def test_payloads_that_differ_not_shared(self, edit):
+        model = self.fitted()
+        live = tfidf_from_dict(tfidf_to_dict(model))
+        payload = tfidf_to_dict(model)
+        edit(payload)
+        loaded = tfidf_from_dict(payload)
+        assert loaded is not live
+        assert not np.shares_memory(loaded.idf, live.idf)
+        # loaded as if alone: its own payload's values
+        assert tfidf_to_dict(loaded) == payload
+
+    def test_float_ngram_max_neither_shared_nor_loaded(self):
+        # 3.0 == 3, and a model with ngram_max 3.0 once crashed transform
+        live = tfidf_from_dict(tfidf_to_dict(self.fitted(
+            TfidfConfig(1, 3, 1))))
+        payload = tfidf_to_dict(live)
+        payload["config"]["ngram_max"] = 3.0
+        with pytest.raises(FeatureError, match="ngram_max must be an integer"):
+            tfidf_from_dict(payload)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.update(word_vocab=["a"]), "word_vocab"),
+        (lambda p: repack(p, "df", lambda a: a[:-1]), "df/idf"),
+        (lambda p: p["config"].update(min_df=0), "min_df"),
+        (lambda p: p.update(document_count=-1), "document_count"),
+    ], ids=["word_vocab", "df", "config", "document_count"])
+    def test_rejected_payload_leaves_registry(self, edit, message):
+        model = self.fitted()
+        live = tfidf_from_dict(tfidf_to_dict(model))
+        before = dict(features._LIVE.items())
+        payload = tfidf_to_dict(model)
+        edit(payload)
+        with pytest.raises(FeatureError, match=message):
+            tfidf_from_dict(payload)
+        after = dict(features._LIVE.items())
+        assert after.keys() == before.keys()
+        assert all(after[key] is before[key] for key in before)
+        assert tfidf_from_dict(tfidf_to_dict(model)) is live
 
 
 # SHA-256 of indptr, cols and vals of a CLI-default fit (BPE vocab 5000,

@@ -225,12 +225,22 @@ class TestOracleEquivalence:
         assert got[3] == 0.0 and not np.signbit(got[3])
 
     def test_alpha_underflow_rejected(self):
-        # eta0 * l2 overflows, so the second step's rate is 0.0
+        # eta0 * l2 is 1e308, so eta0 * l2 * step overflows at step 2 and
+        # that step's rate is 0.0
         X = sparse_from_dense([[1.0], [2.0]])
-        config = SgdConfig(eta0=1e300, l2=1e300, epochs=1)
-        for train in (train_sgd, train_sgd_oracle):
-            with pytest.raises(ModelError, match="alpha must be positive"):
-                train(X, [0, 1], config)
+        config = SgdConfig(eta0=1e200, l2=1e108, epochs=2)
+        with pytest.raises(ModelError, match=r"eta0 \* l2 \* step overflows "
+                                             r"at step 2"):
+            train_sgd(X, [0, 1], config)
+        with pytest.raises(ModelError, match="alpha must be positive"):
+            train_sgd_oracle(X, [0, 1], config)
+
+    def test_overflowing_rate_product_refused(self):
+        # once accepted, and training failed at its second step
+        with pytest.raises(ModelError, match=r"eta0 \* l2 must be finite, "
+                                             r"got eta0 = 1e\+300 and l2 = "
+                                             r"1e\+300"):
+            SgdConfig(eta0=1e300, l2=1e300)
 
 
 class TestScalarSigmoid:

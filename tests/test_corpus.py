@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,33 @@ class TestSplit:
     def test_fraction_validated(self):
         with pytest.raises(CorpusError):
             SplitSpec(1.5, seed=0)
+
+
+# SHA-256 of dump_corpus(synth_corpus(n, seed, divergence), "csv"): the
+# bytes every golden hash, holdout AUC and accuracy band rests on.  (150, 1,
+# 0.0004) and (600, 1_000_004, 0.0004) are perfbench's seed-1 training set
+# and stream; (300, 42, 0.8) is the README's and the acceptance suite's.
+SYNTH_SHA256 = {
+    (1, 0, 0.5):
+        "8e073bcfd9c668ec0347ce989f72a06be976f6504e34f638869fc24a83f01d7c",
+    (150, 1, 0.0004):
+        "fd81fd0c62a4a3b2f92537a694b6e13de3dc756ec424b4ecfbe8450a65658121",
+    (600, 1_000_004, 0.0004):
+        "5afa539193e85d50ff1635109e87823e33b81d92dc9b4614e597e2692fd34a5a",
+    (200, 3, 0.0):
+        "7b39ef83d4f5dc4213c478f65fda45a65e32ae9fc816537f8cf8398a7890e19b",
+    (50, 7, 1.0):
+        "da75bd65fabed53d88821643c1f163590a045b4023da213d423c96df29e1de87",
+    (300, 42, 0.8):
+        "0459997285c643a5fe8f01b003952a88fc4e9eaeaed0513dedaf14271a1c4e1e",
+}
+
+
+@pytest.mark.parametrize("case", list(SYNTH_SHA256), ids=str)
+def test_synth_bytes_pinned(case):
+    text = dump_corpus(synth_corpus(*case), "csv")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        SYNTH_SHA256[case]
 
 
 class TestSynth:

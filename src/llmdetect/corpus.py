@@ -10,8 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
+import random
 from dataclasses import dataclass
 from itertools import accumulate
+
+import numpy as np
 
 from .errors import CorpusError
 from .files import read_text, write_bytes
@@ -29,6 +33,9 @@ DOC_LENGTH_RANGE = (50, 200)
 # the 800 a class of the hard corpus synth_corpus(800, 1, 0.0004).  Ids
 # keep their five digits.
 MAX_N_PER_CLASS = 100_000
+# synth_corpus draws this many documents' words at once, about 0.5 MB of
+# Mersenne Twister words.
+SYNTH_BLOCK_DOCS = 128
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -273,10 +280,21 @@ def synth_corpus(n_per_class: int, seed: int, divergence: float) -> LabeledCorpu
     (divergence 0, identical distributions) and its mirror position
     (divergence 1, disjoint high-frequency vocabularies).  Deterministic in
     the seed; document length is uniform over 50-200 words.
+
+    The corpus is the one that ``rng.randint(*DOC_LENGTH_RANGE)`` and then
+    ``rng.choices(lexicon, cum_weights=..., k=length)`` per document, human
+    documents first, draw from the seed's "synth" stream ``rng``.
     """
+    if isinstance(n_per_class, bool) or not isinstance(n_per_class,
+                                                       numbers.Integral):
+        raise CorpusError(f"n_per_class must be an integer, got "
+                          f"{n_per_class!r}")
     if not 1 <= n_per_class <= MAX_N_PER_CLASS:
         raise CorpusError(f"n_per_class must be in [1, {MAX_N_PER_CLASS}], "
                           f"got {n_per_class}")
+    if isinstance(divergence, bool) or not isinstance(divergence, numbers.Real):
+        raise CorpusError(f"divergence must be a real number, got "
+                          f"{divergence!r}")
     if not 0.0 <= divergence <= 1.0:
         raise CorpusError(f"divergence must lie in [0, 1], got {divergence}")
     lexicon = _lexicon()
@@ -285,13 +303,66 @@ def synth_corpus(n_per_class: int, seed: int, divergence: float) -> LabeledCorpu
     machine_cum = _zipf_cumulative(
         [(1.0 - divergence) * i + divergence * (top - i)
          for i in range(LEXICON_SIZE)])
-    rng = stream_rng(seed, "synth")
+    # Every lexicon word is two consonant-vowel syllables, so each row of
+    # the table is one word and the space after it.
+    table = np.frombuffer("".join(w + " " for w in lexicon).encode("ascii"),
+                          np.uint8).reshape(LEXICON_SIZE, -1)
+    bits = _mt19937(stream_rng(seed, "synth"))
     docs: list[Document] = []
     labels: list[int] = []
     for label, prefix, cum in ((0, "human", human_cum), (1, "machine", machine_cum)):
-        for i in range(n_per_class):
-            length = rng.randint(*DOC_LENGTH_RANGE)
-            words = rng.choices(lexicon, cum_weights=cum, k=length)
-            docs.append(Document(id=f"{prefix}-{i:05d}", text=" ".join(words)))
-            labels.append(label)
+        texts = _synth_texts(bits, n_per_class, cum, table)
+        docs.extend(Document(id=f"{prefix}-{i:05d}", text=text)
+                    for i, text in enumerate(texts))
+        labels.extend([label] * n_per_class)
     return LabeledCorpus(documents=docs, labels=labels)
+
+
+def _mt19937(rng: random.Random) -> np.random.MT19937:
+    """A numpy Mersenne Twister whose ``random_raw`` gives the 32-bit words
+    that ``rng`` would draw next."""
+    words = rng.getstate()[1]
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(words[:-1], dtype=np.uint32),
+                            "pos": words[-1]}}
+    return bits
+
+
+def _synth_texts(bits: np.random.MT19937, n_docs: int, cum: list[float],
+                 table: np.ndarray) -> list[str]:
+    """The texts of n_docs documents whose words are drawn by cumulative
+    weights ``cum`` from the lexicon whose rows, each a word and a space,
+    are ``table``, a block of SYNTH_BLOCK_DOCS at a time.
+
+    CPython's definitions, replayed on the same words: ``randint(lo, hi)``
+    takes the top ``(hi - lo + 1).bit_length()`` bits of a word until they
+    are below ``hi - lo + 1``; ``random()`` is ``((a >> 5) * 2**26 +
+    (b >> 6)) / 2**53`` for the next words a, b; ``choices`` picks the
+    ``bisect_right`` of ``random() * cum[-1]`` in ``cum[:-1]``.
+    """
+    low, high = DOC_LENGTH_RANGE
+    span = high - low + 1
+    shift = 32 - span.bit_length()
+    bounds = np.array(cum[:-1])
+    total = cum[-1] + 0.0
+    texts: list[str] = []
+    for start in range(0, n_docs, SYNTH_BLOCK_DOCS):
+        lengths: list[int] = []
+        draws: list[np.ndarray] = []
+        for _ in range(min(SYNTH_BLOCK_DOCS, n_docs - start)):
+            r = bits.random_raw() >> shift
+            while r >= span:
+                r = bits.random_raw() >> shift
+            lengths.append(low + r)
+            draws.append(bits.random_raw(2 * (low + r)))
+        words = np.concatenate(draws)
+        u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
+            * (1.0 / 9007199254740992.0)
+        picks = np.searchsorted(bounds, u * total, side="right")
+        block = table.take(picks, axis=0).tobytes().decode("ascii")
+        end = 0
+        for length in lengths:
+            begin, end = end, end + length * table.shape[1]
+            texts.append(block[begin:end - 1])
+    return texts

@@ -11,7 +11,10 @@ featurizer it checks does not call; the per-voter ensemble loop uses
 not call; the dense-gradient SGD loop uses the library's ``sigmoid`` on
 scalars, whose scalar path is checked against its array path, and takes
 its label check (``check_binary_labels``) and its shuffle stream
-(``stream_rng``) from the library, so both loops visit the same samples.
+(``stream_rng``) from the library, so both loops visit the same samples;
+the synthetic corpus loop takes the lexicon, the cumulative Zipf weights
+and the "synth" stream from the library, and checks only how documents
+are drawn from them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from llmdetect.corpus import (DOC_LENGTH_RANGE, LEXICON_SIZE, Document,
+                              LabeledCorpus, _lexicon, _zipf_cumulative)
 from llmdetect.ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
 from llmdetect.errors import FeatureError, ModelError, TokenizerError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
@@ -36,6 +41,31 @@ from llmdetect.sparse import SparseMatrix, SparseVector
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, END_OF_WORD,
                                  MIN_PAIR_FREQUENCY, UNKNOWN_SYMBOL,
                                  BpeVocab, MergeRule, TokenSequence)
+
+
+# -- synthetic corpus, one random.choices call per document -----------------
+
+def synth_corpus_oracle(n_per_class: int, seed: int,
+                        divergence: float) -> LabeledCorpus:
+    """``corpus.synth_corpus`` as CPython's ``random.Random`` draws it: per
+    document a ``randint`` length and then ``choices`` of that many words."""
+    lexicon = _lexicon()
+    top = LEXICON_SIZE - 1
+    human_cum = _zipf_cumulative([float(i) for i in range(LEXICON_SIZE)])
+    machine_cum = _zipf_cumulative(
+        [(1.0 - divergence) * i + divergence * (top - i)
+         for i in range(LEXICON_SIZE)])
+    rng = stream_rng(seed, "synth")
+    docs: list[Document] = []
+    labels: list[int] = []
+    for label, prefix, cum in ((0, "human", human_cum),
+                               (1, "machine", machine_cum)):
+        for i in range(n_per_class):
+            length = rng.randint(*DOC_LENGTH_RANGE)
+            words = rng.choices(lexicon, cum_weights=cum, k=length)
+            docs.append(Document(id=f"{prefix}-{i:05d}", text=" ".join(words)))
+            labels.append(label)
+    return LabeledCorpus(documents=docs, labels=labels)
 
 
 # -- CSR containers built one row at a time ---------------------------------

@@ -1,14 +1,19 @@
 import csv
 import hashlib
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import traced_peak
 from llmdetect.corpus import (Document, LabeledCorpus, SplitSpec, dump_corpus,
                               load_corpus, save_corpus, split_corpus,
                               synth_corpus)
 from llmdetect.ensemble import parse_external_scores
 from llmdetect.errors import CorpusError, EnsembleError
+from oracles import synth_corpus_oracle
 
 
 def write(tmp_path, name, text):
@@ -240,6 +245,47 @@ class TestSynth:
             synth_corpus(3, seed=0, divergence=1.2)
         with pytest.raises(CorpusError):
             synth_corpus(0, seed=0, divergence=0.5)
+
+    @pytest.mark.parametrize("n_per_class", [2.5, True, "3", None])
+    def test_n_per_class_must_be_an_integer(self, n_per_class):
+        with pytest.raises(CorpusError, match="n_per_class must be an integer"):
+            synth_corpus(n_per_class, seed=1, divergence=0.5)
+
+    @pytest.mark.parametrize("divergence", ["0.5", None, 0.5j, False])
+    def test_divergence_must_be_real(self, divergence):
+        with pytest.raises(CorpusError, match="divergence must be a real"):
+            synth_corpus(2, seed=1, divergence=divergence)
+
+    def test_nan_divergence_refused(self):
+        with pytest.raises(CorpusError, match=r"divergence must lie in \[0, 1\]"):
+            synth_corpus(2, seed=1, divergence=float("nan"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_per_class=st.integers(1, 400), seed=st.integers(0, 2**64),
+           divergence=st.floats(0.0, 1.0))
+    @example(n_per_class=1, seed=0, divergence=0.0)
+    @example(n_per_class=400, seed=2**64, divergence=1.0)
+    def test_matches_one_choices_call_per_document(self, n_per_class, seed,
+                                                   divergence):
+        fast = synth_corpus(n_per_class, seed, divergence)
+        slow = synth_corpus_oracle(n_per_class, seed, divergence)
+        assert fast.ids == slow.ids
+        assert fast.texts == slow.texts
+        assert fast.labels == slow.labels
+
+    def test_memory_is_one_block_of_draws(self):
+        # Beyond its texts, the 4,000 documents hold about 0.7 MB (ids,
+        # Document objects, lists) and a block of draws about 1.1 MB more;
+        # drawing all of a class's words at once peaks at about 14 MB.
+        corpus = None
+
+        def run():
+            nonlocal corpus
+            corpus = synth_corpus(2000, seed=1, divergence=0.0004)
+
+        peak = traced_peak(run)
+        texts = sum(sys.getsizeof(text) for text in corpus.texts)
+        assert peak - texts < 3_000_000
 
     def test_zero_divergence_classes_indistinguishable(self):
         # identical generators: class word distributions match closely

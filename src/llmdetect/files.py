@@ -9,7 +9,12 @@ string: the base64 of its little-endian bytes (``pack``, ``unpack``).
 from __future__ import annotations
 
 import base64
+import contextlib
+import errno
 import json
+import os
+import secrets
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +40,46 @@ def read_text(path, what: str, error) -> str:
 
 
 def write_bytes(path, data: bytes, error) -> None:
+    """Write data to the file at path, whole or not at all.
+
+    A new or regular file is written as a temporary file beside the file
+    that path resolves to, then renamed over it with that file's permission
+    bits, so a write that fails leaves the old file and no temporary one.
+    Anything else that exists, such as /dev/null or a FIFO, is written in
+    place, and a regular file that cannot be written is refused as before.
+    """
     try:
-        Path(path).write_bytes(data)
+        target = os.path.realpath(path)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            Path(target).write_bytes(data)
+            return
+        if mode is not None and not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        _replace(target, data, mode)
     except OSError as exc:
         raise error(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _replace(target: str, data: bytes, mode: int | None) -> None:
+    """Replace the file at target by data through a temporary file beside
+    it that gets ``mode``'s permission bits, or the umask's for a new file."""
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as out:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            out.write(data)
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 def canonical_json(value) -> bytes:

@@ -28,13 +28,14 @@ SHOWN_HEADER_CHARS = 80  # of a bad CSV header, quoted in the error
 LEXICON_SIZE = 2000
 ZIPF_EXPONENT = 1.1
 DOC_LENGTH_RANGE = (50, 200)
-# synth builds the whole corpus in memory before writing it: about 1 KB
-# and 65 us a document, so about 0.2 GB and 13 s at this bound, 125 times
-# the 800 a class of the hard corpus synth_corpus(800, 1, 0.0004).  Ids
-# keep their five digits.
+# synth builds the whole corpus in memory before writing it.  A document
+# takes about 0.84 KB and 15 us to draw, and 2.2 KB and 31 us with its CSV
+# text and bytes (10,000 a class, Python 3.11 on a 2-CPU x86-64 machine),
+# so about 0.43 GB and 6 s at this bound, 125 times the 800 a class of the
+# hard corpus synth_corpus(800, 1, 0.0004).  Ids keep their five digits.
 MAX_N_PER_CLASS = 100_000
-# synth_corpus draws this many documents' words at once, about 0.5 MB of
-# Mersenne Twister words.
+# synth_corpus draws this many documents' words at once: about 1 MB of
+# arrays at a time, where all of a 2,000-document class would take 13 MB.
 SYNTH_BLOCK_DOCS = 128
 
 _CONSONANTS = "bdfgklmnprstvz"

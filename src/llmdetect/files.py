@@ -54,11 +54,12 @@ def write_bytes(path, data: bytes, error) -> None:
             mode = os.stat(target).st_mode
         except FileNotFoundError:
             mode = None
-        if mode is not None and not stat.S_ISREG(mode):
-            Path(target).write_bytes(data)
-            return
-        if mode is not None and not os.access(target, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        if mode is not None:
+            if not stat.S_ISREG(mode):
+                Path(target).write_bytes(data)
+                return
+            if not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
         _replace(target, data, mode)
     except OSError as exc:
         raise error(f"cannot write {path}: {exc.strerror or exc}")

@@ -34,7 +34,8 @@ import numpy as np
 from .errors import FeatureError
 from .files import pack, unpack
 from .sparse import SparseMatrix
-from .tokenizer import TokenCorpus, TokenSequence, encode_pending, map_words
+from .tokenizer import (TokenCorpus, TokenSequence, _stable_sort,
+                        encode_pending, map_words)
 
 Ngram = tuple[int, ...]
 
@@ -210,12 +211,26 @@ def _find(sorted_keys: np.ndarray,
     they occur there."""
     if not len(sorted_keys):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    # searchsorted is several times faster on sorted queries.
-    order = np.argsort(keys)
-    query = keys[order]
+    # searchsorted is about four times as fast on sorted queries, and a
+    # packed sort of them costs well under the difference.
+    query, order = _stable_sort(keys)
     pos = np.searchsorted(sorted_keys, query)
     hit = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == query
     return order[hit], pos[hit]
+
+
+def _numbered(keys: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys in ascending order, each key's number (the
+    position of its value there), and the stable order that sorts the
+    keys: ``np.unique(keys, return_inverse=True)`` and the sort under it."""
+    ordered, order = _stable_sort(keys)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    number = np.empty(len(keys), dtype=np.int64)
+    number[order] = np.cumsum(new) - 1
+    return ordered[new], number, order
 
 
 def _gapped(ranks: np.ndarray,
@@ -240,20 +255,24 @@ def _extend(ranks: np.ndarray, start: np.ndarray, number: np.ndarray, k: int,
     return start[ok], number[ok] * n_tokens + last[ok]
 
 
-def _levels(ranks: np.ndarray, start: np.ndarray, n_tokens: int, k_max: int):
+def _levels(ranks: np.ndarray, start: np.ndarray, order: np.ndarray,
+            n_tokens: int, k_max: int):
     """Yield, for k = 1, 2, ... up to k_max or the longest n-gram starting
     at ``start`` in the gapped ``ranks``, the sorted keys of the distinct
-    length-k n-grams, their starts and their numbers (positions in the
-    keys).  A 1-gram's key is its token's rank, a longer one's the number
-    of its prefix times n_tokens plus the rank of its last token."""
+    length-k n-grams, their starts, their numbers (positions in the keys)
+    and the stable order that sorts the numbers, in which each n-gram's
+    starts follow one another in ascending order.  A 1-gram's key is its
+    token's rank, a longer one's the number of its prefix times n_tokens
+    plus the rank of its last token.  ``order`` is the 1-grams' order, the
+    stable order that sorts ``ranks[start]``."""
     keys, number = np.arange(n_tokens), ranks[start]
     for k in range(1, k_max + 1):
         if k > 1:
             start, key = _extend(ranks, start, number, k, n_tokens)
-            keys, number = np.unique(key, return_inverse=True)
+            keys, number, order = _numbered(key)
         if not len(start):
             return
-        yield keys, start, number
+        yield keys, start, number, order
 
 
 def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
@@ -265,21 +284,27 @@ def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
     if not n_docs:
         raise FeatureError("cannot fit TF-IDF on an empty corpus")
     if lengths.max() < config.ngram_min:
-        raise FeatureError("all documents are empty; nothing to fit")
+        raise FeatureError(f"every document is shorter than ngram_min = "
+                           f"{config.ngram_min} tokens; nothing to fit")
 
     # Number every distinct n-gram of the corpus, count the documents
     # holding each, and read each retained one's ranks at an occurrence.
-    tokens, ranks = np.unique(ids, return_inverse=True)
+    tokens, ranks, by_token = _numbered(ids)
     ranks, doc = _gapped(ranks, lengths)
     kept_ranks, kept_df = [], []
-    for k, (keys, start, number) in enumerate(_levels(
-            ranks, np.flatnonzero(ranks >= 0), len(tokens), config.ngram_max), 1):
+    for k, (keys, start, number, order) in enumerate(_levels(
+            ranks, np.flatnonzero(ranks >= 0), by_token, len(tokens),
+            config.ngram_max), 1):
         if k < config.ngram_min:
             continue
         n_nodes = len(keys)
-        doc_nodes = np.sort(doc[start] * n_nodes + number)
-        first = np.diff(doc_nodes, prepend=-1) != 0
-        df = np.bincount(doc_nodes[first] % n_nodes, minlength=n_nodes)
+        # Sorted by number, an n-gram's starts ascend and so do their
+        # documents: it first occurs in a document where (number,
+        # document) changes.
+        by_number = number[order]
+        cell = by_number * n_docs + doc[start[order]]
+        df = np.bincount(by_number[np.diff(cell, prepend=-1) != 0],
+                         minlength=n_nodes)
         node = np.flatnonzero(df >= config.min_df)
         kept_df.append(df[node])
         occurrence = np.empty(n_nodes, dtype=np.int64)
@@ -307,14 +332,15 @@ def _ngram_table(model: TfidfModel) -> _NgramTable:
     if model._ngram_table is not None:
         return model._ngram_table
     lengths = model.vocabulary.lengths
-    tokens, ranks = np.unique(model.vocabulary.ids, return_inverse=True)
+    tokens, ranks, _ = _numbered(model.vocabulary.ids)
     # Each n-gram is its own sequence, numbered by its column, and is
     # walked from its first position only, so the levels hold its prefixes.
     ranks, col = _gapped(ranks, lengths)
     first = (np.cumsum(lengths + 1) - lengths - 1)[lengths > 0]
+    by_token = _stable_sort(ranks[first])[1]
     levels = []
-    for k, (keys, start, number) in enumerate(
-            _levels(ranks, first, len(tokens), model.config.ngram_max), 1):
+    for k, (keys, start, number, _) in enumerate(_levels(
+            ranks, first, by_token, len(tokens), model.config.ngram_max), 1):
         cols = np.full(len(keys), -1, dtype=np.int64)
         exact = ranks[start + k] < 0  # the gap after the n-gram follows
         cols[number[exact]] = col[start[exact]]
@@ -361,7 +387,7 @@ def _transform_block(model: TfidfModel, table: _NgramTable, ids: np.ndarray,
     cell, counts = np.unique(np.concatenate(cells), return_counts=True)
     rows, cols = np.divmod(cell, max(n_cols, 1))
     if cfg.sublinear_tf:
-        distinct, which = np.unique(counts, return_inverse=True)
+        distinct, which, _ = _numbered(counts)
         tf = np.array([1.0 + math.log(c) for c in distinct.tolist()])[which]
     else:
         tf = counts.astype(np.float64)

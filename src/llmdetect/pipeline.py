@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import LabeledCorpus
-from .errors import ModelError
+from .errors import FeatureError, ModelError
 from .features import (TfidfConfig, encode_words, fit_tfidf, fit_word_vocab,
                        transform_corpus, word_vocab_ref)
 from .models import (KIND_NAIVE_BAYES, KIND_SGD_LINEAR, MODEL_KINDS,
@@ -69,6 +69,13 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
     sequences = tokenize_texts(texts, word_vocab, bpe_vocab)
 
     tfidf = fit_tfidf(sequences, tfidf_config)
+    if not tfidf.n_features:
+        # Such a model scores every document alike.
+        raise FeatureError(
+            f"no n-gram of ngram_min = {tfidf_config.ngram_min} to "
+            f"ngram_max = {tfidf_config.ngram_max} tokens is in at least "
+            f"min_df = {tfidf_config.min_df} of the {len(texts)} training "
+            f"documents; nothing to train on")
     tfidf.word_vocab = word_vocab
     X = transform_corpus(tfidf, sequences)
 

@@ -45,6 +45,25 @@ MIN_PAIR_FREQUENCY = 2
 
 _NO_RANK = np.iinfo(np.int64).max
 
+# A packed sort key is a key shifted left past its index, and must fit in
+# this many bits, those of a non-negative int64.
+_KEY_BITS = 63
+
+
+def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 keys in ascending order, and the stable order that sorts
+    them.  Where every key is non-negative and fits, that is one np.sort
+    of key << b | index, b the bit length of the key count: the packed
+    values are distinct, and equal keys order by index.  Else it is a
+    stable argsort."""
+    b = len(keys).bit_length()
+    if (len(keys) and keys.min() >= 0
+            and b + int(keys.max()).bit_length() <= _KEY_BITS):
+        packed = np.sort(keys << b | np.arange(len(keys)))
+        return packed >> b, packed & ((1 << b) - 1)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
 
 class MergeRule(NamedTuple):
     """One recorded merge: (left, right) -> left+right at a given rank.  A
@@ -312,12 +331,11 @@ def _pair_table(vocab: BpeVocab) -> _PairTable:
     n_ids = unknown + 2
     pairs = np.fromiter(map(ids.__getitem__, chain.from_iterable(by_rank)),
                         dtype=np.int64, count=2 * len(by_rank))
-    keys = np.append(pairs[0::2] * n_ids + pairs[1::2], n_ids * n_ids)
-    by_key = keys.argsort()
+    keys, by_key = _stable_sort(
+        np.append(pairs[0::2] * n_ids + pairs[1::2], n_ids * n_ids))
     codes = sorted(chars)
     return _PairTable(
-        n_ids, keys[by_key],
-        np.append(np.arange(len(by_rank)), _NO_RANK)[by_key],
+        n_ids, keys, np.append(np.arange(len(by_rank)), _NO_RANK)[by_key],
         np.array(merged, dtype=np.int64), np.array(codes, dtype=np.int64),
         np.array([chars[c] for c in codes], dtype=np.int64))
 
@@ -325,12 +343,13 @@ def _pair_table(vocab: BpeVocab) -> _PairTable:
 def _pair_orders(table: _PairTable, left: np.ndarray,
                  right: np.ndarray) -> np.ndarray:
     """The order of each (left, right) pair; _NO_RANK where no rule has
-    it.  numpy searches sorted keys about six times faster than unsorted
-    ones, which more than pays for sorting them."""
+    it.  numpy searches sorted queries over twice as fast as unsorted
+    ones, a gain a little larger than a packed sort of them costs, so the
+    keys are searched in sorted order and the answers put back."""
     keys = left * table.n_ids + right
-    by_key = keys.argsort()
+    query, by_key = _stable_sort(keys)
     at = np.empty_like(by_key)
-    at[by_key] = table.keys.searchsorted(keys[by_key])
+    at[by_key] = table.keys.searchsorted(query)
     return np.where(table.keys[at] == keys, table.orders[at], _NO_RANK)
 
 

@@ -345,7 +345,8 @@ def fit_tfidf_oracle(corpus_tokens: list[TokenSequence],
             any_ngrams = True
         df_counts.update(doc_ngrams.keys())
     if not any_ngrams:
-        raise FeatureError("all documents are empty; nothing to fit")
+        raise FeatureError(f"every document is shorter than ngram_min = "
+                           f"{config.ngram_min} tokens; nothing to fit")
 
     retained = sorted(t for t, c in df_counts.items() if c >= config.min_df)
     df = np.array([df_counts[t] for t in retained], dtype=np.int64)

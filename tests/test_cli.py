@@ -445,6 +445,44 @@ class TestWhitespaceMode:
         assert "roc_auc:" in out
 
 
+class TestNothingToFit:
+    """Feature settings that leave the model nothing to read end in one
+    error line, and write no bundle."""
+
+    @pytest.mark.parametrize("token_source", ["bpe", "whitespace"])
+    def test_min_df_above_every_ngram(self, workdir, capsys, token_source):
+        # once exit 0 with a zero-feature bundle, which scores every
+        # document alike (0.5 for NB)
+        config = workdir / "high.ini"
+        config.write_text(f"[features]\ntoken_source = {token_source}\n"
+                          f"ngram_max = 2\nmin_df = 1000\n")
+        assert run(["tokenize-train", workdir / "corpus.jsonl",
+                    "--out", workdir / "vocab.json"]) == 0
+        capsys.readouterr()
+        assert run(["train", workdir / "corpus.jsonl", "--kind", "naive_bayes",
+                    "--out", workdir / "m.json", "--vocab",
+                    workdir / "vocab.json", "--config", config]) == 1
+        line = single_error(capsys, "features")
+        assert ("no n-gram of ngram_min = 1 to ngram_max = 2 tokens is in at "
+                "least min_df = 1000 of the 40 training documents") in line
+        assert not (workdir / "m.json").exists()
+
+    def test_documents_shorter_than_ngram_min(self, tmp_path, capsys):
+        # once "all documents are empty", of documents two words long
+        (tmp_path / "c.jsonl").write_text(
+            '{"id":"a","label":0,"text":"x y"}\n'
+            '{"id":"b","label":1,"text":"y x"}\n')
+        (tmp_path / "run.ini").write_text(
+            "[features]\ntoken_source = whitespace\nngram_min = 3\n"
+            "ngram_max = 3\nmin_df = 1\n")
+        assert run(["train", tmp_path / "c.jsonl", "--kind", "naive_bayes",
+                    "--out", tmp_path / "m.json",
+                    "--config", tmp_path / "run.ini"]) == 1
+        assert single_error(capsys, "features").endswith(
+            "every document is shorter than ngram_min = 3 tokens; "
+            "nothing to fit")
+
+
 class TestWhitespaceCorpora:
     """Two whitespace NB bundles trained on synth seeds 1 and 2."""
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llmdetect import features
+from llmdetect import features, tokenizer
 from llmdetect.corpus import synth_corpus
 from llmdetect.errors import FeatureError
 from llmdetect.files import pack
@@ -338,16 +338,76 @@ def _featurizer_inputs(draw):
     return config, fit_docs, fit_docs + docs, draw(st.integers(1, 40))
 
 
+# Keys that pack (small), that do not (negative, and near the int64 top),
+# and keys just either side of the packing bound for a short array.
+_SORT_KEYS = st.lists(st.integers(0, 6) | st.integers(-2**63, 2**63 - 1)
+                      | st.integers(2**57, 2**59), max_size=40)
+
+
+class TestKeySort:
+    """The packed-key sort and the numbering on it give the stable argsort
+    and np.unique's answers."""
+
+    @given(_SORT_KEYS)
+    @settings(max_examples=300, deadline=None)
+    @example([])
+    @example([5])
+    @example([-1])
+    @example([3, -2, 3, 0, -2])
+    @example([2**63 - 1, 0, 2**63 - 1])
+    def test_matches_argsort_and_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        ordered, order = features._stable_sort(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert order.dtype == ordered.dtype == np.int64
+        assert order.tolist() == expected.tolist()
+        assert ordered.tolist() == keys[expected].tolist()
+        distinct, number, order = features._numbered(keys)
+        want_distinct, want_number = np.unique(keys, return_inverse=True)
+        assert distinct.tolist() == want_distinct.tolist()
+        assert number.dtype == np.int64
+        assert number.tolist() == want_number.tolist()
+        assert order.tolist() == expected.tolist()
+
+    def test_packs_exactly_the_keys_that_fit(self):
+        # Four keys take 3 index bits, which leave 60 for the key.
+        keys = np.array([2**60 - 1, 0, 2**60 - 1, 1])
+        with mock.patch.object(np, "argsort", side_effect=AssertionError):
+            assert features._stable_sort(keys)[1].tolist() == [1, 3, 0, 2]
+        keys[[0, 2]] = 2**60
+        with mock.patch.object(np, "argsort",
+                               wraps=np.argsort) as argsort:
+            assert features._stable_sort(keys)[1].tolist() == [1, 3, 0, 2]
+        assert argsort.call_count == 1
+
+
+_FEATURIZER_EXAMPLE = (
+    TfidfConfig(4, 6, min_df=1, sublinear_tf=True),
+    [(2**20, 0, 2**20 - 1, 2**20, 0, 2**20 - 1, 0), ()],
+    [(2**20, 0, 2**20 - 1, 2**20, 0, 2**20 - 1, 0), (), (0,),
+     (7, 2**20, 0, 2**20 - 1, 2**20)], 3)
+
+
 class TestMatchesCounterOracle:
     """The array featurizer reproduces the Counter featurizer's bytes."""
 
     @given(_featurizer_inputs())
     @settings(max_examples=400, deadline=None)
-    @example((TfidfConfig(4, 6, min_df=1, sublinear_tf=True),
-              [(2**20, 0, 2**20 - 1, 2**20, 0, 2**20 - 1, 0), ()],
-              [(2**20, 0, 2**20 - 1, 2**20, 0, 2**20 - 1, 0), (), (0,),
-               (7, 2**20, 0, 2**20 - 1, 2**20)], 3))
+    @example(_FEATURIZER_EXAMPLE)
     def test_fit_and_transform_bit_identical(self, inputs):
+        self.check_bit_identical(inputs)
+
+    @given(_featurizer_inputs())
+    @settings(max_examples=400, deadline=None)
+    @example(_FEATURIZER_EXAMPLE)
+    def test_fit_and_transform_bit_identical_unpacked(self, inputs):
+        # No key fits a zero-bit budget, so every sort takes the stable
+        # argsort fallback.
+        with mock.patch.object(tokenizer, "_KEY_BITS", 0):
+            self.check_bit_identical(inputs)
+
+    @staticmethod
+    def check_bit_identical(inputs):
         config, fit_docs, docs, block = inputs
         fit_seqs, all_seqs = seqs(*fit_docs), seqs(*docs)
         try:

@@ -6,7 +6,8 @@ must each appear as a name somewhere in its code.  The package
 ``__init__.py`` files only re-export, so they are skipped there.  A
 module-level private function, class or constant (``_name``, dunders
 exempt) must be read somewhere in its own module, or it is dead.  The
-same walk lists every call site that can reach BLAS.
+same walk lists every call site that can reach BLAS, and every sort of
+keys on the text path.
 """
 
 import ast
@@ -89,27 +90,39 @@ def test_check_sees_an_unread_private_name():
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
 
 
-def blas_call_sites(source: str, module: str) -> list[str]:
-    """``module.function: op`` for every BLAS-capable numpy call and every
-    ``@`` in a module, named by the innermost function around it."""
+def call_sites(source: str, module: str, label) -> list[str]:
+    """``module.function: op`` for every node that ``label`` names ``op``
+    (else None), by the innermost function around it."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "np"
-                and node.func.attr in BLAS_CALLS):
-            sites.append(f"{module}.{where}: np.{node.func.attr}")
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-            sites.append(f"{module}.{where}: @")
+        op = label(node)
+        if op is not None:
+            sites.append(f"{module}.{where}: {op}")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return sites
+
+
+def blas_op(node) -> str | None:
+    """A BLAS-capable numpy call, or an ``@``."""
+    if (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and node.func.attr in BLAS_CALLS):
+        return f"np.{node.func.attr}"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return "@"
+    return None
+
+
+def blas_call_sites(source: str, module: str) -> list[str]:
+    return call_sites(source, module, blas_op)
 
 
 def test_blas_call_sites_are_known():
@@ -132,3 +145,44 @@ def test_check_sees_every_blas_site():
         "    return np.matmul(v, v) + np.tensordot(v, v, 1) + np.sum(v)\n",
         "m") == ["m.<module>: @", "m.g: np.einsum", "m.f: np.matmul",
                  "m.f: np.tensordot"]
+
+
+def sort_op(node) -> str | None:
+    """An argsort, as a function or a method, or a unique that numbers its
+    keys (``return_inverse`` given, and not the constant False)."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+    if name == "argsort":
+        return "argsort"
+    if name == "unique" and any(
+            kw.arg == "return_inverse"
+            and not (isinstance(kw.value, ast.Constant)
+                     and kw.value.value is False)
+            for kw in node.keywords):
+        return "unique(return_inverse)"
+    return None
+
+
+def test_sort_call_sites_are_known():
+    # Every sort-then-group and sort-then-look-up on the text path goes
+    # through one packed-key sort, whose fallback is the only argsort.
+    sites = sorted(site for name in ("tokenizer", "features")
+                   for site in call_sites(
+                       (SRC / f"{name}.py").read_text(encoding="utf-8"),
+                       name, sort_op))
+    assert sites == ["tokenizer._stable_sort: argsort"]
+
+
+def test_check_sees_every_sort_site():
+    assert call_sites(
+        "import numpy as np\nfrom numpy import argsort\nx = np.argsort(a)\n"
+        "def f(v):\n    u, i = np.unique(v, return_inverse=True)\n"
+        "    return (v.argsort(kind='stable'), argsort(v), np.unique(v),\n"
+        "            np.unique(v, return_inverse=False),\n"
+        "            np.unique(v, return_inverse=flag))\n",
+        "m", sort_op) == ["m.<module>: argsort",
+                          "m.f: unique(return_inverse)", "m.f: argsort",
+                          "m.f: argsort", "m.f: unique(return_inverse)"]

@@ -11,8 +11,8 @@ the tokenizer gives it, or a list of sequences flattened once (those
 still pending on a vocabulary are first encoded in one batch), and the
 vocabulary holds its n-grams flat too, from fit to bundle and back.  One
 walk (``_levels``) numbers the n-grams of a corpus, or the vocabulary's
-own, one length at a time by sorted integer keys, up to the longest one
-present.
+own, one length at a time by one stable sort of integer keys, up to the
+longest one present; the fit counts document frequencies on that sort.
 The document-term matrix is built in CSR form from the sorted (row,
 column) cells, bit-for-bit that of counting each document's n-grams in a
 dictionary (``extract_ngrams``).
@@ -291,10 +291,13 @@ def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
     # holding each, and read each retained one's ranks at an occurrence.
     tokens, ranks, by_token = _numbered(ids)
     ranks, doc = _gapped(ranks, lengths)
+    levels = _levels(ranks, np.flatnonzero(ranks >= 0), by_token,
+                     len(tokens), config.ngram_max)
+    # Sort orders are released as soon as they are read, here and in the
+    # loop, so none is held while the walk builds the next level.
+    del by_token
     kept_ranks, kept_df = [], []
-    for k, (keys, start, number, order) in enumerate(_levels(
-            ranks, np.flatnonzero(ranks >= 0), by_token, len(tokens),
-            config.ngram_max), 1):
+    for k, (keys, start, number, order) in enumerate(levels, 1):
         if k < config.ngram_min:
             continue
         n_nodes = len(keys)
@@ -302,9 +305,10 @@ def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
         # documents: it first occurs in a document where (number,
         # document) changes.
         by_number = number[order]
-        cell = by_number * n_docs + doc[start[order]]
-        df = np.bincount(by_number[np.diff(cell, prepend=-1) != 0],
-                         minlength=n_nodes)
+        first = np.diff(by_number * n_docs + doc[start[order]],
+                        prepend=-1) != 0
+        df = np.bincount(by_number[first], minlength=n_nodes)
+        del order, by_number, first
         node = np.flatnonzero(df >= config.min_df)
         kept_df.append(df[node])
         occurrence = np.empty(n_nodes, dtype=np.int64)

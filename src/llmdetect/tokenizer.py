@@ -59,8 +59,12 @@ def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = len(keys).bit_length()
     if (len(keys) and keys.min() >= 0
             and b + int(keys.max()).bit_length() <= _KEY_BITS):
-        packed = np.sort(keys << b | np.arange(len(keys)))
-        return packed >> b, packed & ((1 << b) - 1)
+        packed = keys << b
+        packed |= np.arange(len(keys))
+        packed.sort()
+        order = packed & ((1 << b) - 1)
+        packed >>= b
+        return packed, order
     order = np.argsort(keys, kind="stable")
     return keys[order], order
 
@@ -347,9 +351,8 @@ def _pair_orders(table: _PairTable, left: np.ndarray,
     ones, a gain a little larger than a packed sort of them costs, so the
     keys are searched in sorted order and the answers put back."""
     keys = left * table.n_ids + right
-    query, by_key = _stable_sort(keys)
-    at = np.empty_like(by_key)
-    at[by_key] = table.keys.searchsorted(query)
+    at, by_key = _stable_sort(keys)
+    at[by_key] = table.keys.searchsorted(at)  # each key's place in the table
     return np.where(table.keys[at] == keys, table.orders[at], _NO_RANK)
 
 

@@ -357,7 +357,7 @@ class TestKeySort:
     @example([2**63 - 1, 0, 2**63 - 1])
     def test_matches_argsort_and_unique(self, keys):
         keys = np.array(keys, dtype=np.int64)
-        ordered, order = features._stable_sort(keys)
+        ordered, order = tokenizer._stable_sort(keys)
         expected = np.argsort(keys, kind="stable")
         assert order.dtype == ordered.dtype == np.int64
         assert order.tolist() == expected.tolist()
@@ -373,11 +373,11 @@ class TestKeySort:
         # Four keys take 3 index bits, which leave 60 for the key.
         keys = np.array([2**60 - 1, 0, 2**60 - 1, 1])
         with mock.patch.object(np, "argsort", side_effect=AssertionError):
-            assert features._stable_sort(keys)[1].tolist() == [1, 3, 0, 2]
+            assert tokenizer._stable_sort(keys)[1].tolist() == [1, 3, 0, 2]
         keys[[0, 2]] = 2**60
         with mock.patch.object(np, "argsort",
                                wraps=np.argsort) as argsort:
-            assert features._stable_sort(keys)[1].tolist() == [1, 3, 0, 2]
+            assert tokenizer._stable_sort(keys)[1].tolist() == [1, 3, 0, 2]
         assert argsort.call_count == 1
 
 

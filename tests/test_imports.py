@@ -121,17 +121,13 @@ def blas_op(node) -> str | None:
     return None
 
 
-def blas_call_sites(source: str, module: str) -> list[str]:
-    return call_sites(source, module, blas_op)
-
-
 def test_blas_call_sites_are_known():
     # The kernel OpenBLAS picks for the CPU sets these sums' rounding
     # order, so each site is one that bundle and CSR bytes can depend on.
     # _has_duplicate's @ is int64, which numpy computes without BLAS.
     sites = sorted(site for path in ALL_MODULES
-                   for site in blas_call_sites(path.read_text(encoding="utf-8"),
-                                               path.stem))
+                   for site in call_sites(path.read_text(encoding="utf-8"),
+                                          path.stem, blas_op))
     assert sites == ["features._has_duplicate: @",
                      "features._transform_block: np.dot",
                      "sgd.objective: np.dot",
@@ -139,12 +135,12 @@ def test_blas_call_sites_are_known():
 
 
 def test_check_sees_every_blas_site():
-    assert blas_call_sites(
+    assert call_sites(
         "import numpy as np\nx = a @ b\n"
         "def f(v):\n    def g():\n        return np.einsum('i,i', v, v)\n"
         "    return np.matmul(v, v) + np.tensordot(v, v, 1) + np.sum(v)\n",
-        "m") == ["m.<module>: @", "m.g: np.einsum", "m.f: np.matmul",
-                 "m.f: np.tensordot"]
+        "m", blas_op) == ["m.<module>: @", "m.g: np.einsum",
+                          "m.f: np.matmul", "m.f: np.tensordot"]
 
 
 def sort_op(node) -> str | None:

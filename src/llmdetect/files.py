@@ -15,6 +15,7 @@ import json
 import os
 import secrets
 import stat
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,9 @@ def read_text(path, what: str, error) -> str:
         raise error(f"undecodable bytes in {path}: {exc}")
 
 
-def write_bytes(path, data: bytes, error) -> None:
-    """Write data to the file at path, whole or not at all.
+def write_bytes(path, data: bytes | Iterable[bytes], error) -> None:
+    """Write data, bytes or an iterable of bytes chunks, to the file at
+    path, whole or not at all.
 
     A new or regular file is written as a temporary file beside the file
     that path resolves to, then renamed over it with that file's permission
@@ -48,6 +50,7 @@ def write_bytes(path, data: bytes, error) -> None:
     Anything else that exists, such as /dev/null or a FIFO, is written in
     place, and a regular file that cannot be written is refused as before.
     """
+    chunks = [data] if isinstance(data, bytes) else data
     try:
         target = os.path.realpath(path)
         try:
@@ -56,18 +59,20 @@ def write_bytes(path, data: bytes, error) -> None:
             mode = None
         if mode is not None:
             if not stat.S_ISREG(mode):
-                Path(target).write_bytes(data)
+                with open(target, "wb") as out:
+                    out.writelines(chunks)
                 return
             if not os.access(target, os.W_OK):
                 raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
-        _replace(target, data, mode)
+        _replace(target, chunks, mode)
     except OSError as exc:
         raise error(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _replace(target: str, data: bytes, mode: int | None) -> None:
-    """Replace the file at target by data through a temporary file beside
-    it that gets ``mode``'s permission bits, or the umask's for a new file."""
+def _replace(target: str, chunks: Iterable[bytes], mode: int | None) -> None:
+    """Replace the file at target by the chunks through a temporary file
+    beside it that gets ``mode``'s permission bits, or the umask's for a new
+    file."""
     head, name = os.path.split(target)
     temp = os.path.join(head, f".{name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -75,7 +80,7 @@ def _replace(target: str, data: bytes, mode: int | None) -> None:
         with open(fd, "wb") as out:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            out.write(data)
+            out.writelines(chunks)
         os.replace(temp, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -86,6 +86,38 @@ class TestWriteBytes:
         assert received == [b"through the pipe"]
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
+    def test_chunks_written_in_order(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old")
+        write_bytes(target, (part for part in [b"a", b"", b"bc"]), CorpusError)
+        assert target.read_bytes() == b"abc"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failing_chunks_leave_old_file_and_no_temporary(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            raise CorpusError("bad row")
+
+        with pytest.raises(CorpusError, match="^bad row$"):
+            write_bytes(target, chunks(), CorpusError)
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_chunks_through_a_fifo(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_bytes(fifo, iter([b"through ", b"the pipe"]), CorpusError)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"through the pipe"]
+
     def test_symlinked_out_writes_through_the_link(self, tmp_path):
         real = tmp_path / "real"
         real.mkdir()

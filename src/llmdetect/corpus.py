@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -28,15 +29,23 @@ SHOWN_HEADER_CHARS = 80  # of a bad CSV header, quoted in the error
 LEXICON_SIZE = 2000
 ZIPF_EXPONENT = 1.1
 DOC_LENGTH_RANGE = (50, 200)
-# synth builds the whole corpus in memory before writing it.  A document
-# takes about 0.84 KB and 15 us to draw, and 2.2 KB and 31 us with its CSV
-# text and bytes (10,000 a class, Python 3.11 on a 2-CPU x86-64 machine),
-# so about 0.43 GB and 6 s at this bound, 125 times the 800 a class of the
-# hard corpus synth_corpus(800, 1, 0.0004).  Ids keep their five digits.
+# synth builds the whole corpus in memory, then writes it a block of rows
+# at a time.  A document takes about 0.87 KB (1.0 KB at the peak of the
+# draw) and 6 us to draw, and 17 us with its CSV row written (10,000 a
+# class, Python 3.11 on a 2-CPU x86-64 machine), so about 0.2 GB and 3.4 s
+# at this bound, 125 times the 800 a class of the hard corpus
+# synth_corpus(800, 1, 0.0004).  Ids keep their five digits.
 MAX_N_PER_CLASS = 100_000
 # synth_corpus draws this many documents' words at once: about 1 MB of
 # arrays at a time, where all of a 2,000-document class would take 13 MB.
 SYNTH_BLOCK_DOCS = 128
+# save_corpus encodes and writes this many documents' rows at a time.
+DUMP_BLOCK_DOCS = 256
+# Buckets of the guide table through which synth_corpus picks each word.
+# Every Zipf weight spans at least 0.64 buckets, so a bucket holds at most
+# two cumulative weights and a pick steps forward at most twice; 2**16
+# buckets were no faster once their build is counted.
+GUIDE_BUCKETS = 2**14
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -208,29 +217,51 @@ def _jsonl_rows(raw: str, path):
 def id_csv(header: list[str], rows) -> str:
     """An id-keyed CSV file as ``id_rows`` reads it: ``header``, then one
     RFC-4180 line per row of fields."""
+    return _csv_lines(chain([header], rows))
+
+
+def _csv_lines(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
 def dump_corpus(corpus: LabeledCorpus, format: str) -> str:
     """Serialize to the csv or jsonl dataset schema (round-trip exact)."""
-    if format == "csv":
-        return id_csv(CSV_HEADER, ([doc.id, doc.text, label] for doc, label
-                                   in zip(corpus.documents, corpus.labels)))
-    if format == "jsonl":
-        lines = []
-        for doc, label in zip(corpus.documents, corpus.labels):
-            lines.append(json.dumps({"id": doc.id, "text": doc.text, "label": label},
-                                    sort_keys=True, separators=(",", ":")))
-        return "".join(line + "\n" for line in lines)
-    raise CorpusError(f"unknown corpus format {format!r} (expected csv or jsonl)")
+    return "".join(_dump_blocks(corpus, format))
 
 
 def save_corpus(corpus: LabeledCorpus, path, format: str) -> None:
-    write_bytes(path, dump_corpus(corpus, format).encode("utf-8"), CorpusError)
+    """Write ``dump_corpus``'s text as UTF-8, encoding one block of rows at
+    a time, so the file's whole text is never held at once."""
+    write_bytes(path, (block.encode("utf-8")
+                       for block in _dump_blocks(corpus, format)), CorpusError)
+
+
+def _dump_blocks(corpus: LabeledCorpus, format: str):
+    """``dump_corpus``'s text in pieces: a CSV file's header, then the rows
+    of DUMP_BLOCK_DOCS documents at a time."""
+    if format == "csv":
+        head, lines = _csv_lines([CSV_HEADER]), _corpus_csv
+    elif format == "jsonl":
+        head, lines = "", _corpus_jsonl
+    else:
+        raise CorpusError(
+            f"unknown corpus format {format!r} (expected csv or jsonl)")
+    return chain([head], (lines(corpus.documents[i:i + DUMP_BLOCK_DOCS],
+                                corpus.labels[i:i + DUMP_BLOCK_DOCS])
+                          for i in range(0, len(corpus), DUMP_BLOCK_DOCS)))
+
+
+def _corpus_csv(docs: list[Document], labels: list[int]) -> str:
+    return _csv_lines([doc.id, doc.text, label]
+                      for doc, label in zip(docs, labels))
+
+
+def _corpus_jsonl(docs: list[Document], labels: list[int]) -> str:
+    return "".join(json.dumps({"id": doc.id, "text": doc.text, "label": label},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+                   for doc, label in zip(docs, labels))
 
 
 def split_corpus(corpus: LabeledCorpus,
@@ -345,8 +376,8 @@ def _synth_texts(bits: np.random.MT19937, n_docs: int, cum: list[float],
     low, high = DOC_LENGTH_RANGE
     span = high - low + 1
     shift = 32 - span.bit_length()
-    bounds = np.array(cum[:-1])
     total = cum[-1] + 0.0
+    pick = _guide_picker(cum[:-1], total)
     texts: list[str] = []
     for start in range(0, n_docs, SYNTH_BLOCK_DOCS):
         lengths: list[int] = []
@@ -360,10 +391,43 @@ def _synth_texts(bits: np.random.MT19937, n_docs: int, cum: list[float],
         words = np.concatenate(draws)
         u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
             * (1.0 / 9007199254740992.0)
-        picks = np.searchsorted(bounds, u * total, side="right")
+        picks = pick(u * total)
         block = table.take(picks, axis=0).tobytes().decode("ascii")
         end = 0
         for length in lengths:
             begin, end = end, end + length * table.shape[1]
             texts.append(block[begin:end - 1])
     return texts
+
+
+def _guide_picker(bounds: list[float], total: float):
+    """The function that maps an array of x in [0, total] to
+    ``np.searchsorted(bounds, x, side="right")`` for the ascending
+    ``bounds``, each below ``total``, through a guide table (Chen and Asau
+    1974; Devroye 1986, section III.2.4).
+
+    x lies in bucket ``min(int(x * (GUIDE_BUCKETS / total)),
+    GUIDE_BUCKETS - 1)``, and ``guide[j]`` counts the bounds whose own
+    bucket lies below j.  The bucket is monotone in x, so ``guide`` of x's
+    bucket counts only bounds below x and never exceeds the answer; a pick
+    steps forward from it while the next bound is at most x.
+    """
+    padded = np.array(bounds + [math.inf])
+    scale = GUIDE_BUCKETS / total
+
+    def bucket(x: np.ndarray) -> np.ndarray:
+        return np.minimum((x * scale).astype(np.intp), GUIDE_BUCKETS - 1)
+
+    guide = np.zeros(GUIDE_BUCKETS, np.intp)
+    np.cumsum(np.bincount(bucket(padded[:-1]), minlength=GUIDE_BUCKETS)[:-1],
+              out=guide[1:])
+
+    def pick(x: np.ndarray) -> np.ndarray:
+        c = guide[bucket(x)]
+        behind = np.flatnonzero(padded[c] <= x)
+        while behind.size:
+            c[behind] += 1
+            behind = behind[padded[c[behind]] <= x[behind]]
+        return c
+
+    return pick

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 from conftest import traced_peak
-from llmdetect.corpus import (Document, LabeledCorpus, SplitSpec, dump_corpus,
+from llmdetect.corpus import (DUMP_BLOCK_DOCS, GUIDE_BUCKETS, LEXICON_SIZE,
+                              Document, LabeledCorpus, SplitSpec,
+                              _guide_picker, _zipf_cumulative, dump_corpus,
                               load_corpus, save_corpus, split_corpus,
                               synth_corpus)
 from llmdetect.ensemble import parse_external_scores
@@ -107,6 +110,34 @@ class TestLoad:
         assert loaded.ids == corpus.ids
         assert loaded.texts == corpus.texts
         assert loaded.labels == corpus.labels
+
+    @pytest.mark.parametrize("n_docs", [0, 1, DUMP_BLOCK_DOCS,
+                                        2 * DUMP_BLOCK_DOCS + 3])
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_saved_bytes_are_the_dump(self, tmp_path, format, n_docs):
+        texts = ['with, "quotes"', "two\nlines\r\n", "ünïcödé \u2028 ✓", ""]
+        corpus = LabeledCorpus(
+            documents=[Document(f"d{i},\"{i}\"", texts[i % len(texts)])
+                       for i in range(n_docs)],
+            labels=[i % 2 for i in range(n_docs)])
+        path = tmp_path / f"c.{format}"
+        save_corpus(corpus, path, format)
+        assert path.read_bytes() == dump_corpus(corpus, format).encode("utf-8")
+
+    @pytest.mark.parametrize("format", ["csv", "jsonl"])
+    def test_save_holds_one_block_of_rows(self, tmp_path, format):
+        # The 4,000 documents' file is 2.6 MB; holding its whole text and
+        # bytes at once peaks at 5.5 MB (csv) and 8.4 MB (jsonl), a block
+        # of rows at about 0.55 MB.
+        corpus = synth_corpus(2000, seed=1, divergence=0.0004)
+        peak = traced_peak(lambda: save_corpus(corpus, tmp_path / "c", format))
+        assert peak < 1_500_000
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        corpus = LabeledCorpus(documents=[Document("a", "x")], labels=[0])
+        with pytest.raises(CorpusError, match="unknown corpus format"):
+            save_corpus(corpus, tmp_path / "c.txt", "txt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_dump_is_deterministic(self):
         corpus = synth_corpus(3, seed=9, divergence=0.4)
@@ -284,6 +315,25 @@ class TestSynth:
         peak = traced_peak(run)
         texts = sum(sys.getsizeof(text) for text in corpus.texts)
         assert peak - texts < 3_000_000
+
+    @pytest.mark.parametrize("divergence", [0.0, 0.0004, 0.5, 1.0])
+    def test_guide_pick_is_searchsorted_at_every_edge(self, divergence):
+        # Random draws almost never land on a bound or a bucket edge, so
+        # the pick is tested there directly.  At divergence 0.5 every
+        # machine weight is equal.
+        top = LEXICON_SIZE - 1
+        cum = _zipf_cumulative([(1.0 - divergence) * i + divergence * (top - i)
+                                for i in range(LEXICON_SIZE)])
+        bounds = np.array(cum[:-1])
+        total = cum[-1] + 0.0
+        edges = np.arange(GUIDE_BUCKETS + 1) * (total / GUIDE_BUCKETS)
+        marks = np.concatenate([bounds, edges])
+        x = np.concatenate([marks, np.nextafter(marks, -np.inf),
+                            np.nextafter(marks, np.inf),
+                            [0.0, (1 - 2**-53) * total, total]])
+        x = x[(x >= 0.0) & (x <= total)]
+        expected = np.searchsorted(bounds, x, side="right")
+        assert np.array_equal(_guide_picker(cum[:-1], total)(x), expected)
 
     def test_zero_divergence_classes_indistinguishable(self):
         # identical generators: class word distributions match closely

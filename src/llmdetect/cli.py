@@ -194,7 +194,9 @@ def _vocab_for(bundles, vocab_path):
 
 
 def _write_scores(path, ids, scores) -> None:
-    write_bytes(path, ens.dump_scores(ids, scores).encode("utf-8"),
+    """Write ``dump_scores``'s text as UTF-8 one block of rows at a time."""
+    write_bytes(path, (block.encode("utf-8")
+                       for block in ens.score_csv_blocks(ids, scores)),
                 EnsembleError)
 
 

@@ -14,7 +14,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -39,7 +39,8 @@ MAX_N_PER_CLASS = 100_000
 # synth_corpus draws this many documents' words at once: about 1 MB of
 # arrays at a time, where all of a 2,000-document class would take 13 MB.
 SYNTH_BLOCK_DOCS = 128
-# save_corpus encodes and writes this many documents' rows at a time.
+# save_corpus and the CLI's score writer encode and write this many
+# documents' rows at a time.
 DUMP_BLOCK_DOCS = 256
 # Buckets of the guide table through which synth_corpus picks each word.
 # Every Zipf weight spans at least 0.64 buckets, so a bucket holds at most
@@ -214,10 +215,18 @@ def _jsonl_rows(raw: str, path):
         yield line_num, [obj["id"], obj["text"], obj["label"]]
 
 
-def id_csv(header: list[str], rows) -> str:
-    """An id-keyed CSV file as ``id_rows`` reads it: ``header``, then one
-    RFC-4180 line per row of fields."""
-    return _csv_lines(chain([header], rows))
+def id_csv_blocks(header: list[str], rows):
+    """An id-keyed CSV file as ``id_rows`` reads it, in pieces: the
+    ``header`` line, then the RFC-4180 lines of DUMP_BLOCK_DOCS rows of
+    fields at a time."""
+    return chain([_csv_lines([header])], _in_blocks(rows, _csv_lines))
+
+
+def _in_blocks(rows, render):
+    """``render`` of each run of DUMP_BLOCK_DOCS rows, the last shorter."""
+    rows = iter(rows)
+    while block := list(islice(rows, DUMP_BLOCK_DOCS)):
+        yield render(block)
 
 
 def _csv_lines(rows) -> str:
@@ -241,27 +250,20 @@ def save_corpus(corpus: LabeledCorpus, path, format: str) -> None:
 def _dump_blocks(corpus: LabeledCorpus, format: str):
     """``dump_corpus``'s text in pieces: a CSV file's header, then the rows
     of DUMP_BLOCK_DOCS documents at a time."""
+    labelled = zip(corpus.documents, corpus.labels)
     if format == "csv":
-        head, lines = _csv_lines([CSV_HEADER]), _corpus_csv
-    elif format == "jsonl":
-        head, lines = "", _corpus_jsonl
-    else:
-        raise CorpusError(
-            f"unknown corpus format {format!r} (expected csv or jsonl)")
-    return chain([head], (lines(corpus.documents[i:i + DUMP_BLOCK_DOCS],
-                                corpus.labels[i:i + DUMP_BLOCK_DOCS])
-                          for i in range(0, len(corpus), DUMP_BLOCK_DOCS)))
+        return id_csv_blocks(CSV_HEADER, ([doc.id, doc.text, label]
+                                          for doc, label in labelled))
+    if format == "jsonl":
+        return _in_blocks(labelled, _jsonl_lines)
+    raise CorpusError(
+        f"unknown corpus format {format!r} (expected csv or jsonl)")
 
 
-def _corpus_csv(docs: list[Document], labels: list[int]) -> str:
-    return _csv_lines([doc.id, doc.text, label]
-                      for doc, label in zip(docs, labels))
-
-
-def _corpus_jsonl(docs: list[Document], labels: list[int]) -> str:
+def _jsonl_lines(labelled: list[tuple[Document, int]]) -> str:
     return "".join(json.dumps({"id": doc.id, "text": doc.text, "label": label},
                               sort_keys=True, separators=(",", ":")) + "\n"
-                   for doc, label in zip(docs, labels))
+                   for doc, label in labelled)
 
 
 def split_corpus(corpus: LabeledCorpus,

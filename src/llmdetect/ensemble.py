@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline
-from .corpus import id_csv, id_rows
+from .corpus import id_csv_blocks, id_rows
 from .errors import EnsembleError
 from .features import same_transform
 from .files import read_text
@@ -431,8 +431,14 @@ def load_external_scores(path) -> ExternalScores:
 
 def dump_scores(ids: list[str], scores) -> str:
     """Render the id,score CSV consumed by load_external_scores."""
-    return id_csv(SCORE_HEADER, ([doc_id, repr(float(score))]
-                                 for doc_id, score in zip(ids, scores)))
+    return "".join(score_csv_blocks(ids, scores))
+
+
+def score_csv_blocks(ids: list[str], scores):
+    """``dump_scores``'s text in pieces: the header, then the rows of
+    DUMP_BLOCK_DOCS documents at a time."""
+    return id_csv_blocks(SCORE_HEADER, ([doc_id, repr(float(score))]
+                                        for doc_id, score in zip(ids, scores)))
 
 
 def collect_voter_scores(spec: EnsembleSpec, documents,

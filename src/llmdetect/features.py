@@ -45,6 +45,9 @@ WORD_UNKNOWN = "<unk>"
 # The fit's rank matrix takes 8 * ngram_max bytes per kept n-gram, 256 at
 # this bound.
 MAX_NGRAM = 32
+# The fit sorts its kept n-grams by one int64 key, their ranks read as
+# digits, where every key stays below this bound; else by np.lexsort.
+_DIGIT_KEY_BOUND = 2**63
 
 
 def _is_int(value) -> bool:
@@ -320,7 +323,17 @@ def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
     # Ranks order like token ids and the -1 padding puts a prefix first,
     # so this is the lexicographic order of the id tuples.
     mat = np.concatenate(kept_ranks)
-    order = np.lexsort(mat.T[::-1])
+    base = len(tokens) + 1
+    if base ** config.ngram_max < _DIGIT_KEY_BOUND:
+        # each row's ranks + 1 as the base-(n_tokens + 1) digits of one key
+        key = np.zeros(len(mat), dtype=np.int64)
+        for column in mat.T:
+            key *= base
+            key += column
+            key += 1
+        order = _stable_sort(key)[1]
+    else:
+        order = np.lexsort(mat.T[::-1])
     mat, df = mat[order], np.concatenate(kept_df)[order]
     # Row-major order reads each n-gram's ranks, then its padding.
     token = mat >= 0

@@ -25,6 +25,15 @@ perfect tree of the configured depth (levels with no positive-gain split
 become no-op splits and missing leaves get value 0).  Ties anywhere go to
 the lowest column, then the lowest bin.
 
+A column's histogram is only as wide as its width class, the narrowest of
+a few widths (``_widths``) that holds all of its bins, as LightGBM keeps
+each feature's histogram at that feature's own bin count (Ke et al., 2017).
+A node's histograms lie end to end in one flat array per channel, class by
+class, so one bincount fills each channel, and the zero bin and prefix sums
+run once per class.  The widths are those at which numpy's pairwise sum
+adds a row's bins in the same order as a full-width row, so every gain is
+bit for bit the full-width search's and no tree changes.
+
 A column with fewer than min_data_in_leaf nonzeros at a node leaves fewer
 rows than that on the nonzero side of every threshold, so it cannot split
 the node.  Such columns are skipped twice, without changing any tree:
@@ -49,9 +58,11 @@ LEAF_WISE = "leaf_wise"
 SYMMETRIC = "symmetric"
 # CatBoost's own limit; the symmetric grower keeps 2**depth row groups
 MAX_DEPTH = 16
-# A node's histograms take 3 * occupied columns * n_bins * 8 bytes: 52 MB
-# here for the 2,104 columns occupied at the root under CLI defaults on
-# synth_corpus(800, 1, 0.0004).  LightGBM's max_bin defaults to 255.
+# A node's histograms take 3 * 8 bytes per bin of each occupied column's
+# width class, at most 3 * occupied columns * n_bins * 8: 9.7 MB here, not
+# that bound's 52 MB, for the 2,104 columns occupied at the root under CLI
+# defaults on synth_corpus(800, 1, 0.0004) (4.3 MB at 255 bins).
+# LightGBM's max_bin defaults to 255.
 MAX_BINS = 1024
 # Each tree costs the same however little it changes the model: 0.13-0.16 s
 # at CLI defaults on 1,600 documents, so about 25 minutes at this bound,
@@ -257,6 +268,26 @@ def split_threshold(cuts: list[np.ndarray], col: int, bin_threshold: int) -> flo
     return float(cuts[col][bin_threshold - 1])
 
 
+def _widths(n_bins: int) -> list[int]:
+    """Histogram widths for columns binned into n_bins: W - 1 doubles from
+    16 while under L0, then L0 itself and n_bins.  numpy sums n values
+    pairwise, in blocks of at most 128 split off by halving n to a
+    multiple of 8, so L0, the first block of the n_bins - 1 nonzero bins,
+    holds all of a narrower column's bins; where W - 1 is also a multiple
+    of 8, its zero-bin sum adds them in the same order as a full-width one,
+    bit for bit."""
+    first = n_bins - 1
+    while first > 128:
+        first = first // 2 - first // 2 % 8
+    widths, w = [], 16
+    while w < first:
+        widths.append(w + 1)
+        w *= 2
+    if first % 8 == 0 and first + 1 < n_bins:
+        widths.append(first + 1)
+    return widths + [n_bins]
+
+
 class _BinnedMatrix:
     """Training matrix pre-binned for histogram work.
 
@@ -277,6 +308,12 @@ class _BinnedMatrix:
     in the nonzeros.  Splits route rows on X_split's copy of a column, so
     training sorts only the binned columns' entries into a column view,
     X_split's own, and leaves X as it was given.
+
+    Each binned column gets the narrowest of ``_widths(n_bins)`` that holds
+    its len(cuts) + 1 bins.  Slots number the binned columns by width,
+    then column: ``widths[s]`` is slot s's width, ``slot_columns[s]`` its
+    column of X, and ``slots`` the slot of each stored nonzero of X_split.
+    ``classes`` lists each width present as (first slot, end slot, width).
     """
 
     def __init__(self, X: SparseMatrix, config: GbdtConfig):
@@ -293,65 +330,87 @@ class _BinnedMatrix:
         self.X_split = replace(X_split, n_cols=len(self.splittable),
                                cols=(np.cumsum(keep) - 1)[X_split.cols])
         cuts, bounds, self.bins = _bin_columns(self.X_split, self.n_bins)
+        # slots: the binned columns ordered by width class, then column
+        widths = np.array(_widths(self.n_bins))
+        col_widths = widths[np.searchsorted(widths, np.diff(bounds) + 1)]
+        order = np.argsort(col_widths, kind="stable")
+        self.widths = col_widths[order]
+        self.slot_columns = self.splittable[order]
+        slot_of = np.empty_like(order)
+        slot_of[order] = np.arange(len(order))
+        self.slots = slot_of[self.X_split.cols]
+        present, lo = np.unique(self.widths, return_index=True)
+        hi = np.searchsorted(self.widths, present, side="right")
+        self.classes = list(zip(lo.tolist(), hi.tolist(), present.tolist()))
+        self.class_last = hi - 1
         bounds = bounds.tolist()
         self.cuts: list[np.ndarray] = [np.empty(0)] * X.n_cols
         for k, col in enumerate(self.splittable.tolist()):
             self.cuts[col] = cuts[bounds[k]:bounds[k + 1]]
 
     def split_gains(self, node: tuple, g: np.ndarray,
-                    h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Gain of every split of ``node``, a (rows, g_sum, h_sum) record.
 
-        Returns (occupied, gains).  ``occupied`` lists the columns with at
-        least min_data_in_leaf nonzeros at the node; every threshold of any
-        other column leaves fewer than min_data_in_leaf rows on its right
-        side, so it cannot split the node and is dropped before its
-        histograms are built.  ``gains[k, b]`` is the gain of sending bins
-        0..b of column occupied[k] left, for b in 0..n_bins-2, and -inf
-        where a side would hold fewer than min_data_in_leaf rows.  The zero
-        bin holds the node totals minus the column's nonzero sums.
+        Returns one (occupied, gains) pair per width class with a column
+        occupied at the node, in class order.  ``occupied`` lists, in
+        column order, the class's columns with at least min_data_in_leaf
+        nonzeros at the node; every threshold of any other column leaves
+        fewer than min_data_in_leaf rows on its right side, so it cannot
+        split the node and is dropped before its histograms are built.
+        ``gains[k, b]`` is the gain of sending bins 0..b of column
+        occupied[k] left, for b below the class width W, and -inf where a
+        side would hold fewer than min_data_in_leaf rows: always at
+        b = W - 1, which sends every row left.  The zero bin holds the
+        node totals minus the column's nonzero sums.
         """
         rows, g_sum, h_sum = node
-        n, n_bins = len(rows), self.n_bins
+        n = len(rows)
         min_data, lam = self.config.min_data_in_leaf, self.config.lambda_l2
-        no_split = np.empty(0, dtype=np.int64), np.empty((0, n_bins - 1))
         if n < 2 * min_data:
-            return no_split
+            return []
         pos, lengths = self.X_split.gather_positions(rows)
-        cols = self.X_split.cols[pos]
-        keep = np.bincount(cols, minlength=self.X_split.n_cols) >= min_data
+        slots = self.slots[pos]
+        keep = np.bincount(slots, minlength=len(self.widths)) >= min_data
         if not keep.any():
-            return no_split
-        occupied = self.splittable[keep]
-        kept = keep[cols]
-        keys = ((np.cumsum(keep) - 1)[cols[kept]] * n_bins
-                + self.bins[pos[kept]])
+            return []
+        kept = keep[slots]
+        # each occupied column's histogram starts where the last one ends
+        widths = keep * self.widths
+        ends = np.cumsum(widths)
+        keys = (ends - widths)[slots[kept]] + self.bins[pos[kept]]
         entry_rows = np.repeat(rows, lengths)[kept]
-        size, shape = len(occupied) * n_bins, (len(occupied), n_bins)
-        grad = np.bincount(keys, weights=g[entry_rows],
-                           minlength=size).reshape(shape)
-        hess = np.bincount(keys, weights=h[entry_rows],
-                           minlength=size).reshape(shape)
-        count = np.bincount(keys, minlength=size).reshape(shape)
-        grad[:, 0] = g_sum - grad[:, 1:].sum(axis=1)
-        hess[:, 0] = h_sum - hess[:, 1:].sum(axis=1)
-        count[:, 0] = n - count[:, 1:].sum(axis=1)
-        # left-side sums of thresholds 0..n_bins-2, accumulated in place
-        g_left = np.cumsum(grad, axis=1, out=grad)[:, :-1]
-        h_left = np.cumsum(hess, axis=1, out=hess)[:, :-1]
-        c_left = np.cumsum(count, axis=1, out=count)[:, :-1]
+        size = int(ends[-1])
+        grad = np.bincount(keys, weights=g[entry_rows], minlength=size)
+        hess = np.bincount(keys, weights=h[entry_rows], minlength=size)
+        count = np.bincount(keys, minlength=size)
+        blocks, start = [], 0
+        for (lo, hi, width), end in zip(self.classes,
+                                        ends[self.class_last].tolist()):
+            if end == start:
+                continue
+            shape = ((end - start) // width, width)
+            for hist, total in ((grad, g_sum), (hess, h_sum), (count, n)):
+                block = hist[start:end].reshape(shape)
+                block[:, 0] = total - block[:, 1:].sum(axis=1)
+                # in place: the left-side sums of bins 0..b, every b
+                np.cumsum(block, axis=1, out=block)
+            blocks.append((self.slot_columns[lo:hi][keep[lo:hi]], start, end,
+                           shape))
+            start = end
         # scored only where both sides hold min_data_in_leaf rows
-        valid = (c_left >= min_data) & (c_left <= n - min_data)
-        g_left, h_left = g_left[valid], h_left[valid]
+        valid = (count >= min_data) & (count <= n - min_data)
+        g_left, h_left = grad[valid], hess[valid]
         g_right = g_sum - g_left
         with np.errstate(divide="ignore", invalid="ignore"):
             scored = g_left * g_left / (h_left + lam)
             scored += g_right * g_right / (h_sum - h_left + lam)
             scored -= g_sum * g_sum / (h_sum + lam)
             scored *= 0.5
-        gains = np.full(valid.shape, -np.inf)
+        gains = np.full(size, -np.inf)
         gains[valid] = scored
-        return occupied, gains
+        return [(occupied, gains[start:end].reshape(shape))
+                for occupied, start, end, shape in blocks]
 
     def split_node(self, node: tuple, col: int, threshold: float,
                    g: np.ndarray, h: np.ndarray) -> tuple[tuple, tuple]:
@@ -487,19 +546,32 @@ def _leaf_values(leaves: list[tuple], config: GbdtConfig,
     return values, predictions
 
 
+def _best_split(per_class) -> tuple | None:
+    """The (column, bin, gain) np.argmax would pick from the (columns,
+    gains) pairs of the width classes laid out in column order: the
+    highest gain (a NaN above all), ties to the lowest column, then the
+    lowest bin.  None when there are no pairs."""
+    winners = []
+    for columns, gains in per_class:
+        best = int(np.argmax(gains))
+        k, bin_threshold = divmod(best, gains.shape[1])
+        winners.append((int(columns[k]), bin_threshold, gains.flat[best]))
+    if len(winners) <= 1:
+        return winners[0] if winners else None
+    winners.sort()  # by column: no two classes share one
+    return winners[int(np.argmax([gain for _, _, gain in winners]))]
+
+
 def _grow_leafwise(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
                    config: GbdtConfig) -> tuple[LeafwiseTree, np.ndarray]:
     """Grow one tree; returns it plus its per-row training predictions."""
     def best_split(node):
         """(gain, column, bin) of the node's best split, or None."""
-        occupied, gains = binned.split_gains(node, g, h)
-        if gains.size == 0:
+        best = _best_split(binned.split_gains(node, g, h))
+        if best is None or best[2] <= 0.0:
             return None
-        best = int(np.argmax(gains))
-        if gains.flat[best] <= 0.0:
-            return None
-        k, bin_threshold = divmod(best, gains.shape[1])
-        return float(gains.flat[best]), int(occupied[k]), bin_threshold
+        col, bin_threshold, gain = best
+        return float(gain), col, bin_threshold
 
     tree = LeafwiseTree(columns=[-1], bins=[-1], thresholds=[0.0],
                         left=[-1], right=[-1], values=[0.0])
@@ -545,15 +617,25 @@ def _grow_symmetric(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
     tree = SymmetricTree(columns=[], bins=[], thresholds=[], leaf_values=[])
 
     for _ in range(config.depth):
-        splits = [binned.split_gains(node, g, h) for node in nodes]
-        # positive gains summed node by node over the columns any node keeps
-        columns = np.unique(np.concatenate([occupied for occupied, _ in splits]))
-        total_gain = np.zeros((len(columns), n_bins - 1))
-        for occupied, gains in splits:
-            total_gain[np.searchsorted(columns, occupied)] += np.where(
-                gains > 0.0, gains, 0.0)
+        by_width: dict[int, list] = {}
+        for node in nodes:
+            for occupied, gains in binned.split_gains(node, g, h):
+                by_width.setdefault(gains.shape[1], []).append(
+                    (occupied, gains))
+        # per width class, positive gains summed node by node over the
+        # columns any node keeps
+        totals = []
+        for splits in by_width.values():
+            columns = np.unique(np.concatenate(
+                [occupied for occupied, _ in splits]))
+            total_gain = np.zeros((len(columns), splits[0][1].shape[1]))
+            for occupied, gains in splits:
+                total_gain[np.searchsorted(columns, occupied)] += np.where(
+                    gains > 0.0, gains, 0.0)
+            totals.append((columns, total_gain))
 
-        if total_gain.max(initial=0.0) <= 0.0:  # initial: no columns at all
+        best = _best_split(totals)
+        if best is None or best[2] <= 0.0:
             # no level split improves: pad with a no-op routing all rows left
             tree.columns.append(0)
             tree.bins.append(n_bins - 1)
@@ -561,8 +643,7 @@ def _grow_symmetric(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
             empty = _node(np.empty(0, dtype=np.int64), g, h)
             nodes = [child for node in nodes for child in (node, empty)]
             continue
-        k, bin_threshold = divmod(int(np.argmax(total_gain)), n_bins - 1)
-        col = int(columns[k])
+        col, bin_threshold, _ = best
         threshold = split_threshold(binned.cuts, col, bin_threshold)
         tree.columns.append(col)
         tree.bins.append(bin_threshold)

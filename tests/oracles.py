@@ -927,3 +927,65 @@ def histograms_oracle(X: SparseMatrix, bins: np.ndarray, rows, g, h,
             hess[col, b] += h[row]
             count[col, b] += 1
     return grad, hess, count
+
+
+# -- GBDT: the split search before width classes ---------------------------
+# The library's ``_BinnedMatrix.split_gains`` as it was, kept verbatim with
+# ``self`` renamed: every occupied column's histograms take n_bins cells.
+# The width-class search must reproduce its gain on every valid cell bit
+# for bit.
+
+def split_gains_oracle(binned, node: tuple, g: np.ndarray,
+                       h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gain of every split of ``node``, a (rows, g_sum, h_sum) record.
+
+    Returns (occupied, gains).  ``occupied`` lists the columns with at
+    least min_data_in_leaf nonzeros at the node; every threshold of any
+    other column leaves fewer than min_data_in_leaf rows on its right
+    side, so it cannot split the node and is dropped before its
+    histograms are built.  ``gains[k, b]`` is the gain of sending bins
+    0..b of column occupied[k] left, for b in 0..n_bins-2, and -inf
+    where a side would hold fewer than min_data_in_leaf rows.  The zero
+    bin holds the node totals minus the column's nonzero sums.
+    """
+    rows, g_sum, h_sum = node
+    n, n_bins = len(rows), binned.n_bins
+    min_data, lam = binned.config.min_data_in_leaf, binned.config.lambda_l2
+    no_split = np.empty(0, dtype=np.int64), np.empty((0, n_bins - 1))
+    if n < 2 * min_data:
+        return no_split
+    pos, lengths = binned.X_split.gather_positions(rows)
+    cols = binned.X_split.cols[pos]
+    keep = np.bincount(cols, minlength=binned.X_split.n_cols) >= min_data
+    if not keep.any():
+        return no_split
+    occupied = binned.splittable[keep]
+    kept = keep[cols]
+    keys = ((np.cumsum(keep) - 1)[cols[kept]] * n_bins
+            + binned.bins[pos[kept]])
+    entry_rows = np.repeat(rows, lengths)[kept]
+    size, shape = len(occupied) * n_bins, (len(occupied), n_bins)
+    grad = np.bincount(keys, weights=g[entry_rows],
+                       minlength=size).reshape(shape)
+    hess = np.bincount(keys, weights=h[entry_rows],
+                       minlength=size).reshape(shape)
+    count = np.bincount(keys, minlength=size).reshape(shape)
+    grad[:, 0] = g_sum - grad[:, 1:].sum(axis=1)
+    hess[:, 0] = h_sum - hess[:, 1:].sum(axis=1)
+    count[:, 0] = n - count[:, 1:].sum(axis=1)
+    # left-side sums of thresholds 0..n_bins-2, accumulated in place
+    g_left = np.cumsum(grad, axis=1, out=grad)[:, :-1]
+    h_left = np.cumsum(hess, axis=1, out=hess)[:, :-1]
+    c_left = np.cumsum(count, axis=1, out=count)[:, :-1]
+    # scored only where both sides hold min_data_in_leaf rows
+    valid = (c_left >= min_data) & (c_left <= n - min_data)
+    g_left, h_left = g_left[valid], h_left[valid]
+    g_right = g_sum - g_left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scored = g_left * g_left / (h_left + lam)
+        scored += g_right * g_right / (h_sum - h_left + lam)
+        scored -= g_sum * g_sum / (h_sum + lam)
+        scored *= 0.5
+    gains = np.full(valid.shape, -np.inf)
+    gains[valid] = scored
+    return occupied, gains

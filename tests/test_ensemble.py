@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llmdetect import ensemble, pipeline
-from llmdetect.corpus import synth_corpus
+from llmdetect import cli, ensemble, pipeline
+from llmdetect.corpus import DUMP_BLOCK_DOCS, synth_corpus
 from llmdetect.ensemble import (COMBINERS, MAX_GRID_POINTS, EnsembleSpec,
                                 ExternalScores, Voter, combiner,
                                 collect_voter_scores, dump_scores,
@@ -436,6 +438,33 @@ class TestExternalScores:
         text = dump_scores(ids, scores)
         ext = parse_external_scores(text)
         assert ext.scores == dict(zip(ids, scores))
+
+
+    @pytest.mark.parametrize("n_docs", [0, 1, DUMP_BLOCK_DOCS,
+                                        2 * DUMP_BLOCK_DOCS + 3])
+    def test_written_scores_are_the_dump(self, tmp_path, n_docs):
+        forms = ['with, "quotes"', "two\nlines\r\n", "ünïcödé \u2028 ✓"]
+        ids = [f"d{i} {forms[i % len(forms)]}" for i in range(n_docs)]
+        scores = np.random.default_rng(n_docs).random(n_docs)
+        path = tmp_path / "scores.csv"
+        cli._write_scores(path, ids, scores)
+        text = dump_scores(ids, scores)
+        assert path.read_bytes() == text.encode("utf-8")
+        # the one-pass rendering the blocks replaced
+        whole = io.StringIO()
+        csv.writer(whole, lineterminator="\n").writerows(
+            [["id", "score"], *([i, repr(float(s))]
+                                for i, s in zip(ids, scores))])
+        assert text == whole.getvalue()
+
+    def test_writing_scores_holds_one_block_of_rows(self, tmp_path):
+        # 40,000 scores make a 2.1 MB file; holding its whole text and
+        # bytes at once peaked at 6.5 MB, a block of rows at 0.22 MB
+        ids = [f"document-{i:08d}-with,a comma" for i in range(40_000)]
+        scores = np.random.default_rng(0).random(len(ids))
+        peak = traced_peak(
+            lambda: cli._write_scores(tmp_path / "s.csv", ids, scores))
+        assert peak < 1_000_000
 
 
 class TestSpecValidation:

@@ -402,9 +402,29 @@ class TestMatchesCounterOracle:
     @example(_FEATURIZER_EXAMPLE)
     def test_fit_and_transform_bit_identical_unpacked(self, inputs):
         # No key fits a zero-bit budget, so every sort takes the stable
-        # argsort fallback.
-        with mock.patch.object(tokenizer, "_KEY_BITS", 0):
+        # argsort fallback; no digit key is below 0, so the fit's n-gram
+        # order takes np.lexsort.
+        with mock.patch.object(tokenizer, "_KEY_BITS", 0), \
+                mock.patch.object(features, "_DIGIT_KEY_BOUND", 0):
             self.check_bit_identical(inputs)
+
+    @pytest.mark.parametrize("n_tokens, lexsorted", [(6, False), (7, True)])
+    def test_fit_sort_on_both_sides_of_the_digit_bound(self, n_tokens,
+                                                       lexsorted):
+        # 21-grams of 6 tokens take keys below 7**21, one int64; of 7
+        # tokens, keys up to 8**21 = 2**63, which np.lexsort orders
+        rng = np.random.default_rng(n_tokens)
+        docs = seqs(*(rng.integers(0, n_tokens, size=40) * 3 + 1
+                      for _ in range(4)))
+        config = TfidfConfig(1, 21, min_df=1)
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            model = fit_tfidf(docs, config)
+        assert model.vocabulary.ids.max() == 3 * n_tokens - 2
+        assert lexsort.call_count == lexsorted
+        expected = fit_tfidf_oracle(docs, config)
+        assert (list(model.vocabulary.ngram_to_col.items())
+                == list(expected.vocabulary.ngram_to_col.items()))
+        assert model.vocabulary.df.tobytes() == expected.vocabulary.df.tobytes()
 
     @staticmethod
     def check_bit_identical(inputs):

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from llmdetect.errors import ModelError
 from llmdetect.models import GbdtConfig, train_gbdt
 from llmdetect.models.common import sigmoid
 from llmdetect.models.gbdt import (LEAF_WISE, SYMMETRIC, _BinnedMatrix, _node,
-                                   split_threshold)
+                                   _widths, split_threshold)
 from llmdetect.metrics import roc_auc
 from llmdetect.sparse import SparseMatrix
 from conftest import random_sparse, traced_peak
@@ -19,17 +21,35 @@ from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
 from oracles import (_oracle_gain, bin_matrix, binned_matrix_oracle,
                      compute_bin_edges, find_best_split, histograms_oracle,
-                     sparse_from_dense)
+                     sparse_from_dense, split_gains_oracle)
+
+
+def column_gains(binned, splits):
+    """The per-class results of ``split_gains`` laid out as one (occupied,
+    gains) pair in column order, gains[k, b] for every threshold b in
+    0..n_bins-2 and -inf past a class's width.  Each class's last gain
+    column, whose threshold sends every row left, must be -inf."""
+    gains = np.full((0, binned.n_bins - 1), -np.inf)
+    occupied = np.empty(0, dtype=np.int64)
+    for cols, block in splits:
+        assert block.shape == (len(cols), block.shape[1])
+        assert (block[:, -1] == -np.inf).all()
+        wide = np.full((len(cols), binned.n_bins - 1), -np.inf)
+        wide[:, :block.shape[1] - 1] = block[:, :-1]
+        occupied = np.append(occupied, cols)
+        gains = np.vstack([gains, wide])
+    order = np.argsort(occupied, kind="stable")
+    return occupied[order], gains[order]
 
 
 def node_split_gains(X, rows, g, h, n_bins, min_data_in_leaf=1, lambda_l2=1.0):
     """The training path's (binned matrix, occupied, gains) at the node
-    holding ``rows``."""
+    holding ``rows``, in ``column_gains``'s layout."""
     binned = _BinnedMatrix(X, GbdtConfig(n_bins=n_bins,
                                          min_data_in_leaf=min_data_in_leaf,
                                          lambda_l2=lambda_l2))
-    occupied, gains = binned.split_gains(_node(rows, g, h), g, h)
-    return binned, occupied, gains
+    splits = binned.split_gains(_node(rows, g, h), g, h)
+    return (binned, *column_gains(binned, splits))
 
 
 def csr_bins(X, binned):
@@ -175,6 +195,23 @@ class TestFindBestSplit:
             variant=variant, n_trees=1, max_leaves=2, depth=1, n_bins=2,
             min_data_in_leaf=1))
         assert model.trees[0].columns[0] == 0
+
+    @pytest.mark.parametrize("variant", [LEAF_WISE, SYMMETRIC])
+    def test_tie_across_width_classes_prefers_lowest_column(self, variant):
+        # both columns split zeros from nonzeros alike; column 0, of 200
+        # distinct values, is in the widest class at 255 bins and column 1,
+        # of one value, in the narrowest, whose gains come first
+        nonzero = np.arange(400) % 2 == 1
+        dense = np.zeros((400, 2))
+        dense[nonzero, 0] = np.arange(200) + 1.0
+        dense[nonzero, 1] = 1.0
+        binned = _BinnedMatrix(sparse_from_dense(dense), GbdtConfig())
+        assert [w for _, _, w in binned.classes] == [17, 255]
+        model = train_gbdt(sparse_from_dense(dense), nonzero.astype(int),
+                           GbdtConfig(variant=variant, n_trees=1,
+                                      max_leaves=2, depth=1))
+        tree = model.trees[0]
+        assert (tree.columns[0], tree.bins[0]) == (0, 0)
 
     def test_min_data_blocks_split(self):
         column = [0.0] + [1.0] * 19
@@ -390,6 +427,128 @@ class TestSplitGains:
         assert leafwise_choice(occupied, gains) == expected
 
 
+@st.composite
+def _width_class_inputs(draw):
+    """A matrix whose columns hold from one to about 200 distinct nonzero
+    values, so that at the larger bin counts they fall into several width
+    classes.  A column may take an earlier one's nonzero rows, so that
+    splits of columns in different classes tie."""
+    n_bins = draw(st.sampled_from([2, 3, 16, 64, 255, 1024]))
+    n_rows = draw(st.integers(8, 240))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        distinct = draw(st.integers(1, n_rows))
+        values = rng.integers(1, distinct + 1, size=n_rows) / distinct
+        if columns and draw(st.booleans()):
+            values[columns[draw(st.integers(0, len(columns) - 1))] == 0] = 0
+        else:
+            values[rng.random(n_rows) > draw(st.sampled_from([0.3, 0.7,
+                                                              1.0]))] = 0
+        columns.append(values)
+    X = sparse_from_dense(np.column_stack(columns))
+    y = rng.integers(0, 2, size=n_rows)
+    y[:2] = 0, 1
+    config = GbdtConfig(
+        n_trees=2, learning_rate=0.3, max_leaves=draw(st.integers(2, 8)),
+        depth=draw(st.integers(1, 4)), n_bins=n_bins,
+        min_data_in_leaf=draw(st.integers(1, 6)),
+        lambda_l2=draw(st.sampled_from([0.5, 1.0, 3.0])))
+    return X, y, config
+
+
+def oracle_as_one_class(binned, node, g, h):
+    """The oracle's search in ``split_gains``'s return shape: one class of
+    width n_bins, its last gain column -inf."""
+    occupied, gains = split_gains_oracle(binned, node, g, h)
+    if len(occupied) == 0:
+        return []
+    return [(occupied, np.hstack([gains, np.full((len(occupied), 1),
+                                                 -np.inf)]))]
+
+
+class TestWidthClasses:
+    def test_narrow_zero_bin_sums_are_full_width_ones(self):
+        # the zero bin is the node total minus a row's sum over bins 1..;
+        # each admitted width must give that sum bit for bit as the full
+        # width does, the bins past it being empty.  Trees would drift
+        # silently if numpy changed its summation order
+        rng = np.random.default_rng(0)
+        for n_bins in range(2, 1025):
+            widths = _widths(n_bins)
+            assert widths == sorted(set(widths)) and widths[-1] == n_bins
+            assert all((w - 1) % 8 == 0 for w in widths[:-1])
+            for width in widths:
+                rows = 16
+                full = rng.normal(size=(rows, n_bins)) * 10.0 ** rng.integers(
+                    -6, 7, size=(rows, 1))
+                full[:, width:] = 0.0
+                narrow = np.ascontiguousarray(full[:, :width])
+                totals = rng.normal(size=rows)
+                got = totals - narrow[:, 1:].sum(axis=1)
+                want = totals - full[:, 1:].sum(axis=1)
+                assert got.tobytes() == want.tobytes(), (n_bins, width)
+
+    def test_an_unadmitted_width_changes_the_sums(self):
+        # the sums above are not equal for any width: 40 at 255 bins is not
+        rng = np.random.default_rng(0)
+        full = rng.normal(size=(40, 255))
+        full[:, 40:] = 0.0
+        narrow = np.ascontiguousarray(full[:, :40])
+        assert 40 not in _widths(255)
+        assert not np.array_equal(narrow[:, 1:].sum(axis=1),
+                                  full[:, 1:].sum(axis=1))
+
+    def test_widths_at_255_bins(self):
+        assert _widths(255) == [17, 33, 65, 121, 255]
+        assert _widths(1024) == [17, 33, 65, 121, 1024]
+        assert _widths(16) == [16]
+
+    @given(_width_class_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_growers_match_the_full_width_oracle(self, inputs):
+        # every node either grower scores: bit-identical gains on every
+        # valid cell and -inf on the same cells; and trees identical to
+        # those grown on the oracle's search
+        X, y, config = inputs
+        search = _BinnedMatrix.split_gains
+
+        def checked(binned, node, g, h):
+            splits = search(binned, node, g, h)
+            occupied, gains = column_gains(binned, splits)
+            want_occupied, want = split_gains_oracle(binned, node, g, h)
+            assert occupied.tobytes() == want_occupied.tobytes()
+            valid = np.isfinite(want)
+            assert (np.isinf(gains) == ~valid).all()
+            assert gains[valid].tobytes() == want[valid].tobytes()
+            return splits
+
+        for variant in (LEAF_WISE, SYMMETRIC):
+            config = replace(config, variant=variant)
+            with mock.patch.object(_BinnedMatrix, "split_gains", checked):
+                model = train_gbdt(X, y, config)
+            with mock.patch.object(_BinnedMatrix, "split_gains",
+                                   oracle_as_one_class):
+                expected = train_gbdt(X, y, config)
+            assert model.to_dict() == expected.to_dict()
+
+    def test_matrix_of_several_classes(self):
+        # the hypothesis inputs reach every class at 255 bins
+        distinct = [1, 16, 17, 40, 100, 200]
+        dense = np.column_stack([np.arange(1, 201) % d + 1 for d in distinct])
+        binned = _BinnedMatrix(sparse_from_dense(dense.astype(float)),
+                               GbdtConfig(min_data_in_leaf=1))
+        assert [w for _, _, w in binned.classes] == [17, 33, 65, 121, 255]
+        rows = np.arange(200)
+        g = np.random.default_rng(0).normal(size=200)
+        splits = binned.split_gains(_node(rows, g, np.ones(200)), g,
+                                    np.ones(200))
+        assert [gains.shape[1] for _, gains in splits] == [17, 33, 65, 121,
+                                                           255]
+        assert [cols.tolist() for cols, _ in splits] == [[0, 1], [2], [3],
+                                                         [4], [5]]
+
+
 class TestTraining:
     def threshold_dataset(self, n=200, seed=3):
         rng = np.random.default_rng(seed)
@@ -552,6 +711,28 @@ class TestMemory:
                  for X in (narrow, wide)]
         assert peaks[1] - peaks[0] < 4.0
 
+    def test_root_histograms_as_wide_as_the_bins(self):
+        # 3,000 columns of 40 nonzeros and at most 8 distinct values each:
+        # at 1,024 bins a full-width search builds three histograms of
+        # 3,000 x 1,024 cells, 74 MB, 64 times those at 16 bins; the
+        # columns' width class holds 17 bins at 1,024 as at 16
+        rng = np.random.default_rng(0)
+        n_rows, n_cols = 400, 3000
+        dense = np.zeros((n_rows, n_cols))
+        for col in range(n_cols):
+            dense[rng.choice(n_rows, 40, replace=False), col] = (
+                rng.integers(1, 9, 40) / 8)
+        X = sparse_from_dense(dense)
+        rows = np.arange(n_rows)
+        g, h = rng.normal(size=n_rows), rng.random(n_rows)
+        peaks = {}
+        for n_bins in (16, 1024):
+            binned = _BinnedMatrix(X, GbdtConfig(n_bins=n_bins))
+            node = _node(rows, g, h)
+            peaks[n_bins] = traced_peak(
+                lambda: binned.split_gains(node, g, h))
+        assert peaks[1024] < 1.5 * peaks[16], peaks
+
     def test_binning_memory_is_linear_in_nonzeros(self):
         # one column nonzero in all 4,000 rows and 200 columns of 20
         # entries each: nnz 8,000, so nnz * 8 bytes is 64 KB.  The one-sort
@@ -627,13 +808,14 @@ class TestOracleEquivalence:
         split_gains = _BinnedMatrix.split_gains
 
         def spy(self, node, g, h):
-            occupied, gains = split_gains(self, node, g, h)
+            splits = split_gains(self, node, g, h)
             rows = node[0]
             if len(rows) >= 2 * self.config.min_data_in_leaf:
                 pos, _ = X.gather_positions(rows)
                 present = len(np.unique(X.cols[pos]))
-                seen.append((len(rows), present - len(occupied)))
-            return occupied, gains
+                occupied = sum(len(cols) for cols, _ in splits)
+                seen.append((len(rows), present - occupied))
+            return splits
 
         monkeypatch.setattr(_BinnedMatrix, "split_gains", spy)
         return seen

@@ -223,10 +223,13 @@ def id_csv_blocks(header: list[str], rows):
 
 
 def _in_blocks(rows, render):
-    """``render`` of each run of DUMP_BLOCK_DOCS rows, the last shorter."""
+    """``render`` of each run of DUMP_BLOCK_DOCS rows, the last shorter.
+    Each run reaches ``render`` as an iterator, so a row is freed once it
+    is rendered, as a one-pass rendering frees it: holding a block of rows
+    at once triggers garbage collections that one pass does not."""
     rows = iter(rows)
-    while block := list(islice(rows, DUMP_BLOCK_DOCS)):
-        yield render(block)
+    for first in rows:
+        yield render(chain([first], islice(rows, DUMP_BLOCK_DOCS - 1)))
 
 
 def _csv_lines(rows) -> str:
@@ -260,7 +263,7 @@ def _dump_blocks(corpus: LabeledCorpus, format: str):
         f"unknown corpus format {format!r} (expected csv or jsonl)")
 
 
-def _jsonl_lines(labelled: list[tuple[Document, int]]) -> str:
+def _jsonl_lines(labelled) -> str:
     return "".join(json.dumps({"id": doc.id, "text": doc.text, "label": label},
                               sort_keys=True, separators=(",", ":")) + "\n"
                    for doc, label in labelled)

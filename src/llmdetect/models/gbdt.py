@@ -64,9 +64,10 @@ MAX_DEPTH = 16
 # defaults on synth_corpus(800, 1, 0.0004) (4.3 MB at 255 bins).
 # LightGBM's max_bin defaults to 255.
 MAX_BINS = 1024
-# Each tree costs the same however little it changes the model: 0.13-0.16 s
-# at CLI defaults on 1,600 documents, so about 25 minutes at this bound,
-# 50 times the default.
+# Each tree costs the same however little it changes the model: 0.07-0.10 s
+# at CLI defaults on 1,600 documents (200 trees took 19.5 s leaf-wise and
+# 13.7 s symmetric), so at most about 17 minutes at this bound, 50 times
+# the default.
 MAX_TREES = 10_000
 
 

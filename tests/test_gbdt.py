@@ -205,11 +205,11 @@ class TestFindBestSplit:
         dense = np.zeros((400, 2))
         dense[nonzero, 0] = np.arange(200) + 1.0
         dense[nonzero, 1] = 1.0
-        binned = _BinnedMatrix(sparse_from_dense(dense), GbdtConfig())
+        X = sparse_from_dense(dense)
+        binned = _BinnedMatrix(X, GbdtConfig())
         assert [w for _, _, w in binned.classes] == [17, 255]
-        model = train_gbdt(sparse_from_dense(dense), nonzero.astype(int),
-                           GbdtConfig(variant=variant, n_trees=1,
-                                      max_leaves=2, depth=1))
+        model = train_gbdt(X, nonzero.astype(int), GbdtConfig(
+            variant=variant, n_trees=1, max_leaves=2, depth=1))
         tree = model.trees[0]
         assert (tree.columns[0], tree.bins[0]) == (0, 0)
 
@@ -479,18 +479,18 @@ class TestWidthClasses:
             assert widths == sorted(set(widths)) and widths[-1] == n_bins
             assert all((w - 1) % 8 == 0 for w in widths[:-1])
             for width in widths:
-                rows = 16
-                full = rng.normal(size=(rows, n_bins)) * 10.0 ** rng.integers(
-                    -6, 7, size=(rows, 1))
+                full = rng.normal(size=(16, n_bins)) * 10.0 ** rng.integers(
+                    -6, 7, size=(16, 1))
                 full[:, width:] = 0.0
                 narrow = np.ascontiguousarray(full[:, :width])
-                totals = rng.normal(size=rows)
+                totals = rng.normal(size=16)
                 got = totals - narrow[:, 1:].sum(axis=1)
                 want = totals - full[:, 1:].sum(axis=1)
                 assert got.tobytes() == want.tobytes(), (n_bins, width)
 
     def test_an_unadmitted_width_changes_the_sums(self):
-        # the sums above are not equal for any width: 40 at 255 bins is not
+        # the check above can fail: a width of 40 at 255 bins sums a row's
+        # 39 bins in another order than the full width does
         rng = np.random.default_rng(0)
         full = rng.normal(size=(40, 255))
         full[:, 40:] = 0.0
@@ -499,7 +499,7 @@ class TestWidthClasses:
         assert not np.array_equal(narrow[:, 1:].sum(axis=1),
                                   full[:, 1:].sum(axis=1))
 
-    def test_widths_at_255_bins(self):
+    def test_widths_of_common_bin_counts(self):
         assert _widths(255) == [17, 33, 65, 121, 255]
         assert _widths(1024) == [17, 33, 65, 121, 1024]
         assert _widths(16) == [16]
@@ -533,7 +533,9 @@ class TestWidthClasses:
             assert model.to_dict() == expected.to_dict()
 
     def test_matrix_of_several_classes(self):
-        # the hypothesis inputs reach every class at 255 bins
+        # at 255 bins columns of 1 and 16 distinct values take 17 bins and
+        # one column each the wider classes: split_gains returns the
+        # classes in width order, each with its columns in column order
         distinct = [1, 16, 17, 40, 100, 200]
         dense = np.column_stack([np.arange(1, 201) % d + 1 for d in distinct])
         binned = _BinnedMatrix(sparse_from_dense(dense.astype(float)),

@@ -145,7 +145,8 @@ def _ensemble_spec(payload, path) -> ens.EnsembleSpec:
         where = f"{path}: voters[{i}]"
         if not isinstance(entry, dict) or "weight" not in entry:
             raise EnsembleError(f"{where} needs a weight")
-        weight = ens.parse_weight(entry["weight"], where)
+        weight = entry["weight"]
+        ens.WEIGHT.check(f"{where}: weight", weight, EnsembleError)
         if "model" in entry:
             voters.append(_voter(entry["model"], weight, base, False, where))
         elif "scores" in entry:

@@ -10,28 +10,22 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
 from dataclasses import dataclass, fields
 
 from .ensemble import COMBINE_PROBABILITY_MEAN, COMBINERS, DEFAULT_GRID_STEP
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .features import TfidfConfig
 from .files import read_text
 from .models import GbdtConfig, SgdConfig
-from .models.naive_bayes import DEFAULT_ALPHA, check_alpha
+from .models.naive_bayes import ALPHA, DEFAULT_ALPHA
 from .pipeline import TOKEN_SOURCE_BPE, TOKEN_SOURCES
+from .schema import Rule, build
 from .tokenizer import DEFAULT_VOCAB_SIZE
 
 
 def _field_defaults(cls, *exclude: str) -> dict:
     """A config dataclass's defaults, keyed by field name."""
     return {f.name: f.default for f in fields(cls) if f.name not in exclude}
-
-
-def _from_section(cls, section: dict, **extra):
-    """Build a config dataclass from the section keys that name its fields."""
-    return cls(**{f.name: section[f.name] for f in fields(cls)
-                  if f.name in section}, **extra)
 
 
 DEFAULTS: dict[str, dict] = {
@@ -68,26 +62,19 @@ _BOOL_VALUES = {"true": True, "1": True, "yes": True,
 
 
 def _coerce(section: str, key: str, raw: str, default):
-    path = f"{section}.{key}"
-    if isinstance(default, bool):
-        value = _BOOL_VALUES.get(raw.strip().lower())
-        if value is None:
-            raise ConfigError(f"{path}: expected a boolean, got {raw!r}")
-        return value
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: expected an integer, got {raw!r}")
-    if isinstance(default, float):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: expected a number, got {raw!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{path}: expected a finite number, got {raw!r}")
-        return value
-    return raw
+    """A key's text as a value of its default's kind, or as one of its
+    names.  The bounds are left to the config that holds the key."""
+    rule = Rule(_CHOICES.get((section, key), type(default)))
+    try:
+        value = (_BOOL_VALUES.get(raw.strip().lower()) if rule.kind is bool
+                 else rule.kind(raw) if rule.kind in (int, float) else raw)
+    except ValueError:
+        value = None
+    if not rule.admits(value):
+        # the rule refuses the text as it refused the value, so this
+        # raises, quoting the text as written
+        rule.check(f"{section}.{key}", raw, ConfigError)
+    return value
 
 
 @dataclass
@@ -107,13 +94,16 @@ class RunConfig:
         return RunConfig(sections=sections)
 
     def tfidf_config(self) -> TfidfConfig:
-        return _from_section(TfidfConfig, self.sections["features"])
+        features = {key: value for key, value in self.sections["features"].items()
+                    if key != "token_source"}
+        return build(TfidfConfig, features, "[features]", ConfigError)
 
     def sgd_config(self) -> SgdConfig:
-        return _from_section(SgdConfig, self.sections["sgd"], seed=self.seed)
+        return build(SgdConfig, {**self.sections["sgd"], "seed": self.seed},
+                     "[sgd]", ConfigError)
 
     def gbdt_config(self) -> GbdtConfig:
-        return _from_section(GbdtConfig, self.sections["gbdt"])
+        return build(GbdtConfig, self.sections["gbdt"], "[gbdt]", ConfigError)
 
     def canonical(self) -> str:
         lines = []
@@ -152,16 +142,12 @@ def load_run_config(path=None) -> RunConfig:
                 raise ConfigError(
                     f"unknown key {section}.{key} (expected one of "
                     f"{sorted(DEFAULTS[section])})")
-            value = _coerce(section, key, raw, DEFAULTS[section][key])
-            choices = _CHOICES.get((section, key))
-            if choices is not None and value not in choices:
-                raise ConfigError(f"{section}.{key}: expected one of "
-                                  f"{list(choices)}, got {raw!r}")
-            config.sections[section][key] = value
+            config.sections[section][key] = _coerce(
+                section, key, raw, DEFAULTS[section][key])
     # Range-check every typed section now, so that each command refuses a
     # bad file with the same one error before it reads any input.
     config.tfidf_config()
     config.sgd_config()
     config.gbdt_config()
-    check_alpha(config.get("naive_bayes", "alpha"))
+    ALPHA.check("alpha", config.get("naive_bayes", "alpha"), ModelError)
     return config

@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import CorpusError
 from .files import read_text, write_bytes
+from .schema import Rule
 from .seeds import stream_rng
 
 CSV_HEADER = ["id", "text", "label"]
@@ -322,18 +322,9 @@ def synth_corpus(n_per_class: int, seed: int, divergence: float) -> LabeledCorpu
     ``rng.choices(lexicon, cum_weights=..., k=length)`` per document, human
     documents first, draw from the seed's "synth" stream ``rng``.
     """
-    if isinstance(n_per_class, bool) or not isinstance(n_per_class,
-                                                       numbers.Integral):
-        raise CorpusError(f"n_per_class must be an integer, got "
-                          f"{n_per_class!r}")
-    if not 1 <= n_per_class <= MAX_N_PER_CLASS:
-        raise CorpusError(f"n_per_class must be in [1, {MAX_N_PER_CLASS}], "
-                          f"got {n_per_class}")
-    if isinstance(divergence, bool) or not isinstance(divergence, numbers.Real):
-        raise CorpusError(f"divergence must be a real number, got "
-                          f"{divergence!r}")
-    if not 0.0 <= divergence <= 1.0:
-        raise CorpusError(f"divergence must lie in [0, 1], got {divergence}")
+    Rule(int, 1, MAX_N_PER_CLASS).check("n_per_class", n_per_class,
+                                        CorpusError)
+    Rule(float, 0, 1).check("divergence", divergence, CorpusError)
     lexicon = _lexicon()
     top = LEXICON_SIZE - 1
     human_cum = _zipf_cumulative([float(i) for i in range(LEXICON_SIZE)])

@@ -30,6 +30,7 @@ from .errors import EnsembleError
 from .features import same_transform
 from .files import read_text
 from .metrics import roc_auc, tie_groups
+from .schema import Rule
 
 COMBINE_PROBABILITY_MEAN = "probability_mean"
 COMBINE_RANK_MEAN = "rank_mean"
@@ -69,20 +70,20 @@ class ExternalScores:
         return np.array([self.scores[i] for i in ids])
 
 
-def _is_weight(weight: float) -> bool:
-    """Whether a voter weight is valid: a finite number >= 0."""
-    return math.isfinite(weight) and weight >= 0.0
+# A voter's weight, from a spec, a config file or a caller.
+WEIGHT = Rule(float, 0)
 
 
-def parse_weight(raw, where: str, error=EnsembleError) -> float:
-    """A voter weight read from outside: a finite number >= 0."""
+def parse_weight(raw: str, where: str, error=EnsembleError) -> float:
+    """A voter weight written as text: a finite number >= 0."""
     try:
         weight = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        weight = math.nan
-    if not _is_weight(weight):
-        raise error(f"{where}: weight must be a finite number >= 0, "
-                    f"got {raw!r}")
+    except ValueError:
+        weight = None
+    if not WEIGHT.admits(weight):
+        # the rule refuses the text as it refused the value, so this
+        # raises, quoting the text as written
+        WEIGHT.check(f"{where}: weight", raw, error)
     return weight
 
 
@@ -96,9 +97,7 @@ class Voter:
     name: str = ""
 
     def __post_init__(self):
-        if not _is_weight(self.weight):
-            raise EnsembleError(f"voter weight must be a finite number >= 0, "
-                                f"got {self.weight!r}")
+        WEIGHT.check("voter weight", self.weight, EnsembleError)
         if (self.bundle is None) == (self.external is None):
             raise EnsembleError("voter must hold exactly one of a model "
                                 "bundle or external scores")
@@ -110,9 +109,7 @@ class EnsembleSpec:
     combine: str = COMBINE_PROBABILITY_MEAN
 
     def __post_init__(self):
-        if self.combine not in COMBINERS:
-            raise EnsembleError(f"combine must be one of {COMBINERS}, "
-                                f"got {self.combine!r}")
+        Rule(COMBINERS).check("combine", self.combine, EnsembleError)
         if not self.voters:
             raise EnsembleError("ensemble needs at least one voter")
         if not any(v.weight > 0 for v in self.voters):
@@ -504,8 +501,7 @@ def grid_units(n_voters: int, step: float = DEFAULT_GRID_STEP) -> int:
         raise EnsembleError("weight grid search needs at least one voter")
     if n_voters > 4:
         raise EnsembleError("weight grid search supports at most 4 voters")
-    if not 0.0 < step <= 1.0:
-        raise EnsembleError(f"grid step must be in (0, 1], got {step}")
+    Rule(float, 0, 1, low_open=True).check("grid step", step, EnsembleError)
     inverse = 1.0 / step
     if not math.isfinite(inverse):
         raise EnsembleError(f"grid step {step} is too small: 1 / step "

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import weakref
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -33,6 +32,7 @@ import numpy as np
 
 from .errors import FeatureError
 from .files import pack, unpack
+from .schema import Rule, build, check_fields, declared, object_with
 from .sparse import SparseMatrix
 from .tokenizer import (TokenCorpus, TokenSequence, _stable_sort,
                         encode_pending, map_words)
@@ -50,35 +50,20 @@ MAX_NGRAM = 32
 _DIGIT_KEY_BOUND = 2**63
 
 
-def _is_int(value) -> bool:
-    """Whether value is an integer, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TfidfConfig:
-    ngram_min: int = 1
-    ngram_max: int = 3
-    min_df: int = 2
-    sublinear_tf: bool = False
-    l2_normalize: bool = True
+    ngram_min: int = declared(1, Rule(int, 1, MAX_NGRAM))
+    ngram_max: int = declared(3, Rule(int, 1, MAX_NGRAM))
+    min_df: int = declared(2, Rule(int, 1))
+    sublinear_tf: bool = declared(False, Rule(bool))
+    l2_normalize: bool = declared(True, Rule(bool))
 
     def __post_init__(self):
-        for name in ("ngram_min", "ngram_max", "min_df"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise FeatureError(f"{name} must be an integer, got {value!r}")
-        for name in ("sublinear_tf", "l2_normalize"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise FeatureError(f"{name} must be true or false, got "
-                                   f"{value!r}")
-        if not 1 <= self.ngram_min <= self.ngram_max <= MAX_NGRAM:
+        check_fields(self, FeatureError)
+        if self.ngram_min > self.ngram_max:
             raise FeatureError(f"need 1 <= ngram_min <= ngram_max <= "
                                f"{MAX_NGRAM}, got "
                                f"({self.ngram_min}, {self.ngram_max})")
-        if self.min_df < 1:
-            raise FeatureError(f"min_df must be >= 1, got {self.min_df}")
 
 
 @dataclass
@@ -524,6 +509,8 @@ def _has_duplicate(ids: np.ndarray, lengths: np.ndarray) -> bool:
 # The packed arrays of a payload, in the order they are decoded.
 _PACKED = (("ngram_ids", "<i8"), ("ngram_lengths", "<i8"), ("df", "<i8"),
            ("idf", "<f8"))
+_PAYLOAD_KEYS = ("config", "document_count", "word_vocab",
+                 *(name for name, _ in _PACKED))
 
 
 class _PayloadKey(tuple):
@@ -550,26 +537,20 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
     model, with its n-gram table, and decodes nothing.  Any other payload
     is decoded and checked in full.  Since bundles may share a model, its
     arrays are read-only."""
-    try:
-        config = TfidfConfig(**data["config"])
-        document_count = data["document_count"]
-    except (KeyError, TypeError) as exc:
-        raise FeatureError(f"malformed tfidf payload: {exc}")
-    if not _is_int(document_count) or document_count < 0:
-        raise FeatureError(f"malformed tfidf payload: document_count must be "
-                           f"a non-negative integer, got {document_count!r}")
-    word_vocab = data.get("word_vocab")
-    packed = [data.get(name) for name, _ in _PACKED]
+    object_with(data, _PAYLOAD_KEYS, "field tfidf", FeatureError)
+    config = build(TfidfConfig, data["config"], "field tfidf.config",
+                   FeatureError)
+    document_count = data["document_count"]
+    Rule(int, 0).check("document_count", document_count, FeatureError)
+    word_vocab = data["word_vocab"]
+    packed = [data[name] for name, _ in _PACKED]
     key = _PayloadKey((config, document_count, *packed))
     if all(isinstance(value, str) for value in packed):
         shared = _LIVE.get(key)
         if shared is not None and shared.word_vocab == word_vocab:
             return shared
-    try:
-        ids, lengths, df, idf = (_array(data, name, dtype)
-                                 for name, dtype in _PACKED)
-    except KeyError as exc:
-        raise FeatureError(f"malformed tfidf payload: {exc}")
+    ids, lengths, df, idf = (_array(data, name, dtype)
+                             for name, dtype in _PACKED)
     # No length exceeds the id count, so their sum cannot wrap.
     if len(lengths) and (lengths.min() < 0 or lengths.max() > len(ids)):
         raise FeatureError("malformed tfidf payload: ngram_lengths must lie "

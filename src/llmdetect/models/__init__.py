@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from ..errors import ModelError
 from ..features import (TfidfModel, tfidf_from_dict, tfidf_to_dict,
                         word_vocab_ref)
 from ..files import canonical_json
+from ..schema import Rule, object_with
 from .common import sigmoid
 from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
                    train_gbdt)
@@ -101,29 +102,26 @@ def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
         raise ModelError(f"field format_version: expected "
                          f"{BUNDLE_FORMAT_VERSION}, got {version!r}")
     kind = payload.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ModelError(f"field kind: expected one of {MODEL_KINDS}, "
-                         f"got {kind!r}")
+    Rule(MODEL_KINDS).check("field kind", kind, ModelError)
     if expected_kind is not None and kind != expected_kind:
         raise ModelError(f"bundle holds a {kind} model, expected {expected_kind}")
     for required in ("tfidf", "vocab_ref", "parameters"):
         if required not in payload:
             raise ModelError(f"field {required}: missing from bundle")
-    if not isinstance(payload["vocab_ref"], str):
-        raise ModelError(f"field vocab_ref: expected a string, got "
-                         f"{type(payload['vocab_ref']).__name__}")
+    Rule(str).check("field vocab_ref", payload["vocab_ref"], ModelError)
     tfidf = tfidf_from_dict(payload["tfidf"])
     _check_word_vocab_ref(tfidf, payload["vocab_ref"])
     model = _model_from_parameters(kind, payload["parameters"],
                                    tfidf.n_features)
     training = payload.get("training", {})
-    if not isinstance(training, dict):
-        raise ModelError(f"field training: expected an object, got "
-                         f"{type(training).__name__}")
+    Rule(dict).check("field training", training, ModelError)
+    seed, config_hash = training.get("seed"), training.get("config_hash")
+    Rule(int, null=True).check("training.seed", seed, ModelError)
+    Rule(str, null=True).check("training.config_hash", config_hash,
+                               ModelError)
     return ModelBundle(kind=kind, model=model, tfidf=tfidf,
-                       vocab_ref=payload["vocab_ref"],
-                       seed=training.get("seed"),
-                       config_hash=training.get("config_hash"))
+                       vocab_ref=payload["vocab_ref"], seed=seed,
+                       config_hash=config_hash)
 
 
 def _check_word_vocab_ref(tfidf: TfidfModel, vocab_ref) -> None:
@@ -135,11 +133,12 @@ def _check_word_vocab_ref(tfidf: TfidfModel, vocab_ref) -> None:
 
 
 def _model_from_parameters(kind: str, parameters, n_features: int):
-    """Rebuild a bundle's model, checked as load_model checks it."""
-    try:
-        model = MODEL_CLASSES[kind].from_dict(parameters)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelError(f"malformed {kind} parameters: {exc}")
+    """Rebuild a bundle's model, checked as load_model checks it.  A
+    model's parameter keys are its class's fields."""
+    cls = MODEL_CLASSES[kind]
+    object_with(parameters, [f.name for f in fields(cls)], "field parameters",
+                ModelError)
+    model = cls.from_dict(parameters)
     if model.n_features != n_features:
         raise ModelError(f"{kind} model has {model.n_features} features but "
                          f"its TF-IDF model has {n_features}")

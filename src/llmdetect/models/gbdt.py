@@ -51,6 +51,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..errors import ModelError
+from ..schema import Rule, build, check_fields, declared
 from ..sparse import SparseMatrix
 from .common import check_binary_labels, check_feature_count, sigmoid
 
@@ -73,38 +74,18 @@ MAX_TREES = 10_000
 
 @dataclass(frozen=True)
 class GbdtConfig:
-    variant: str = LEAF_WISE
-    n_trees: int = 200
-    learning_rate: float = 0.1
-    max_leaves: int = 31        # leaf_wise only
-    depth: int = 6              # symmetric only
-    n_bins: int = 255
-    min_data_in_leaf: int = 20
-    lambda_l2: float = 1.0
+    variant: str = declared(LEAF_WISE, Rule((LEAF_WISE, SYMMETRIC)))
+    n_trees: int = declared(200, Rule(int, 0, MAX_TREES))
+    learning_rate: float = declared(0.1, Rule(float, 0))
+    max_leaves: int = declared(31, Rule(int, 2))   # leaf_wise only
+    depth: int = declared(6, Rule(int, 1, MAX_DEPTH))  # symmetric only
+    n_bins: int = declared(255, Rule(int, 2, MAX_BINS))
+    min_data_in_leaf: int = declared(20, Rule(int, 1))
+    # h >= 0, so every H + lambda_l2 a leaf or a gain divides by is > 0
+    lambda_l2: float = declared(1.0, Rule(float, 0, low_open=True))
 
     def __post_init__(self):
-        if self.variant not in (LEAF_WISE, SYMMETRIC):
-            raise ModelError(f"variant must be {LEAF_WISE} or {SYMMETRIC}, "
-                             f"got {self.variant!r}")
-        if not 0 <= self.n_trees <= MAX_TREES:
-            raise ModelError(f"n_trees must be in [0, {MAX_TREES}], "
-                             f"got {self.n_trees}")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ModelError(f"learning_rate must be finite and >= 0, "
-                             f"got {self.learning_rate}")
-        if self.max_leaves < 2:
-            raise ModelError(f"max_leaves must be >= 2, got {self.max_leaves}")
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ModelError(f"depth must be in [1, {MAX_DEPTH}], got {self.depth}")
-        if not 2 <= self.n_bins <= MAX_BINS:
-            raise ModelError(f"n_bins must be in [2, {MAX_BINS}], got {self.n_bins}")
-        if self.min_data_in_leaf < 1:
-            raise ModelError(f"min_data_in_leaf must be >= 1, "
-                             f"got {self.min_data_in_leaf}")
-        # h >= 0, so every H + lambda_l2 a leaf or a gain divides by is > 0
-        if not 0.0 < self.lambda_l2 < math.inf:
-            raise ModelError(f"lambda_l2 must be finite and > 0, "
-                             f"got {self.lambda_l2}")
+        check_fields(self, ModelError)
 
 
 @dataclass
@@ -125,21 +106,24 @@ class LeafwiseTree:
     def n_leaves(self) -> int:
         return sum(1 for c in self.columns if c < 0)
 
-    def check(self, n_features: int) -> None:
-        """Reject node arrays that predict could not walk to a leaf."""
+    def check(self, n_features: int, bins: Rule, where: str) -> None:
+        """Reject node arrays that predict could not walk to a leaf.  A
+        leaf has column -1."""
+        _check_arrays(self, where, columns=Rule(int, -1, n_features - 1),
+                      bins=bins, thresholds=Rule(float), left=Rule(int),
+                      right=Rule(int), values=Rule(float))
         n = len(self.columns)
         if n == 0 or any(len(a) != n for a in (self.bins, self.thresholds,
                                                self.left, self.right,
                                                self.values)):
             raise ModelError("leaf-wise tree: node arrays differ in length")
-        _check_reals(self.thresholds, "threshold")
-        _check_reals(self.values, "leaf value")
-        for node, col in enumerate(self.columns):
-            if col != -1:
+        for node, (col, left, right) in enumerate(zip(self.columns, self.left,
+                                                      self.right)):
+            if col != -1 and not (node < left < n and node < right < n):
                 # children after their parent: every walk ends at a leaf
-                _check_index(col, 0, n_features, "column")
-                _check_index(self.left[node], node + 1, n, "left child")
-                _check_index(self.right[node], node + 1, n, "right child")
+                child = Rule(int, node + 1, n - 1)
+                child.check(f"{where}left[{node}]", left, ModelError)
+                child.check(f"{where}right[{node}]", right, ModelError)
 
     def split_columns(self) -> list[int]:
         return [col for col in self.columns if col >= 0]
@@ -177,19 +161,18 @@ class SymmetricTree:
     def depth(self) -> int:
         return len(self.columns)
 
-    def check(self, n_features: int) -> None:
-        """Reject level arrays that predict could not apply."""
+    def check(self, n_features: int, bins: Rule, where: str) -> None:
+        """Reject level arrays that predict could not apply.  A no-op level
+        has threshold None and column 0."""
+        _check_arrays(self, where, columns=Rule(int, 0, n_features - 1),
+                      bins=bins, thresholds=Rule(float, null=True),
+                      leaf_values=Rule(float))
         if len(self.bins) != self.depth or len(self.thresholds) != self.depth:
             raise ModelError("symmetric tree: level arrays differ in length")
         if len(self.leaf_values) != 2 ** self.depth:
             raise ModelError(f"symmetric tree of depth {self.depth} needs "
                              f"{2 ** self.depth} leaf values, got "
                              f"{len(self.leaf_values)}")
-        _check_reals(self.leaf_values, "leaf value")
-        for col, thr in zip(self.columns, self.thresholds):
-            if thr is not None:  # a no-op level never reads its column
-                _check_reals([thr], "threshold")
-                _check_index(col, 0, n_features, "column")
 
     def split_columns(self) -> list[int]:
         return [col for col, thr in zip(self.columns, self.thresholds)
@@ -204,7 +187,7 @@ class SymmetricTree:
             else:
                 goes_right = X.column_values(col, rows) > thr
             index = index * 2 + goes_right
-        return np.asarray(self.leaf_values)[index]
+        return np.asarray(self.leaf_values, dtype=np.float64)[index]
 
 
 @dataclass
@@ -223,7 +206,8 @@ class GbdtModel:
         for tree in self.trees:
             used[tree.split_columns()] = True
         X = X.select_columns(used)
-        scores = np.full(X.n_rows, self.base_score)
+        # a bundle's base score and leaf values may be ints, kept as given
+        scores = np.full(X.n_rows, self.base_score, dtype=np.float64)
         for tree in self.trees:
             scores += tree.predict(X)
         return scores
@@ -238,26 +222,27 @@ class GbdtModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GbdtModel":
-        config = GbdtConfig(**d["config"])
+        config = build(GbdtConfig, d["config"], "field parameters.config",
+                       ModelError)
+        Rule(float).check("base_score", d["base_score"], ModelError)
+        Rule(int, 0).check("n_features", d["n_features"], ModelError)
+        Rule(dict).check_each("trees", d["trees"], ModelError)
         tree_cls = SymmetricTree if config.variant == SYMMETRIC else LeafwiseTree
-        _check_reals([d["base_score"]], "base score")
-        model = cls(base_score=float(d["base_score"]), config=config,
-                    n_features=int(d["n_features"]),
-                    trees=[tree_cls(**entry) for entry in d["trees"]])
-        for tree in model.trees:
-            tree.check(model.n_features)
-        return model
+        trees = [build(tree_cls, entry, f"trees[{i}]", ModelError)
+                 for i, entry in enumerate(d["trees"])]
+        # a leaf's bin is -1, and a symmetric no-op level's n_bins - 1
+        bins = Rule(int, -1, config.n_bins - 1)
+        for i, tree in enumerate(trees):
+            tree.check(d["n_features"], bins, f"trees[{i}].")
+        return cls(base_score=d["base_score"], config=config,
+                   n_features=d["n_features"], trees=trees)
 
 
-def _check_index(value, lo: int, hi: int, what: str) -> None:
-    if type(value) is not int or not lo <= value < hi:
-        raise ModelError(f"{what} {value!r} outside [{lo}, {hi})")
-
-
-def _check_reals(values, what: str) -> None:
-    for v in values:
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ModelError(f"{what} {v!r} is not a finite number")
+def _check_arrays(tree, where: str, **rules: Rule) -> None:
+    """Check that each named array of a tree is a list that its rule admits
+    item by item."""
+    for name, rule in rules.items():
+        rule.check_each(f"{where}{name}", getattr(tree, name), ModelError)
 
 
 # -- binning and split search ----------------------------------------------

@@ -8,17 +8,18 @@ log scores (the evidence term enters as the normalizer).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ModelError
 from ..files import pack, unpack
+from ..schema import Rule
 from ..sparse import SparseMatrix
 from .common import check_binary_labels, check_feature_count
 
 DEFAULT_ALPHA = 1.0
+ALPHA = Rule(float, 0, low_open=True)
 
 
 @dataclass
@@ -49,30 +50,24 @@ class NaiveBayesModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NaiveBayesModel":
-        log_prior = np.array(d["log_prior"], dtype=np.float64)
+        ALPHA.check("alpha", d["alpha"], ModelError)
+        Rule(float).check_each("log_prior", d["log_prior"], ModelError)
         log_likelihood = unpack(d["log_likelihood"], "<f8",
                                 "naive Bayes log_likelihood", ModelError)
-        if (log_prior.shape != (2,) or len(log_likelihood) % 2
-                or not np.isfinite(log_prior).all()
+        if (len(d["log_prior"]) != 2 or len(log_likelihood) % 2
                 or not np.isfinite(log_likelihood).all()):
             raise ModelError("naive Bayes needs 2 finite priors and 2 finite "
                              "likelihood rows")
-        return cls(log_prior=log_prior,
+        return cls(log_prior=np.array(d["log_prior"], dtype=np.float64),
                    log_likelihood=log_likelihood.reshape(2, -1),
-                   alpha=float(d["alpha"]))
-
-
-def check_alpha(alpha: float) -> None:
-    """Refuse a smoothing strength train_nb cannot use."""
-    if not 0.0 < alpha < math.inf:
-        raise ModelError(f"alpha must be positive and finite, got {alpha}")
+                   alpha=d["alpha"])
 
 
 def train_nb(X: SparseMatrix, y, alpha: float = DEFAULT_ALPHA) -> NaiveBayesModel:
     """Fit priors and smoothed per-class feature likelihoods.  One bincount
     keyed by class * n_features + column sums both classes' weights, each
     sum in CSR order, as a gather of the class's rows would."""
-    check_alpha(alpha)
+    ALPHA.check("alpha", alpha, ModelError)
     y = check_binary_labels(y, X.n_rows)
 
     n_features = X.n_cols

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..files import pack, unpack
+from ..schema import Rule, build, check_fields, declared
 from ..seeds import stream_rng
 from ..sparse import SparseMatrix
 from .common import check_binary_labels, check_feature_count, sigmoid
@@ -38,24 +39,19 @@ _SCALE_LOW, _SCALE_HIGH = 2.0 ** -64, 2.0 ** 64
 
 @dataclass(frozen=True)
 class SgdConfig:
-    eta0: float = 0.5
-    l2: float = 1e-4
-    epochs: int = 10
-    seed: int = 0
+    eta0: float = declared(0.5, Rule(float, 0, low_open=True))
+    l2: float = declared(1e-4, Rule(float, 0))
+    epochs: int = declared(10, Rule(int, 1, MAX_EPOCHS))
+    seed: int = declared(0, Rule(int))
 
     def __post_init__(self):
-        if not 0.0 < self.eta0 < math.inf:
-            raise ModelError(f"eta0 must be positive and finite, got {self.eta0}")
-        if not 0.0 <= self.l2 < math.inf:
-            raise ModelError(f"l2 must be non-negative and finite, got {self.l2}")
+        check_fields(self, ModelError)
         # The rate's denominator, 1 + eta0 * l2 * step, must not overflow
-        # at the second step.
-        if not math.isfinite(self.eta0 * self.l2):
+        # at the second step; in floats, as two ints' product may not fit
+        # one.
+        if not math.isfinite(float(self.eta0) * self.l2):
             raise ModelError(f"eta0 * l2 must be finite, got eta0 = "
                              f"{self.eta0} and l2 = {self.l2}")
-        if not 1 <= self.epochs <= MAX_EPOCHS:
-            raise ModelError(f"epochs must be in [1, {MAX_EPOCHS}], "
-                             f"got {self.epochs}")
 
 
 @dataclass
@@ -83,7 +79,8 @@ class SgdLinearModel:
         if len(theta) == 0 or not np.isfinite(theta).all():
             raise ModelError("theta must be a non-empty array of finite "
                              "numbers")
-        return cls(theta=theta, config=SgdConfig(**d["config"]))
+        return cls(theta=theta, config=build(
+            SgdConfig, d["config"], "field parameters.config", ModelError))
 
 
 def objective(theta: np.ndarray, X: SparseMatrix, y, l2: float) -> float:

@@ -2,16 +2,22 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from llmdetect import ensemble, pipeline
 from llmdetect.cli import main
+from llmdetect.config import DEFAULTS
 from llmdetect.corpus import synth_corpus, save_corpus
 from llmdetect.ensemble import (DEFAULT_GRID_STEP, dump_scores,
                                 load_external_scores, weight_grid)
 from llmdetect.errors import EnsembleError, ModelError
-from llmdetect.models import load_model
+from llmdetect.features import TfidfConfig
+from llmdetect.files import canonical_json
+from llmdetect.models import GbdtConfig, SgdConfig, load_model, save_model
 from conftest import unpacked, v1_rendering
 
 CONFIG = """
@@ -645,15 +651,18 @@ class TestBadInputs:
         return workdir
 
     @pytest.mark.parametrize("weight", ["abc", "nan", "inf", "-inf", "-1",
-                                        None, [1]])
+                                        None, [1], True, "1"])
     def test_bad_spec_weight(self, scored, capsys, weight):
+        # a weight of true or "1" once combined as 1.0: a JSON weight is a
+        # number, not text to parse
         spec = {"format_version": 1,
                 "voters": [{"scores": "ext.csv", "weight": weight},
                            {"scores": "ext.csv", "weight": 1.0}]}
         (scored / "spec.json").write_text(json.dumps(spec))
         assert run(["ensemble", scored / "spec.json", scored / "corpus.jsonl",
                     "--out", scored / "x.csv"]) == 1
-        assert "voters[0]" in single_error(capsys, "ensemble")
+        assert (f"voters[0]: weight must be a finite number >= 0, "
+                f"got {weight!r}") in single_error(capsys, "ensemble")
 
     @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "abc,1", "-2,1"])
     def test_bad_config_weight(self, scored, capsys, weights):
@@ -664,6 +673,27 @@ class TestBadInputs:
                     "--config", scored / "ens.ini",
                     "--out", scored / "x.csv"]) == 1
         assert "ensemble.weights" in single_error(capsys, "config")
+
+    def test_config_weights_are_text(self, scored):
+        # INI weights are text and parsed; a spec's are JSON numbers
+        corpus = synth_corpus(20, seed=5, divergence=0.9)
+        (scored / "low.csv").write_text(
+            "id,score\n" + "".join(f"{i},0.{n % 10}\n"
+                                   for n, i in enumerate(corpus.ids)))
+        voters = [scored / "ext.csv", scored / "low.csv"]
+        (scored / "ens.ini").write_text(
+            f"[ensemble]\nvoters = {voters[0]},{voters[1]}\nweights = 1, 3\n")
+        spec = {"format_version": 1,
+                "voters": [{"scores": "ext.csv", "weight": 1},
+                           {"scores": "low.csv", "weight": 3.0}]}
+        (scored / "spec.json").write_text(json.dumps(spec))
+        assert run(["ensemble", scored / "corpus.jsonl",
+                    "--config", scored / "ens.ini",
+                    "--out", scored / "ini.csv"]) == 0
+        assert run(["ensemble", scored / "spec.json", scored / "corpus.jsonl",
+                    "--out", scored / "spec.csv"]) == 0
+        assert (scored / "ini.csv").read_bytes() == \
+            (scored / "spec.csv").read_bytes()
 
     def test_non_finite_config_float(self, workdir, capsys):
         # eta0 = nan once trained and wrote NaN scores
@@ -977,7 +1007,7 @@ class TestLoaderGaps:
         capsys.readouterr()
         assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
                     "--out", workdir / "x.csv"]) == 1
-        assert "field training: expected an object" in single_error(
+        assert "field training must be an object" in single_error(
             capsys, "model")
 
     @pytest.mark.parametrize("field", ["df", "idf"])
@@ -1056,3 +1086,249 @@ class TestLoaderGaps:
             ["predict", "spec.json", "corpus.jsonl", "--out", "x.csv"],
             workdir), "ensemble")
         assert "non-empty string" in line
+
+
+DROP = object()  # a path edit that deletes the key
+
+
+@pytest.fixture(scope="module")
+def schema_bundles(tmp_path_factory):
+    """Whitespace bundles of each kind, and of each GBDT variant, as bytes,
+    with the corpus they score."""
+    root = tmp_path_factory.mktemp("schema")
+    corpus = root / "corpus.jsonl"
+    save_corpus(synth_corpus(20, seed=5, divergence=0.9), corpus, "jsonl")
+    ws = CONFIG.replace("[features]\n", "[features]\ntoken_source = whitespace\n")
+    configs = {"naive_bayes": ws, "sgd_linear": ws, "leaf_wise": ws,
+               "symmetric": ws.replace("[gbdt]\n", "[gbdt]\nvariant = symmetric\n"
+                                                   "depth = 2\n")}
+    bundles = {}
+    for name, text in configs.items():
+        (root / f"{name}.ini").write_text(text)
+        kind = name if name in ("naive_bayes", "sgd_linear") else "gbdt"
+        assert run(["train", corpus, "--kind", kind, "--out", root / name,
+                    "--config", root / f"{name}.ini"]) == 0
+        bundles[name] = (root / name).read_bytes()
+    return bundles, corpus
+
+
+def edited(data: bytes, path: str, value) -> str:
+    """The bundle with the value at a dotted path (list indices as numbers)
+    replaced: by value(old) if value is callable, deleted if DROP."""
+    payload = json.loads(data)
+    *parents, last = [int(k) if k.lstrip("-").isdigit() else k
+                      for k in path.split(".")]
+    target = payload
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value(target[last]) if callable(value) else value
+    return json.dumps(payload)
+
+
+class TestBundleSchema:
+    """A bundle field of the wrong kind, out of range, missing or unknown
+    ends in one error line that names it.  Each of these once loaded and
+    scored, or failed in Python's own words: '<=' not supported, 'NoneType'
+    object is not iterable, unexpected keyword argument, and the like."""
+
+    @pytest.mark.parametrize("name, path, value, code, message", [
+        ("leaf_wise", "parameters.config.n_bins", 16.0, "model",
+         "n_bins must be an integer, got 16.0"),
+        ("leaf_wise", "parameters.config.n_trees", True, "model",
+         "n_trees must be an integer, got True"),
+        ("leaf_wise", "parameters.config.max_leaves", 4.5, "model",
+         "max_leaves must be an integer, got 4.5"),
+        ("leaf_wise", "parameters.config.depth", "6", "model",
+         "depth must be an integer, got '6'"),
+        ("leaf_wise", "parameters.config.learning_rate", "0.1", "model",
+         "learning_rate must be a finite number >= 0, got '0.1'"),
+        ("leaf_wise", "parameters.config.extra", 1, "model",
+         "field parameters.config: unknown key 'extra'"),
+        ("leaf_wise", "parameters.config.n_bins", DROP, "model",
+         "field parameters.config: missing key 'n_bins'"),
+        ("leaf_wise", "parameters.n_features", str, "model",
+         "n_features must be an integer, got '"),
+        ("leaf_wise", "parameters.n_features", None, "model",
+         "n_features must be an integer, got None"),
+        ("leaf_wise", "parameters.base_score", True, "model",
+         "base_score must be a finite number, got True"),
+        ("leaf_wise", "parameters.trees", None, "model",
+         "trees must be a list, got NoneType"),
+        ("sgd_linear", "parameters.config.epochs", 2.5, "model",
+         "epochs must be an integer, got 2.5"),
+        ("sgd_linear", "parameters.config.eta0", True, "model",
+         "eta0 must be a finite number > 0, got True"),
+        ("sgd_linear", "parameters.config.seed", "x", "model",
+         "seed must be an integer, got 'x'"),
+        ("sgd_linear", "parameters.config", [], "model",
+         "field parameters.config: expected an object, got list"),
+        ("naive_bayes", "parameters.alpha", -1, "model",
+         "alpha must be a finite number > 0, got -1"),
+        ("naive_bayes", "parameters.alpha", True, "model",
+         "alpha must be a finite number > 0, got True"),
+        ("naive_bayes", "parameters.alpha", "1e400", "model",
+         "alpha must be a finite number > 0, got '1e400'"),
+        ("naive_bayes", "parameters.alpha", "abc", "model",
+         "alpha must be a finite number > 0, got 'abc'"),
+        ("naive_bayes", "parameters.log_prior", ["-0.7", "-0.7"], "model",
+         "log_prior[0] must be a finite number, got '-0.7'"),
+        ("naive_bayes", "parameters", [], "model",
+         "field parameters: expected an object, got list"),
+        ("naive_bayes", "tfidf.config", [], "features",
+         "field tfidf.config: expected an object, got list"),
+        ("naive_bayes", "training.seed", {}, "model",
+         "training.seed must be an integer or null, got {}"),
+        ("naive_bayes", "training.config_hash", 5, "model",
+         "training.config_hash must be a string or null, got 5"),
+    ])
+    def test_parameter_refused(self, schema_bundles, tmp_path, capsys, name,
+                               path, value, code, message):
+        self.assert_refused(schema_bundles, tmp_path, capsys, name, path,
+                            value, code, message)
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("leaf_wise", "parameters.trees.0.bins", lambda old: ["x"] * len(old),
+         "trees[0].bins[0] must be an integer, got 'x'"),
+        ("symmetric", "parameters.trees.0.bins", lambda old: ["x"] * len(old),
+         "trees[0].bins[0] must be an integer, got 'x'"),
+        ("leaf_wise", "parameters.trees.0.bins.0", 16,
+         "trees[0].bins[0] must be in [-1, 15], got 16"),
+        ("leaf_wise", "parameters.trees.0.thresholds.0", True,
+         "trees[0].thresholds[0] must be a finite number, got True"),
+        ("leaf_wise", "parameters.trees.0.values.-1", True,
+         "must be a finite number, got True"),
+        ("symmetric", "parameters.trees.0.thresholds.0", True,
+         "trees[0].thresholds[0] must be a finite number or null, got True"),
+        ("symmetric", "parameters.trees.0.leaf_values.0", True,
+         "trees[0].leaf_values[0] must be a finite number, got True"),
+        ("leaf_wise", "parameters.trees.0", 5,
+         "trees[0] must be an object, got 5"),
+        ("leaf_wise", "parameters.trees.0.extra", 1,
+         "trees[0]: unknown key 'extra'"),
+    ])
+    def test_tree_array_refused(self, schema_bundles, tmp_path, capsys, name,
+                                path, value, message):
+        # bins were never read, and booleans passed as thresholds and
+        # leaf values
+        self.assert_refused(schema_bundles, tmp_path, capsys, name, path,
+                            value, "model", message)
+
+    @staticmethod
+    def assert_refused(schema_bundles, tmp_path, capsys, name, path, value,
+                       code, message):
+        bundles, corpus = schema_bundles
+        bundle, out = tmp_path / "bundle.json", tmp_path / "x.csv"
+        bundle.write_text(edited(bundles[name], path, value))
+        capsys.readouterr()
+        assert run(["predict", bundle, corpus, "--out", out]) == 1
+        assert message in single_error(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["naive_bayes", "sgd_linear",
+                                      "leaf_wise", "symmetric"])
+    def test_unedited_bundle_scores(self, schema_bundles, tmp_path, name):
+        bundles, corpus = schema_bundles
+        (tmp_path / "b.json").write_bytes(bundles[name])
+        assert run(["predict", tmp_path / "b.json", corpus,
+                    "--out", tmp_path / "x.csv"]) == 0
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+# Every field a config file or a bundle's config sets: each INI key, and
+# each bundle's tfidf.config and parameters.config keys and naive Bayes
+# alpha.
+_INI_FIELDS = [(section, key) for section, keys in DEFAULTS.items()
+               for key in keys]
+_BUNDLE_FIELDS = (
+    [(name, f"tfidf.config.{key}") for name in ("naive_bayes", "sgd_linear",
+                                                "leaf_wise", "symmetric")
+     for key in field_names(TfidfConfig)]
+    + [("sgd_linear", f"parameters.config.{key}")
+       for key in field_names(SgdConfig)]
+    + [(name, f"parameters.config.{key}") for name in ("leaf_wise", "symmetric")
+       for key in field_names(GbdtConfig)]
+    + [("naive_bayes", "parameters.alpha")])
+# Integers to 10^9, floats where integers belong, booleans, strings, nulls
+# and lists.
+_JSON_VALUES = st.one_of(
+    st.integers(-10 ** 9, 10 ** 9), st.integers(-3, 40),
+    st.integers(-3, 40).map(float), st.floats(), st.booleans(),
+    st.text(max_size=8), st.none(), st.lists(st.integers(0, 3), max_size=3),
+    st.sampled_from(["leaf_wise", "symmetric", "1", "true"]))
+_INI_TEXTS = st.one_of(
+    st.integers(-10 ** 9, 10 ** 9).map(str), st.integers(-3, 40).map(str),
+    st.floats().map(repr), st.sampled_from(
+        ["true", "no", "", "null", "[1, 2]", "2.0", "whitespace",
+         "rank_mean", "symmetric"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8))
+# A value of these fields may be refused where the trees disagree with it.
+_ALSO_NAMED = {"n_bins": "bins", "variant": "trees"}
+
+
+class TestSchemaFuzz:
+    """Any value of any config field, in an INI file or in a bundle, scores
+    or exits 1 with one error line that names the field, in bounded time."""
+
+    @staticmethod
+    def assert_finished_or_named(capsys, code, field):
+        lines = capsys.readouterr().err.splitlines()
+        if code == 0:
+            return
+        assert code == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("llmdetect: error["), lines[0]
+        assert field in lines[0] or _ALSO_NAMED.get(field, field) in lines[0]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ini_field(self, tmp_path, capsys, time_bound, data):
+        section, key = data.draw(st.sampled_from(_INI_FIELDS))
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {data.draw(_INI_TEXTS)}\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        with time_bound(10):
+            code = run(["synth", "--n-per-class", "1", "--divergence", "0.5",
+                        "--out", tmp_path / "s.jsonl", "--config", ini])
+        self.assert_finished_or_named(capsys, code, key)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bundle_field(self, schema_bundles, tmp_path, capsys, time_bound,
+                          data):
+        bundles, corpus = schema_bundles
+        name, path = data.draw(st.sampled_from(_BUNDLE_FIELDS))
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(edited(bundles[name], path, data.draw(_JSON_VALUES)))
+        capsys.readouterr()
+        with time_bound(10):
+            code = run(["predict", bundle, corpus,
+                        "--out", tmp_path / "x.csv"])
+        self.assert_finished_or_named(capsys, code, path.rsplit(".", 1)[1])
+
+
+@pytest.mark.parametrize("name, path, value", [
+    ("leaf_wise", "parameters.base_score", 0),
+    ("symmetric", "parameters.trees.0.leaf_values.0", -1),
+    ("naive_bayes", "parameters.alpha", 2),
+    ("sgd_linear", "parameters.config.eta0", 1),
+])
+def test_numbers_kept_as_given(schema_bundles, tmp_path, name, path, value):
+    # an int where a float is written loads, scores and saves back to the
+    # same bytes: a finite number is never coerced
+    bundles, corpus = schema_bundles
+    text = edited(bundles[name], path, value)
+    (tmp_path / "b.json").write_text(text)
+    assert run(["predict", tmp_path / "b.json", corpus,
+                "--out", tmp_path / "x.csv"]) == 0
+    bundle = load_model(text.encode("utf-8"))
+    assert save_model(bundle.model, bundle.tfidf, bundle.vocab_ref,
+                      bundle.seed, bundle.config_hash) == \
+        canonical_json(json.loads(text))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from llmdetect.config import DEFAULTS, default_config, load_run_config
@@ -54,8 +56,8 @@ class TestParsing:
                                               ("ensemble", "combine")])
     def test_unknown_choice_rejected(self, tmp_path, section, key):
         path = write(tmp_path, f"[{section}]\n{key} = bogus\n")
-        with pytest.raises(ConfigError, match=f"{section}.{key}: expected "
-                                              f"one of .*'bogus'"):
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be "
+                                              f".* or .*, got 'bogus'"):
             load_run_config(path)
 
     def test_typed_sections_checked_on_load(self, tmp_path):
@@ -72,7 +74,7 @@ class TestParsing:
 
     def test_bad_bool_rejected(self, tmp_path):
         path = write(tmp_path, "[features]\nsublinear_tf = maybe\n")
-        with pytest.raises(ConfigError, match="boolean"):
+        with pytest.raises(ConfigError, match="true or false"):
             load_run_config(path)
 
     def test_missing_file_rejected(self, tmp_path):
@@ -127,3 +129,12 @@ class TestHashAndSeed:
         # from the library constants must not move it
         assert default_config().hash() == (
             "9949a772ff2b6f592dd12c6191305e0ff057634a9ab1fbab2969bed27849e1c3")
+
+
+def test_readme_defaults_block_loads(tmp_path):
+    # its inline "; ..." comments were once read as part of the values:
+    # token_source was 'bpe           ; or "whitespace" ...'
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = load_run_config(write(tmp_path, block))
+    assert config.canonical() == default_config().canonical()

@@ -286,7 +286,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("divergence", ["0.5", None, 0.5j, False])
     def test_divergence_must_be_real(self, divergence):
-        with pytest.raises(CorpusError, match="divergence must be a real"):
+        with pytest.raises(CorpusError,
+                           match="divergence must be a finite number"):
             synth_corpus(2, seed=1, divergence=divergence)
 
     @settings(max_examples=40, deadline=None)

@@ -303,6 +303,9 @@ class TestOracleEquivalence:
                                              r"got eta0 = 1e\+300 and l2 = "
                                              r"1e\+300"):
             SgdConfig(eta0=1e300, l2=1e300)
+        # two ints whose product no float holds are refused the same way
+        with pytest.raises(ModelError, match=r"eta0 \* l2 must be finite"):
+            SgdConfig(eta0=10 ** 300, l2=10 ** 300)
 
 
 class TestScalarSigmoid:

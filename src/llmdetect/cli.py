@@ -10,7 +10,6 @@ machine-greppable ``llmdetect: error[<code>]: ...`` line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -19,14 +18,22 @@ from .config import RunConfig, load_run_config
 from .corpus import SplitSpec, load_corpus, save_corpus, split_corpus, synth_corpus
 from .errors import (ConfigError, EnsembleError, LlmdetectError,
                      MetricsError, ModelError, TokenizerError)
-from .files import canonical_json, read_bytes, read_text, write_bytes
+from .files import canonical_json, parse_json, read_bytes, write_bytes
 from .metrics import evaluation_report
 from .models import MODEL_KINDS, bundle_from_dict, load_model
 from .pipeline import (TOKEN_SOURCE_BPE, check_vocab_ref, score_texts,
                        train_bundle)
+from .schema import Rule, object_with
 from .tokenizer import load_vocab, save_vocab, train_bpe
 
-ENSEMBLE_SPEC_VERSION = 1
+# An ensemble spec holds format_version 1 and voters, and may hold
+# combine; each voter holds a weight and exactly one of _SOURCES.
+_SPEC_VERSION = Rule(int, 1, 1)
+_SOURCES = ("model", "scores")
+# Where str.splitlines breaks a line, escaped, so that an error quoting a
+# path or key that holds one is still printed as one line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1]
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def _log(message: str) -> None:
@@ -47,10 +54,7 @@ def _load_corpus_arg(path, explicit_format: str | None):
 
 
 def _read_json(path, error):
-    try:
-        return json.loads(read_text(path, "file", error))
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}: not valid JSON: {exc}")
+    return parse_json(read_bytes(path, "file", error), path, error)
 
 
 def _config_for(args) -> RunConfig:
@@ -119,9 +123,9 @@ def cmd_train(args) -> int:
 def _voter(raw_path, weight: float, base, is_scores: bool,
            where: str) -> ens.Voter:
     """A voter from a bundle or score-file path, resolved against base."""
-    if not isinstance(raw_path, str) or not raw_path:
-        raise EnsembleError(f"{where}: path must be a non-empty string, "
-                            f"got {raw_path!r}")
+    Rule(str).check(where, raw_path, EnsembleError)
+    if not raw_path:
+        raise EnsembleError(f"{where} must be a non-empty string")
     path = Path(base) / raw_path
     if is_scores:
         return ens.Voter(weight=weight, name=raw_path,
@@ -132,28 +136,27 @@ def _voter(raw_path, weight: float, base, is_scores: bool,
 
 def _ensemble_spec(payload, path) -> ens.EnsembleSpec:
     """Build a spec from the parsed spec file at path."""
-    if not isinstance(payload, dict) or \
-            not isinstance(payload.get("voters"), list):
-        raise EnsembleError(f"{path}: ensemble spec needs a voters array")
-    if payload.get("format_version") != ENSEMBLE_SPEC_VERSION:
-        raise EnsembleError(f"{path}: field format_version: expected "
-                            f"{ENSEMBLE_SPEC_VERSION}, "
-                            f"got {payload.get('format_version')!r}")
+    object_with(payload, ("format_version", "voters"), str(path),
+                EnsembleError, optional=("combine",))
+    _SPEC_VERSION.check(f"{path}: format_version", payload["format_version"],
+                        EnsembleError)
+    combine = payload.get("combine", ens.COMBINE_PROBABILITY_MEAN)
+    ens.COMBINE.check(f"{path}: combine", combine, EnsembleError)
+    Rule(list).check(f"{path}: voters", payload["voters"], EnsembleError)
     base = Path(path).parent
     voters = []
     for i, entry in enumerate(payload["voters"]):
         where = f"{path}: voters[{i}]"
-        if not isinstance(entry, dict) or "weight" not in entry:
-            raise EnsembleError(f"{where} needs a weight")
-        weight = entry["weight"]
-        ens.WEIGHT.check(f"{where}: weight", weight, EnsembleError)
-        if "model" in entry:
-            voters.append(_voter(entry["model"], weight, base, False, where))
-        elif "scores" in entry:
-            voters.append(_voter(entry["scores"], weight, base, True, where))
-        else:
-            raise EnsembleError(f"{where} needs a model or scores path")
-    combine = payload.get("combine", ens.COMBINE_PROBABILITY_MEAN)
+        object_with(entry, ("weight",), where, EnsembleError,
+                    optional=_SOURCES)
+        sources = [key for key in _SOURCES if key in entry]
+        if len(sources) != 1:
+            raise EnsembleError(f"{where}: needs exactly one of model and "
+                                f"scores")
+        ens.WEIGHT.check(f"{where}: weight", entry["weight"], EnsembleError)
+        source, = sources
+        voters.append(_voter(entry[source], entry["weight"], base,
+                             source == "scores", f"{where}: {source}"))
     return ens.EnsembleSpec(voters=voters, combine=combine)
 
 
@@ -359,7 +362,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except LlmdetectError as exc:
-        print(f"llmdetect: error[{exc.code}]: {exc}", file=sys.stderr)
+        print(f"llmdetect: error[{exc.code}]: {exc}".translate(_LINE_BREAKS),
+              file=sys.stderr)
         return 1
 
 

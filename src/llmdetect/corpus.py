@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import CorpusError
 from .files import read_text, write_bytes
-from .schema import Rule
+from .schema import Rule, object_with
 from .seeds import stream_rng
 
 CSV_HEADER = ["id", "text", "label"]
-JSONL_KEYS = {"id", "text", "label"}
+# A JSONL row holds exactly these keys: string id and text, integer label.
+JSONL_KEYS = ("id", "text", "label")
+_STRING, _INTEGER = Rule(str), Rule(int)
 SHOWN_HEADER_CHARS = 80  # of a bad CSV header, quoted in the error
 
 LEXICON_SIZE = 2000
@@ -197,22 +199,21 @@ def _jsonl_rows(raw: str, path):
     Lines end at "\n" alone (a "\r" before it is JSON whitespace):
     ``str.splitlines`` would also break at U+2028, U+2029 and U+0085,
     which JSON strings may hold unescaped."""
+    id_name, text_name, label_name = (f"{path}: {key}" for key in JSONL_KEYS)
     for line_num, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = object_with(json.loads(line), JSONL_KEYS, path, CorpusError)
+            row = [obj["id"], obj["text"], obj["label"]]
+            _STRING.check(id_name, row[0], CorpusError)
+            _STRING.check(text_name, row[1], CorpusError)
+            _INTEGER.check(label_name, row[2], CorpusError)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: invalid JSON at line {line_num}: {exc.msg}")
-        if not isinstance(obj, dict) or set(obj) != JSONL_KEYS:
-            raise CorpusError(f"{path}: object keys must be exactly "
-                              f"{sorted(JSONL_KEYS)} at line {line_num}")
-        if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-            raise CorpusError(f"{path}: id and text must be strings "
-                              f"at line {line_num}")
-        if isinstance(obj["label"], bool) or not isinstance(obj["label"], int):
-            raise CorpusError(f"{path}: label must be an integer at line {line_num}")
-        yield line_num, [obj["id"], obj["text"], obj["label"]]
+        except CorpusError as exc:
+            raise CorpusError(f"{exc} at line {line_num}") from None
+        yield line_num, row
 
 
 def id_csv_blocks(header: list[str], rows):

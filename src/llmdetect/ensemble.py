@@ -70,8 +70,9 @@ class ExternalScores:
         return np.array([self.scores[i] for i in ids])
 
 
-# A voter's weight, from a spec, a config file or a caller.
+# A voter's weight and the combiner, from a spec, a config file or a caller.
 WEIGHT = Rule(float, 0)
+COMBINE = Rule(COMBINERS)
 
 
 def parse_weight(raw: str, where: str, error=EnsembleError) -> float:
@@ -109,7 +110,7 @@ class EnsembleSpec:
     combine: str = COMBINE_PROBABILITY_MEAN
 
     def __post_init__(self):
-        Rule(COMBINERS).check("combine", self.combine, EnsembleError)
+        COMBINE.check("combine", self.combine, EnsembleError)
         if not self.voters:
             raise EnsembleError("ensemble needs at least one voter")
         if not any(v.weight > 0 for v in self.voters):

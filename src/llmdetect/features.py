@@ -477,11 +477,6 @@ def tfidf_to_dict(model: TfidfModel) -> dict:
     }
 
 
-def _array(data: dict, key: str, dtype: str) -> np.ndarray:
-    return unpack(data[key], dtype, f"malformed tfidf payload: {key}",
-                  FeatureError)
-
-
 def _has_duplicate(ids: np.ndarray, lengths: np.ndarray) -> bool:
     """Whether two n-grams of the flat vocabulary are equal.  Each length's
     n-grams are gathered as rows and sorted, then compared with their
@@ -545,11 +540,12 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
     word_vocab = data["word_vocab"]
     packed = [data[name] for name, _ in _PACKED]
     key = _PayloadKey((config, document_count, *packed))
-    if all(isinstance(value, str) for value in packed):
+    if all(map(Rule(str).admits, packed)):
         shared = _LIVE.get(key)
         if shared is not None and shared.word_vocab == word_vocab:
             return shared
-    ids, lengths, df, idf = (_array(data, name, dtype)
+    ids, lengths, df, idf = (unpack(data[name], dtype, f"malformed tfidf "
+                                    f"payload: {name}", FeatureError)
                              for name, dtype in _PACKED)
     # No length exceeds the id count, so their sum cannot wrap.
     if len(lengths) and (lengths.min() < 0 or lengths.max() > len(ids)):
@@ -565,13 +561,11 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
         raise FeatureError("malformed tfidf payload: duplicate ngrams")
     # Entries need not be distinct: a corpus holding the literal word
     # "<unk>" lists it twice, and its bundles must load.
-    if word_vocab is not None and not (
-            isinstance(word_vocab, list) and word_vocab
-            and all(isinstance(w, str) for w in word_vocab)
-            and word_vocab[0] == WORD_UNKNOWN):
-        raise FeatureError(f"malformed tfidf payload: word_vocab must be null "
-                           f"or a list of strings starting with "
-                           f"{WORD_UNKNOWN!r}")
+    if word_vocab is not None:
+        Rule(str).check_each("field tfidf.word_vocab", word_vocab, FeatureError)
+        if word_vocab[:1] != [WORD_UNKNOWN]:
+            raise FeatureError(f"field tfidf.word_vocab must start with "
+                               f"{WORD_UNKNOWN!r}")
     for array in (ids, lengths, df, idf):
         array.flags.writeable = False
     vocabulary = NgramVocabulary(ids=ids, lengths=lengths,

@@ -29,6 +29,16 @@ def read_bytes(path, what: str, error) -> bytes:
         raise error(f"no such {what}: {path}")
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}")
+    except ValueError as exc:  # a NUL in a path that a spec file gave
+        raise error(f"cannot read {what} {str(path)!r}: {exc}")
+
+
+def parse_json(data: bytes, what: str, error):
+    """The JSON document that the UTF-8 bytes data hold, the ``what``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}")
 
 
 def read_text(path, what: str, error) -> str:

@@ -9,7 +9,6 @@ refuse to score tokens produced by the wrong vocabulary.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from ..errors import ModelError
 from ..features import (TfidfModel, tfidf_from_dict, tfidf_to_dict,
                         word_vocab_ref)
-from ..files import canonical_json
+from ..files import canonical_json, parse_json
 from ..schema import Rule, object_with
 from .common import sigmoid
 from .gbdt import (GbdtConfig, GbdtModel, LeafwiseTree, SymmetricTree,
@@ -26,6 +25,10 @@ from .naive_bayes import NaiveBayesModel, train_nb
 from .sgd import SgdConfig, SgdLinearModel, objective, train_sgd
 
 BUNDLE_FORMAT_VERSION = 2
+# A bundle holds these keys and may hold "training", with _TRAINING's.
+_BUNDLE_KEYS = ("format_version", "kind", "tfidf", "vocab_ref", "parameters")
+_VERSION = Rule(int, BUNDLE_FORMAT_VERSION, BUNDLE_FORMAT_VERSION)
+_TRAINING = {"seed": Rule(int, null=True), "config_hash": Rule(str, null=True)}
 
 # Bundle "kind" -> model class; each class owns its parameter schema.
 MODEL_CLASSES = {cls.KIND: cls
@@ -86,42 +89,31 @@ def save_model(model, tfidf: TfidfModel, vocab_ref: str,
 
 
 def load_model(data: bytes, expected_kind: str | None = None) -> ModelBundle:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelError(f"model bundle is not valid JSON: {exc}")
-    return bundle_from_dict(payload, expected_kind)
+    return bundle_from_dict(parse_json(data, "model bundle", ModelError),
+                            expected_kind)
 
 
 def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
     """Validate a parsed bundle document and rebuild its model."""
-    if not isinstance(payload, dict):
-        raise ModelError("model bundle: top level must be an object")
-    version = payload.get("format_version")
-    if version != BUNDLE_FORMAT_VERSION:
-        raise ModelError(f"field format_version: expected "
-                         f"{BUNDLE_FORMAT_VERSION}, got {version!r}")
-    kind = payload.get("kind")
+    object_with(payload, _BUNDLE_KEYS, "model bundle", ModelError,
+                optional=("training",))
+    _VERSION.check("field format_version", payload["format_version"],
+                   ModelError)
+    kind = payload["kind"]
     Rule(MODEL_KINDS).check("field kind", kind, ModelError)
     if expected_kind is not None and kind != expected_kind:
         raise ModelError(f"bundle holds a {kind} model, expected {expected_kind}")
-    for required in ("tfidf", "vocab_ref", "parameters"):
-        if required not in payload:
-            raise ModelError(f"field {required}: missing from bundle")
     Rule(str).check("field vocab_ref", payload["vocab_ref"], ModelError)
     tfidf = tfidf_from_dict(payload["tfidf"])
     _check_word_vocab_ref(tfidf, payload["vocab_ref"])
     model = _model_from_parameters(kind, payload["parameters"],
                                    tfidf.n_features)
-    training = payload.get("training", {})
-    Rule(dict).check("field training", training, ModelError)
-    seed, config_hash = training.get("seed"), training.get("config_hash")
-    Rule(int, null=True).check("training.seed", seed, ModelError)
-    Rule(str, null=True).check("training.config_hash", config_hash,
-                               ModelError)
+    training = object_with(payload.get("training", {}), (), "field training",
+                           ModelError, optional=_TRAINING)
+    for key, rule in _TRAINING.items():
+        rule.check(f"training.{key}", training.get(key), ModelError)
     return ModelBundle(kind=kind, model=model, tfidf=tfidf,
-                       vocab_ref=payload["vocab_ref"], seed=seed,
-                       config_hash=config_hash)
+                       vocab_ref=payload["vocab_ref"], **training)
 
 
 def _check_word_vocab_ref(tfidf: TfidfModel, vocab_ref) -> None:

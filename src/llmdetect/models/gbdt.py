@@ -578,6 +578,8 @@ def _grow_leafwise(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
         tree.thresholds[chosen] = threshold
         tree.left[chosen] = left_id
         tree.right[chosen] = left_id + 1
+        # the split that makes the last leaf leaves no leaf to split
+        search = len(leaves) + 1 < config.max_leaves
         for child in binned.split_node(nodes.pop(chosen), col, threshold, g, h):
             child_id = len(tree.columns)
             for array, blank in ((tree.columns, -1), (tree.bins, -1),
@@ -585,7 +587,7 @@ def _grow_leafwise(binned: _BinnedMatrix, g: np.ndarray, h: np.ndarray,
                                  (tree.right, -1), (tree.values, 0.0)):
                 array.append(blank)
             nodes[child_id] = child
-            best[child_id] = best_split(child)
+            best[child_id] = best_split(child) if search else None
         leaves.remove(chosen)
         leaves.extend([left_id, left_id + 1])
 

@@ -3,15 +3,16 @@
 Settings reach the program from INI files, from bundles and from callers.
 Each field declares once what it may hold, as a ``Rule``: an integer (an
 int, not a bool), a finite number (an int or a float, not a bool, inside
-the float range), a boolean, a string, an object, or one of a few names;
-a number may also be bounded, closed or open at the low end.
+the float range), a boolean, a string, a list, an object, or one of a few
+names; a number may also be bounded, closed or open at the low end.
 ``Rule.check`` refuses a value outside its rule with one error that names
 the field.  A finite number is kept as given, never coerced, so a bundle
 saves to the bytes it was loaded from.
 
 Config dataclasses declare each field with ``declared(default, rule)`` and
 check them all with ``check_fields``; ``build`` makes one from a mapping,
-refusing a non-object or an unknown or missing key by name.
+refusing a non-object or an unknown or missing key by name, as
+``object_with`` does for every JSON document the program reads.
 """
 
 from __future__ import annotations
@@ -26,17 +27,18 @@ from typing import NamedTuple
 _FLOAT_MAX = sys.float_info.max
 # The class a value of each kind is an instance of.
 _CLASSES = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str,
-            dict: dict}
+            list: list, dict: dict}
 _WANTED = {int: "an integer", float: "a finite number", bool: "true or false",
-           str: "a string", dict: "an object"}
+           str: "a string", list: "a list", dict: "an object"}
 
 
 class Rule(NamedTuple):
-    """``kind`` is int, float (a finite number), bool, str, dict (a JSON
-    object), or a tuple of the names the field may hold.  A number lies in
-    [low, high], or in (low, high] if ``low_open``; an unset bound is no
-    bound, and a high bound comes with a low one.  ``null`` admits None as
-    well."""
+    """``kind`` is int, float (a finite number), bool, str, list, dict (a
+    JSON object), or a tuple of the names the field may hold.  A number
+    lies in [low, high], or in (low, high] if ``low_open``; an unset bound
+    is no bound, and a high bound comes with a low one.  ``null`` admits
+    None too.  A plain rule, unbounded and not of floats, admits any value
+    of exactly its kind's type."""
 
     kind: type | tuple[str, ...]
     low: float | None = None
@@ -45,6 +47,9 @@ class Rule(NamedTuple):
     null: bool = False
 
     def admits(self, value) -> bool:
+        if type(value) is self.kind and self.low is None and \
+                self.kind is not float:
+            return True
         if value is None:
             return self.null
         if isinstance(self.kind, tuple):
@@ -73,13 +78,16 @@ class Rule(NamedTuple):
     def check_each(self, name: str, values, error) -> None:
         """Check that values is a list whose every item the rule admits.
 
-        A list of plain ints and floats is checked in C by its sum, least
-        and greatest items; any other list, or one that fails, item by
-        item, so an error names the first bad item."""
+        A plain rule checks a list in C by the set of its items' types, a
+        number rule a list of plain ints and floats by its sum, least and
+        greatest items; any other list, or one that fails, is checked item
+        by item, so an error names the first bad item."""
         if not isinstance(values, list):
             raise error(f"{name} must be a list, got {type(values).__name__}")
-        if values and self.kind in (int, float) and \
-                set(map(type, values)) <= {int, self.kind}:
+        types = set(map(type, values))
+        if types <= {self.kind} and self.low is None and self.kind is not float:
+            return
+        if values and self.kind in (int, float) and types <= {int, self.kind}:
             try:
                 # a finite sum rules out NaN and infinities
                 if (self.kind is int or self._in_bounds(sum(values))) and \
@@ -102,6 +110,8 @@ class Rule(NamedTuple):
     def _bounds(self) -> str:
         if self.low is None:
             return ""
+        if self.high == self.low:
+            return f"equal to {self.low}"
         if self.high is not None:
             return f"in {'(' if self.low_open else '['}{self.low}, {self.high}]"
         return f"{'>' if self.low_open else '>='} {self.low}"
@@ -118,12 +128,12 @@ def check_fields(config, error) -> None:
         f.metadata["rule"].check(f.name, getattr(config, f.name), error)
 
 
-def object_with(data, keys, where: str, error) -> dict:
-    """data, once checked to be an object holding exactly the keys."""
+def object_with(data, keys, where: str, error, optional=()) -> dict:
+    """data, once checked to be an object of the keys and optional ones."""
     if not isinstance(data, dict):
         raise error(f"{where}: expected an object, got {type(data).__name__}")
     for key in data:
-        if key not in keys:
+        if key not in keys and key not in optional:
             raise error(f"{where}: unknown key {reprlib.repr(key)}")
     for key in keys:
         if key not in data:

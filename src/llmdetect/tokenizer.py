@@ -25,20 +25,24 @@ one-text corpus).
 from __future__ import annotations
 
 import heapq
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, count, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TokenizerError
-from .files import canonical_json
+from .files import canonical_json, parse_json
+from .schema import Rule, object_with
 
 UNKNOWN_SYMBOL = "<unk>"
 END_OF_WORD = "</w>"
 FORMAT_VERSION = 1
+_VOCAB = "vocabulary file"  # holds exactly _VOCAB_KEYS
+_VOCAB_KEYS = ("format_version", "end_of_word_marker", "merges", "symbols")
+_VERSION = Rule(int, FORMAT_VERSION, FORMAT_VERSION)
 
 DEFAULT_VOCAB_SIZE = 5000
 MIN_PAIR_FREQUENCY = 2
@@ -528,45 +532,34 @@ def save_vocab(vocab: BpeVocab) -> bytes:
 
 
 def load_vocab(data: bytes) -> BpeVocab:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TokenizerError(f"vocabulary file is not valid JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise TokenizerError("vocabulary file: top level must be an object")
-
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise TokenizerError(f"field format_version: expected {FORMAT_VERSION}, "
-                             f"got {version!r}")
-    marker = payload.get("end_of_word_marker")
-    if not isinstance(marker, str) or not marker:
-        raise TokenizerError("field end_of_word_marker: must be a non-empty string")
-    raw_symbols = payload.get("symbols")
-    if (not isinstance(raw_symbols, list) or
-            not all(map(isinstance, raw_symbols, repeat(str)))):
-        raise TokenizerError("field symbols: must be an array of strings")
-    if len(set(raw_symbols)) != len(raw_symbols):
-        raise TokenizerError("field symbols: duplicate symbol strings")
-    if not raw_symbols or raw_symbols[0] != UNKNOWN_SYMBOL:
-        raise TokenizerError(f"field symbols: id 0 must be the reserved "
-                             f"{UNKNOWN_SYMBOL!r} sentinel")
+    payload = parse_json(data, _VOCAB, TokenizerError)
+    object_with(payload, _VOCAB_KEYS, _VOCAB, TokenizerError)
+    _VERSION.check(f"{_VOCAB}: format_version", payload["format_version"],
+                   TokenizerError)
+    raw_symbols, marker = payload["symbols"], payload["end_of_word_marker"]
+    Rule(str).check_each(f"{_VOCAB}: symbols", raw_symbols, TokenizerError)
     symbols = {s: i for i, s in enumerate(raw_symbols)}
-    if marker not in symbols:
-        raise TokenizerError("field end_of_word_marker: marker missing from symbols")
+    if len(symbols) != len(raw_symbols) or raw_symbols[:1] != [UNKNOWN_SYMBOL]:
+        raise TokenizerError(f"{_VOCAB}: symbols must be distinct, the first "
+                             f"the reserved {UNKNOWN_SYMBOL!r} sentinel")
+    # a list scan, as a marker of any JSON type may be looked up there
+    if not marker or marker not in raw_symbols:
+        raise TokenizerError(f"{_VOCAB}: end_of_word_marker must be one of "
+                             f"the symbols, not empty, got {marker!r}")
 
-    raw_merges = payload.get("merges")
-    if not isinstance(raw_merges, list):
-        raise TokenizerError("field merges: must be an array")
-    merges: list[MergeRule] = []
-    for rank, entry in enumerate(raw_merges):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and isinstance(entry[0], str) and isinstance(entry[1], str)):
-            raise TokenizerError(f"field merges[{rank}]: must be a [left, right] "
-                                 f"pair of strings")
-        left, right = entry
-        if left + right not in symbols:
-            raise TokenizerError(f"field merges[{rank}]: merged symbol "
-                                 f"{left + right!r} missing from symbols")
-        merges.append(MergeRule(left, right, rank))
+    # [left, right] string pairs, checked as two lists: quicker than by pair
+    raw_merges = payload["merges"]
+    Rule(list).check_each(f"{_VOCAB}: merges", raw_merges, TokenizerError)
+    if set(map(len, raw_merges)) - {2}:
+        raise TokenizerError(f"{_VOCAB}: merges must be [left, right] pairs")
+    lefts, rights = (list(map(itemgetter(i), raw_merges)) for i in (0, 1))
+    Rule(str).check_each(f"{_VOCAB}: left of merges", lefts, TokenizerError)
+    Rule(str).check_each(f"{_VOCAB}: right of merges", rights, TokenizerError)
+    missing = set(map(str.__add__, lefts, rights)).difference(symbols)
+    if missing:
+        raise TokenizerError(f"{_VOCAB}: merged symbol {min(missing)!r} "
+                             f"missing from symbols")
+    # MergeRule._make without its length check, all in C
+    merges = list(map(tuple.__new__, repeat(MergeRule),
+                      zip(lefts, rights, count())))
     return BpeVocab(merges=merges, symbols=symbols, end_of_word_marker=marker)

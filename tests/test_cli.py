@@ -628,8 +628,8 @@ class TestBundleEncoding:
         bundle.write_bytes(v1_rendering(bundle.read_bytes()))
         assert json.loads(bundle.read_text())["tfidf"]["ngrams"]
         assert self.predict(workdir, capsys, bundle, vocab) == 1
-        assert "field format_version: expected 2, got 1" in single_error(
-            capsys, "model")
+        assert "field format_version must be equal to 2, got 1" in \
+            single_error(capsys, "model")
         assert not (workdir / "s.csv").exists()
 
     def test_bad_padding_refused(self, workdir, capsys):
@@ -1007,7 +1007,7 @@ class TestLoaderGaps:
         capsys.readouterr()
         assert run(["predict", ws_bundle, workdir / "corpus.jsonl",
                     "--out", workdir / "x.csv"]) == 1
-        assert "field training must be an object" in single_error(
+        assert "field training: expected an object, got" in single_error(
             capsys, "model")
 
     @pytest.mark.parametrize("field", ["df", "idf"])
@@ -1076,7 +1076,9 @@ class TestLoaderGaps:
         (workdir / "spec.json").write_text(json.dumps(spec))
         assert run(["ensemble", workdir / "spec.json", workdir / "corpus.jsonl",
                     "--out", workdir / "x.csv"]) == 1
-        assert "voters[0]: path" in single_error(capsys, "ensemble")
+        key, = voter
+        assert f"voters[0]: {key} must be a " in single_error(capsys,
+                                                               "ensemble")
 
     def test_subprocess_voter_path(self, workdir):
         # once a TypeError traceback in the spec loader
@@ -1085,7 +1087,7 @@ class TestLoaderGaps:
         line = single_error_proc(cli_proc(
             ["predict", "spec.json", "corpus.jsonl", "--out", "x.csv"],
             workdir), "ensemble")
-        assert "non-empty string" in line
+        assert "voters[0]: model must be a string, got 5" in line
 
 
 DROP = object()  # a path edit that deletes the key
@@ -1332,3 +1334,203 @@ def test_numbers_kept_as_given(schema_bundles, tmp_path, name, path, value):
     assert save_model(bundle.model, bundle.tfidf, bundle.vocab_ref,
                       bundle.seed, bundle.config_hash) == \
         canonical_json(json.loads(text))
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A corpus with the JSON documents the CLI reads: a BPE vocabulary,
+    a whitespace naive Bayes bundle, a score file and an ensemble spec
+    naming both voters, as bytes, in one directory."""
+    root = tmp_path_factory.mktemp("documents")
+    save_corpus(synth_corpus(6, seed=5, divergence=0.9), root / "c.jsonl",
+                "jsonl")
+    (root / "run.ini").write_text(CONFIG)
+    (root / "ws.ini").write_text("[features]\ntoken_source = whitespace\n"
+                                 "min_df = 1\n")
+    assert run(["tokenize-train", root / "c.jsonl", "--out", root / "v.json",
+                "--config", root / "run.ini"]) == 0
+    assert run(["train", root / "c.jsonl", "--kind", "naive_bayes",
+                "--out", root / "nb.json", "--config", root / "ws.ini"]) == 0
+    assert run(["predict", root / "nb.json", root / "c.jsonl",
+                "--out", root / "s.csv"]) == 0
+    spec = {"format_version": 1, "combine": "rank_mean",
+            "voters": [{"model": "nb.json", "weight": 1.0},
+                       {"scores": "s.csv", "weight": 0.5}]}
+    return root, {"vocab": (root / "v.json").read_bytes(),
+                  "bundle": (root / "nb.json").read_bytes(),
+                  "spec": json.dumps(spec).encode("utf-8")}
+
+
+def run_on(root, name: str, text: str) -> int:
+    """Write a document, then run the command that reads it: train on a
+    vocabulary file, predict with a bundle, ensemble a spec."""
+    path = root / f"edited_{name}.json"
+    path.write_text(text)
+    out = root / "out"
+    out.unlink(missing_ok=True)
+    if name == "vocab":
+        return run(["train", root / "c.jsonl", "--kind", "naive_bayes",
+                    "--vocab", path, "--config", root / "run.ini",
+                    "--out", out])
+    if name == "bundle":
+        return run(["predict", path, root / "c.jsonl", "--out", out])
+    return run(["ensemble", path, root / "c.jsonl", "--out", out])
+
+
+class TestDocumentSchema:
+    """Each JSON document refuses an unknown key, a version that is not
+    the integer it must be, and (a spec) a voter naming both sources, in
+    one error line that names the document and the key.  Each case here
+    once ran and exited 0, ended in a traceback, or printed another error."""
+
+    @pytest.mark.parametrize("name, path, value, code, message", [
+        ("spec", "combiner", "rank_mean", "ensemble",
+         "edited_spec.json: unknown key 'combiner'"),
+        ("spec", "voters.0.scores", "s.csv", "ensemble",
+         "edited_spec.json: voters[0]: needs exactly one of model and "
+         "scores"),
+        ("spec", "voters.1.weigth", 1.0, "ensemble",
+         "edited_spec.json: voters[1]: unknown key 'weigth'"),
+        ("spec", "format_version", True, "ensemble",
+         "edited_spec.json: format_version must be an integer, got True"),
+        ("vocab", "format_version", True, "tokenizer",
+         "vocabulary file: format_version must be an integer, got True"),
+        ("vocab", "format_version", 1.0, "tokenizer",
+         "vocabulary file: format_version must be an integer, got 1.0"),
+        ("vocab", "extra", 1, "tokenizer",
+         "vocabulary file: unknown key 'extra'"),
+        ("bundle", "extra", 1, "model", "model bundle: unknown key 'extra'"),
+        ("bundle", "format_version", 2.0, "model",
+         "field format_version must be an integer, got 2.0"),
+        ("bundle", "training.extra", 1, "model",
+         "field training: unknown key 'extra'"),
+        # a ValueError traceback, not a refusal, until read_bytes caught it
+        ("spec", "voters.1.scores", "s\0.csv", "ensemble",
+         "cannot read score file '"),
+        # these paths once split the error line in two
+        ("spec", "voters.1.scores", "s\n.csv", "ensemble",
+         "no such score file: "),
+        ("spec", "voters.1.scores", "s\x85\u2028.csv", "ensemble",
+         "s\\x85\\u2028.csv"),
+        ("spec", "voters.0.model", "nb\0.json", "model",
+         "cannot read file '"),
+    ])
+    def test_refused(self, documents, capsys, name, path, value, code,
+                     message):
+        root, docs = documents
+        capsys.readouterr()
+        assert run_on(root, name, edited(docs[name], path, value)) == 1
+        assert message in single_error(capsys, code)
+        assert not (root / "out").exists()
+
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("spec", "combine", DROP, None),
+        ("bundle", "training", DROP, None),
+        ("bundle", "training.seed", DROP, None),
+        ("spec", "combine", "sum", "edited_spec.json: combine must be "
+                                   "probability_mean or rank_mean, got 'sum'"),
+        ("spec", "voters.1.scores", "", "edited_spec.json: voters[1]: scores "
+                                        "must be a non-empty string"),
+        ("spec", "voters", {}, "edited_spec.json: voters must be a list, "
+                               "got {}"),
+        ("spec", "voters.0", [], "edited_spec.json: voters[0]: expected an "
+                                 "object, got list"),
+        ("vocab", "symbols.3", 7, "vocabulary file: symbols[3] must be a "
+                                  "string, got 7"),
+        ("vocab", "merges.2", ["a"], "vocabulary file: merges must be "
+                                     "[left, right] pairs"),
+        ("vocab", "merges.2", "ab", "vocabulary file: merges[2] must be a "
+                                    "list, got 'ab'"),
+        ("vocab", "symbols.4", "a", "vocabulary file: symbols must be "
+                                    "distinct, the first the reserved '<unk>'"),
+        ("vocab", "merges.0.1", "x", "vocabulary file: merged symbol 'bx' "
+                                     "missing from symbols"),
+        ("vocab", "merges.2.1", None, "vocabulary file: right of merges[2] "
+                                      "must be a string, got None"),
+        ("vocab", "end_of_word_marker", "", "vocabulary file: "
+         "end_of_word_marker must be one of the symbols, not empty, got ''"),
+        ("vocab", "symbols", [], "vocabulary file: symbols must be "
+                                 "distinct, the first the reserved '<unk>'"),
+    ])
+    def test_optional_keys_and_values(self, documents, capsys, name, path,
+                                      value, message):
+        # combine and training stay optional; every other value is named
+        root, docs = documents
+        capsys.readouterr()
+        code = run_on(root, name, edited(docs[name], path, value))
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 1 and message in single_error(
+                capsys, {"spec": "ensemble", "vocab": "tokenizer"}[name])
+
+    @pytest.mark.parametrize("name", ["vocab", "bundle", "spec"])
+    def test_unedited_document_runs(self, documents, name):
+        root, docs = documents
+        assert run_on(root, name, docs[name].decode("utf-8")) == 0
+
+
+def _json_paths(value, prefix=()):
+    """Every path into a JSON value, its list items to the first three."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, (*prefix, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value[:3]):
+            yield from _json_paths(item, (*prefix, i))
+
+
+# Integers to 10^9, floats, booleans, nulls, strings and lists.
+_FUZZ_VALUES = st.one_of(
+    st.integers(-10 ** 9, 10 ** 9), st.integers(-3, 3), st.floats(),
+    st.booleans(), st.none(), st.text(max_size=8),
+    st.sampled_from(["<unk>", "</w>", "nb.json", "s.csv", "rank_mean",
+                     "\0", "\n", "\x85"]),
+    st.lists(st.one_of(st.integers(0, 3), st.text(max_size=3)), max_size=3))
+
+
+def mutated(data, doc: bytes) -> str:
+    """doc with one key dropped, renamed or added, or one value swapped,
+    at a place drawn from data."""
+    doc = json.loads(doc)
+    *parents, last = data.draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    target = doc
+    for key in parents:
+        target = target[key]
+    action = data.draw(st.sampled_from(["swap", "add"] + (
+        ["drop", "rename"] if isinstance(target, dict) else [])))
+    if action == "add" and isinstance(target[last], dict):
+        target[last][data.draw(st.text(max_size=8))] = data.draw(_FUZZ_VALUES)
+    elif action == "add" and isinstance(target, dict):
+        target[data.draw(st.text(max_size=8))] = data.draw(_FUZZ_VALUES)
+    elif action in ("add", "swap"):
+        target[last] = data.draw(_FUZZ_VALUES)
+    else:
+        value = target.pop(last)
+        if action == "rename":
+            target[data.draw(st.text(max_size=8))] = value
+    return json.dumps(doc)
+
+
+class TestDocumentFuzz:
+    """A vocabulary file or an ensemble spec with a key dropped, renamed or
+    added, or a value swapped, runs or exits 1 with one error line, and
+    no traceback, in bounded time."""
+
+    @pytest.mark.parametrize("name", ["vocab", "spec"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_document(self, documents, capsys, time_bound, name,
+                              data):
+        root, docs = documents
+        text = mutated(data, docs[name])
+        capsys.readouterr()
+        with time_bound(10):
+            code = run_on(root, name, text)
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 1)
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith(
+                "llmdetect: error["), lines

@@ -93,6 +93,22 @@ class TestLoad:
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(path, "jsonl")
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id":5,"text":"x","label":0}', "id must be a string, got 5"),
+        ('{"id":"d","text":null,"label":0}',
+         "text must be a string, got None"),
+        ('{"id":"d","text":"x","label":1.0}',
+         "label must be an integer, got 1.0"),
+        ('{"id":"d","text":"x"}', "missing key 'label'"),
+        ('["d","x",0]', "expected an object, got list"),
+    ])
+    def test_jsonl_row_names_key_and_line(self, tmp_path, line, message):
+        path = write(tmp_path, "c.jsonl",
+                     '{"id":"a","text":"y","label":1}\n\n' + line + "\n")
+        with pytest.raises(CorpusError) as refused:
+            load_corpus(path, "jsonl")
+        assert str(refused.value) == f"{path}: {message} at line 3"
+
     def test_jsonl_bool_label_rejected(self, tmp_path):
         path = write(tmp_path, "c.jsonl", '{"id":"d1","text":"x","label":true}\n')
         with pytest.raises(CorpusError, match="integer"):

@@ -842,6 +842,23 @@ class TestOracleEquivalence:
         for tree, (oracle_root, _) in zip(model.trees, rounds):
             assert_leafwise_equal(tree, oracle_root, X, 120)
 
+    @pytest.mark.parametrize("max_leaves", [2, 3, 8])
+    def test_leafwise_searches_no_child_of_the_last_split(self, monkeypatch,
+                                                          max_leaves):
+        # the split that makes the last leaf leaves its two children
+        # unsplit, so their searches were waste: 2 * max_leaves - 1 calls
+        # once, with the root's
+        X, _, y = self.wide_sparse(20)
+        calls = []
+        split_gains = _BinnedMatrix.split_gains
+        monkeypatch.setattr(_BinnedMatrix, "split_gains",
+                            lambda self, node, g, h: calls.append(node) or
+                            split_gains(self, node, g, h))
+        model = train_gbdt(X, y.astype(int), GbdtConfig(
+            n_trees=1, max_leaves=max_leaves, n_bins=64, min_data_in_leaf=3))
+        assert model.trees[0].columns.count(-1) == max_leaves
+        assert len(calls) == 2 * max_leaves - 3
+
     @pytest.mark.parametrize("seed", [30, 31, 32, 33])
     def test_symmetric_node_for_node_wide_sparse(self, seed, monkeypatch):
         X, dense, y = self.wide_sparse(seed)

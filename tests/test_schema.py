@@ -1,6 +1,6 @@
-"""The one checker of settings and bundle scalars: its kinds, bounds and
-messages, and its list check, whose fast path must agree with checking
-item by item."""
+"""The one checker of settings, bundle scalars and JSON documents: its
+kinds, bounds and messages, its object check, and its list check, whose
+fast paths must agree with checking item by item."""
 
 import math
 import sys
@@ -38,6 +38,9 @@ FLOAT_MAX = sys.float_info.max
     (Rule(dict), [], "x must be an object, got []"),
     (Rule(("leaf_wise", "symmetric")), "x",
      "x must be leaf_wise or symmetric, got 'x'"),
+    (Rule(list), {}, "x must be a list, got {}"),
+    (Rule(int, 2, 2), 1, "x must be equal to 2, got 1"),
+    (Rule(int, 2, 2), 2.0, "x must be an integer, got 2.0"),
 ], ids=str)
 def test_refused_with_message(rule, value, message):
     assert not rule.admits(value)
@@ -61,19 +64,23 @@ def test_admitted(rule, value):
 
 _ITEMS = st.one_of(
     st.integers(-3, 3), st.integers(), st.integers(-10 ** 400, 10 ** 400),
-    st.floats(), st.floats(-4, 4), st.booleans(), st.none(),
-    st.sampled_from([FLOAT_MAX, -FLOAT_MAX, "1", [1]]))
+    st.floats(), st.floats(-4, 4), st.booleans(), st.none(), st.text(),
+    st.sampled_from([FLOAT_MAX, -FLOAT_MAX, "1", "", [1], {}]))
 _RULES = st.sampled_from([
     Rule(int), Rule(int, -1, 2), Rule(int, 0), Rule(float),
     Rule(float, 0, low_open=True), Rule(float, -1, 1),
-    Rule(float, null=True)])
+    Rule(float, null=True), Rule(str), Rule(str, null=True), Rule(list),
+    Rule(bool)])
 
 
-@settings(max_examples=400, deadline=None)
-@given(rule=_RULES, values=st.lists(_ITEMS, max_size=6))
+@settings(max_examples=600, deadline=None)
+@given(rule=_RULES, values=st.one_of(
+    st.lists(_ITEMS, max_size=6), st.lists(st.text(), max_size=6).flatmap(
+        lambda strings: st.permutations(strings + [None, True]))))
 def test_check_each_is_check_of_each_item(rule, values):
-    # the sum, least and greatest items decide for the whole list only
-    # when every item passes; else the first bad item is named
+    # the set of types, or the sum, least and greatest items, decide for
+    # the whole list only when every item passes; else the first bad item
+    # is named
     bad = [i for i, value in enumerate(values) if not rule.admits(value)]
     if not bad:
         rule.check_each("xs", values, ModelError)
@@ -109,7 +116,15 @@ class TestBuild:
         ([], "c: expected an object, got list"),
         ({"a": 1, "b": 2, "z": 3}, "c: unknown key 'z'"),
         ({"a": 1}, "c: missing key 'b'"),
+        ({"b": 1, "o": 2}, "c: missing key 'a'"),
+        ({"a": 1, "b": 2, "p": 3}, "c: unknown key 'p'"),
     ])
     def test_object_with_refuses(self, data, message):
         with pytest.raises(ModelError, match=message):
-            object_with(data, ("a", "b"), "c", ModelError)
+            object_with(data, ("a", "b"), "c", ModelError, optional=("o",))
+
+    @pytest.mark.parametrize("data", [{"a": 1, "b": 2},
+                                      {"a": 1, "b": 2, "o": None}])
+    def test_optional_key_may_be_absent(self, data):
+        assert object_with(data, ("a", "b"), "c", ModelError,
+                           optional=("o",)) is data

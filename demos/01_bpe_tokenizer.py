@@ -19,9 +19,9 @@ for line in corpus:
 # marker per word), then repeatedly merges the most frequent adjacent pair.
 vocab = train_bpe(corpus, vocab_size=40)
 print(f"\nvocabulary size {vocab.size}, {len(vocab.merges)} merges learned:")
-for rule in vocab.merges:
-    print(f"    rank {rule.rank:2d}: {rule.left!r} + {rule.right!r} -> "
-          f"{rule.merged!r}")
+# Each merge is a (left, right) pair; its rank is its place in the list.
+for rank, (left, right) in enumerate(vocab.merges):
+    print(f"    rank {rank:2d}: {left!r} + {right!r} -> {left + right!r}")
 
 # Encoding replays the merges greedily in rank order, word by word.
 text = "the cat sat"
@@ -31,7 +31,7 @@ print(f"\nencode {text!r} -> ids {list(seq.ids)}")
 print("    symbols:", [symbols[i] for i in seq.ids])
 
 # Decoding concatenates symbols and turns markers back into spaces.
-print("decode back:", repr(decode(vocab, seq)))
+print("decode back:", repr(decode(vocab, seq.ids)))
 
 # Characters never seen at training time map to the unknown id.
 seq_unknown = encode(vocab, "zebra!")

@@ -37,11 +37,14 @@ print("most common (lowest idf):",
 print("rarest (highest idf):   ",
       [(render(ngrams[c]), round(model.idf[c], 3)) for c in by_idf[-3:]])
 
-# each document becomes an L2-normalized sparse row
+# each document becomes an L2-normalized sparse row of a CSR matrix:
+# row i's columns and weights are cols and vals from indptr[i] to
+# indptr[i + 1]
 X = transform_corpus(model, sequences)
-vec = X.row(0)
-print(f"\ndocument 0 vector: {vec.nnz} nonzeros out of {model.n_features}")
+lo, hi = X.indptr[0], X.indptr[1]
+cols, vals = X.cols[lo:hi], X.vals[lo:hi]
+print(f"\ndocument 0 vector: {hi - lo} nonzeros out of {model.n_features}")
 print("first entries:", [(c, round(w, 4)) for c, w in
-                         zip(vec.cols.tolist()[:5], vec.vals.tolist()[:5])])
+                         zip(cols.tolist()[:5], vals.tolist()[:5])])
 
 print(f"corpus matrix: {X.n_rows} x {X.n_cols}, {X.nnz} stored values")

@@ -7,8 +7,8 @@ variants) -> weighted soft voting, optionally blended with externally
 produced score files -> exact tie-aware ROC-AUC evaluation.
 """
 
-from .corpus import (Document, LabeledCorpus, SplitSpec, load_corpus,
-                     save_corpus, split_corpus, synth_corpus)
+from .corpus import (LabeledCorpus, SplitSpec, load_corpus, save_corpus,
+                     split_corpus, synth_corpus)
 from .ensemble import (EnsembleSpec, ExternalScores, Voter,
                        load_external_scores, rank_average, run_ensemble,
                        soft_vote, tune_weights)
@@ -20,9 +20,8 @@ from .metrics import (ConfusionCounts, RocCurve, confusion_at, roc_auc,
 from .models import (GbdtConfig, GbdtModel, ModelBundle, NaiveBayesModel,
                      SgdConfig, SgdLinearModel, load_model, save_model,
                      train_gbdt, train_nb, train_sgd)
-from .sparse import SparseMatrix, SparseVector
-from .tokenizer import (BpeVocab, MergeRule, TokenCorpus, TokenSequence,
-                        decode, encode, encode_corpus, load_vocab, save_vocab,
-                        train_bpe)
+from .sparse import SparseMatrix
+from .tokenizer import (BpeVocab, TokenCorpus, TokenSequence, decode, encode,
+                        encode_corpus, load_vocab, save_vocab, train_bpe)
 
 __version__ = "0.1.0"

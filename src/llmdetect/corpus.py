@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CorpusError
 from .files import read_text, write_bytes
-from .schema import Rule, object_with
+from .schema import Rule, binary_labels, object_with
 from .seeds import stream_rng
 
 CSV_HEADER = ["id", "text", "label"]
@@ -54,51 +54,34 @@ _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
 
-@dataclass(frozen=True)
-class Document:
-    """A single text with a corpus-unique id."""
-
-    id: str
-    text: str
-
-
 @dataclass
 class LabeledCorpus:
-    """Parallel documents and binary labels (1 = machine-generated)."""
+    """Parallel columns: unique document ids, texts and 0/1 labels."""
 
-    documents: list[Document]
+    ids: list[str]
+    texts: list[str]
     labels: list[int]
 
     def __post_init__(self):
-        if len(self.documents) != len(self.labels):
-            raise CorpusError(
-                f"{len(self.documents)} documents but {len(self.labels)} labels")
+        if not len(self.ids) == len(self.texts) == len(self.labels):
+            raise CorpusError(f"{len(self.ids)} ids, {len(self.texts)} texts "
+                              f"and {len(self.labels)} labels")
         seen: set[str] = set()
-        for doc in self.documents:
-            if not doc.id:
+        for doc_id in self.ids:
+            if not doc_id:
                 raise CorpusError("document id must be non-empty")
-            if doc.id in seen:
-                raise CorpusError(f"duplicate id {doc.id!r}")
-            seen.add(doc.id)
-        for label in self.labels:
-            if label not in (0, 1):
-                raise CorpusError(f"label {label!r} outside {{0, 1}}")
+            if doc_id in seen:
+                raise CorpusError(f"duplicate id {doc_id!r}")
+            seen.add(doc_id)
+        binary_labels(self.labels, CorpusError)
 
     def __len__(self) -> int:
-        return len(self.documents)
-
-    @property
-    def ids(self) -> list[str]:
-        return [d.id for d in self.documents]
-
-    @property
-    def texts(self) -> list[str]:
-        return [d.text for d in self.documents]
+        return len(self.ids)
 
     def subset(self, indices: list[int]) -> "LabeledCorpus":
-        return LabeledCorpus(
-            documents=[self.documents[i] for i in indices],
-            labels=[self.labels[i] for i in indices])
+        return LabeledCorpus(ids=[self.ids[i] for i in indices],
+                             texts=[self.texts[i] for i in indices],
+                             labels=[self.labels[i] for i in indices])
 
 
 @dataclass(frozen=True)
@@ -139,12 +122,12 @@ def load_corpus(path, format: str) -> LabeledCorpus:
     else:
         raise CorpusError(
             f"unknown corpus format {format!r} (expected csv or jsonl)")
-    docs: list[Document] = []
-    labels: list[int] = []
+    ids, texts, labels = [], [], []
     for line_num, (doc_id, text, raw_label) in rows:
-        docs.append(Document(id=doc_id, text=text))
+        ids.append(doc_id)
+        texts.append(text)
         labels.append(_parse_label(raw_label, line_num))
-    return LabeledCorpus(documents=docs, labels=labels)
+    return LabeledCorpus(ids=ids, texts=texts, labels=labels)
 
 
 def id_rows(text: str, source, header: list[str], error):
@@ -254,20 +237,19 @@ def save_corpus(corpus: LabeledCorpus, path, format: str) -> None:
 def _dump_blocks(corpus: LabeledCorpus, format: str):
     """``dump_corpus``'s text in pieces: a CSV file's header, then the rows
     of DUMP_BLOCK_DOCS documents at a time."""
-    labelled = zip(corpus.documents, corpus.labels)
+    rows = zip(corpus.ids, corpus.texts, corpus.labels)
     if format == "csv":
-        return id_csv_blocks(CSV_HEADER, ([doc.id, doc.text, label]
-                                          for doc, label in labelled))
+        return id_csv_blocks(CSV_HEADER, rows)
     if format == "jsonl":
-        return _in_blocks(labelled, _jsonl_lines)
+        return _in_blocks(rows, _jsonl_lines)
     raise CorpusError(
         f"unknown corpus format {format!r} (expected csv or jsonl)")
 
 
-def _jsonl_lines(labelled) -> str:
-    return "".join(json.dumps({"id": doc.id, "text": doc.text, "label": label},
+def _jsonl_lines(rows) -> str:
+    return "".join(json.dumps({"id": doc_id, "text": text, "label": label},
                               sort_keys=True, separators=(",", ":")) + "\n"
-                   for doc, label in labelled)
+                   for doc_id, text, label in rows)
 
 
 def split_corpus(corpus: LabeledCorpus,
@@ -337,14 +319,12 @@ def synth_corpus(n_per_class: int, seed: int, divergence: float) -> LabeledCorpu
     table = np.frombuffer("".join(w + " " for w in lexicon).encode("ascii"),
                           np.uint8).reshape(LEXICON_SIZE, -1)
     bits = _mt19937(stream_rng(seed, "synth"))
-    docs: list[Document] = []
-    labels: list[int] = []
+    ids, texts, labels = [], [], []
     for label, prefix, cum in ((0, "human", human_cum), (1, "machine", machine_cum)):
-        texts = _synth_texts(bits, n_per_class, cum, table)
-        docs.extend(Document(id=f"{prefix}-{i:05d}", text=text)
-                    for i, text in enumerate(texts))
-        labels.extend([label] * n_per_class)
-    return LabeledCorpus(documents=docs, labels=labels)
+        ids += [f"{prefix}-{i:05d}" for i in range(n_per_class)]
+        texts += _synth_texts(bits, n_per_class, cum, table)
+        labels += [label] * n_per_class
+    return LabeledCorpus(ids=ids, texts=texts, labels=labels)
 
 
 def _mt19937(rng: random.Random) -> np.random.MT19937:

@@ -56,7 +56,7 @@ SCORE_HEADER = ["id", "score"]
 
 @dataclass
 class ExternalScores:
-    """Document id -> score in [0, 1], parsed from a score file."""
+    """Each document id's score in [0, 1], parsed from a score file."""
 
     scores: dict[str, float]
 
@@ -451,8 +451,6 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
     model (``tfidf_from_dict``), matched by identity before
     ``same_transform`` compares bytes.
     """
-    ids = documents.ids
-    texts = documents.texts
     refs = {v.bundle.vocab_ref for v in spec.voters
             if v.bundle is not None and v.bundle.tfidf.word_vocab is None}
     if len(refs) > 1:
@@ -465,13 +463,13 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
     per_voter: list[np.ndarray] = []
     for voter in spec.voters:
         if voter.external is not None:
-            per_voter.append(voter.external.aligned(ids))
+            per_voter.append(voter.external.aligned(documents.ids))
             continue
         tfidf = voter.bundle.tfidf
         scheme = next((s for s in schemes if s[0] == tfidf.word_vocab), None)
         if scheme is None:
             scheme = (tfidf.word_vocab, pipeline.tokenize_texts(
-                texts, tfidf.word_vocab, bpe_vocab), [])
+                documents.texts, tfidf.word_vocab, bpe_vocab), [])
             schemes.append(scheme)
         _, sequences, matrices = scheme
         X = next((X for model, X in matrices

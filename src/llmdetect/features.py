@@ -557,6 +557,8 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
                            f"ngram_ids")
     if len(idf) != len(lengths) or len(df) != len(lengths):
         raise FeatureError("malformed tfidf payload: df/idf length mismatch")
+    if not np.isfinite(idf).all():
+        raise FeatureError("field tfidf.idf must hold finite numbers")
     if _has_duplicate(ids, lengths):
         raise FeatureError("malformed tfidf payload: duplicate ngrams")
     # Entries need not be distinct: a corpus holding the literal word

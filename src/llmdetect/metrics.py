@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MetricsError
+from .schema import binary_labels
 
 REPORT_THRESHOLDS = [x / 10.0 for x in range(1, 10)]
 
@@ -66,21 +67,18 @@ def _check_inputs(scores, labels, rows: bool = False
     (rows, documents) array of them), and labels as an int64 array, both
     checked."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = list(labels)
     if scores.ndim not in ((1, 2) if rows else (1,)):
         raise MetricsError(f"scores must be {'1-D or 2-D' if rows else '1-D'}"
                            f", got {scores.ndim} dimensions")
+    labels = binary_labels(labels, MetricsError)
     if scores.shape[-1] != len(labels):
         raise MetricsError(f"{scores.shape[-1]} scores but {len(labels)} labels")
-    for y in labels:
-        if y not in (0, 1):  # exactly; int() would truncate 0.7 to 0
-            raise MetricsError(f"label {y!r} is not 0 or 1")
     nan = np.argwhere(np.isnan(scores))
     if len(nan):
         where = f"row {nan[0][0]} " if scores.ndim == 2 else ""
         raise MetricsError(f"{where}score {nan[0][-1]} is NaN; scores must "
                            f"be ordered")
-    return scores, np.array(labels, dtype=np.int64)
+    return scores, labels
 
 
 def tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -64,7 +64,13 @@ class ModelBundle:
     config_hash: str | None = None
 
     def predict_proba(self, X) -> np.ndarray:
-        return self.model.predict_proba(X)
+        """Each row's P(class 1); a NaN score is refused, naming its row."""
+        scores = self.model.predict_proba(X)
+        nan = np.flatnonzero(np.isnan(scores))
+        if len(nan):
+            raise ModelError(f"{self.kind} model scores document {nan[0]} "
+                             f"as NaN")
+        return scores
 
 
 def save_model(model, tfidf: TfidfModel, vocab_ref: str,

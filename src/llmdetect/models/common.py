@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
+from ..schema import binary_labels
 from ..sparse import SparseMatrix
 
 
@@ -29,13 +30,11 @@ def sigmoid(x):
 
 
 def check_binary_labels(y, n_rows: int) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
+    y = binary_labels(y, ModelError)
     if len(y) != n_rows:
         raise ModelError(f"{n_rows} rows but {len(y)} labels")
     if n_rows == 0:
         raise ModelError("cannot train on an empty matrix")
-    if not np.all((y == 0) | (y == 1)):
-        raise ModelError("labels must be 0 or 1")
     if y.min() == y.max():
         raise ModelError("training data contains a single class")
     return y

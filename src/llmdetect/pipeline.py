@@ -55,9 +55,8 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
     A config left as None takes its trainer's defaults."""
     if kind not in MODEL_KINDS:
         raise ModelError(f"unknown model kind {kind!r}")
-    texts = corpus.texts
     if token_source == TOKEN_SOURCE_WHITESPACE:
-        word_vocab = fit_word_vocab(texts)
+        word_vocab = fit_word_vocab(corpus.texts)
         ref = word_vocab_ref(word_vocab)
     elif token_source == TOKEN_SOURCE_BPE:
         if bpe_vocab is None or vocab_bytes is None:
@@ -66,7 +65,7 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
         word_vocab, ref = None, vocab_hash(vocab_bytes)
     else:
         raise ModelError(f"unknown token source {token_source!r}")
-    sequences = tokenize_texts(texts, word_vocab, bpe_vocab)
+    sequences = tokenize_texts(corpus.texts, word_vocab, bpe_vocab)
 
     tfidf = fit_tfidf(sequences, tfidf_config)
     if not tfidf.n_features:
@@ -74,7 +73,7 @@ def train_bundle(kind: str, corpus: LabeledCorpus, *, tfidf_config: TfidfConfig,
         raise FeatureError(
             f"no n-gram of ngram_min = {tfidf_config.ngram_min} to "
             f"ngram_max = {tfidf_config.ngram_max} tokens is in at least "
-            f"min_df = {tfidf_config.min_df} of the {len(texts)} training "
+            f"min_df = {tfidf_config.min_df} of the {len(corpus)} training "
             f"documents; nothing to train on")
     tfidf.word_vocab = word_vocab
     X = transform_corpus(tfidf, sequences)

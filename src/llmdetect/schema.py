@@ -24,6 +24,8 @@ import sys
 from dataclasses import field, fields
 from typing import NamedTuple
 
+import numpy as np
+
 _FLOAT_MAX = sys.float_info.max
 # The class a value of each kind is an instance of.
 _CLASSES = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str,
@@ -129,16 +131,32 @@ def check_fields(config, error) -> None:
 
 
 def object_with(data, keys, where: str, error, optional=()) -> dict:
-    """data, once checked to be an object of the keys and optional ones."""
+    """data, once checked to be an object of the keys and optional ones; a
+    refusal names the first unknown key and the first missing one."""
     if not isinstance(data, dict):
         raise error(f"{where}: expected an object, got {type(data).__name__}")
-    for key in data:
-        if key not in keys and key not in optional:
-            raise error(f"{where}: unknown key {reprlib.repr(key)}")
-    for key in keys:
-        if key not in data:
-            raise error(f"{where}: missing key {key!r}")
+    unknown = [key for key in data if key not in keys and key not in optional]
+    missing = [key for key in keys if key not in data]
+    if unknown or missing:
+        faults = [f"unknown key {reprlib.repr(key)}" for key in unknown[:1]]
+        faults += [f"missing key {key!r}" for key in missing[:1]]
+        raise error(f"{where}: {'; '.join(faults)}")
     return data
+
+
+def binary_labels(labels, error) -> np.ndarray:
+    """labels as int64, each checked to equal 0 or 1 (0.7 is refused, not
+    truncated); labels that are not all numbers are compared as given."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "biuf":
+        y = np.array(labels, dtype=object)
+    if y.ndim != 1:
+        raise error(f"labels must be a flat sequence, got {y.ndim} dimensions")
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        shown = reprlib.repr(y.tolist()[bad.argmax()])
+        raise error(f"label {shown} is not 0 or 1")
+    return (y == 1).astype(np.int64)
 
 
 def build(cls, data, where: str, error):

@@ -1,7 +1,7 @@
-"""Minimal compressed-sparse-row containers for document-term matrices.
+"""A minimal compressed-sparse-row container for document-term matrices.
 
-Only what the pipeline needs: row access, matrix-vector products against
-dense weight vectors, and a CSC view for column-oriented work (one
+Only what the pipeline needs: matrix-vector products against dense
+weight vectors, row gathers, and a CSC view for column-oriented work (one
 column's values at a tree node's rows), of the whole matrix or of the
 few columns a trained model reads.  Column indices within a row are
 strictly increasing and explicit zeros are never stored.
@@ -12,28 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """One document's feature vector as parallel (column, weight) arrays."""
-
-    cols: np.ndarray
-    vals: np.ndarray
-    n_cols: int
-
-    def __post_init__(self):
-        if len(self.cols) != len(self.vals):
-            raise ValueError("cols and vals must be parallel")
-
-    @property
-    def nnz(self) -> int:
-        return len(self.cols)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.n_cols)
-        out[self.cols] = self.vals
-        return out
 
 
 @dataclass
@@ -50,11 +28,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return len(self.cols)
-
-    def row(self, i: int) -> SparseVector:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseVector(cols=self.cols[lo:hi], vals=self.vals[lo:hi],
-                            n_cols=self.n_cols)
 
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -122,10 +95,3 @@ class SparseMatrix:
         safe = np.minimum(pos, len(rseg) - 1)
         found = rseg[safe] == rows
         return np.where(found, vseg[safe], 0.0)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        for i in range(self.n_rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            out[i, self.cols[lo:hi]] = self.vals[lo:hi]
-        return out

@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -73,25 +73,12 @@ def _stable_sort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[order], order
 
 
-class MergeRule(NamedTuple):
-    """One recorded merge: (left, right) -> left+right at a given rank.  A
-    named tuple, not a frozen dataclass: load_vocab builds one per merge in
-    every command, and a tuple takes about a third of the time."""
-
-    left: str
-    right: str
-    rank: int
-
-    @property
-    def merged(self) -> str:
-        return self.left + self.right
-
-
 @dataclass
 class BpeVocab:
-    """Ordered merge rules plus the symbol table they produced."""
+    """Merge rules as (left, right) pairs in rank order, a rule's rank its
+    place in the list, plus the symbol table they produced."""
 
-    merges: list[MergeRule]
+    merges: list[tuple[str, str]]
     symbols: dict[str, int]
     end_of_word_marker: str = END_OF_WORD
     unknown_id = 0  # the id of UNKNOWN_SYMBOL in every vocabulary
@@ -234,7 +221,7 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
     heap = _pair_heap(pair_counts)
     n_live = len(heap)  # pairs counted at least MIN_PAIR_FREQUENCY times
 
-    merges: list[MergeRule] = []
+    merges: list[tuple[str, str]] = []
     while len(symbols) < vocab_size:
         while heap:
             neg_count, best_pair = heapq.heappop(heap)
@@ -248,7 +235,7 @@ def train_bpe(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> BpeVoca
         if merged in (UNKNOWN_SYMBOL, END_OF_WORD):
             raise TokenizerError(
                 f"corpus would form the reserved symbol {merged!r}")
-        merges.append(MergeRule(left=left, right=right, rank=len(merges)))
+        merges.append(best_pair)
         if merged not in symbols:
             symbols[merged] = len(symbols)
 
@@ -324,7 +311,7 @@ class _PairTable(NamedTuple):
 
 def _pair_table(vocab: BpeVocab) -> _PairTable:
     ids = dict(vocab.symbols)
-    ranks = {(m.left, m.right): m.rank for m in vocab.merges}
+    ranks = {pair: rank for rank, pair in enumerate(vocab.merges)}
     by_rank = sorted(ranks, key=ranks.__getitem__)
     merged = [ids.setdefault(left + right, len(ids))
               for left, right in by_rank]
@@ -507,11 +494,11 @@ def encode_corpus(vocab: BpeVocab, texts: list[str]) -> TokenCorpus:
     return TokenCorpus(piece_ids[index], lengths)
 
 
-def decode(vocab: BpeVocab, seq: TokenSequence) -> str:
-    """Invert encode: concatenate symbols, markers become single spaces."""
+def decode(vocab: BpeVocab, ids) -> str:
+    """Invert encoding: join the ids' symbols, markers as single spaces."""
     table = vocab.id_to_symbol()
     parts: list[str] = []
-    for token_id in seq.ids:
+    for token_id in ids:
         if token_id == vocab.unknown_id:
             raise TokenizerError("sequence contains the unknown id; not invertible")
         if not 0 <= token_id < len(table):
@@ -525,7 +512,7 @@ def save_vocab(vocab: BpeVocab) -> bytes:
     payload = {
         "format_version": FORMAT_VERSION,
         "end_of_word_marker": vocab.end_of_word_marker,
-        "merges": [[m.left, m.right] for m in vocab.merges],
+        "merges": vocab.merges,
         "symbols": vocab.id_to_symbol(),
     }
     return canonical_json(payload)
@@ -559,7 +546,5 @@ def load_vocab(data: bytes) -> BpeVocab:
     if missing:
         raise TokenizerError(f"{_VOCAB}: merged symbol {min(missing)!r} "
                              f"missing from symbols")
-    # MergeRule._make without its length check, all in C
-    merges = list(map(tuple.__new__, repeat(MergeRule),
-                      zip(lefts, rights, count())))
-    return BpeVocab(merges=merges, symbols=symbols, end_of_word_marker=marker)
+    return BpeVocab(merges=list(zip(lefts, rights)), symbols=symbols,
+                    end_of_word_marker=marker)

@@ -27,8 +27,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from llmdetect.corpus import (DOC_LENGTH_RANGE, LEXICON_SIZE, Document,
-                              LabeledCorpus, _lexicon, _zipf_cumulative)
+from llmdetect.corpus import (DOC_LENGTH_RANGE, LEXICON_SIZE, LabeledCorpus,
+                              _lexicon, _zipf_cumulative)
 from llmdetect.ensemble import COMBINE_PROBABILITY_MEAN, DEFAULT_GRID_STEP
 from llmdetect.errors import FeatureError, ModelError, TokenizerError
 from llmdetect.features import (NgramVocabulary, TfidfConfig, TfidfModel,
@@ -37,10 +37,10 @@ from llmdetect.models import NaiveBayesModel, SgdConfig, SgdLinearModel
 from llmdetect.models.common import check_binary_labels, sigmoid
 from llmdetect.pipeline import score_texts
 from llmdetect.seeds import stream_rng
-from llmdetect.sparse import SparseMatrix, SparseVector
+from llmdetect.sparse import SparseMatrix
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, END_OF_WORD,
                                  MIN_PAIR_FREQUENCY, UNKNOWN_SYMBOL,
-                                 BpeVocab, MergeRule, TokenSequence)
+                                 BpeVocab, TokenSequence)
 
 
 # -- synthetic corpus, one random.choices call per document -----------------
@@ -56,30 +56,33 @@ def synth_corpus_oracle(n_per_class: int, seed: int,
         [(1.0 - divergence) * i + divergence * (top - i)
          for i in range(LEXICON_SIZE)])
     rng = stream_rng(seed, "synth")
-    docs: list[Document] = []
-    labels: list[int] = []
+    ids, texts, labels = [], [], []
     for label, prefix, cum in ((0, "human", human_cum),
                                (1, "machine", machine_cum)):
         for i in range(n_per_class):
             length = rng.randint(*DOC_LENGTH_RANGE)
             words = rng.choices(lexicon, cum_weights=cum, k=length)
-            docs.append(Document(id=f"{prefix}-{i:05d}", text=" ".join(words)))
+            ids.append(f"{prefix}-{i:05d}")
+            texts.append(" ".join(words))
             labels.append(label)
-    return LabeledCorpus(documents=docs, labels=labels)
+    return LabeledCorpus(ids=ids, texts=texts, labels=labels)
 
 
-# -- CSR containers built one row at a time ---------------------------------
+# -- CSR matrices built and read one row at a time --------------------------
+# A row is a (cols, vals) pair of arrays: its slices of cols and vals from
+# indptr[i] to indptr[i + 1].
 
-def sparse_from_rows(rows: list[SparseVector], n_cols: int) -> SparseMatrix:
+def sparse_from_rows(rows: list[tuple[np.ndarray, np.ndarray]],
+                     n_cols: int) -> SparseMatrix:
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        indptr[i + 1] = indptr[i] + r.nnz
+    for i, (cols, _) in enumerate(rows):
+        indptr[i + 1] = indptr[i] + len(cols)
     total = int(indptr[-1])
     cols = np.empty(total, dtype=np.int64)
     vals = np.empty(total, dtype=np.float64)
-    for i, r in enumerate(rows):
-        cols[indptr[i]:indptr[i + 1]] = r.cols
-        vals[indptr[i]:indptr[i + 1]] = r.vals
+    for i, (row_cols, row_vals) in enumerate(rows):
+        cols[indptr[i]:indptr[i + 1]] = row_cols
+        vals[indptr[i]:indptr[i + 1]] = row_vals
     return SparseMatrix(indptr=indptr, cols=cols, vals=vals,
                         n_rows=len(rows), n_cols=n_cols)
 
@@ -89,9 +92,23 @@ def sparse_from_dense(dense) -> SparseMatrix:
     rows = []
     for i in range(dense.shape[0]):
         nz = np.flatnonzero(dense[i])
-        rows.append(SparseVector(cols=nz.astype(np.int64), vals=dense[i, nz],
-                                 n_cols=dense.shape[1]))
+        rows.append((nz.astype(np.int64), dense[i, nz]))
     return sparse_from_rows(rows, dense.shape[1])
+
+
+def csr_row(X: SparseMatrix, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of X as its (cols, vals) pair."""
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return X.cols[lo:hi], X.vals[lo:hi]
+
+
+def to_dense(X: SparseMatrix) -> np.ndarray:
+    """X as a dense array, filled one row at a time."""
+    out = np.zeros((X.n_rows, X.n_cols))
+    for i in range(X.n_rows):
+        cols, vals = csr_row(X, i)
+        out[i, cols] = vals
+    return out
 
 
 def validate_csr(X: SparseMatrix) -> None:
@@ -107,8 +124,9 @@ def validate_csr(X: SparseMatrix) -> None:
             f"row {i} columns must strictly increase"
 
 
-def vector_pairs(vec: SparseVector) -> list[tuple[int, float]]:
-    return list(zip(vec.cols.tolist(), vec.vals.tolist()))
+def vector_pairs(row: tuple[np.ndarray, np.ndarray]) -> list[tuple[int, float]]:
+    cols, vals = row
+    return list(zip(cols.tolist(), vals.tolist()))
 
 
 # -- BPE: recount every pair from scratch each iteration -------------------
@@ -198,7 +216,7 @@ def train_bpe_oracle(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> 
             pair_counts[pair] += n * freqs[wid]
             pair_words.setdefault(pair, set()).add(wid)
 
-    merges: list[MergeRule] = []
+    merges: list[tuple[str, str]] = []
     while len(symbols) < vocab_size:
         best_pair = None
         best_count = 0
@@ -213,8 +231,7 @@ def train_bpe_oracle(texts: list[str], vocab_size: int = DEFAULT_VOCAB_SIZE) -> 
         if merged in (UNKNOWN_SYMBOL, END_OF_WORD):
             raise TokenizerError(
                 f"corpus would form the reserved symbol {merged!r}")
-        merges.append(MergeRule(left=best_pair[0], right=best_pair[1],
-                                rank=len(merges)))
+        merges.append(best_pair)
         if merged not in symbols:
             symbols[merged] = len(symbols)
 
@@ -274,7 +291,7 @@ def _encode_word_oracle(vocab, rank_of, word: str) -> tuple[int, ...]:
 
 
 def encode_oracle(vocab, text: str) -> TokenSequence:
-    rank_of = {(m.left, m.right): m.rank for m in vocab.merges}
+    rank_of = {pair: rank for rank, pair in enumerate(vocab.merges)}
     ids: list[int] = []
     for word in text.split():
         ids.extend(_encode_word_oracle(vocab, rank_of, word))
@@ -358,8 +375,10 @@ def fit_tfidf_oracle(corpus_tokens: list[TokenSequence],
     return TfidfModel(vocabulary=vocabulary, idf=idf, config=config)
 
 
-def transform_oracle(model: TfidfModel, seq: TokenSequence) -> SparseVector:
-    """Weight one document; out-of-vocabulary n-grams are dropped."""
+def transform_oracle(model: TfidfModel, seq: TokenSequence
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Weight one document, as its (cols, vals) row; out-of-vocabulary
+    n-grams are dropped."""
     cfg = model.config
     counts = extract_ngrams(seq, cfg.ngram_min, cfg.ngram_max)
     vocab = model.vocabulary.ngram_to_col
@@ -377,7 +396,7 @@ def transform_oracle(model: TfidfModel, seq: TokenSequence) -> SparseVector:
         norm = math.sqrt(float(np.dot(vals, vals)))
         if norm > 0.0:
             vals = vals / norm
-    return SparseVector(cols=cols, vals=vals, n_cols=model.n_features)
+    return cols, vals
 
 
 def transform_corpus_oracle(model: TfidfModel,
@@ -448,8 +467,8 @@ def train_sgd_oracle(X: SparseMatrix, y,
         rng.shuffle(order)
         for i in order:
             alpha = config.eta0 / (1.0 + config.eta0 * config.l2 * step)
-            row = X.row(i)
-            gradient = sample_gradient(theta, row.cols, row.vals, y[i], config.l2)
+            cols, vals = csr_row(X, i)
+            gradient = sample_gradient(theta, cols, vals, y[i], config.l2)
             theta = sgd_step(theta, gradient, alpha)
             step += 1
     return SgdLinearModel(theta=theta, config=config)
@@ -466,9 +485,9 @@ def train_nb_oracle(X: SparseMatrix, y, alpha: float) -> NaiveBayesModel:
     for cls in (0, 1):
         rows = np.flatnonzero(y == cls)
         log_prior[cls] = np.log(len(rows) / X.n_rows)
-        gathered = [X.row(i) for i in rows]
-        cols = np.concatenate([row.cols for row in gathered])
-        vals = np.concatenate([row.vals for row in gathered])
+        gathered = [csr_row(X, i) for i in rows]
+        cols = np.concatenate([row_cols for row_cols, _ in gathered])
+        vals = np.concatenate([row_vals for _, row_vals in gathered])
         feature_sums = (np.bincount(cols, weights=vals, minlength=X.n_cols)
                         if len(cols) else np.zeros(X.n_cols))
         log_likelihood[cls] = np.log(

@@ -1,11 +1,13 @@
 import json
+import math
 import random
 import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from llmdetect import ensemble, pipeline
@@ -18,7 +20,7 @@ from llmdetect.errors import EnsembleError, ModelError
 from llmdetect.features import TfidfConfig
 from llmdetect.files import canonical_json
 from llmdetect.models import GbdtConfig, SgdConfig, load_model, save_model
-from conftest import unpacked, v1_rendering
+from conftest import repack, unpacked, v1_rendering
 
 CONFIG = """
 [run]
@@ -244,7 +246,7 @@ class TestEvaluate:
     def test_perfect_oracle_auc_one(self, workdir, capsys):
         corpus = synth_corpus(5, seed=2, divergence=0.5)
         save_corpus(corpus, workdir / "c.jsonl", "jsonl")
-        rows = [(d.id, float(y)) for d, y in zip(corpus.documents, corpus.labels)]
+        rows = list(zip(corpus.ids, map(float, corpus.labels)))
         scores = self.write_scores(workdir, rows)
         assert run(["evaluate", scores, workdir / "c.jsonl"]) == 0
         out = capsys.readouterr().out
@@ -253,15 +255,14 @@ class TestEvaluate:
     def test_constant_scores_auc_half(self, workdir, capsys):
         corpus = synth_corpus(5, seed=2, divergence=0.5)
         save_corpus(corpus, workdir / "c.jsonl", "jsonl")
-        scores = self.write_scores(workdir, [(d.id, 0.5)
-                                             for d in corpus.documents])
+        scores = self.write_scores(workdir, [(i, 0.5) for i in corpus.ids])
         assert run(["evaluate", scores, workdir / "c.jsonl"]) == 0
         assert "roc_auc: 0.5" in capsys.readouterr().out
 
     def test_json_report_schema(self, workdir, capsys):
         corpus = synth_corpus(5, seed=2, divergence=0.5)
         save_corpus(corpus, workdir / "c.jsonl", "jsonl")
-        rows = [(d.id, float(y)) for d, y in zip(corpus.documents, corpus.labels)]
+        rows = list(zip(corpus.ids, map(float, corpus.labels)))
         scores = self.write_scores(workdir, rows)
         assert run(["evaluate", scores, workdir / "c.jsonl",
                     "--json", workdir / "report.json"]) == 0
@@ -1334,6 +1335,101 @@ def test_numbers_kept_as_given(schema_bundles, tmp_path, name, path, value):
     assert save_model(bundle.model, bundle.tfidf, bundle.vocab_ref,
                       bundle.seed, bundle.config_hash) == \
         canonical_json(json.loads(text))
+
+
+# Where a bundle of each name holds numbers: (name, holder, key), a holder
+# "trees" meaning each tree of the model.
+_NUMBER_FIELDS = (
+    [(name, "tfidf", "idf") for name in ("naive_bayes", "sgd_linear",
+                                         "leaf_wise", "symmetric")]
+    + [("naive_bayes", "parameters", "log_likelihood"),
+       ("naive_bayes", "parameters", "log_prior"),
+       ("sgd_linear", "parameters", "theta"),
+       ("leaf_wise", "parameters", "base_score"),
+       ("symmetric", "parameters", "base_score"),
+       ("leaf_wise", "trees", "values"),
+       ("symmetric", "trees", "leaf_values")])
+_EXTREME_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 1e308,
+                                   -1e308, 5e-324, -5e-324, -0.0])
+
+
+def with_numbers(data: bytes, holder: str, key: str, value, start: int,
+                 step: int) -> str:
+    """The bundle with value written into every step-th entry, from start,
+    of each packed array or list at key, or in place of a number there."""
+    def fill(array):
+        array[start::step] = value
+        return array
+
+    payload = json.loads(data)
+    holders = (payload["parameters"]["trees"] if holder == "trees"
+               else [payload[holder]])
+    for target in holders:
+        old = target[key]
+        if isinstance(old, str):
+            repack(target, key, fill)
+        elif isinstance(old, list):
+            target[key] = fill(np.array(old, dtype=np.float64)).tolist()
+        else:
+            target[key] = value
+    return json.dumps(payload)
+
+
+class TestArrayFuzz:
+    """NaN, infinities, huge, subnormal and negative-zero numbers in a
+    bundle's packed arrays, priors, base score or leaf values: predict
+    writes scores that evaluate reads, or exits 1 with one error line and
+    no score file, in bounded time."""
+
+    @pytest.mark.parametrize("name, holder, key, value, code, message", [
+        ("naive_bayes", "tfidf", "idf", math.nan, "features",
+         "field tfidf.idf must hold finite numbers"),
+        ("sgd_linear", "tfidf", "idf", math.nan, "features",
+         "field tfidf.idf must hold finite numbers"),
+        ("naive_bayes", "parameters", "log_likelihood", -1e308, "model",
+         "naive_bayes model scores document 0 as NaN"),
+    ])
+    def test_nan_scores_refused(self, schema_bundles, tmp_path, capsys, name,
+                                holder, key, value, code, message):
+        # each bundle loaded, and predict wrote NaN scores that evaluate
+        # then refused
+        bundles, corpus = schema_bundles
+        bundle, out = tmp_path / "b.json", tmp_path / "x.csv"
+        bundle.write_text(with_numbers(bundles[name], holder, key, value,
+                                       0, 1))
+        assert run(["predict", bundle, corpus, "--out", out]) == 1
+        assert message in single_error(capsys, code)
+        assert not out.exists()
+
+    @given(field=st.sampled_from(_NUMBER_FIELDS), value=_EXTREME_FLOATS,
+           start=st.integers(0, 2), step=st.integers(1, 3))
+    @example(field=("naive_bayes", "tfidf", "idf"), value=math.nan, start=0,
+             step=1)
+    @example(field=("sgd_linear", "tfidf", "idf"), value=math.nan, start=0,
+             step=1)
+    @example(field=("naive_bayes", "parameters", "log_likelihood"),
+             value=-1e308, start=0, step=1)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_scores_or_one_error(self, schema_bundles, tmp_path, capsys,
+                                 time_bound, field, value, start, step):
+        bundles, corpus = schema_bundles
+        name, holder, key = field
+        bundle, out = tmp_path / "b.json", tmp_path / "x.csv"
+        bundle.write_text(with_numbers(bundles[name], holder, key, value,
+                                       start, step))
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        with time_bound(10):
+            code = run(["predict", bundle, corpus, "--out", out])
+            lines = capsys.readouterr().err.splitlines()
+            if code == 0:
+                assert run(["evaluate", out, corpus]) == 0, \
+                    capsys.readouterr().err
+                return
+        assert code == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("llmdetect: error["), lines[0]
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import numpy as np
 from conftest import traced_peak
 from llmdetect.corpus import (DUMP_BLOCK_DOCS, GUIDE_BUCKETS, LEXICON_SIZE,
-                              Document, LabeledCorpus, SplitSpec,
+                              LabeledCorpus, SplitSpec,
                               _guide_picker, _zipf_cumulative, dump_corpus,
                               load_corpus, save_corpus, split_corpus,
                               synth_corpus)
@@ -117,8 +117,8 @@ class TestLoad:
     @pytest.mark.parametrize("format", ["csv", "jsonl"])
     def test_round_trip(self, tmp_path, format):
         corpus = LabeledCorpus(
-            documents=[Document("a", 'text with, "quotes"\nand newline'),
-                       Document("b", ""), Document("c", "ünïcödé")],
+            ids=["a", "b", "c"],
+            texts=['text with, "quotes"\nand newline', "", "ünïcödé"],
             labels=[1, 0, 1])
         path = tmp_path / f"rt.{format}"
         save_corpus(corpus, path, format)
@@ -133,8 +133,8 @@ class TestLoad:
     def test_saved_bytes_are_the_dump(self, tmp_path, format, n_docs):
         texts = ['with, "quotes"', "two\nlines\r\n", "ünïcödé \u2028 ✓", ""]
         corpus = LabeledCorpus(
-            documents=[Document(f"d{i},\"{i}\"", texts[i % len(texts)])
-                       for i in range(n_docs)],
+            ids=[f"d{i},\"{i}\"" for i in range(n_docs)],
+            texts=[texts[i % len(texts)] for i in range(n_docs)],
             labels=[i % 2 for i in range(n_docs)])
         path = tmp_path / f"c.{format}"
         save_corpus(corpus, path, format)
@@ -150,7 +150,7 @@ class TestLoad:
         assert peak < 1_500_000
 
     def test_unknown_format_writes_nothing(self, tmp_path):
-        corpus = LabeledCorpus(documents=[Document("a", "x")], labels=[0])
+        corpus = LabeledCorpus(ids=["a"], texts=["x"], labels=[0])
         with pytest.raises(CorpusError, match="unknown corpus format"):
             save_corpus(corpus, tmp_path / "c.txt", "txt")
         assert list(tmp_path.iterdir()) == []
@@ -198,12 +198,31 @@ def test_id_file_fault_reported_alike(tmp_path, kind, fault):
                                  + message.format(header=header, width=width))
 
 
+class TestColumns:
+    @pytest.mark.parametrize("ids, texts, labels, message", [
+        (["a", "b"], ["x"], [0, 1], "2 ids, 1 texts and 2 labels"),
+        (["a", ""], ["x", "y"], [0, 1], "document id must be non-empty"),
+        (["a", "b", "a"], ["x", "y", "z"], [0, 1, 0], "duplicate id 'a'"),
+        (["a", "b"], ["x", "y"], [0, 0.7], "label 0.7 is not 0 or 1"),
+    ])
+    def test_refused(self, ids, texts, labels, message):
+        with pytest.raises(CorpusError, match=message):
+            LabeledCorpus(ids=ids, texts=texts, labels=labels)
+
+    def test_subset_takes_each_column(self):
+        corpus = LabeledCorpus(ids=["a", "b", "c"], texts=["x", "y", "z"],
+                               labels=[0, 1, 1])
+        assert corpus.subset([2, 0]) == LabeledCorpus(
+            ids=["c", "a"], texts=["z", "x"], labels=[1, 0])
+
+
 class TestSplit:
     def corpus(self, n_per_class):
-        docs = [Document(f"h{i}", f"human {i}") for i in range(n_per_class)]
-        docs += [Document(f"m{i}", f"machine {i}") for i in range(n_per_class)]
-        return LabeledCorpus(documents=docs,
-                             labels=[0] * n_per_class + [1] * n_per_class)
+        return LabeledCorpus(
+            ids=[f"{c}{i}" for c in "hm" for i in range(n_per_class)],
+            texts=[f"{cls} {i}" for cls in ("human", "machine")
+                   for i in range(n_per_class)],
+            labels=[0] * n_per_class + [1] * n_per_class)
 
     def test_stratified_counts(self):
         train, test = split_corpus(self.corpus(5), SplitSpec(0.2, seed=7))
@@ -231,7 +250,7 @@ class TestSplit:
         assert not set(train.ids) & set(test.ids)
 
     def test_too_small_rejected(self):
-        corpus = LabeledCorpus(documents=[Document("a", "x")], labels=[0])
+        corpus = LabeledCorpus(ids=["a"], texts=["x"], labels=[0])
         with pytest.raises(CorpusError):
             split_corpus(corpus, SplitSpec(0.5, seed=1))
 
@@ -320,8 +339,8 @@ class TestSynth:
         assert fast.labels == slow.labels
 
     def test_memory_is_one_block_of_draws(self):
-        # Beyond its texts, the 4,000 documents hold about 0.7 MB (ids,
-        # Document objects, lists) and a block of draws about 1.1 MB more;
+        # Beyond its texts, the 4,000 documents hold about 0.5 MB (ids and
+        # lists) and a block of draws about 1.1 MB more;
         # drawing all of a class's words at once peaks at about 14 MB.
         corpus = None
 

@@ -21,7 +21,7 @@ from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenCorpus,
                                  TokenSequence, encode, train_bpe)
 from conftest import repack, traced_peak
-from oracles import (encode_oracle, fit_tfidf_oracle, tfidf_oracle,
+from oracles import (csr_row, encode_oracle, fit_tfidf_oracle, tfidf_oracle,
                      token_sequences, transform_corpus_oracle, vector_pairs)
 
 
@@ -30,8 +30,8 @@ def seqs(*id_lists):
 
 
 def transform(model, seq):
-    """One document's row of transform_corpus."""
-    return transform_corpus(model, [seq]).row(0)
+    """One document's row of transform_corpus, as a (cols, vals) pair."""
+    return csr_row(transform_corpus(model, [seq]), 0)
 
 
 def set_payload_ngrams(payload, ngrams) -> None:
@@ -96,8 +96,8 @@ class TestFit:
 class TestTransform:
     def test_no_in_vocab_ngrams_gives_empty_vector(self):
         model = fit_tfidf(seqs([1, 1], [1, 2]), TfidfConfig(1, 1, min_df=2))
-        vec = transform(model, seqs([7, 8])[0])
-        assert vec.nnz == 0
+        cols, _ = transform(model, seqs([7, 8])[0])
+        assert len(cols) == 0
 
     def test_raw_count_times_idf(self):
         # single vocabulary term, count 2, no normalization
@@ -111,14 +111,14 @@ class TestTransform:
     def test_l2_normalized_unit_norm(self):
         model = fit_tfidf(seqs([1, 2, 3], [2, 3, 4], [1, 4]),
                           TfidfConfig(1, 2, min_df=1, l2_normalize=True))
-        vec = transform(model, seqs([1, 2, 3, 4])[0])
-        assert np.linalg.norm(vec.vals) == pytest.approx(1.0, abs=1e-12)
+        _, vals = transform(model, seqs([1, 2, 3, 4])[0])
+        assert np.linalg.norm(vals) == pytest.approx(1.0, abs=1e-12)
 
     def test_columns_strictly_increasing_no_zeros(self):
         model = fit_tfidf(seqs([1, 2, 3], [3, 2, 1]), TfidfConfig(1, 2, min_df=1))
-        vec = transform(model, seqs([2, 1, 3, 2])[0])
-        assert np.all(np.diff(vec.cols) > 0)
-        assert np.all(vec.vals != 0.0)
+        cols, vals = transform(model, seqs([2, 1, 3, 2])[0])
+        assert np.all(np.diff(cols) > 0)
+        assert np.all(vals != 0.0)
 
     def test_oov_ngrams_do_not_disturb_in_vocab_weights(self):
         cfg = TfidfConfig(1, 1, min_df=1, l2_normalize=False)
@@ -133,8 +133,8 @@ class TestTransform:
         X = transform_corpus(model, docs)
         assert X.n_rows == 3 and X.n_cols == model.n_features
         for i, doc in enumerate(docs):
-            np.testing.assert_array_equal(X.row(i).cols, transform(model, doc).cols)
-            np.testing.assert_array_equal(X.row(i).vals, transform(model, doc).vals)
+            for got, alone in zip(csr_row(X, i), transform(model, doc)):
+                np.testing.assert_array_equal(got, alone)
 
     def test_empty_corpus_transform(self):
         model = fit_tfidf(seqs([1, 2], [2, 1]), TfidfConfig(1, 1, min_df=1))
@@ -176,8 +176,8 @@ class TestSerialization:
         assert loaded.vocabulary.ngram_to_col == model.vocabulary.ngram_to_col
         np.testing.assert_array_equal(loaded.idf, model.idf)
         for doc in docs:
-            np.testing.assert_array_equal(transform(loaded, doc).vals,
-                                          transform(model, doc).vals)
+            np.testing.assert_array_equal(transform(loaded, doc)[1],
+                                          transform(model, doc)[1])
 
     def test_flat_arrays_held_from_fit_to_load(self):
         model = fit_tfidf(seqs([1, 2, 3], [3, 2]), TfidfConfig(1, 2, min_df=1))
@@ -507,9 +507,8 @@ class TestMatchesCounterOracle:
         docs = seqs([5, 6, 5, 6], [6, 5])
         model = fit_tfidf(docs, TfidfConfig(1, 2, min_df=1))
         vec = transform(model, docs[0])
-        row = transform_corpus(model, docs[:1]).row(0)
-        assert vec.cols.tobytes() == row.cols.tobytes()
-        assert vec.vals.tobytes() == row.vals.tobytes()
+        row = csr_row(transform_corpus(model, docs[:1]), 0)
+        assert [a.tobytes() for a in vec] == [a.tobytes() for a in row]
 
     @pytest.mark.parametrize("shift", [0, 2**40])
     def test_dense_and_searched_rank_lookup_agree(self, shift):

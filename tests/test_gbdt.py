@@ -21,7 +21,7 @@ from gbdt_compare import (assert_leafwise_equal, assert_symmetric_equal,
                           replay_boosting)
 from oracles import (_oracle_gain, bin_matrix, binned_matrix_oracle,
                      compute_bin_edges, find_best_split, histograms_oracle,
-                     sparse_from_dense, split_gains_oracle)
+                     sparse_from_dense, split_gains_oracle, to_dense)
 
 
 def column_gains(binned, splits):
@@ -344,8 +344,8 @@ class TestBinning:
             else:
                 assert len(binned.cuts[col]) == 0
         # X_split is X restricted to the binned columns, in X's row order
-        dense = X.toarray()[:, binned.splittable]
-        np.testing.assert_array_equal(binned.X_split.toarray(), dense)
+        dense = to_dense(X)[:, binned.splittable]
+        np.testing.assert_array_equal(to_dense(binned.X_split), dense)
         assert len(binned.bins) == binned.X_split.nnz
 
     def test_quantile_branch_and_empty_column(self):

@@ -7,7 +7,7 @@ must each appear as a name somewhere in its code.  The package
 module-level private function, class or constant (``_name``, dunders
 exempt) must be read somewhere in its own module, or it is dead.  The
 same walk lists every call site that can reach BLAS, and every sort of
-keys on the text path.
+keys on the text path, and pins the names the package exports.
 """
 
 import ast
@@ -182,3 +182,70 @@ def test_check_sees_every_sort_site():
         "m", sort_op) == ["m.<module>: argsort",
                           "m.f: unique(return_inverse)", "m.f: argsort",
                           "m.f: argsort", "m.f: unique(return_inverse)"]
+
+
+def exported_names(source: str) -> list[str]:
+    """The names a package ``__init__.py`` re-exports, sorted."""
+    return sorted(alias.asname or alias.name
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+# The package's public names, one a line, so that adding or deleting one
+# shows as a one-line diff.
+PUBLIC_NAMES = [
+    "BpeVocab",
+    "ConfusionCounts",
+    "EnsembleSpec",
+    "ExternalScores",
+    "GbdtConfig",
+    "GbdtModel",
+    "LabeledCorpus",
+    "LlmdetectError",
+    "ModelBundle",
+    "NaiveBayesModel",
+    "NgramVocabulary",
+    "RocCurve",
+    "SgdConfig",
+    "SgdLinearModel",
+    "SparseMatrix",
+    "SplitSpec",
+    "TfidfConfig",
+    "TfidfModel",
+    "TokenCorpus",
+    "TokenSequence",
+    "Voter",
+    "confusion_at",
+    "decode",
+    "encode",
+    "encode_corpus",
+    "extract_ngrams",
+    "fit_tfidf",
+    "load_corpus",
+    "load_external_scores",
+    "load_model",
+    "load_vocab",
+    "rank_average",
+    "roc_auc",
+    "roc_auc_exact",
+    "roc_curve",
+    "run_ensemble",
+    "save_corpus",
+    "save_model",
+    "save_vocab",
+    "soft_vote",
+    "split_corpus",
+    "synth_corpus",
+    "train_bpe",
+    "train_gbdt",
+    "train_nb",
+    "train_sgd",
+    "transform_corpus",
+    "trapezoid_auc_exact",
+    "tune_weights",
+]
+
+
+def test_public_names_pinned():
+    assert exported_names((SRC / "__init__.py").read_text(
+        encoding="utf-8")) == PUBLIC_NAMES

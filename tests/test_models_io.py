@@ -66,6 +66,14 @@ def test_no_rows_rejected(train):
         train(X, [])
 
 
+@pytest.mark.parametrize("train", [train_nb, train_sgd, train_gbdt])
+def test_fractional_labels_refused(rng, train):
+    # the labels were once cast to int64, so these trained as [0, 1, 0, 1]
+    X, _ = random_sparse(rng, 4, 3, density=1.0)
+    with pytest.raises(ModelError, match="label 0.7 is not 0 or 1"):
+        train(X, [0.7, 1, 0, 1])
+
+
 class TestBundleRoundTrip:
     def test_scores_bit_exact(self, rng, tfidf, training):
         X, y = training

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from llmdetect.corpus import (Document, LabeledCorpus, SplitSpec, split_corpus,
+from llmdetect.corpus import (LabeledCorpus, SplitSpec, split_corpus,
                               synth_corpus)
 from llmdetect.errors import ModelError
 from llmdetect.features import TfidfConfig
@@ -100,11 +100,11 @@ class TestWhitespaceFallback:
         # 1,000 documents over 100,000 distinct words took 22 s (2-vCPU
         # x86-64); one shared table takes about 1 s.
         n_docs, per_doc = 1000, 100
-        docs = [Document(id=f"d{i}", text=" ".join(
-                    f"w{i * per_doc + j}" for j in range(per_doc)))
-                for i in range(n_docs)]
-        corpus = LabeledCorpus(documents=docs,
-                               labels=[i % 2 for i in range(n_docs)])
+        corpus = LabeledCorpus(
+            ids=[f"d{i}" for i in range(n_docs)],
+            texts=[" ".join(f"w{i * per_doc + j}" for j in range(per_doc))
+                   for i in range(n_docs)],
+            labels=[i % 2 for i in range(n_docs)])
         with time_bound(10):
             data = train_bundle("naive_bayes", corpus,
                                 tfidf_config=TfidfConfig(1, 1, min_df=1),
@@ -115,8 +115,7 @@ class TestWhitespaceFallback:
 
     def test_literal_unknown_word_scores(self):
         corpus = synth_corpus(10, seed=2, divergence=0.9)
-        corpus.documents[0] = Document(id=corpus.ids[0],
-                                       text="<unk> " + corpus.texts[0])
+        corpus.texts[0] = "<unk> " + corpus.texts[0]
         bundle = load_model(train_bundle(
             "naive_bayes", corpus, tfidf_config=TfidfConfig(1, 1, min_df=1),
             token_source="whitespace"))

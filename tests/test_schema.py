@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llmdetect.errors import ModelError
-from llmdetect.schema import Rule, build, object_with
+from llmdetect.schema import Rule, binary_labels, build, object_with
 from llmdetect.models import GbdtConfig
 
 FLOAT_MAX = sys.float_info.max
@@ -118,6 +118,9 @@ class TestBuild:
         ({"a": 1}, "c: missing key 'b'"),
         ({"b": 1, "o": 2}, "c: missing key 'a'"),
         ({"a": 1, "b": 2, "p": 3}, "c: unknown key 'p'"),
+        # a renamed key is both unknown and missing
+        ({"a": 1, "B": 2}, "^c: unknown key 'B'; missing key 'b'$"),
+        ({"x": 1, "y": 2}, "^c: unknown key 'x'; missing key 'a'$"),
     ])
     def test_object_with_refuses(self, data, message):
         with pytest.raises(ModelError, match=message):
@@ -128,3 +131,20 @@ class TestBuild:
     def test_optional_key_may_be_absent(self, data):
         assert object_with(data, ("a", "b"), "c", ModelError,
                            optional=("o",)) is data
+
+
+class TestBinaryLabels:
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 0, 0.7], "label 0.7 is not 0 or 1"),
+        # named as given, not as the string numpy would make of the list
+        ([0, "1"], "label '1' is not 0 or 1"),
+        ([0, None], "label None is not 0 or 1"),
+        ([[0, 1]], "labels must be a flat sequence, got 2 dimensions"),
+    ])
+    def test_refused(self, labels, message):
+        with pytest.raises(ModelError, match=message):
+            binary_labels(labels, ModelError)
+
+    def test_exact_zero_one_of_any_type_read_as_int64(self):
+        y = binary_labels([0.0, True, np.int64(0), 1], ModelError)
+        assert y.dtype == np.int64 and y.tolist() == [0, 1, 0, 1]

@@ -10,8 +10,8 @@ from llmdetect.models import SgdConfig, objective, sigmoid, train_sgd
 from llmdetect.seeds import stream_rng
 from llmdetect.sparse import SparseMatrix
 from conftest import random_sparse, traced_peak
-from oracles import (sample_gradient, sample_loss, sgd_step, sparse_from_dense,
-                     sparse_from_rows, train_sgd_oracle)
+from oracles import (csr_row, sample_gradient, sample_loss, sgd_step,
+                     sparse_from_dense, sparse_from_rows, train_sgd_oracle)
 
 
 class TestStep:
@@ -191,21 +191,21 @@ def lazy_gap_bound(X, y, config) -> float:
         rng.shuffle(order)
         for i in order:
             alpha = config.eta0 / (1.0 + config.eta0 * config.l2 * step)
-            row = X.row(i)
+            cols, vals = csr_row(X, i)
             x = np.zeros(n)
-            x[row.cols] = row.vals
+            x[cols] = vals
             x[-1] = 1.0
             norm = math.sqrt(float((x * x).sum()))
             sign = 2 * int(y[i]) - 1
-            q = sigmoid(-sign * float(np.dot(row.vals, theta[row.cols])
+            q = sigmoid(-sign * float(np.dot(vals, theta[cols])
                                       + theta[-1]))
             residual = -sign * q  # sigma(m) - y, as both runs form it
-            rho_m = 2 * (len(row.cols) + 2) * U * float(
-                np.abs(row.vals * theta[row.cols]).sum() + abs(theta[-1]))
+            rho_m = 2 * (len(cols) + 2) * U * float(
+                np.abs(vals * theta[cols]).sum() + abs(theta[-1]))
             margin_gap = norm * gap + rho_m
             slope = (0.25 if margin_gap > 700.0
                      else min(0.25, q * (1.0 - q) * math.exp(margin_gap)))
-            new = sgd_step(theta, sample_gradient(theta, row.cols, row.vals,
+            new = sgd_step(theta, sample_gradient(theta, cols, vals,
                                                   y[i], config.l2), alpha)
             c = 1.0 - alpha * config.l2
             sizes = (np.abs(theta) * (1.0 + abs(c) + alpha * config.l2)

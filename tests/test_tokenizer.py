@@ -37,7 +37,7 @@ class TestTraining:
     def test_first_merge_is_most_frequent_pair(self):
         # "aaab" twice: pair (a,a) occurs 4 times, beats (a,b) at 2
         vocab = train_bpe(["aaab aaab"], vocab_size=50)
-        assert (vocab.merges[0].left, vocab.merges[0].right) == ("a", "a")
+        assert vocab.merges[0] == ("a", "a")
 
     def test_zero_merges_when_budget_is_initial_symbols(self):
         initial = len({"a", "b"}) + 2  # chars + marker + unknown sentinel
@@ -58,11 +58,11 @@ class TestTraining:
         with pytest.raises(TokenizerError):
             train_bpe(["   ", ""], vocab_size=100)
 
-    def test_merge_ranks_contiguous(self):
+    def test_merges_are_pairs_of_symbols(self):
         vocab = train_bpe(["the cat the hat the bat"], vocab_size=60)
-        assert [m.rank for m in vocab.merges] == list(range(len(vocab.merges)))
-        for rule in vocab.merges:
-            assert rule.merged in vocab.symbols
+        assert vocab.merges
+        for left, right in vocab.merges:
+            assert left + right in vocab.symbols
 
     def test_ids_dense_and_unique(self):
         vocab = train_bpe(["banana bandana"], vocab_size=40)
@@ -76,7 +76,7 @@ class TestTraining:
                 continue
             vocab = train_bpe(texts, vocab_size=500)
             expected = bpe_merges_oracle(texts, max_merges=20)
-            got = [(m.left, m.right) for m in vocab.merges[:20]]
+            got = vocab.merges[:20]
             assert got == expected[:len(got)] and len(got) == min(
                 20, len(expected)), f"seed {seed}"
 
@@ -85,8 +85,7 @@ class TestTraining:
         texts = ["she sells sea shells by the sea shore " * 3]
         small = train_bpe(texts, vocab_size=30)
         large = train_bpe(texts, vocab_size=60)
-        prefix = [(m.left, m.right) for m in small.merges]
-        assert [(m.left, m.right) for m in large.merges[:len(prefix)]] == prefix
+        assert large.merges[:len(small.merges)] == small.merges
 
 
 # Alphabets for the heap trainer's oracle comparison: a one-letter run
@@ -165,13 +164,12 @@ class TestHeapTraining:
         assert peak <= 150 * len(word), peak / len(word)
 
     def test_pair_formed_again_is_merged_again(self):
-        rules = [(m.left, m.right)
-                 for m in train_bpe([_DUPLICATE_RULE], 1000).merges]
+        rules = train_bpe([_DUPLICATE_RULE], 1000).merges
         assert rules.count(("q", "/</w>")) == 2
 
     def test_symbol_formed_twice_is_numbered_once(self):
         vocab = train_bpe([_TWO_PATHS], 1000)
-        merged = [m.merged for m in vocab.merges]
+        merged = [left + right for left, right in vocab.merges]
         assert merged.count("/</w>") == 2
         assert len(vocab.symbols) == len(set(_TWO_PATHS) - {" "}) + 2 + len(
             set(merged))
@@ -451,7 +449,7 @@ class TestPendingSequences:
     def test_read_alone(self):
         vocab = train_bpe(["hello world hello"], vocab_size=60)
         seq = encode(vocab, "hello world")
-        assert decode(vocab, seq) == "hello world"
+        assert decode(vocab, seq.ids) == "hello world"
         assert seq._pending is None
         assert len(encode(vocab, "hello")) == len(encode_oracle(vocab,
                                                                 "hello"))
@@ -510,16 +508,24 @@ class TestHostileVocabularies:
 class TestDecode:
     def test_round_trip(self):
         vocab = train_bpe(["hello world hello"], vocab_size=60)
-        assert decode(vocab, encode(vocab, "hello world")) == "hello world"
+        ids = encode_corpus(vocab, ["hello world"]).ids
+        assert decode(vocab, ids) == "hello world"
+        assert decode(vocab, ids.tolist()) == "hello world"
 
     def test_empty_sequence(self):
         vocab = train_bpe(["ab"], vocab_size=10)
-        assert decode(vocab, TokenSequence(ids=())) == ""
+        assert decode(vocab, ()) == ""
 
     def test_unknown_id_rejected(self):
         vocab = train_bpe(["ab"], vocab_size=10)
-        with pytest.raises(TokenizerError):
-            decode(vocab, TokenSequence(ids=(vocab.unknown_id,)))
+        with pytest.raises(TokenizerError, match="unknown id"):
+            decode(vocab, [vocab.unknown_id])
+
+    @pytest.mark.parametrize("token_id", [-1, 10**6])
+    def test_id_outside_vocabulary_rejected(self, token_id):
+        vocab = train_bpe(["ab"], vocab_size=10)
+        with pytest.raises(TokenizerError, match="outside the vocabulary"):
+            decode(vocab, [1, token_id])
 
     @given(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=6),
                     min_size=1, max_size=20))
@@ -527,7 +533,7 @@ class TestDecode:
     def test_round_trip_property(self, words):
         text = " ".join(words)
         vocab = train_bpe([text], vocab_size=5000)
-        assert decode(vocab, encode(vocab, text)) == text
+        assert decode(vocab, encode_corpus(vocab, [text]).ids) == text
 
 
 class TestSerialization:
@@ -553,7 +559,8 @@ class TestSerialization:
         data = save_vocab(train_bpe(["ab ab"], vocab_size=20))
         tampered = data.replace(b'"merges"', b'"merged"')
         with pytest.raises(TokenizerError,
-                           match="vocabulary file: unknown key 'merged'"):
+                           match="vocabulary file: unknown key 'merged'; "
+                                 "missing key 'merges'"):
             load_vocab(tampered)
 
     def test_truncated_input_rejected(self):

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
@@ -194,6 +195,10 @@ def _jsonl_rows(raw: str, path):
             _INTEGER.check(label_name, row[2], CorpusError)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{path}: invalid JSON at line {line_num}: {exc.msg}")
+        except ValueError:  # from int(), as in files.parse_json
+            raise CorpusError(f"{path}: an integer of more than "
+                              f"{sys.get_int_max_str_digits()} digits at "
+                              f"line {line_num}")
         except CorpusError as exc:
             raise CorpusError(f"{exc} at line {line_num}") from None
         yield line_num, row

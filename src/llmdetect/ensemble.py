@@ -27,7 +27,6 @@ import numpy as np
 from . import pipeline
 from .corpus import id_csv_blocks, id_rows
 from .errors import EnsembleError
-from .features import same_transform
 from .files import read_text
 from .metrics import roc_auc, tie_groups
 from .schema import Rule
@@ -446,10 +445,9 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
     BPE voters must agree on their vocabulary reference; external voters
     must cover every document id.  The texts are tokenized once per token
     scheme (BPE, or one whitespace word table) and featurized once per
-    distinct TF-IDF model of a scheme, each on first use, so errors still
-    come out in spec order.  Bundles loaded from equal payloads hold one
-    model (``tfidf_from_dict``), matched by identity before
-    ``same_transform`` compares bytes.
+    TF-IDF model of a scheme, each on first use, so errors still come out
+    in spec order.  Voters share a matrix when they hold the very same
+    model, as bundles loaded from equal payloads do (``tfidf_from_dict``).
     """
     refs = {v.bundle.vocab_ref for v in spec.voters
             if v.bundle is not None and v.bundle.tfidf.word_vocab is None}
@@ -472,8 +470,7 @@ def collect_voter_scores(spec: EnsembleSpec, documents,
                 documents.texts, tfidf.word_vocab, bpe_vocab), [])
             schemes.append(scheme)
         _, sequences, matrices = scheme
-        X = next((X for model, X in matrices
-                  if model is tfidf or same_transform(model, tfidf)), None)
+        X = next((X for model, X in matrices if model is tfidf), None)
         if X is None:
             X = pipeline.transform_corpus(tfidf, sequences)
             matrices.append((tfidf, X))

@@ -112,17 +112,6 @@ class TfidfModel:
         return len(self.vocabulary.lengths)
 
 
-def same_transform(a: TfidfModel, b: TfidfModel) -> bool:
-    """Whether ``transform_corpus`` gives the same matrix under both
-    models: equal config, n-gram columns and idf bytes.  Bytes, not ``==``,
-    so that idf values such as -0.0 and 0.0 never count as equal."""
-    va, vb = a.vocabulary, b.vocabulary
-    return (a.config == b.config
-            and va.lengths.tobytes() == vb.lengths.tobytes()
-            and va.ids.tobytes() == vb.ids.tobytes()
-            and a.idf.tobytes() == b.idf.tobytes())
-
-
 def extract_ngrams(seq: TokenSequence, ngram_min: int, ngram_max: int) -> Counter:
     """All contiguous id subsequences with length in [ngram_min, ngram_max],
     with multiplicity.  Sequences shorter than ngram_min yield what fits."""
@@ -330,7 +319,11 @@ def fit_tfidf(corpus_tokens: TokenCorpus | list[TokenSequence],
 
 
 def _ngram_table(model: TfidfModel) -> _NgramTable:
-    """The model's lookup table, built on first use and then cached."""
+    """The model's lookup table, built on first use and then cached.
+
+    Every n-gram's length must lie in [ngram_min, ngram_max], so that the
+    walk numbers each one at its level; equal n-grams get one number
+    there, and are refused."""
     if model._ngram_table is not None:
         return model._ngram_table
     lengths = model.vocabulary.lengths
@@ -338,7 +331,7 @@ def _ngram_table(model: TfidfModel) -> _NgramTable:
     # Each n-gram is its own sequence, numbered by its column, and is
     # walked from its first position only, so the levels hold its prefixes.
     ranks, col = _gapped(ranks, lengths)
-    first = (np.cumsum(lengths + 1) - lengths - 1)[lengths > 0]
+    first = np.cumsum(lengths + 1) - lengths - 1
     by_token = _stable_sort(ranks[first])[1]
     levels = []
     for k, (keys, start, number, _) in enumerate(_levels(
@@ -346,6 +339,8 @@ def _ngram_table(model: TfidfModel) -> _NgramTable:
         cols = np.full(len(keys), -1, dtype=np.int64)
         exact = ranks[start + k] < 0  # the gap after the n-gram follows
         cols[number[exact]] = col[start[exact]]
+        if np.count_nonzero(cols >= 0) < np.count_nonzero(exact):
+            raise FeatureError("malformed tfidf payload: duplicate ngrams")
         levels.append((keys, cols))
     # Token ids a few times the token count fit a dense lookup; a bundle
     # may hold any int64 id, and those are searched instead.
@@ -477,30 +472,6 @@ def tfidf_to_dict(model: TfidfModel) -> dict:
     }
 
 
-def _has_duplicate(ids: np.ndarray, lengths: np.ndarray) -> bool:
-    """Whether two n-grams of the flat vocabulary are equal.  Each length's
-    n-grams are gathered as rows and sorted, then compared with their
-    neighbours: as one int64 each, their ids' digits in base span (the
-    ids' range), where span ** n fits, as BPE and word n-grams do; else
-    as one byte string each."""
-    starts = np.cumsum(lengths) - lengths
-    distinct, counts = np.unique(lengths, return_counts=True)
-    for n in distinct[counts > 1].tolist():
-        if not n:
-            return True  # two empty n-grams
-        rows = ids[starts[lengths == n, None] + np.arange(n)]
-        low = int(rows.min())
-        span = int(rows.max()) - low + 1
-        if n < 63 and span ** n < 2 ** 63:
-            keys = (rows - low) @ span ** np.arange(n, dtype=np.int64)
-        else:
-            keys = rows.view(np.dtype((np.void, 8 * n))).ravel()
-        keys = np.sort(keys)
-        if (keys[1:] == keys[:-1]).any():
-            return True
-    return False
-
-
 # The packed arrays of a payload, in the order they are decoded.
 _PACKED = (("ngram_ids", "<i8"), ("ngram_lengths", "<i8"), ("df", "<i8"),
            ("idf", "<f8"))
@@ -530,8 +501,8 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
     document_count and word_vocab and the same four packed strings (equal
     as strings, not as the numbers they decode to) returns that very
     model, with its n-gram table, and decodes nothing.  Any other payload
-    is decoded and checked in full.  Since bundles may share a model, its
-    arrays are read-only."""
+    is decoded and checked in full, its n-gram table built on the way.
+    Since bundles may share a model, its arrays are read-only."""
     object_with(data, _PAYLOAD_KEYS, "field tfidf", FeatureError)
     config = build(TfidfConfig, data["config"], "field tfidf.config",
                    FeatureError)
@@ -547,20 +518,25 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
     ids, lengths, df, idf = (unpack(data[name], dtype, f"malformed tfidf "
                                     f"payload: {name}", FeatureError)
                              for name, dtype in _PACKED)
-    # No length exceeds the id count, so their sum cannot wrap.
-    if len(lengths) and (lengths.min() < 0 or lengths.max() > len(ids)):
-        raise FeatureError("malformed tfidf payload: ngram_lengths must lie "
-                           "in [0, len(ngram_ids)]")
+    # Lengths of at most MAX_NGRAM cannot sum past int64, and only these
+    # can a fit write or a transform match.
+    low, high = config.ngram_min, config.ngram_max
+    if len(lengths) and (lengths.min() < low or lengths.max() > high):
+        raise FeatureError(f"malformed tfidf payload: ngram_lengths must lie "
+                           f"in [{low}, {high}], the config's ngram_min and "
+                           f"ngram_max")
     if int(lengths.sum()) != len(ids):
         raise FeatureError(f"malformed tfidf payload: ngram_lengths sum to "
                            f"{int(lengths.sum())}, not the {len(ids)} "
                            f"ngram_ids")
     if len(idf) != len(lengths) or len(df) != len(lengths):
         raise FeatureError("malformed tfidf payload: df/idf length mismatch")
-    if not np.isfinite(idf).all():
-        raise FeatureError("field tfidf.idf must hold finite numbers")
-    if _has_duplicate(ids, lengths):
-        raise FeatureError("malformed tfidf payload: duplicate ngrams")
+    # A fit's idf, ln((1 + N) / (1 + df)) + 1 with 1 <= df <= N, lies in
+    # this range; a far larger one overflows a transform's row norms.
+    top = 1.0 + math.log(1 + document_count)
+    if not ((idf >= 1.0) & (idf <= top)).all():
+        raise FeatureError(f"field tfidf.idf must hold numbers in [1, {top}] "
+                           f"(1 + ln(1 + document_count))")
     # Entries need not be distinct: a corpus holding the literal word
     # "<unk>" lists it twice, and its bundles must load.
     if word_vocab is not None:
@@ -574,6 +550,7 @@ def tfidf_from_dict(data: dict) -> TfidfModel:
                                  document_count=document_count, df=df)
     model = TfidfModel(vocabulary=vocabulary, idf=idf, config=config,
                        word_vocab=word_vocab)
+    _ngram_table(model)
     # Every packed value decoded, so each is a string.
     _LIVE[key] = model
     return model

@@ -15,6 +15,7 @@ import json
 import os
 import secrets
 import stat
+import sys
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -39,6 +40,9 @@ def parse_json(data: bytes, what: str, error):
         return json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{what} is not valid JSON: {exc}")
+    except ValueError:  # from int(), which converts only so many digits
+        raise error(f"{what} holds an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits")
 
 
 def read_text(path, what: str, error) -> str:

@@ -94,12 +94,11 @@ def save_model(model, tfidf: TfidfModel, vocab_ref: str,
     return canonical_json(payload)
 
 
-def load_model(data: bytes, expected_kind: str | None = None) -> ModelBundle:
-    return bundle_from_dict(parse_json(data, "model bundle", ModelError),
-                            expected_kind)
+def load_model(data: bytes) -> ModelBundle:
+    return bundle_from_dict(parse_json(data, "model bundle", ModelError))
 
 
-def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
+def bundle_from_dict(payload) -> ModelBundle:
     """Validate a parsed bundle document and rebuild its model."""
     object_with(payload, _BUNDLE_KEYS, "model bundle", ModelError,
                 optional=("training",))
@@ -107,8 +106,6 @@ def bundle_from_dict(payload, expected_kind: str | None = None) -> ModelBundle:
                    ModelError)
     kind = payload["kind"]
     Rule(MODEL_KINDS).check("field kind", kind, ModelError)
-    if expected_kind is not None and kind != expected_kind:
-        raise ModelError(f"bundle holds a {kind} model, expected {expected_kind}")
     Rule(str).check("field vocab_ref", payload["vocab_ref"], ModelError)
     tfidf = tfidf_from_dict(payload["tfidf"])
     _check_word_vocab_ref(tfidf, payload["vocab_ref"])

@@ -128,6 +128,10 @@ class LeafwiseTree:
     def split_columns(self) -> list[int]:
         return [col for col in self.columns if col >= 0]
 
+    def largest_leaf(self) -> float:
+        return float(max(abs(v) for c, v in zip(self.columns, self.values)
+                         if c < 0))
+
     def predict(self, X: SparseMatrix) -> np.ndarray:
         out = np.empty(X.n_rows)
         stack = [(0, np.arange(X.n_rows))]
@@ -177,6 +181,9 @@ class SymmetricTree:
     def split_columns(self) -> list[int]:
         return [col for col, thr in zip(self.columns, self.thresholds)
                 if thr is not None]
+
+    def largest_leaf(self) -> float:
+        return float(max(map(abs, self.leaf_values)))
 
     def predict(self, X: SparseMatrix) -> np.ndarray:
         rows = np.arange(X.n_rows)
@@ -234,6 +241,14 @@ class GbdtModel:
         bins = Rule(int, -1, config.n_bins - 1)
         for i, tree in enumerate(trees):
             tree.check(d["n_features"], bins, f"trees[{i}].")
+        # Rounding is monotone, so no partial sum of decision_scores
+        # overflows while this one does not.
+        bound = float(abs(d["base_score"]))
+        for tree in trees:
+            bound += tree.largest_leaf()
+        if math.isinf(bound):
+            raise ModelError("|base_score| plus each tree's largest |leaf "
+                             "value| must sum to a finite number")
         return cls(base_score=d["base_score"], config=config,
                    n_features=d["n_features"], trees=trees)
 

@@ -63,6 +63,13 @@ def repack(doc: dict, key: str, edit) -> None:
     doc[key] = pack(array if edited is None else edited, _dtype(key))
 
 
+def set_payload_ngrams(payload: dict, ngrams) -> None:
+    """Pack the n-grams into a tfidf payload's ngram_ids and ngram_lengths."""
+    for key, values in (("ngram_ids", [i for ngram in ngrams for i in ngram]),
+                        ("ngram_lengths", list(map(len, ngrams)))):
+        payload[key] = pack(np.array(values, dtype=np.int64), "<i8")
+
+
 def v1_rendering(data: bytes) -> bytes:
     """A format-2 bundle as format 1 wrote it: every packed array back as a
     JSON list (the n-grams as one list of ids each, naive Bayes likelihoods

@@ -1383,22 +1383,40 @@ class TestArrayFuzz:
 
     @pytest.mark.parametrize("name, holder, key, value, code, message", [
         ("naive_bayes", "tfidf", "idf", math.nan, "features",
-         "field tfidf.idf must hold finite numbers"),
+         "field tfidf.idf must hold numbers in [1, "),
         ("sgd_linear", "tfidf", "idf", math.nan, "features",
-         "field tfidf.idf must hold finite numbers"),
-        ("naive_bayes", "parameters", "log_likelihood", -1e308, "model",
-         "naive_bayes model scores document 0 as NaN"),
+         "field tfidf.idf must hold numbers in [1, "),
+        # loaded and scored from NaN features, the norms having overflowed
+        ("leaf_wise", "tfidf", "idf", 1e308, "features",
+         "field tfidf.idf must hold numbers in [1, "),
+        # loaded, then overflowed in decision_scores
+        ("leaf_wise", "trees", "values", 1e308, "model",
+         "|base_score| plus each tree's largest |leaf value| must sum to a "
+         "finite number"),
+        ("symmetric", "trees", "leaf_values", -1e308, "model",
+         "|base_score| plus each tree's largest |leaf value| must sum to a "
+         "finite number"),
     ])
-    def test_nan_scores_refused(self, schema_bundles, tmp_path, capsys, name,
-                                holder, key, value, code, message):
-        # each bundle loaded, and predict wrote NaN scores that evaluate
-        # then refused
+    def test_refused_at_load(self, schema_bundles, tmp_path, capsys, name,
+                             holder, key, value, code, message):
         bundles, corpus = schema_bundles
         bundle, out = tmp_path / "b.json", tmp_path / "x.csv"
         bundle.write_text(with_numbers(bundles[name], holder, key, value,
                                        0, 1))
         assert run(["predict", bundle, corpus, "--out", out]) == 1
         assert message in single_error(capsys, code)
+        assert not out.exists()
+
+    def test_nan_scores_refused(self, schema_bundles, tmp_path, capsys):
+        # the bundle loaded, and predict wrote NaN scores that evaluate
+        # then refused
+        bundles, corpus = schema_bundles
+        bundle, out = tmp_path / "b.json", tmp_path / "x.csv"
+        bundle.write_text(with_numbers(bundles["naive_bayes"], "parameters",
+                                       "log_likelihood", -1e308, 0, 1))
+        assert run(["predict", bundle, corpus, "--out", out]) == 1
+        assert "naive_bayes model scores document 0 as NaN" in single_error(
+            capsys, "model")
         assert not out.exists()
 
     @given(field=st.sampled_from(_NUMBER_FIELDS), value=_EXTREME_FLOATS,
@@ -1455,6 +1473,21 @@ def documents(tmp_path_factory):
     return root, {"vocab": (root / "v.json").read_bytes(),
                   "bundle": (root / "nb.json").read_bytes(),
                   "spec": json.dumps(spec).encode("utf-8")}
+
+
+# JSON integers of more digits than Python's int() converts by default
+# (4,300), which json.dumps cannot write either: a document holds each
+# placeholder string where one goes.  No fuzz string is as long.
+_LONG_INTEGERS = {"<<long integer>>": "9" * 5000,
+                  "<<negative long integer>>": "-" + "1" * 4301}
+
+
+def with_long_integers(text: str) -> str:
+    """The JSON text with each long-integer placeholder string replaced
+    by its digits."""
+    for mark, digits in _LONG_INTEGERS.items():
+        text = text.replace(json.dumps(mark), digits)
+    return text
 
 
 def run_on(root, name: str, text: str) -> int:
@@ -1565,6 +1598,35 @@ class TestDocumentSchema:
         root, docs = documents
         assert run_on(root, name, docs[name].decode("utf-8")) == 0
 
+    # each once ended in json's ValueError traceback
+    @pytest.mark.parametrize("name, what, code", [
+        ("bundle", "edited_bundle.json", "model"),
+        ("spec", "edited_spec.json", "ensemble"),
+        ("vocab", "vocabulary file", "tokenizer")])
+    @pytest.mark.parametrize("mark", list(_LONG_INTEGERS),
+                             ids=["positive", "negative"])
+    def test_long_integer_refused(self, documents, capsys, name, what, code,
+                                  mark):
+        root, docs = documents
+        capsys.readouterr()
+        text = with_long_integers(edited(docs[name], "format_version", mark))
+        assert run_on(root, name, text) == 1
+        assert f"{what} holds an integer of more than " \
+               f"{sys.get_int_max_str_digits()} digits" in single_error(
+                   capsys, code)
+        assert not (root / "out").exists()
+
+    def test_long_jsonl_label_refused(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(with_long_integers(
+            '{"id": "a", "text": "x y", "label": 0}\n'
+            '{"id": "b", "text": "y", "label": "<<long integer>>"}\n'))
+        assert run(["tokenize-train", corpus,
+                    "--out", tmp_path / "v.json"]) == 1
+        assert f"{corpus}: an integer of more than " \
+               f"{sys.get_int_max_str_digits()} digits at line 2" in \
+            single_error(capsys, "corpus")
+
 
 def _json_paths(value, prefix=()):
     """Every path into a JSON value, its list items to the first three."""
@@ -1577,9 +1639,11 @@ def _json_paths(value, prefix=()):
             yield from _json_paths(item, (*prefix, i))
 
 
-# Integers to 10^9, floats, booleans, nulls, strings and lists.
+# Integers to 10^9 and of more digits than Python's int() converts,
+# floats, booleans, nulls, strings and lists.
 _FUZZ_VALUES = st.one_of(
-    st.integers(-10 ** 9, 10 ** 9), st.integers(-3, 3), st.floats(),
+    st.integers(-10 ** 9, 10 ** 9), st.integers(-3, 3),
+    st.sampled_from(list(_LONG_INTEGERS)), st.floats(),
     st.booleans(), st.none(), st.text(max_size=8),
     st.sampled_from(["<unk>", "</w>", "nb.json", "s.csv", "rank_mean",
                      "\0", "\n", "\x85"]),
@@ -1606,7 +1670,7 @@ def mutated(data, doc: bytes) -> str:
         value = target.pop(last)
         if action == "rename":
             target[data.draw(st.text(max_size=8))] = value
-    return json.dumps(doc)
+    return with_long_integers(json.dumps(doc))
 
 
 class TestDocumentFuzz:

@@ -1,6 +1,7 @@
 import copy
 import csv
 import io
+import json
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -20,12 +21,12 @@ from llmdetect.ensemble import (COMBINERS, MAX_GRID_POINTS, EnsembleSpec,
                                 run_ensemble, soft_vote, tune_weights,
                                 weight_grid)
 from llmdetect.errors import EnsembleError, ModelError
-from llmdetect.features import TfidfConfig, same_transform
-from llmdetect.models import GbdtConfig, SgdConfig, load_model
+from llmdetect.features import TfidfConfig, tfidf_from_dict
+from llmdetect.models import GbdtConfig, SgdConfig, load_model, save_model
 from llmdetect.pipeline import (TOKEN_SOURCE_WHITESPACE, score_texts,
                                 train_bundle)
 from llmdetect.tokenizer import save_vocab, train_bpe
-from conftest import traced_peak
+from conftest import repack, set_payload_ngrams, traced_peak
 from oracles import (collect_voter_scores_oracle, grid_vote_oracle,
                      rank_average_oracle, soft_vote_oracle, tune_weights_oracle,
                      weight_grid_oracle)
@@ -575,7 +576,7 @@ class TestRunEnsemble:
         assert len({id(model) for model in models}) == 4
 
     # Loaded, the three bundles of one payload hold one model, matched by
-    # identity; copied, each voter holds its own and they match by bytes.
+    # identity; copied one by one, each voter holds its own model.
     @pytest.mark.parametrize("copied", [False, True], ids=["loaded", "copied"])
     @given(order=st.permutations(range(7)))
     @settings(max_examples=25, deadline=None)
@@ -583,22 +584,35 @@ class TestRunEnsemble:
                                                      order):
         vocab, voters, documents, oracle = mixed
         if copied:
-            voters = copy.deepcopy(voters)
+            voters = [copy.deepcopy(voter) for voter in voters]
         spec = EnsembleSpec(voters=[voters[i] for i in order])
         with _spy() as calls:
             got = collect_voter_scores(spec, documents, vocab)
         assert [s.tobytes() for s in got] == [oracle[i].tobytes()
                                               for i in order]
-        # BPE and two word tables; two BPE TF-IDF models and two word ones
-        assert calls == {"tokenize_texts": 3, "transform_corpus": 4}
+        # BPE and two word tables; loaded, two BPE TF-IDF models and two
+        # word ones, and copied, one per bundle
+        assert calls == {"tokenize_texts": 3,
+                         "transform_corpus": 6 if copied else 4}
 
-    def test_idf_one_ulp_apart_not_grouped(self, mixed):
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["config"].update(sublinear_tf=True),
+        lambda p: set_payload_ngrams(
+            p, tfidf_from_dict(p).vocabulary.ngrams[::-1]),
+        # the most common n-gram's idf, one ulp up
+        lambda p: repack(p, "idf", lambda a: a.__setitem__(
+            np.argmin(a), np.nextafter(a.min(), np.inf))),
+    ], ids=["config", "columns", "idf-ulp"])
+    def test_edited_payload_featurized_apart(self, mixed, edit):
+        # a payload that differs in what a transform reads loads as its own
+        # model, even while the original is alive
         vocab, voters, documents, _ = mixed
         original = voters[0].bundle
-        moved = copy.deepcopy(original)
-        col = int(np.argmin(moved.tfidf.idf))  # the most common n-gram
-        moved.tfidf.idf[col] = np.nextafter(moved.tfidf.idf[col], np.inf)
-        assert not same_transform(original.tfidf, moved.tfidf)
+        payload = json.loads(save_model(original.model, original.tfidf,
+                                        original.vocab_ref))
+        edit(payload["tfidf"])
+        moved = load_model(json.dumps(payload).encode("utf-8"))
+        assert moved.tfidf is not original.tfidf
         spec = EnsembleSpec(voters=[Voter(weight=1.0, bundle=original),
                                     Voter(weight=1.0, bundle=moved)])
         with _spy() as calls:

@@ -1,13 +1,14 @@
 import base64
 import gc
 import hashlib
+import math
 import sys
 import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from llmdetect import features, tokenizer
@@ -15,12 +16,11 @@ from llmdetect.corpus import synth_corpus
 from llmdetect.errors import FeatureError
 from llmdetect.files import pack
 from llmdetect.features import (TfidfConfig, encode_words, extract_ngrams,
-                                fit_tfidf, fit_word_vocab, same_transform,
-                                tfidf_from_dict, tfidf_to_dict,
-                                transform_corpus)
+                                fit_tfidf, fit_word_vocab, tfidf_from_dict,
+                                tfidf_to_dict, transform_corpus)
 from llmdetect.tokenizer import (DEFAULT_VOCAB_SIZE, TokenCorpus,
                                  TokenSequence, encode, train_bpe)
-from conftest import repack, traced_peak
+from conftest import repack, set_payload_ngrams, traced_peak
 from oracles import (csr_row, encode_oracle, fit_tfidf_oracle, tfidf_oracle,
                      token_sequences, transform_corpus_oracle, vector_pairs)
 
@@ -32,12 +32,6 @@ def seqs(*id_lists):
 def transform(model, seq):
     """One document's row of transform_corpus, as a (cols, vals) pair."""
     return csr_row(transform_corpus(model, [seq]), 0)
-
-
-def set_payload_ngrams(payload, ngrams) -> None:
-    """Pack the n-grams into the payload's ngram_ids and ngram_lengths."""
-    payload["ngram_ids"] = pack([i for ngram in ngrams for i in ngram], "<i8")
-    payload["ngram_lengths"] = pack(list(map(len, ngrams)), "<i8")
 
 
 class TestExtractNgrams:
@@ -253,56 +247,95 @@ class TestSerialization:
         with pytest.raises(FeatureError, match="df/idf length mismatch"):
             tfidf_from_dict(payload)
 
+    @staticmethod
+    def with_ngrams(payload, ngrams):
+        """The payload holding the n-grams, one df and idf each, its
+        ngram_max their greatest length."""
+        set_payload_ngrams(payload, ngrams)
+        for key in ("df", "idf"):
+            repack(payload, key, lambda a: np.ones(len(ngrams), a.dtype))
+        payload["config"]["ngram_max"] = max(map(len, ngrams), default=1)
+        return payload
+
     @pytest.mark.parametrize("ngrams", [
         [(1,), (2,), (1,)],
         [(1, 2), (2,), (3, 2), (1, 2)],
-        [(), (1,), ()],
         [(5, 6, 7), (5, 6), (5, 6, 7)],
         [(2**63 - 1, -2**63), (-2**63,), (2**63 - 1, -2**63)],
         [(0, 1, 2**21), (2**21, 1, 0), (0, 1, 2**21)],
-    ], ids=["1-gram", "2-gram", "empty", "3-gram", "extreme-ids",
-            "wide-3-gram"])
+    ], ids=["1-gram", "2-gram", "3-gram", "extreme-ids", "wide-3-gram"])
     def test_duplicate_ngram_rejected(self, ngrams):
-        payload = self.fitted_payload()
-        set_payload_ngrams(payload, ngrams)
-        for key in ("df", "idf"):
-            repack(payload, key, lambda a: a[:len(ngrams)])
+        payload = self.with_ngrams(self.fitted_payload(), ngrams)
         with pytest.raises(FeatureError, match="duplicate ngrams"):
             tfidf_from_dict(payload)
         # the n-grams with the repeat dropped load
-        set_payload_ngrams(payload, list(dict.fromkeys(ngrams)))
-        for key in ("df", "idf"):
-            repack(payload, key, lambda a: a[:len(set(ngrams))])
-        assert tfidf_from_dict(payload).vocabulary.ngrams == list(
-            dict.fromkeys(ngrams))
+        distinct = list(dict.fromkeys(ngrams))
+        payload = self.with_ngrams(payload, distinct)
+        assert tfidf_from_dict(payload).vocabulary.ngrams == distinct
 
     @given(st.lists(st.lists(st.integers(0, 3) | st.sampled_from(
-        [2**20, 2**21 + 1, 2**62, 2**63 - 1, -2**63]), max_size=4).map(tuple),
-        max_size=12))
+        [2**20, 2**21 + 1, 2**62, 2**63 - 1, -2**63]), min_size=1,
+        max_size=4).map(tuple), max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_duplicate_check_matches_set(self, ngrams):
-        # both sort keys: int64 digits where span ** n fits, bytes where not
-        ids = np.array([i for ngram in ngrams for i in ngram], dtype=np.int64)
-        lengths = np.array(list(map(len, ngrams)), dtype=np.int64)
-        assert features._has_duplicate(ids, lengths) == (
-            len(set(ngrams)) != len(ngrams))
+        # refused exactly when the n-gram list repeats one
+        payload = self.with_ngrams(self.fitted_payload(), ngrams)
+        if len(set(ngrams)) != len(ngrams):
+            with pytest.raises(FeatureError, match="duplicate ngrams"):
+                tfidf_from_dict(payload)
+        else:
+            assert tfidf_from_dict(payload).vocabulary.ngrams == ngrams
 
-    def test_long_duplicate_refused_in_time(self, time_bound):
+    @pytest.mark.parametrize("extra", [(1,), (1, 2, 3, 1), ()],
+                             ids=["under-min", "over-max", "empty"])
+    def test_lengths_outside_config_refused(self, extra):
+        # no fit writes such an n-gram, and no transform could match it
+        docs = seqs([1, 2, 3, 1, 2], [2, 3, 1, 2, 3])
+        payload = tfidf_to_dict(fit_tfidf(docs, TfidfConfig(2, 3, min_df=1)))
+        set_payload_ngrams(payload, tfidf_from_dict(payload).vocabulary.ngrams
+                           + [extra])
+        repack(payload, "df", lambda a: np.append(a, 1))
+        repack(payload, "idf", lambda a: np.append(a, 2.0))
+        with pytest.raises(FeatureError,
+                           match=r"ngram_lengths must lie in \[2, 3\]"):
+            tfidf_from_dict(payload)
+
+    def test_long_ngrams_refused_in_time(self, time_bound):
         # two equal n-grams of 10**6 ids each, then two that differ only in
         # their last id
         payload = self.fitted_payload()
         long = np.arange(10**6, dtype=np.int64)
-        payload["ngram_ids"] = pack(np.concatenate([long, long]), "<i8")
         payload["ngram_lengths"] = pack([10**6, 10**6], "<i8")
         payload["df"] = pack([1, 1], "<i8")
         payload["idf"] = pack([1.0, 1.0], "<f8")
         with time_bound(10):
-            with pytest.raises(FeatureError, match="duplicate ngrams"):
-                tfidf_from_dict(payload)
-            long[-1] = -1
-            payload["ngram_ids"] = pack(np.concatenate([np.arange(10**6),
-                                                        long]), "<i8")
-            assert tfidf_from_dict(payload).n_features == 2
+            for last in (10**6 - 1, -1):
+                long[-1] = last
+                payload["ngram_ids"] = pack(np.concatenate(
+                    [np.arange(10**6), long]), "<i8")
+                with pytest.raises(FeatureError,
+                                   match=r"ngram_lengths must lie in"):
+                    tfidf_from_dict(payload)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, np.nextafter(1.0, 0.0),
+        np.nextafter(1.0 + math.log(3), math.inf), 1e308, math.nan,
+        math.inf], ids=["zero", "negative-zero", "under-1", "over-top",
+                        "huge", "nan", "inf"])
+    def test_idf_outside_fit_range_refused(self, value):
+        # a fit on 2 documents writes idf in [1, 1 + ln 3]; 1e308 once
+        # overflowed a transform's norms into NaN features
+        payload = self.fitted_payload()
+        repack(payload, "idf", lambda a: a.__setitem__(0, value))
+        with pytest.raises(FeatureError, match=r"field tfidf.idf must hold "
+                                               r"numbers in \[1, 2\.0986"):
+            tfidf_from_dict(payload)
+
+    def test_idf_range_ends_load(self):
+        payload = self.fitted_payload()
+        ends = [1.0, 1.0 + math.log(1 + payload["document_count"])]
+        repack(payload, "idf", lambda a: a.__setitem__([0, -1], ends))
+        assert tfidf_from_dict(payload).idf[[0, -1]].tolist() == ends
 
     def test_malformed_payload_rejected(self):
         model = fit_tfidf(seqs([1, 2], [2, 1]), TfidfConfig(1, 1, min_df=1))
@@ -408,6 +441,17 @@ class TestMatchesCounterOracle:
                 mock.patch.object(features, "_DIGIT_KEY_BOUND", 0):
             self.check_bit_identical(inputs)
 
+    @given(_featurizer_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_fitted_payload_loads(self, inputs):
+        # a fit's n-gram lengths, distinct n-grams and idf pass every check
+        config, fit_docs, docs, _ = inputs
+        assume(max(map(len, fit_docs)) >= config.ngram_min)
+        model = fit_tfidf(seqs(*fit_docs), config)
+        loaded = tfidf_from_dict(tfidf_to_dict(model))
+        assert _csr_bytes(transform_corpus(loaded, seqs(*docs))) == \
+            _csr_bytes(transform_corpus(model, seqs(*docs)))
+
     @pytest.mark.parametrize("n_tokens, lexsorted", [(6, False), (7, True)])
     def test_fit_sort_on_both_sides_of_the_digit_bound(self, n_tokens,
                                                        lexsorted):
@@ -467,20 +511,6 @@ class TestMatchesCounterOracle:
         loaded = tfidf_from_dict(tfidf_to_dict(model))
         assert _csr_bytes(transform_corpus(loaded, docs)) == _csr_bytes(
             transform_corpus_oracle(model, docs))
-
-    def test_loaded_lengths_no_transform_produces(self):
-        # a 1-gram under ngram_min, a 5-gram over ngram_max and a trailing
-        # () load, but no transform may match them
-        docs = seqs([1, 2, 3, 1, 2], [2, 3, 1, 2, 3])
-        payload = tfidf_to_dict(fit_tfidf(docs, TfidfConfig(2, 3, min_df=1)))
-        set_payload_ngrams(payload, tfidf_from_dict(payload).vocabulary.ngrams
-                           + [(1,), (1, 2, 3, 1, 2), ()])
-        repack(payload, "df", lambda a: np.append(a, [1, 1, 1]))
-        repack(payload, "idf", lambda a: np.append(a, [2.0, 2.0, 2.0]))
-        loaded = tfidf_from_dict(payload)
-        assert loaded.vocabulary.ngrams[-3:] == [(1,), (1, 2, 3, 1, 2), ()]
-        assert _csr_bytes(transform_corpus(loaded, docs)) == _csr_bytes(
-            transform_corpus_oracle(loaded, docs))
 
     def test_levels_stop_at_longest_vocabulary_ngram(self, time_bound):
         docs = seqs([1, 2, 3, 1, 2], [2, 3, 1, 2, 3])
@@ -659,38 +689,6 @@ class TestWordVocab:
         assert tfidf_from_dict(payload).word_vocab is None
 
 
-class TestSameTransform:
-    def reloaded(self, model, edit=lambda payload: None):
-        payload = tfidf_to_dict(model)
-        edit(payload)
-        return tfidf_from_dict(payload)
-
-    def test_equal_payloads_share(self):
-        model = fit_tfidf(seqs([1, 2, 3], [2, 3]), TfidfConfig(1, 2, 1))
-        assert same_transform(model, self.reloaded(model))
-
-    @pytest.mark.parametrize("edit", [
-        lambda p: p["config"].update(sublinear_tf=True),
-        lambda p: set_payload_ngrams(
-            p, tfidf_from_dict(p).vocabulary.ngrams[::-1]),
-        lambda p: repack(p, "idf", lambda a: a.__setitem__(
-            0, a[0] * (1 + 2**-52))),
-    ], ids=["config", "columns", "idf"])
-    def test_what_transform_reads_must_match(self, edit):
-        model = fit_tfidf(seqs([1, 2, 3], [2, 3]), TfidfConfig(1, 2, 1))
-        assert not same_transform(model, self.reloaded(model, edit))
-
-    def test_signed_zero_idf_not_shared(self):
-        # equal under ==, yet a transform keeps the sign
-        model = fit_tfidf(seqs([1, 2]), TfidfConfig(1, 1, 1))
-        zero = self.reloaded(model, lambda p: repack(
-            p, "idf", lambda a: a.__setitem__(0, 0.0)))
-        negative = self.reloaded(model, lambda p: repack(
-            p, "idf", lambda a: a.__setitem__(0, -0.0)))
-        assert np.array_equal(zero.idf, negative.idf)
-        assert not same_transform(zero, negative)
-
-
 class TestSharedPayload:
     """A payload equal to that of a live loaded model returns that model."""
 
@@ -737,9 +735,12 @@ class TestSharedPayload:
         lambda p: repack(p, "idf", lambda a: a.__setitem__(
             0, np.nextafter(a[0], np.inf))),
         lambda p: p["config"].update(sublinear_tf=True),
+        lambda p: set_payload_ngrams(
+            p, tfidf_from_dict(p).vocabulary.ngrams[::-1]),
         lambda p: p.update(word_vocab=[features.WORD_UNKNOWN, "a", "b"]),
         lambda p: p.update(document_count=p["document_count"] + 1),
-    ], ids=["idf-ulp", "sublinear_tf", "word_vocab", "document_count"])
+    ], ids=["idf-ulp", "sublinear_tf", "columns", "word_vocab",
+            "document_count"])
     def test_payloads_that_differ_not_shared(self, edit):
         model = self.fitted()
         live = tfidf_from_dict(tfidf_to_dict(model))
@@ -765,7 +766,10 @@ class TestSharedPayload:
         (lambda p: repack(p, "df", lambda a: a[:-1]), "df/idf"),
         (lambda p: p["config"].update(min_df=0), "min_df"),
         (lambda p: p.update(document_count=-1), "document_count"),
-    ], ids=["word_vocab", "df", "config", "document_count"])
+        # refused by the n-gram table, which loading builds
+        (lambda p: set_payload_ngrams(p, [(1,), (2,), (3,), (1, 2), (2, 3),
+                                          (1, 2)]), "duplicate ngrams"),
+    ], ids=["word_vocab", "df", "config", "document_count", "duplicate"])
     def test_rejected_payload_leaves_registry(self, edit, message):
         model = self.fitted()
         live = tfidf_from_dict(tfidf_to_dict(model))

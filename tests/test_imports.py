@@ -124,12 +124,10 @@ def blas_op(node) -> str | None:
 def test_blas_call_sites_are_known():
     # The kernel OpenBLAS picks for the CPU sets these sums' rounding
     # order, so each site is one that bundle and CSR bytes can depend on.
-    # _has_duplicate's @ is int64, which numpy computes without BLAS.
     sites = sorted(site for path in ALL_MODULES
                    for site in call_sites(path.read_text(encoding="utf-8"),
                                           path.stem, blas_op))
-    assert sites == ["features._has_duplicate: @",
-                     "features._transform_block: np.dot",
+    assert sites == ["features._transform_block: np.dot",
                      "sgd.objective: np.dot",
                      "sgd.train_sgd: np.dot"]
 

@@ -94,14 +94,6 @@ class TestBundleRoundTrip:
         assert data == save_model(load_model(data).model, tfidf, vocab_ref="r",
                                   seed=None, config_hash=None)
 
-    def test_kind_mismatch_rejected(self, tfidf, training):
-        X, y = training
-        data = save_model(train_gbdt(X, y, GbdtConfig(n_trees=1, n_bins=8,
-                                                      min_data_in_leaf=2)),
-                          tfidf, vocab_ref="r")
-        with pytest.raises(ModelError, match="expected naive_bayes"):
-            load_model(data, expected_kind="naive_bayes")
-
     @pytest.mark.parametrize("version, wanted", [
         (1, "equal to 2"), (9, "equal to 2"), ("2", "an integer"),
         (None, "an integer"), (2.0, "an integer"), (True, "an integer")])
